@@ -132,7 +132,7 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
                 levels = p.value_at(0 if asset == "i" else 1, tt)
                 for t, lev in zip(tt, levels):
                     fh.write(f"{asset},d{d:03d},"
-                             f"{session.window_start + t:.10g},"
+                             f"{session.window_start + t:.6f},"
                              f"{math.exp(lev):.17g}\n")
     click.echo(f"wrote ticks for {len(names)} days to {out_file}")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+import scipy.fft
 
 from .errors import DataError
 
@@ -154,14 +155,17 @@ def _normalized_increments(series, normalize):
 
 
 def _lagged_products(x, y, n_lags):
+    """Mean lagged products mean(x[m] * y[m + k]) for k = -n_lags..n_lags.
+
+    One zero-padded real FFT cross-correlation: padding to at least
+    n + n_lags points keeps the circular wrap-around off every lag read.
+    """
     n = x.size
-    out = np.empty(2 * n_lags + 1)
-    for k in range(-n_lags, n_lags + 1):
-        if k >= 0:
-            out[k + n_lags] = np.mean(x[:n - k] * y[k:])
-        else:
-            out[k + n_lags] = np.mean(x[-k:] * y[:n + k])
-    return out
+    size = scipy.fft.next_fast_len(n + n_lags, real=True)
+    fx = scipy.fft.rfft(x, size)
+    fy = fx if y is x else scipy.fft.rfft(y, size)
+    lags = np.arange(-n_lags, n_lags + 1)
+    return scipy.fft.irfft(fx.conj() * fy, size)[lags] / (n - np.abs(lags))
 
 
 def correlogram(series_i, series_j, max_lag, normalize=True):

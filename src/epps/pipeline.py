@@ -80,61 +80,124 @@ class TickSeries:
             raise DataError("tick times must be strictly increasing")
 
 
+_CHUNK_BYTES = 1 << 20  # text read per step, so memory stays bounded
+
+
 def load_ticks(path, session=None, fail_fast=False):
     """Read a tick CSV into per-asset-day series.
 
     Returns (series, errors) where `series` maps (asset, day) to a
     TickSeries and `errors` lists rejected records as human-readable
-    strings carrying line numbers.  With fail_fast the first bad record
-    raises instead.
+    strings carrying line numbers, in line order.  Fields are stripped and
+    blank lines skipped.  A record is rejected for a wrong field count, an
+    unparseable or non-finite number, a nonpositive price, or (inside the
+    inclusive session window) a time not after the last accepted time of
+    its asset-day, equal times included.  With fail_fast the first bad
+    record raises instead.
     """
     session = session or SessionSpec()
-    buckets = {}
+    buckets = {}  # (asset, day) -> ([time arrays], [log-price arrays])
     errors = []
-
-    def bad(lineno, msg):
-        errors.append(f"line {lineno}: {msg}")
-        if fail_fast:
-            raise DataError(errors[-1])
-
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "asset,day,time_sec,price":
             raise DataError("expected header 'asset,day,time_sec,price'")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                bad(lineno, f"expected 4 fields, got {len(parts)}")
-                continue
-            asset, day, t_str, p_str = (p.strip() for p in parts)
-            try:
-                t = float(t_str)
-                price = float(p_str)
-            except ValueError:
-                bad(lineno, f"unparseable number in {line!r}")
-                continue
-            if price <= 0:
-                bad(lineno, f"nonpositive price {price}")
-                continue
-            if not session.window_start <= t <= session.window_end:
-                continue
-            key = (asset, day)
-            bucket = buckets.setdefault(key, ([], []))
-            if bucket[0] and t <= bucket[0][-1]:
-                bad(lineno, f"non-monotone time {t} for {asset} {day}")
-                continue
-            bucket[0].append(t)
-            bucket[1].append(math.log(price))
+        lineno = 2
+        while True:
+            lines = fh.readlines(_CHUNK_BYTES)
+            if not lines:
+                break
+            bad = _ingest_chunk(lines, lineno, session, buckets)
+            lineno += len(lines)
+            bad.sort()
+            if bad and fail_fast:
+                raise DataError(f"line {bad[0][0]}: {bad[0][1]}")
+            errors += [f"line {n}: {msg}" for n, msg in bad]
     series = {}
     for (asset, day), (times, logs) in sorted(buckets.items()):
         series[(asset, day)] = TickSeries(
             asset_id=asset, day_id=day,
-            times=np.asarray(times) - session.window_start,
-            log_prices=np.asarray(logs))
+            times=np.concatenate(times) - session.window_start,
+            log_prices=np.concatenate(logs))
     return series, errors
+
+
+def _floats(texts):
+    """Column of numbers and its mask of unparseable entries (set to NaN)."""
+    try:
+        return np.array(texts, dtype=float), np.zeros(len(texts), dtype=bool)
+    except ValueError:
+        pass
+    values = np.empty(len(texts))
+    bad = np.zeros(len(texts), dtype=bool)
+    for k, text in enumerate(texts):
+        try:
+            values[k] = float(text)
+        except ValueError:
+            values[k] = np.nan
+            bad[k] = True
+    return values, bad
+
+
+def _ingest_chunk(lines, first_lineno, session, buckets):
+    """Parse consecutive raw lines column-wise into `buckets`.
+
+    Returns the chunk's rejected records as (line number, message).  The
+    monotonicity check of each asset-day carries over from earlier chunks
+    through the last time in its bucket.
+    """
+    commas = np.array([ln.count(",") for ln in lines], dtype=np.intp)
+    bad = [(first_lineno + k, f"expected 4 fields, got {commas[k] + 1}")
+           for k in np.flatnonzero(commas != 3).tolist() if lines[k].strip()]
+    good = np.flatnonzero(commas == 3)
+    if not good.size:
+        return bad
+    text = lines if good.size == len(lines) else [lines[k] for k in good]
+    # Raw lines keep their padding and newline: float() ignores surrounding
+    # whitespace and the key fields are stripped once per run below.
+    fields = ",".join(text).split(",")
+    t, bad_t = _floats(fields[2::4])
+    p, bad_p = _floats(fields[3::4])
+    unparseable = bad_t | bad_p
+    finite = np.isfinite(t) & np.isfinite(p)
+    positive = finite & (p > 0)
+    nonpositive = finite & ~positive
+    for mask, what in ((unparseable, "unparseable number in {!r}"),
+                       (~unparseable & ~finite, "non-finite number in {!r}")):
+        bad += [(first_lineno + good[k], what.format(text[k].strip()))
+                for k in np.flatnonzero(mask).tolist()]
+    bad += [(first_lineno + good[k], f"nonpositive price {price}")
+            for k, price in zip(np.flatnonzero(nonpositive).tolist(),
+                                p[nonpositive].tolist())]
+
+    keep = np.flatnonzero(positive & (t >= session.window_start)
+                          & (t <= session.window_end))
+    if not keep.size:
+        return bad
+    assets = np.array(fields[0::4], dtype=object)[keep]
+    days = np.array(fields[1::4], dtype=object)[keep]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (assets[1:] != assets[:-1]) | (days[1:] != days[:-1]))))
+    keys = {}
+    run_group = [keys.setdefault((assets[s].strip(), days[s].strip()),
+                                 len(keys)) for s in starts.tolist()]
+    group = np.repeat(run_group, np.diff(starts, append=keep.size))
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group))
+    for (asset, day), rows_g in zip(keys, np.split(keep[order], ends[:-1])):
+        times = t[rows_g]
+        times_b, logs_b = buckets.setdefault((asset, day), ([], []))
+        last = times_b[-1][-1] if times_b else -np.inf
+        before = np.maximum.accumulate(np.concatenate(([last], times[:-1])))
+        accepted = times > before
+        if accepted.any():
+            times_b.append(times[accepted])
+            logs_b.append(np.log(p[rows_g[accepted]]))
+        bad += [(first_lineno + good[k],
+                 f"non-monotone time {time} for {asset} {day}")
+                for k, time in zip(rows_g[~accepted].tolist(),
+                                   times[~accepted].tolist())]
+    return bad
 
 
 def grid_and_normalize(ts, grid_dt=1.0, session=None):
@@ -216,6 +279,9 @@ class RunConfig:
             raise DataError("max_lag must exceed the grid step")
         if any(dt <= 0 for dt in self.dt_grid):
             raise DataError("dt grid must be positive")
+        if self.filter_mode not in ("inverse", "wiener"):
+            raise DataError(f"unknown filter_mode {self.filter_mode!r}; "
+                            "expected 'inverse' or 'wiener'")
 
     @classmethod
     def from_file(cls, path):

@@ -12,6 +12,7 @@ from epps.estimation import (Correlogram, write_correlogram_csv,
                              SpectrumEstimate, write_spectrum_csv,
                              read_spectrum_csv)
 from epps.fitting import _cross_raw_fj
+from epps.pipeline import load_ticks
 
 
 MODEL_TEXT = """\
@@ -45,6 +46,16 @@ def test_data_error_exits_2(tmp_path, capsys):
     bad_ticks.write_text("wrong,header\n")
     assert main(["estimate", "--ticks", str(bad_ticks), "--asset-i", "i",
                  "--asset-j", "j", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_rejects_unknown_filter_mode(tmp_path, model_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model_file": model_file,
+                               "filter_mode": "bogus"}))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "filter_mode" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_numerical_error_exits_3(tmp_path, model_file, monkeypatch, capsys):
@@ -113,6 +124,26 @@ def test_simulate_sample_estimate_chain(model_file, tmp_path, capsys):
     fits = (out_dir / "fits.csv").read_text().splitlines()
     assert len(fits) == 7
     assert "analyzed 2 days" in capsys.readouterr().out
+
+
+def test_sample_keeps_ticks_microseconds_apart(model_file, tmp_path):
+    paths_dir = tmp_path / "paths"
+    assert main(["simulate", "--model", model_file, "--horizon", "2000",
+                 "--days", "1", "--seed", "2",
+                 "--out", str(paths_dir)]) == 0
+    replay_i = tmp_path / "times_i.csv"
+    replay_i.write_text("tick_time\n100\n100.000003\n200\n")
+    replay_j = tmp_path / "times_j.csv"
+    replay_j.write_text("tick_time\n50\n150\n")
+    ticks = tmp_path / "ticks.csv"
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--replay-i", str(replay_i), "--replay-j", str(replay_j),
+                 "--out", str(ticks)]) == 0
+    series, errors = load_ticks(str(ticks))
+    assert errors == []
+    np.testing.assert_allclose(series[("i", "d000")].times,
+                               [100.0, 100.000003, 200.0], rtol=0, atol=1e-7)
+    assert series[("j", "d000")].times.size == 2
 
 
 def test_filter_cli_inverse_and_wiener(tmp_path):

@@ -110,16 +110,51 @@ def test_correlogram_white_noise_off_lag_bins_vanish():
     assert np.all(np.abs(cg.values[off]) < 5.0 * cg.stderr[off])
 
 
+def direct_lagged_means(x, y, n_lags):
+    n = x.size
+    return np.array([np.mean(x[max(0, -k):n - max(0, k)]
+                             * y[max(0, k):n + min(0, k)])
+                     for k in range(-n_lags, n_lags + 1)])
+
+
 def test_correlogram_lagged_mean_against_direct_loop():
-    x = rng_stream(3, 52).standard_normal(64)
-    days = [make_series(np.concatenate([[0.0], np.cumsum(x)]))]
-    cg = correlogram(days, days, max_lag=3.0, normalize=False)
-    for a, k in enumerate(range(-3, 4)):
-        if k == 0:
-            continue
-        direct = np.mean(x[max(0, -k):x.size - max(0, k)]
-                         * x[max(0, k):x.size + min(0, k)])
-        assert cg.values[a] == pytest.approx(direct, abs=1e-14)
+    # 64 increments per day; lags 1, 7 and n - 1 (the last lag is a single
+    # product), one day and several, auto and cross, raw and normalized
+    rng = rng_stream(3, 52)
+    z = rng.standard_normal((3, 2, 64))
+    for n_days in (1, 3):
+        days_i = [make_series(np.concatenate([[0.0], np.cumsum(d[0])]))
+                  for d in z[:n_days]]
+        days_j = [make_series(np.concatenate([[0.0], np.cumsum(d[1])]))
+                  for d in z[:n_days]]
+        for n_lags in (1, 7, 63):
+            for normalize in (False, True):
+                for dj in (days_i, days_j):
+                    cg = correlogram(days_i, dj, max_lag=float(n_lags),
+                                     normalize=normalize)
+                    rows = []
+                    for si, sj in zip(days_i, dj):
+                        x, y = si.increments, sj.increments
+                        if normalize:
+                            x = (x - x.mean()) / x.std()
+                            y = (y - y.mean()) / y.std()
+                        rows.append(direct_lagged_means(x, y, n_lags))
+                    rows = np.array(rows)
+                    want = rows.mean(axis=0)
+                    if dj is days_i:
+                        assert cg.delta_mass == pytest.approx(
+                            want[n_lags], abs=1e-13)
+                        want[n_lags] = 0.0
+                    else:
+                        assert cg.delta_mass is None
+                    np.testing.assert_allclose(cg.values, want, rtol=0,
+                                               atol=1e-13)
+                    if n_days > 1:
+                        np.testing.assert_allclose(
+                            cg.stderr, rows.std(axis=0, ddof=1)
+                            / math.sqrt(n_days), rtol=0, atol=1e-13)
+                    else:
+                        assert np.all(np.isnan(cg.stderr))
 
 
 def test_correlogram_argument_validation():

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import tempfile
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from epps import pipeline
 from epps.errors import DataError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
@@ -103,6 +108,146 @@ def test_load_ticks_rejects_wrong_header(tmp_path):
         load_ticks(str(f))
 
 
+def test_load_ticks_rejects_non_finite_numbers(tmp_path):
+    s = SessionSpec()
+    t0 = s.window_start
+    rows = [
+        f"AAA,mon,{t0 + 1:.0f},100.0",
+        f"AAA,mon,{t0 + 2:.0f},nan",
+        f"AAA,mon,{t0 + 3:.0f},inf",
+        f"AAA,mon,{t0 + 4:.0f},-inf",
+        "AAA,mon,nan,100.0",
+        "AAA,mon,inf,100.0",
+        f"AAA,mon,{t0 + 5:.0f},1e999",
+        f"AAA,mon,{t0 + 6:.0f},101.0",
+    ]
+    series, errors = load_ticks(tick_file(tmp_path, rows))
+    assert [e.split(":")[0] for e in errors] == [
+        f"line {n}" for n in range(3, 9)]
+    assert all("non-finite number" in e for e in errors)
+    aaa = series[("AAA", "mon")]
+    np.testing.assert_array_equal(aaa.times, [1.0, 6.0])
+    assert np.all(np.isfinite(aaa.log_prices))
+
+
+def load_ticks_rowwise(path, session=None, fail_fast=False):
+    """Row-by-row reference reader: the loop `load_ticks` replaced, plus
+    the non-finite rule."""
+    session = session or SessionSpec()
+    buckets = {}
+    errors = []
+
+    def bad(lineno, msg):
+        errors.append(f"line {lineno}: {msg}")
+        if fail_fast:
+            raise DataError(errors[-1])
+
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "asset,day,time_sec,price":
+            raise DataError("expected header 'asset,day,time_sec,price'")
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                bad(lineno, f"expected 4 fields, got {len(parts)}")
+                continue
+            asset, day, t_str, p_str = (p.strip() for p in parts)
+            try:
+                t = float(t_str)
+                price = float(p_str)
+            except ValueError:
+                bad(lineno, f"unparseable number in {line!r}")
+                continue
+            if not (math.isfinite(t) and math.isfinite(price)):
+                bad(lineno, f"non-finite number in {line!r}")
+                continue
+            if price <= 0:
+                bad(lineno, f"nonpositive price {price}")
+                continue
+            if not session.window_start <= t <= session.window_end:
+                continue
+            key = (asset, day)
+            bucket = buckets.setdefault(key, ([], []))
+            if bucket[0] and t <= bucket[0][-1]:
+                bad(lineno, f"non-monotone time {t} for {asset} {day}")
+                continue
+            bucket[0].append(t)
+            bucket[1].append(math.log(price))
+    series = {}
+    for (asset, day), (times, logs) in sorted(buckets.items()):
+        series[(asset, day)] = TickSeries(
+            asset_id=asset, day_id=day,
+            times=np.asarray(times) - session.window_start,
+            log_prices=np.asarray(logs))
+    return series, errors
+
+
+_SESSION = SessionSpec(length=10.0)
+_TIMES = [f"{_SESSION.window_start + dt:.6f}"
+          for dt in (-0.5, 0.0, 0.000001, 1.0, 1.25, 2.5, 9.999999, 10.0, 10.5)]
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _tick_line(draw):
+    kind = draw(st.sampled_from(
+        ["good"] * 6 + ["fields", "unparseable", "nonpositive", "non-finite",
+                        "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    asset = draw(st.sampled_from(["A", "B", "AB"]))
+    day = draw(st.sampled_from(["d1", "d2"]))
+    t = draw(st.sampled_from(_TIMES))
+    price = draw(st.sampled_from(["100", "101.5", "1e-3", "99.25"]))
+    if kind == "unparseable":
+        if draw(st.booleans()):
+            t = draw(st.sampled_from(["oops", "", "1.2.3", "0x10"]))
+        else:
+            price = draw(st.sampled_from(["x", "", "--1"]))
+    elif kind == "nonpositive":
+        price = draw(st.sampled_from(["0", "-1.5", "-0.0"]))
+    elif kind == "non-finite":
+        if draw(st.booleans()):
+            t = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        else:
+            price = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
+    fields = [asset, day, t, price]
+    if kind == "fields":
+        n = draw(st.sampled_from([1, 2, 3, 5, 6]))
+        fields = (fields + ["extra", "more"])[:n]
+    return ",".join(draw(_PAD) + f + draw(_PAD) for f in fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_tick_line(), max_size=60),
+       chunk=st.sampled_from([1, 40, 200, 1 << 20]),
+       trailing_newline=st.booleans())
+def test_load_ticks_matches_rowwise_reference(lines, chunk, trailing_newline):
+    text = "asset,day,time_sec,price\n" + "\n".join(lines)
+    if trailing_newline:
+        text += "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ticks.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        want, want_errors = load_ticks_rowwise(path, _SESSION)
+        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+            got, errors = load_ticks(path, _SESSION)
+            assert errors == want_errors
+            assert list(got) == list(want)
+            for key, ts in want.items():
+                assert got[key].times.tobytes() == ts.times.tobytes()
+                np.testing.assert_array_max_ulp(got[key].log_prices,
+                                                ts.log_prices, maxulp=1)
+            if want_errors:
+                with pytest.raises(DataError) as exc:
+                    load_ticks(path, _SESSION, fail_fast=True)
+                assert str(exc.value) == want_errors[0]
+
+
 def test_grid_and_normalize_drops_leading_cells():
     session = SessionSpec(length=100.0)
     ts = TickSeries("a", "d", times=np.array([2.4, 10.0, 50.0, 90.0]),
@@ -138,6 +283,8 @@ def test_run_config_validation(model_file):
         RunConfig(model_file=model_file, max_lag=0.5, grid_dt=1.0)
     with pytest.raises(DataError):
         RunConfig(model_file=model_file, dt_grid=(1.0, -2.0))
+    with pytest.raises(DataError):
+        RunConfig(model_file=model_file, filter_mode="bogus")
 
 
 def test_run_config_from_file(tmp_path, model_file):
