@@ -118,8 +118,9 @@ def direct_lagged_means(x, y, n_lags):
 
 
 def test_correlogram_lagged_mean_against_direct_loop():
-    # 64 increments per day; lags 1, 7 and n - 1 (the last lag is a single
-    # product), one day and several, auto and cross, raw and normalized
+    # 64 increments per day; lags 1, 3, 7 and n - 1 (the last lag is a
+    # single product), one day and several, auto and cross, raw and
+    # normalized
     rng = rng_stream(3, 52)
     z = rng.standard_normal((3, 2, 64))
     for n_days in (1, 3):
@@ -127,7 +128,7 @@ def test_correlogram_lagged_mean_against_direct_loop():
                   for d in z[:n_days]]
         days_j = [make_series(np.concatenate([[0.0], np.cumsum(d[1])]))
                   for d in z[:n_days]]
-        for n_lags in (1, 7, 63):
+        for n_lags in (1, 3, 7, 63):
             for normalize in (False, True):
                 for dj in (days_i, days_j):
                     cg = correlogram(days_i, dj, max_lag=float(n_lags),
@@ -143,16 +144,16 @@ def test_correlogram_lagged_mean_against_direct_loop():
                     want = rows.mean(axis=0)
                     if dj is days_i:
                         assert cg.delta_mass == pytest.approx(
-                            want[n_lags], abs=1e-13)
+                            want[n_lags], abs=1e-14)
                         want[n_lags] = 0.0
                     else:
                         assert cg.delta_mass is None
                     np.testing.assert_allclose(cg.values, want, rtol=0,
-                                               atol=1e-13)
+                                               atol=1e-14)
                     if n_days > 1:
                         np.testing.assert_allclose(
                             cg.stderr, rows.std(axis=0, ddof=1)
-                            / math.sqrt(n_days), rtol=0, atol=1e-13)
+                            / math.sqrt(n_days), rtol=0, atol=1e-14)
                     else:
                         assert np.all(np.isnan(cg.stderr))
 
