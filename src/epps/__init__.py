@@ -8,10 +8,9 @@ from .kernels import (CorrelationModel, ModelPair, kernel_eval, spectrum_eval,
                       sync_covariance, sync_rho, parse_model_text,
                       load_model_file)
 from .async_theory import (AsyncKernel, lorentz_kernel, discrete_kernel,
-                           async_cross_corr, async_covariance,
-                           async_covariance_quad, async_variance,
+                           async_cross_corr, async_covariance, async_variance,
                            async_autocorr, async_rho)
-from .sampling import (SimulatedPath, SamplingPlan, SteppedSeries, rng_stream,
+from .sampling import (SimulatedPath, SteppedSeries, rng_stream,
                        simulate_paths, simulate_ensemble, draw_poisson_times,
                        default_warmup, previous_tick)
 from .estimation import (RateEstimate, EppsCurve, Correlogram,

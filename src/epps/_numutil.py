@@ -26,28 +26,15 @@ def xexpx_minus_expm1_over_x2(x):
     return np.where(small, 0.5 + x / 3.0 + x * x / 8.0, out)
 
 
-def int_lin_exp(a, b, k, lo, hi, shift=0.0):
-    """Integral of (a + b*s) * exp(k*(s - shift)) over s in [lo, hi].
+def decay_difference(t, a, b):
+    """(e^{-a t} - e^{-b t}) / (b - a) for t >= 0 and finite rates a, b >= 0.
 
-    The shift keeps exponent arguments small when the segment sits far from
-    the kernel center.  Exact closed form; k may be zero.
+    Symmetric in a and b, equal to t e^{-a t} at a = b, and written so that
+    no factor overflows: the slower decay is factored out and the remaining
+    quotient is expm1_over_x of a nonpositive argument.
     """
-    if hi <= lo:
-        return 0.0
-    if k == 0.0:
-        return a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo)
-
-    def antider(s):
-        # integral of (a + b s) e^{k(s-shift)} = e^{k(s-shift)} [(a + b s)/k - b/k^2]
-        return np.exp(k * (s - shift)) * ((a + b * s) / k - b / (k * k))
-
-    return antider(hi) - antider(lo)
-
-
-def segments(lo, hi, *breaks):
-    """Split [lo, hi] at the given interior breakpoints; yields (l, r) pairs."""
-    pts = sorted({lo, hi, *[b for b in breaks if lo < b < hi]})
-    return list(zip(pts[:-1], pts[1:]))
+    t = np.asarray(t, dtype=float)
+    return t * np.exp(-min(a, b) * t) * expm1_over_x(-abs(a - b) * t)
 
 
 def triangle_exp_integral(dt, center, xi):
@@ -55,37 +42,13 @@ def triangle_exp_integral(dt, center, xi):
 
     This is the double integral of a unit-mass two-sided exponential kernel
     (decay xi, centered at `center`) over the square [0, dt]^2, reduced to one
-    dimension.  Exact piecewise closed form; xi must be > 0.
+    dimension.  Elementwise over broadcast `dt` >= 0 and `center`; xi must be
+    > 0.  Exact closed form: with H(u) = max(u, 0) + (xi/2) exp(-|u|/xi), whose
+    second derivative is the kernel, the integral is
+    H(dt - c) + H(-dt - c) - 2 H(-c) for c = |center|.
     """
-    if dt <= 0.0:
-        return 0.0
-    total = 0.0
-    for lo, hi in segments(-dt, dt, 0.0, center):
-        mid = 0.5 * (lo + hi)
-        b_tri = -1.0 if mid > 0 else 1.0  # dt - |s| = dt + b_tri * s
-        k = (-1.0 if mid > center else 1.0) / xi  # exp(-|s-center|/xi)
-        total += int_lin_exp(dt, b_tri, k, lo, hi, shift=center) / (2.0 * xi)
-    return total
-
-
-def triangle_onesided_exp_integral(dt, center, lam_left, lam_right, amp):
-    """Integral of (dt - |s|) * g(s - center) over s in [-dt, dt] where
-    g(u) = amp * exp(-lam_right * u) for u >= 0 and amp * exp(lam_left * u)
-    for u < 0.  Rates may be numpy.inf, in which case that branch vanishes.
-    """
-    if dt <= 0.0:
-        return 0.0
-    total = 0.0
-    for lo, hi in segments(-dt, dt, 0.0, center):
-        mid = 0.5 * (lo + hi)
-        b_tri = -1.0 if mid > 0 else 1.0
-        if mid > center:
-            if np.isinf(lam_right):
-                continue
-            k = -lam_right
-        else:
-            if np.isinf(lam_left):
-                continue
-            k = lam_left
-        total += amp * int_lin_exp(dt, b_tri, k, lo, hi, shift=center)
-    return total
+    dt = np.asarray(dt, dtype=float)
+    c = np.abs(np.asarray(center, dtype=float))
+    return np.maximum(dt - c, 0.0) + 0.5 * xi * (
+        np.exp(-np.abs(dt - c) / xi) + np.exp(-(dt + c) / xi)
+        - 2.0 * np.exp(-c / xi))

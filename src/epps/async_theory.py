@@ -6,7 +6,8 @@ low-pass factor
     K(omega) = lambda_i lambda_j / ((lambda_i + i omega)(lambda_j - i omega)),
 
 equivalently as a two-sided exponential smoothing of the lagged correlation in
-real space.  Covariances of the sampled process follow by residue integration;
+real space.  Covariances of the sampled process are triangle integrals of
+that smoothed kernel, in one closed form through its second antiderivative;
 variances acquire an additive correction instead.  Rates may be numpy.inf,
 which reduces every formula to its synchronous counterpart.
 
@@ -20,16 +21,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DataError, NumericalError
-from .kernels import CorrelationModel, sync_covariance, spectrum_eval, _as_models
-from ._numutil import expm1_over_x, triangle_onesided_exp_integral
-
-#: relative distance of lambda*xi from 1 below which the residue formulas are
-#: evaluated in high precision (the v = lambda*xi - 1 singularity is removable
-#: but cancels catastrophically in double precision).
-_SINGULAR_BAND = 1e-3
+from .kernels import sync_covariance, _as_models
+from ._numutil import decay_difference
 
 
 @dataclass(frozen=True)
@@ -98,11 +93,18 @@ def _onesided_exp_conv(t, lam, xi):
     out = np.empty_like(t)
     out[neg] = np.exp(t[neg] / xi) / (2.0 * (1.0 + lam * xi))
     tp = t[~neg]
-    d = 1.0 / xi - lam
-    # (exp(-lam t) - exp(-t/xi)) / (2 (1 - lam xi)) written via expm1 for d -> 0
-    mid = np.exp(-tp / xi) * tp * expm1_over_x(d * tp) / (2.0 * xi)
+    # (exp(-lam t) - exp(-t/xi)) / (2 (1 - lam xi))
+    mid = decay_difference(tp, lam, 1.0 / xi) / (2.0 * xi)
     out[~neg] = np.exp(-lam * tp) / (2.0 * (1.0 + lam * xi)) + mid
     return out
+
+
+def _sampled_exp_density(k, xi, s):
+    """Unit-mass exponential kernel of width xi, smoothed by the sampling
+    weight: the regular sampled correlation density at lag s."""
+    r = _rate_prefactor(k.lambda_i, k.lambda_j)
+    return r * (_onesided_exp_conv(s, k.lambda_j, xi)
+                + _onesided_exp_conv(-s, k.lambda_i, xi))
 
 
 def async_cross_corr(model, k, tau):
@@ -127,97 +129,50 @@ def async_cross_corr(model, k, tau):
         if wd != 0.0:
             out += wd * _smoothing_weight(k, s)
         if m.width > 0.0 and m.exp_weight != 0.0:
-            out += m.exp_weight * r * (
-                _onesided_exp_conv(s, k.lambda_j, m.width)
-                + _onesided_exp_conv(-s, k.lambda_i, m.width))
+            out += m.exp_weight * _sampled_exp_density(k, m.width, s)
     return out[0] if scalar else out
 
 
 # -- covariance of the sampled pair --------------------------------------------
+#
+# For a lag kernel c with any second antiderivative H (H'' = c), the triangle
+# integral of dt-increments is
+#
+#     integral (dt - |s|) c(s - lag) ds = H(dt - lag) + H(-dt - lag) - 2 H(-lag),
+#
+# since the triangle's second derivative is delta(s - dt) + delta(s + dt)
+# - 2 delta(s).  For the sampling weight w, H_w is below; for the sampled
+# exponential kernel w * g, with g(u) = exp(-|u|/xi)/(2 xi), it is
+# H_w + xi^2 (w * g), because H_g(u) = max(u, 0) + xi^2 g(u) and convolving
+# with w commutes with the antiderivative.
 
-def _residue_covariance(dt, tau, xi, li, lj):
-    """Residue closed form for the unit-mass lag+exponential cross kernel.
-
-    Split at dt = tau; the coefficients u = 1 + lambda xi and v = -1 + lambda xi
-    appear in the denominators (v = 0 is a removable singularity handled by the
-    high-precision path below).  Requires tau >= 0 and xi > 0.
-    """
-    ui, vi = 1.0 + li * xi, -1.0 + li * xi
-    uj, vj = 1.0 + lj * xi, -1.0 + lj * xi
-    e = math.exp
-    if dt >= tau:
-        return (dt - tau + 1.0 / li - 1.0 / lj
-                + li * lj * xi ** 3 * (e(-(dt - tau) / xi) / (2 * ui * vj)
-                                       - e(-tau / xi) / (vi * uj)
-                                       + e(-(dt + tau) / xi) / (2 * vi * uj))
-                + (lj * e(-li * tau) / (li * (li + lj) * ui * vi))
-                * (2.0 - e(-li * dt))
-                - li * e(-lj * (dt - tau)) / (lj * (li + lj) * uj * vj))
-    # exp(-tau) * (cosh(dt) - 1) expanded so no factor overflows when the
-    # decay rate is large (the products are always <= exp(-(tau - dt)))
-    return (li * lj * xi ** 3 / (vi * uj)
-            * ((e(-(tau - dt) / xi) + e(-(tau + dt) / xi)) / 2.0
-               - e(-tau / xi))
-            + (2.0 * lj / (li * (li + lj) * ui * vi))
-            * (e(-li * tau)
-               - (e(-li * (tau - dt)) + e(-li * (tau + dt))) / 2.0))
-
-
-def _residue_covariance_mp(dt, tau, xi, li, lj):
-    """High-precision evaluation near the removable v = 0 singularity."""
-    import mpmath as mp
-
-    with mp.workdps(60):
-        dt_, tau_, xi_ = mp.mpf(dt), mp.mpf(tau), mp.mpf(xi)
-        vals = []
-        eps = mp.mpf("1e-18")
-        for si in (1, -1):
-            for sj in (1, -1):
-                li_ = mp.mpf(li) * (1 + si * eps)
-                lj_ = mp.mpf(lj) * (1 + sj * eps)
-                ui, vi = 1 + li_ * xi_, -1 + li_ * xi_
-                uj, vj = 1 + lj_ * xi_, -1 + lj_ * xi_
-                if dt >= tau:
-                    v = (dt_ - tau_ + 1 / li_ - 1 / lj_
-                         + li_ * lj_ * xi_ ** 3 * (
-                             mp.e ** (-(dt_ - tau_) / xi_) / (2 * ui * vj)
-                             - mp.e ** (-tau_ / xi_) / (vi * uj)
-                             + mp.e ** (-(dt_ + tau_) / xi_) / (2 * vi * uj))
-                         + (lj_ * mp.e ** (-li_ * tau_)
-                            / (li_ * (li_ + lj_) * ui * vi))
-                         * (2 - mp.e ** (-li_ * dt_))
-                         - li_ * mp.e ** (-lj_ * (dt_ - tau_))
-                         / (lj_ * (li_ + lj_) * uj * vj))
-                else:
-                    v = (li_ * lj_ * xi_ ** 3 * mp.e ** (-tau_ / xi_) / (vi * uj)
-                         * (mp.cosh(dt_ / xi_) - 1)
-                         + (2 * lj_ * mp.e ** (-li_ * tau_)
-                            / (li_ * (li_ + lj_) * ui * vi))
-                         * (1 - mp.cosh(li_ * dt_)))
-                vals.append(v)
-        return float(sum(vals) / len(vals))
-
-
-_INF_RATE_FACTOR = 1e8  # finite stand-in for a synchronous leg, as lambda*xi
-
-
-def _exp_component_cov(dt, tau, xi, li, lj):
-    if tau < 0:
-        tau, li, lj = -tau, lj, li
-    if math.isinf(li):
-        li = _INF_RATE_FACTOR / xi
-    if math.isinf(lj):
-        lj = _INF_RATE_FACTOR / xi
-    if min(abs(li * xi - 1.0), abs(lj * xi - 1.0)) < _SINGULAR_BAND:
-        return _residue_covariance_mp(dt, tau, xi, li, lj)
-    return _residue_covariance(dt, tau, xi, li, lj)
+def _weight_antiderivative(u, li, lj):
+    """Second antiderivative of the sampling weight (see _smoothing_weight):
+    li^-2 r exp(li u) for u < 0 and u + 1/li - 1/lj + lj^-2 r exp(-lj u) for
+    u >= 0, with r the rate prefactor.  An infinite rate drops its tail."""
+    gi, gj = 1.0 / li, 1.0 / lj
+    pos = u >= 0
+    out = np.where(pos, u + (gi - gj), 0.0)
+    if gi > 0.0:
+        out += np.where(pos, 0.0, gi * gi / (gi + gj)
+                        * np.exp(li * np.minimum(u, 0.0)))
+    if gj > 0.0:
+        out += np.where(pos, gj * gj / (gi + gj)
+                        * np.exp(-lj * np.maximum(u, 0.0)), 0.0)
+    return out
 
 
 def async_covariance(model, k, dt):
-    """Covariance of dt-horizon increments of the sampled pair.
+    """Covariance of dt-increments of the sampled pair.
 
-    Exact closed forms for the delta and lag+exponential kernel families;
-    continuous across dt = |lag| and across lambda*xi = 1.
+    One exact closed form for the delta and lag+exponential kernel families,
+    vectorised over dt: the triangle integral above, with H built from the
+    sampling weight's antiderivative and, for exponential components, the
+    sampled correlation density of async_cross_corr.  Every 1/(lambda xi - 1)
+    pole is removable and sits inside decay_difference, so the result is
+    continuous across dt = |lag| and across lambda*xi = 1; an infinite rate
+    takes its exact limit.  A negative lag is mirrored (lag -> -lag, rates
+    swapped) so that only H(dt - lag) carries the linear part.
     """
     scalar = np.isscalar(dt)
     dt = np.atleast_1d(np.asarray(dt, dtype=float))
@@ -226,57 +181,18 @@ def async_covariance(model, k, dt):
     if k.synchronous:
         out = sync_covariance(model, dt)
         return out if not scalar else float(out)
+    n = dt.size
     out = np.zeros_like(dt)
-    r = _rate_prefactor(k.lambda_i, k.lambda_j)
     for m in _as_models(model):
-        wd = m.total_delta_weight
-        if wd != 0.0:
-            out += wd * np.array([
-                triangle_onesided_exp_integral(
-                    d, m.lag, k.lambda_i, k.lambda_j, r)
-                for d in dt])
+        kern, lag = (k, m.lag) if m.lag >= 0 else (k.swapped(), -m.lag)
+        u = np.concatenate([dt - lag, -dt - lag, [-lag]])
+        h = m.total_mass * _weight_antiderivative(
+            u, kern.lambda_i, kern.lambda_j)
         if m.width > 0.0 and m.exp_weight != 0.0:
-            out += m.exp_weight * np.array([
-                _exp_component_cov(d, m.lag, m.width, k.lambda_i, k.lambda_j)
-                for d in dt])
+            h += m.exp_weight * m.width ** 2 * _sampled_exp_density(
+                kern, m.width, u)
+        out += h[:n] + h[n:2 * n] - 2.0 * h[-1]
     return out[0] if scalar else out
-
-
-def async_covariance_quad(model, k, dt, omega_max=None):
-    """Frequency-domain quadrature of the sampled covariance integral.
-
-    Integrates Re[S(omega) K(omega)] * 2(1 - cos(omega dt)) / omega^2 over
-    omega > 0.  Serves as the generic-kernel fallback and as an independent
-    cross-check of the residue formulas; the integrand decays like omega^-4
-    beyond the cutoff, which defaults to 50 * max(rates, 1/width, 1/dt).
-    """
-    if dt < 0:
-        raise DataError("async_covariance_quad requires dt >= 0")
-    if dt == 0.0:
-        return 0.0
-    scales = [1.0 / dt]
-    for m in _as_models(model):
-        if m.width > 0:
-            scales.append(1.0 / m.width)
-    for lam in (k.lambda_i, k.lambda_j):
-        if not math.isinf(lam):
-            scales.append(lam)
-    if omega_max is None:
-        omega_max = 50.0 * max(scales)
-
-    def integrand(w):
-        sk = spectrum_eval(model, w) * lorentz_kernel(k, w)
-        return float(np.real(sk)) * 2.0 * (1.0 - math.cos(w * dt)) / (w * w)
-
-    total = 0.0
-    edges = np.geomspace(1e-9 / dt, omega_max, 12)
-    lo = 0.0
-    for hi in edges:
-        val, _ = quad(integrand, lo, hi, limit=400,
-                      epsabs=1e-12, epsrel=1e-10)
-        total += val
-        lo = hi
-    return total / math.pi
 
 
 # -- variance of the sampled process -------------------------------------------
@@ -286,9 +202,8 @@ def _damped_kernel(model_a, model_b_weight, xi, lam, t):
     t = np.abs(np.asarray(t, dtype=float))
     out = model_a * (lam / 2.0) * np.exp(-lam * t)
     if xi > 0.0 and model_b_weight != 0.0:
-        d = 1.0 / xi - lam
         out = out + (model_b_weight * lam / (2.0 * xi * (1.0 + lam * xi))) * (
-            np.exp(-t / xi) * (t * expm1_over_x(d * t) + xi))
+            decay_difference(t, lam, 1.0 / xi) + xi * np.exp(-t / xi))
     return out
 
 
@@ -343,9 +258,8 @@ def async_autocorr(model, lam, tau):
             continue
         delta_w += a + b / (1.0 + lam * m.width)
         if b != 0.0:
-            d = lam - 1.0 / m.width
-            regular += b * (lam ** 2 * tau / (2.0 * (1.0 + lam * m.width))) * (
-                np.exp(-lam * tau) * expm1_over_x(d * tau))
+            regular += b * (lam ** 2 / (2.0 * (1.0 + lam * m.width))) * (
+                decay_difference(tau, lam, 1.0 / m.width))
     return (delta_w, regular[0] if scalar else regular)
 
 

@@ -113,14 +113,16 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
         raise DataError(f"no path files in {paths_dir}")
     if (replay_i is None) != (replay_j is None):
         raise click.UsageError("replay needs tick-time files for both assets")
+    replay = None
+    if replay_i is not None:
+        replay = (_read_tick_times(replay_i), _read_tick_times(replay_j))
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write("asset,day,time_sec,price\n")
         for d, name in enumerate(names):
             p = _read_path_csv(os.path.join(paths_dir, name))
             horizon = p.t_end
-            if replay_i is not None:
-                times = (_read_tick_times(replay_i),
-                         _read_tick_times(replay_j))
+            if replay is not None:
+                times = replay
             else:
                 times = (
                     draw_poisson_times(lambda_i, horizon, -p.t0, seed,
@@ -128,7 +130,7 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
                     draw_poisson_times(lambda_j, horizon, -p.t0, seed,
                                        stream=2 * d + 1))
             for asset, tt in zip("ij", times):
-                tt = tt[tt >= 0]
+                tt = tt[(tt >= 0) & (tt <= horizon)]
                 levels = p.value_at(0 if asset == "i" else 1, tt)
                 for t, lev in zip(tt, levels):
                     fh.write(f"{asset},d{d:03d},"

@@ -170,7 +170,8 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     """Epps curve implied by corrected cross- and auto-spectra.
 
     Each horizon's covariance is the spectrum summed against the squared
-    Dirichlet window of that horizon; the Pearson coefficient follows.
+    Dirichlet window of that horizon; the Pearson coefficient follows.  A
+    horizon whose filtered variance is <= 0 has no coefficient and is NaN.
     """
     dt_grid = np.asarray(dt_grid, dtype=float)
     steps = dt_grid / grid_dt
@@ -181,8 +182,6 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
         c12 = spectrum_covariance(s_hat, m)
         v1 = spectrum_covariance(s_auto_i, m)
         v2 = spectrum_covariance(s_auto_j, m)
-        if v1 <= 0 or v2 <= 0:
-            raise NumericalError("degenerate variance in filtered_epps_curve")
-        rho[a] = c12 / math.sqrt(v1 * v2)
+        rho[a] = c12 / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else np.nan
     return EppsCurve(dt_grid=dt_grid, rho=rho,
                      stderr=np.full(dt_grid.size, np.nan))

@@ -138,8 +138,7 @@ def sync_covariance(model, dt):
     for m in _as_models(model):
         out += m.total_delta_weight * np.maximum(dt - abs(m.lag), 0.0)
         if m.width > 0.0:
-            out += m.exp_weight * np.array(
-                [triangle_exp_integral(d, m.lag, m.width) for d in dt])
+            out += m.exp_weight * triangle_exp_integral(dt, m.lag, m.width)
     return out[0] if scalar else out
 
 

@@ -8,7 +8,7 @@ previous-tick stepped series assigns to each grid time the path value at the
 latest tick at or before it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -53,23 +53,6 @@ class SimulatedPath:
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """Poisson rates per asset, or explicit tick times to replay."""
-
-    rates: tuple = ()
-    replay_times: tuple = field(default=())
-
-    def __post_init__(self):
-        for lam in self.rates:
-            if math.isnan(lam) or lam <= 0:
-                raise DataError("sampling rate must be > 0")
-        for times in self.replay_times:
-            t = np.asarray(times, dtype=float)
-            if t.size and np.any(np.diff(t) <= 0):
-                raise DataError("replayed tick times must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class SteppedSeries:
     """Previous-tick piecewise-constant levels on a uniform grid."""
 
@@ -88,12 +71,12 @@ class SteppedSeries:
 
 
 def _binned_cov(model, grid_dt, k):
-    """Covariance of grid increments at integer lag k:
+    """Covariance of grid increments at integer lags k (array):
     integral (dt - |s|) c(k dt + s) ds."""
-    out = 0.0
+    out = np.zeros(np.shape(k))
     for m in _as_models(model):
         center = m.lag - k * grid_dt
-        out += m.total_delta_weight * max(grid_dt - abs(center), 0.0)
+        out += m.total_delta_weight * np.maximum(grid_dt - np.abs(center), 0.0)
         if m.width > 0.0:
             out += m.exp_weight * triangle_exp_integral(grid_dt, center, m.width)
     return out
@@ -116,8 +99,7 @@ def _circulant_factors(pair, grid_dt, n):
 
     def wrapped(model):
         g = np.zeros(n)
-        for k in ks:
-            g[k % n] += _binned_cov(model, grid_dt, int(k))
+        g[ks % n] = _binned_cov(model, grid_dt, ks)
         return g
 
     # positive-exponent transform: M_m = sum_k gamma(k) e^{+2 pi i m k / n}
@@ -148,11 +130,9 @@ def _levels(increments):
     return lev
 
 
-def simulate_paths(pair, grid_dt, horizon, n_assets=2, seed=0, warmup=0.0):
+def simulate_paths(pair, grid_dt, horizon, seed=0, warmup=0.0):
     """Simulate one synchronous bivariate path with the pair's correlation
     structure on a uniform grid covering [-warmup, horizon]."""
-    if n_assets != 2:
-        raise DataError("only bivariate simulation is supported")
     if grid_dt <= 0 or horizon <= 0 or warmup < 0:
         raise DataError("grid_dt and horizon must be > 0, warmup >= 0")
     if not isinstance(pair, ModelPair):
@@ -264,20 +244,3 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     return SteppedSeries(grid_dt=float(grid_dt), start=float(start),
                          levels=np.asarray(values)[idx],
                          tick_times=ticks)
-
-
-def write_stepped_csv(series, path):
-    """Dump a stepped series as `t,level` rows."""
-    t = series.start + np.arange(series.levels.size) * series.grid_dt
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,level\n")
-        for ti, li in zip(t, series.levels):
-            fh.write(f"{ti:.10g},{li:.17g}\n")
-
-
-def write_ticks_csv(tick_times, path):
-    """Dump tick times as a single `tick_time` column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tick_time\n")
-        for ti in np.asarray(tick_times, dtype=float):
-            fh.write(f"{ti:.10g}\n")

@@ -1,0 +1,68 @@
+"""Shared test oracles."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad
+
+
+def _oscillatory_covariance(weight, xi, tau, li, lj, dt):
+    """Sampled covariance by direct oscillatory quadrature of
+    Re[S(w) K(w)] 2(1 - cos(w dt)) / w^2 over w > 0, with the exponential
+    component spectrum S(w) = weight exp(i w tau) / (1 + w^2 xi^2) and the
+    sampling factor K(w) = li/(li + i w) * lj/(lj - i w), whose factor is 1
+    for an infinite rate.
+
+    Written independently of the closed forms: a plain panel below the
+    first oscillation, then QAWF cos/sin-weighted tails after expanding the
+    trig products."""
+
+    def lor(w):
+        return weight / (1.0 + (w * xi) ** 2)
+
+    def kern(w):
+        fi = 1.0 if math.isinf(li) else li / (li + 1j * w)
+        fj = 1.0 if math.isinf(lj) else lj / (lj - 1j * w)
+        return complex(fi * fj)
+
+    def g_re(w):
+        return 2.0 * lor(w) * kern(w).real / (w * w)
+
+    def g_im(w):
+        return 2.0 * lor(w) * kern(w).imag / (w * w)
+
+    def head(w):
+        if w == 0.0:
+            return lor(0.0) * kern(0.0).real * dt * dt
+        return ((g_re(w) * math.cos(w * tau) - g_im(w) * math.sin(w * tau))
+                * (1.0 - math.cos(w * dt)))
+
+    w0 = math.pi / max(abs(tau) + dt, 1.0)
+    total, _ = quad(head, 0.0, w0, epsabs=1e-14, epsrel=1e-12, limit=200)
+    terms = [(g_re, "cos", tau, 1.0), (g_im, "sin", tau, -1.0),
+             (g_re, "cos", tau - dt, -0.5), (g_re, "cos", tau + dt, -0.5),
+             (g_im, "sin", tau - dt, 0.5), (g_im, "sin", tau + dt, 0.5)]
+    with warnings.catch_warnings():
+        # QAWF reports cycles whose tail sits at roundoff level; the callers'
+        # tolerances (1e-6 and tighter) check the result itself
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for f, kind, a, coef in terms:
+            if a == 0.0:
+                val = quad(f, w0, np.inf, epsabs=1e-13,
+                           limit=400)[0] if kind == "cos" else 0.0
+            else:
+                val, _ = quad(f, w0, np.inf, weight=kind, wvar=abs(a),
+                              epsabs=1e-13, limit=400)
+                if kind == "sin" and a < 0:
+                    val = -val
+            total += coef * val
+    return total / math.pi
+
+
+@pytest.fixture
+def oscillatory_oracle():
+    """The QAWF oracle for the sampled covariance of an exponential
+    component: f(weight, xi, tau, lambda_i, lambda_j, dt)."""
+    return _oscillatory_covariance

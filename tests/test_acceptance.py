@@ -8,11 +8,9 @@ Every random quantity is seeded; reruns are deterministic.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, IntegrationWarning
 
 from epps.kernels import CorrelationModel, ModelPair
 from epps.async_theory import (AsyncKernel, async_covariance,
@@ -29,9 +27,6 @@ from epps.fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                           fit_auto_async, chi2_ratio, _cross_raw_fj,
                           _cross_async_fj, _auto_raw_fj, _auto_async_fj)
 from epps.pipeline import RunConfig, run_pipeline
-
-warnings.filterwarnings("ignore", category=IntegrationWarning)
-
 
 def report(num, ok, detail):
     marker = "PASS" if ok else "FAIL"
@@ -60,52 +55,7 @@ def sample_days(pair, lam_i, lam_j, T, n_days, seed, grid_dt=1.0):
     return days_i, days_j
 
 
-def _oscillatory_oracle(weight, xi, tau, li, lj, dt):
-    """Sampled covariance by direct oscillatory quadrature of
-    Re[S(w) K(w)] 2(1 - cos(w dt)) / w^2 over w > 0, with the exponential
-    component spectrum S(w) = weight exp(i w tau) / (1 + w^2 xi^2).
-
-    Written independently of the residue formulas: a plain panel below the
-    first oscillation, then QAWF cos/sin-weighted tails after expanding the
-    trig products."""
-
-    def lor(w):
-        return weight / (1.0 + (w * xi) ** 2)
-
-    def kern(w):
-        return li * lj / ((li + 1j * w) * (lj - 1j * w))
-
-    def g_re(w):
-        return 2.0 * lor(w) * kern(w).real / (w * w)
-
-    def g_im(w):
-        return 2.0 * lor(w) * kern(w).imag / (w * w)
-
-    def head(w):
-        if w == 0.0:
-            return lor(0.0) * kern(0.0).real * dt * dt
-        return ((g_re(w) * math.cos(w * tau) - g_im(w) * math.sin(w * tau))
-                * (1.0 - math.cos(w * dt)))
-
-    w0 = math.pi / max(abs(tau) + dt, 1.0)
-    total, _ = quad(head, 0.0, w0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    terms = [(g_re, "cos", tau, 1.0), (g_im, "sin", tau, -1.0),
-             (g_re, "cos", tau - dt, -0.5), (g_re, "cos", tau + dt, -0.5),
-             (g_im, "sin", tau - dt, 0.5), (g_im, "sin", tau + dt, 0.5)]
-    for f, kind, a, coef in terms:
-        if a == 0.0:
-            val = quad(f, w0, np.inf, epsabs=1e-13,
-                       limit=400)[0] if kind == "cos" else 0.0
-        else:
-            val, _ = quad(f, w0, np.inf, weight=kind, wvar=abs(a),
-                          epsabs=1e-13, limit=400)
-            if kind == "sin" and a < 0:
-                val = -val
-        total += coef * val
-    return total / math.pi
-
-
-def test_criterion_1_closed_form_matches_quadrature():
+def test_criterion_1_closed_form_matches_quadrature(oscillatory_oracle):
     """Sampled-covariance closed form vs independent oscillatory
     quadrature: relative 1e-6 over a 5x5x3x3 grid of (dt, lag, width,
     rate pair), including width*rate in {0.9, 1.0, 1.1}; under 30 s."""
@@ -115,23 +65,20 @@ def test_criterion_1_closed_form_matches_quadrature():
     xis = [2.0, 5.0, 10.0]
     worst = 0.0
     n_checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for xi in xis:
-            rate_pairs = [(0.9 / xi, 1.1 / xi),   # both singular-band edges
-                          (1.0 / xi, 0.4),        # removable point exactly
-                          (0.5, 0.25)]
-            for li, lj in rate_pairs:
-                k = AsyncKernel(li, lj)
-                for tau in taus:
-                    mt = CorrelationModel(width=xi, exp_weight=0.6, lag=tau)
-                    for dt in dts:
-                        closed = async_covariance(mt, k, dt)
-                        oracle = _oscillatory_oracle(0.6, xi, tau, li, lj,
-                                                     dt)
-                        rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
-                        worst = max(worst, rel)
-                        n_checked += 1
+    for xi in xis:
+        rate_pairs = [(0.9 / xi, 1.1 / xi),   # either side of the pole
+                      (1.0 / xi, 0.4),        # removable point exactly
+                      (0.5, 0.25)]
+        for li, lj in rate_pairs:
+            k = AsyncKernel(li, lj)
+            for tau in taus:
+                mt = CorrelationModel(width=xi, exp_weight=0.6, lag=tau)
+                for dt in dts:
+                    closed = async_covariance(mt, k, dt)
+                    oracle = oscillatory_oracle(0.6, xi, tau, li, lj, dt)
+                    rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
+                    worst = max(worst, rel)
+                    n_checked += 1
     elapsed = time.time() - t0
     report(1, worst < 1e-6 and elapsed < 30.0,
            f"{n_checked} grid points, worst rel err {worst:.2e}, "

@@ -1,18 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, IntegrationWarning
+from scipy.integrate import quad
 
 from epps.errors import DataError
 from epps.kernels import CorrelationModel, ModelPair, sync_covariance, sync_rho
 from epps.async_theory import (AsyncKernel, lorentz_kernel, discrete_kernel,
                                async_cross_corr, async_covariance,
-                               async_covariance_quad, async_variance,
-                               async_autocorr, async_rho)
-
-warnings.filterwarnings("ignore", category=IntegrationWarning)
+                               async_variance, async_autocorr, async_rho)
 
 
 def test_lorentz_kernel_basics():
@@ -64,11 +60,12 @@ CASES = [
 
 
 @pytest.mark.parametrize("dt,tau,xi,li,lj", CASES)
-def test_async_covariance_matches_quadrature(dt, tau, xi, li, lj):
+def test_async_covariance_matches_quadrature(dt, tau, xi, li, lj,
+                                             oscillatory_oracle):
     m = CorrelationModel(lag=tau, width=xi, exp_weight=0.6)
     k = AsyncKernel(li, lj)
     closed = async_covariance(m, k, dt)
-    oracle = async_covariance_quad(m, k, dt)
+    oracle = oscillatory_oracle(0.6, xi, tau, li, lj, dt)
     assert closed == pytest.approx(oracle, rel=2e-7, abs=1e-12)
 
 
@@ -93,24 +90,75 @@ def test_async_covariance_continuous_across_branch_point():
     assert below == pytest.approx(above, rel=1e-5)
 
 
-def test_async_covariance_continuous_across_singular_band():
-    # the high-precision branch takes over near lambda xi = 1; values must
-    # join smoothly with the plain closed form
+def test_async_covariance_smooth_across_unit_rate_width():
+    # lambda xi = 1 is a removable pole of the closed form: values on both
+    # sides join smoothly (second difference O(h^2)) and agree with the
+    # quadrature oracle at the pole itself
     xi = 5.0
-    k_edge = 1.0 + 1.001e-3   # just outside the band
-    k_in = 1.0 + 0.999e-3     # just inside
-    m = CorrelationModel(lag=1.0, width=xi, exp_weight=1.0)
-    out = async_covariance(m, AsyncKernel(k_edge / xi, 0.4), 6.0)
-    inside = async_covariance(m, AsyncKernel(k_in / xi, 0.4), 6.0)
-    assert out == pytest.approx(inside, rel=1e-6)
+    for lag, dt in ((1.0, 6.0), (4.0, 2.0), (-3.0, 8.0)):
+        m = CorrelationModel(lag=lag, width=xi, exp_weight=1.0)
+
+        def cov(y):
+            return async_covariance(m, AsyncKernel(y / xi, 0.4), dt)
+
+        mid = cov(1.0)
+        for h in (1e-3, 1e-9):
+            lo, hi = cov(1.0 - h), cov(1.0 + h)
+            assert abs(hi - lo) <= 2.0 * h * abs(mid)
+            assert abs(0.5 * (lo + hi) - mid) <= (h * h + 1e-14) * abs(mid)
 
 
-def test_async_covariance_one_infinite_rate():
+def test_async_covariance_one_infinite_rate(oscillatory_oracle):
     m = CorrelationModel(lag=2.0, width=4.0, exp_weight=0.7)
     k = AsyncKernel(math.inf, 0.5)
     for dt in (1.0, 5.0):
         assert async_covariance(m, k, dt) == pytest.approx(
-            async_covariance_quad(m, k, dt), rel=1e-6)
+            oscillatory_oracle(0.7, 4.0, 2.0, math.inf, 0.5, dt), rel=1e-6)
+
+
+def test_async_covariance_infinite_rate_is_the_large_rate_limit():
+    xi = 4.0
+    dt = np.array([0.5, 2.0, 3.0, 9.0])
+    for model in (CorrelationModel(lag=3.0, width=xi, exp_weight=0.7),
+                  CorrelationModel(lag=-3.0, width=xi, exp_weight=0.7,
+                                   delta_weight=0.2),
+                  CorrelationModel(lag=2.0, delta_weight=0.5)):
+        for lj in (0.3, 1.0 / xi, math.inf):
+            limit = async_covariance(model, AsyncKernel(math.inf, lj), dt)
+            assert np.all(np.isfinite(limit))
+            mirror = async_covariance(model, AsyncKernel(lj, math.inf), dt)
+            for rate, rel in ((1e6 / xi, 1e-5), (1e9 / xi, 1e-8)):
+                np.testing.assert_allclose(
+                    async_covariance(model, AsyncKernel(rate, lj), dt),
+                    limit, rtol=rel, atol=rel * np.max(np.abs(limit)))
+                np.testing.assert_allclose(
+                    async_covariance(model, AsyncKernel(lj, rate), dt),
+                    mirror, rtol=rel, atol=rel * np.max(np.abs(mirror)))
+
+
+def test_async_theory_finite_at_long_horizons():
+    # horizons and lags of 1000 kernel widths with a slow rate: no factor of
+    # the closed forms may overflow into inf * 0
+    xi, lam = 0.5, 0.02
+    k = AsyncKernel(lam, lam)
+    cross = CorrelationModel(width=xi, exp_weight=1.0)
+    tau = np.array([400.0, 1000.0])
+    r = lam / 2.0
+    slow = np.exp(-lam * tau)
+    # plain two-exponential form, exact away from lambda xi = 1
+    expected = r * (slow / (2.0 * (1.0 + lam * xi))
+                    + (slow - np.exp(-tau / xi)) / (2.0 * (1.0 - lam * xi))
+                    + np.exp(-tau / xi) / (2.0 * (1.0 + lam * xi)))
+    np.testing.assert_allclose(async_cross_corr(cross, k, tau), expected,
+                               rtol=1e-12)
+    auto = CorrelationModel(delta_weight=1.0, width=xi, exp_weight=-0.3)
+    var = async_variance(auto, lam, np.array([400.0, 500.0]))
+    assert np.all(np.isfinite(var))
+    assert var[1] - var[0] == pytest.approx(0.7 * 100.0, rel=1e-3)
+    _, reg = async_autocorr(CorrelationModel(delta_weight=1.0, width=10.0,
+                                             exp_weight=-0.3), 2.0, tau)
+    assert np.all(np.isfinite(reg))
+    assert np.all(async_covariance(cross, k, np.array([1.0, 500.0])) > 0)
 
 
 def test_async_covariance_suppresses_and_recovers():

@@ -146,6 +146,26 @@ def test_sample_keeps_ticks_microseconds_apart(model_file, tmp_path):
     assert series[("j", "d000")].times.size == 2
 
 
+def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
+    paths_dir = tmp_path / "paths"
+    assert main(["simulate", "--model", model_file, "--horizon", "2000",
+                 "--days", "2", "--seed", "2",
+                 "--out", str(paths_dir)]) == 0
+    replay_i = tmp_path / "times_i.csv"
+    replay_i.write_text("tick_time\n100\n1999.5\n2500\n")
+    replay_j = tmp_path / "times_j.csv"
+    replay_j.write_text("tick_time\n50\n2000\n2000.5\n")
+    ticks = tmp_path / "ticks.csv"
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--replay-i", str(replay_i), "--replay-j", str(replay_j),
+                 "--out", str(ticks)]) == 0
+    series, errors = load_ticks(str(ticks))
+    assert errors == []
+    for day in ("d000", "d001"):
+        np.testing.assert_allclose(series[("i", day)].times, [100.0, 1999.5])
+        np.testing.assert_allclose(series[("j", day)].times, [50.0, 2000.0])
+
+
 def test_filter_cli_inverse_and_wiener(tmp_path):
     rng = np.random.default_rng(1)
     gamma = np.zeros(64)

@@ -199,6 +199,10 @@ def test_filtered_epps_curve_errors():
     s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(64, dtype=complex))
     with pytest.raises(DataError):
         filtered_epps_curve(s, s, s, [1.5])
-    neg = SpectrumEstimate(T=64, n_days=1, s_n=-np.ones(64, dtype=complex))
-    with pytest.raises(NumericalError):
-        filtered_epps_curve(s, neg, s, [1.0])
+    # variance -1 at one step, +2 at two steps: only the first horizon is
+    # degenerate, and it is marked NaN instead of aborting the curve
+    c = np.cos(2.0 * np.pi * np.arange(64) / 64)
+    bad = SpectrumEstimate(T=64, n_days=1, s_n=(4.0 * c - 1.0).astype(complex))
+    curve = filtered_epps_curve(s, bad, s, [1.0, 2.0])
+    assert math.isnan(curve.rho[0])
+    assert curve.rho[1] == pytest.approx(1.0)

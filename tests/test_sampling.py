@@ -6,9 +6,10 @@ from scipy.stats import kstest
 
 from epps.errors import DataError
 from epps.kernels import CorrelationModel, ModelPair, sync_covariance
-from epps.sampling import (SimulatedPath, SamplingPlan, rng_stream,
+from epps.sampling import (SimulatedPath, rng_stream,
                            simulate_paths, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick)
+from epps.pipeline import _read_tick_times
 
 
 def brownian_pair(c=0.5):
@@ -144,11 +145,14 @@ def test_default_warmup_scale():
     assert default_warmup(0.1) == pytest.approx(100.0)
 
 
-def test_sampling_plan_validation():
-    with pytest.raises(DataError):
-        SamplingPlan(rates=(1.0, -2.0))
-    with pytest.raises(DataError):
-        SamplingPlan(replay_times=(np.array([1.0, 1.0, 2.0]),))
+def test_tick_time_sources_validate(tmp_path):
+    for lam in (-2.0, 0.0, math.nan):
+        with pytest.raises(DataError):
+            draw_poisson_times(lam, 10.0, 0.0, seed=1)
+    replay = tmp_path / "times.csv"
+    replay.write_text("tick_time\n1\n1\n2\n")
+    with pytest.raises(DataError, match="strictly increasing"):
+        _read_tick_times(str(replay))
 
 
 def test_previous_tick_from_tick_data():
