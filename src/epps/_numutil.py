@@ -26,6 +26,15 @@ def xexpx_minus_expm1_over_x2(x):
     return np.where(small, 0.5 + x / 3.0 + x * x / 8.0, out)
 
 
+def expm1_minus_x_over_x2(x):
+    """(e^x - 1 - x)/x^2, stable at x = 0."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-3
+    safe = np.where(small, 1.0, x)
+    out = (np.expm1(safe) - safe) / (safe * safe)
+    return np.where(small, 0.5 + x / 6.0 + x * x / 24.0 + x ** 3 / 120.0, out)
+
+
 def decay_difference(t, a, b):
     """(e^{-a t} - e^{-b t}) / (b - a) for t >= 0 and finite rates a, b >= 0.
 
@@ -35,6 +44,20 @@ def decay_difference(t, a, b):
     """
     t = np.asarray(t, dtype=float)
     return t * np.exp(-min(a, b) * t) * expm1_over_x(-abs(a - b) * t)
+
+
+def decay_difference_da(t, a, b):
+    """Derivative of decay_difference(t, a, b) in its first rate a.
+
+    Equals -t^2 e^{-b t} E'((b - a) t) with E = expm1_over_x; as in
+    decay_difference the slower decay is factored out, which leaves
+    xexpx_minus_expm1_over_x2 (a > b) or expm1_minus_x_over_x2 (a <= b) of
+    a nonpositive argument.
+    """
+    t = np.asarray(t, dtype=float)
+    z = -abs(a - b) * t
+    rest = expm1_minus_x_over_x2(z) if a <= b else xexpx_minus_expm1_over_x2(z)
+    return -t * t * np.exp(-min(a, b) * t) * rest
 
 
 def triangle_exp_integral(dt, center, xi):

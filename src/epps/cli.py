@@ -247,8 +247,11 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
                                 *labels[name.rsplit("_", 1)[0]]))
     with open(os.path.join(out_dir, "fits.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
-    click.echo(f"analyzed {len(kept)} days "
-               f"(rates {rate_i.value:.5g}, {rate_j.value:.5g}) -> {out_dir}")
+    summary = f"rates {rate_i.value:.5g}, {rate_j.value:.5g}"
+    if filter_mode == "wiener":
+        source = "estimated" if snr is None else "given"
+        summary += f"; wiener snr {result['snr']:.5g} ({source})"
+    click.echo(f"analyzed {len(kept)} days ({summary}) -> {out_dir}")
 
 
 @cli.command("filter")

@@ -6,7 +6,8 @@ lagged correlograms of one-step returns, and day-averaged cross-periodograms.
 
 Spectrum convention matches the analytic modules: the periodogram
 fft(dx_i) * conj(fft(dx_j)) / T estimates S(theta_n) with
-S(omega) = integral c(tau) exp(+i omega tau) dtau.
+S(omega) = integral c(tau) exp(+i omega tau) dtau.  It is computed from
+real FFTs (one per series and day) and mirrored above T/2.
 """
 
 from dataclasses import dataclass
@@ -207,23 +208,38 @@ def correlogram(series_i, series_j, max_lag, normalize=True):
 def estimate_spectrum(increments_i, increments_j, T=None):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
-    Every day must supply exactly T increments.  Hermitian pairing
-    S_{T-n} = conj(S_n) holds exactly for real inputs.
+    Every day must supply exactly T increments.  Each side takes one real
+    FFT per day, accumulated day by day so that memory does not grow with
+    the number of days; when every day of `increments_i` is the same object
+    as the matching day of `increments_j` (an auto spectrum), one transform
+    serves both sides.  The bins above T/2 are mirrored from the half
+    spectrum, so Hermitian pairing S_{T-n} = conj(S_n) holds exactly.
     """
     if len(increments_i) != len(increments_j) or not increments_i:
         raise DataError("need the same nonzero number of days per asset")
+    is_auto = all(di is dj for di, dj in zip(increments_i, increments_j))
     days_i = [np.asarray(d, dtype=float) for d in increments_i]
-    days_j = [np.asarray(d, dtype=float) for d in increments_j]
+    days_j = days_i if is_auto else [np.asarray(d, dtype=float)
+                                     for d in increments_j]
     if T is None:
         T = days_i[0].size
+    if T < 1:
+        raise DataError("need at least one increment per day")
     for d in (*days_i, *days_j):
         if d.size != T:
             raise DataError(f"day length {d.size} != T = {T}")
-    acc = np.zeros(T, dtype=complex)
+    half = np.zeros(T // 2 + 1, dtype=complex)
     for di, dj in zip(days_i, days_j):
-        acc += np.fft.fft(di) * np.conj(np.fft.fft(dj)) / T
-    return SpectrumEstimate(T=int(T), n_days=len(days_i),
-                            s_n=acc / len(days_i))
+        fi = scipy.fft.rfft(di)
+        if is_auto:
+            half += fi.real ** 2 + fi.imag ** 2
+        else:
+            half += fi * scipy.fft.rfft(dj).conj()
+    half /= len(days_i) * T
+    s_n = np.empty(T, dtype=complex)
+    s_n[:half.size] = half
+    s_n[half.size:] = half[1:(T + 1) // 2][::-1].conj()
+    return SpectrumEstimate(T=int(T), n_days=len(days_i), s_n=s_n)
 
 
 # -- CSV round trips ------------------------------------------------------------

@@ -21,6 +21,9 @@ class FilterSpec:
     """Filter mode plus, for the Wiener mode, the signal-to-noise ratio.
 
     `snr` may be a positive scalar or one positive value per frequency bin.
+    A Wiener spec with `snr=None` means "estimate it": `analyze_pair` (and so
+    `epps run` and `epps estimate`) fill it in with `estimate_snr` on the
+    measured cross-spectrum; the filters themselves need a value.
     """
 
     mode: str = "inverse"
@@ -29,10 +32,20 @@ class FilterSpec:
     def __post_init__(self):
         if self.mode not in ("inverse", "wiener"):
             raise DataError(f"unknown filter mode {self.mode!r}")
-        if self.mode == "wiener":
+        if self.mode == "wiener" and self.snr is not None:
             snr = np.asarray(self.snr, dtype=float)
-            if self.snr is None or np.any(snr <= 0) or np.any(np.isnan(snr)):
+            if np.any(snr <= 0) or np.any(np.isnan(snr)):
                 raise DataError("wiener mode requires snr > 0")
+
+
+def _wiener_snr(spec, T):
+    if spec.snr is None:
+        raise DataError("wiener filter needs an snr; estimate one with "
+                        "estimate_snr")
+    snr = np.asarray(spec.snr, dtype=float)
+    if snr.ndim == 1 and snr.size != T:
+        raise DataError("per-frequency snr must have one value per bin")
+    return snr
 
 
 def _kernel(s_tilde, lambda_i, lambda_j, grid_dt):
@@ -67,9 +80,7 @@ def wiener_filter(s_tilde, lambda_i, lambda_j, spec, grid_dt=1.0):
     """
     if spec.mode != "wiener":
         raise DataError("wiener_filter requires a wiener FilterSpec")
-    snr = np.asarray(spec.snr, dtype=float)
-    if snr.ndim == 1 and snr.size != s_tilde.T:
-        raise DataError("per-frequency snr must have one value per bin")
+    snr = _wiener_snr(spec, s_tilde.T)
     kern = _kernel(s_tilde, lambda_i, lambda_j, grid_dt)
     power = np.abs(kern) ** 2
     return _replace(s_tilde,
@@ -95,7 +106,7 @@ def auto_filter(s_tilde, lam, delta_mass, spec=None, grid_dt=1.0):
     if spec is None or spec.mode == "inverse":
         out = excess / kern
     else:
-        snr = np.asarray(spec.snr, dtype=float)
+        snr = _wiener_snr(spec, s_tilde.T)
         out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
     return _replace(s_tilde, delta_mass + out)
 
@@ -158,30 +169,44 @@ def _window_weights(T, m):
     return w
 
 
+def _windowed_covariance(spec, w):
+    return float((np.sum(spec.s_n * w) / spec.T).real)
+
+
+def _check_horizon(m, T):
+    if not 1 <= m < T:
+        raise DataError("horizon must be in [1, T) grid steps")
+
+
 def spectrum_covariance(spec, m):
     """Covariance of m-step increments implied by a spectrum."""
-    if not 1 <= m < spec.T:
-        raise DataError("horizon must be in [1, T) grid steps")
-    c = np.sum(spec.s_n * _window_weights(spec.T, m)) / spec.T
-    return float(c.real)
+    _check_horizon(m, spec.T)
+    return _windowed_covariance(spec, _window_weights(spec.T, m))
 
 
 def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     """Epps curve implied by corrected cross- and auto-spectra.
 
     Each horizon's covariance is the spectrum summed against the squared
-    Dirichlet window of that horizon; the Pearson coefficient follows.  A
-    horizon whose filtered variance is <= 0 has no coefficient and is NaN.
+    Dirichlet window of that horizon, built once for all three spectra,
+    which must therefore share one length T; the Pearson coefficient
+    follows.  A horizon whose filtered variance is <= 0 has no coefficient
+    and is NaN.
     """
+    T = s_hat.T
+    if s_auto_i.T != T or s_auto_j.T != T:
+        raise DataError(f"cross and auto spectra differ in length: "
+                        f"{T}, {s_auto_i.T}, {s_auto_j.T}")
     dt_grid = np.asarray(dt_grid, dtype=float)
     steps = dt_grid / grid_dt
     if np.any(np.abs(steps - np.round(steps)) > 1e-9) or np.any(steps < 1):
         raise DataError("every dt must be a positive multiple of the grid step")
     rho = np.empty(dt_grid.size)
     for a, m in enumerate(np.round(steps).astype(int)):
-        c12 = spectrum_covariance(s_hat, m)
-        v1 = spectrum_covariance(s_auto_i, m)
-        v2 = spectrum_covariance(s_auto_j, m)
+        _check_horizon(m, T)
+        w = _window_weights(T, m)
+        c12, v1, v2 = (_windowed_covariance(s, w)
+                       for s in (s_hat, s_auto_i, s_auto_j))
         rho[a] = c12 / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else np.nan
     return EppsCurve(dt_grid=dt_grid, rho=rho,
                      stderr=np.full(dt_grid.size, np.nan))

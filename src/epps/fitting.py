@@ -21,7 +21,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DataError, FitConvergenceError, NumericalError
-from ._numutil import expm1_over_x, xexpx_minus_expm1_over_x2
+from ._numutil import (decay_difference, decay_difference_da, expm1_over_x,
+                       xexpx_minus_expm1_over_x2)
 
 
 @dataclass(frozen=True)
@@ -140,19 +141,17 @@ def _auto_async_fj(tau_reg, lam, theta):
     xi = _safe_xi(p)
     u = 1.0 + lam * xi
     t = np.abs(tau_reg)
-    d = lam - 1.0 / xi
-    el = np.exp(-lam * t)
-    phi = expm1_over_x(d * t)
-    dphi = xexpx_minus_expm1_over_x2(d * t)
     amp = lam * lam / (2.0 * u)
-    rho = amp * t * el * phi
+    # (e^{-t/xi} - e^{-lam t}) / (lam - 1/xi), without overflow at large t
+    rho = amp * decay_difference(t, 1.0 / xi, lam)
     f = np.concatenate([[a - b / u], -b * rho])
     n = t.size
     jac = np.zeros((n + 1, 3))
     jac[0] = (1.0, -1.0 / u, xi * b * lam / u ** 2)
     jac[1:, 1] = -rho
-    # d rho / d xi: the prefactor brings -lam/u, the argument d*t brings t/xi^2
-    drho = rho * (-lam / u) + amp * el * (t * t / (xi * xi)) * dphi
+    # d rho / d xi: the prefactor brings -lam/u, the rate 1/xi brings -1/xi^2
+    drho = (rho * (-lam / u)
+            - amp * decay_difference_da(t, 1.0 / xi, lam) / (xi * xi))
     jac[1:, 2] = xi * (-b) * drho
     return f, jac
 

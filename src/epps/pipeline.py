@@ -349,13 +349,10 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     s_jj = estimate_spectrum(dj, dj)
     out["s_cross"] = s_cross
 
-    spec = filter_spec
-    if spec is None or (spec.mode == "wiener" and spec.snr is None):
-        mode = "inverse" if spec is None else spec.mode
-        snr = None
-        if mode == "wiener":
-            snr = estimate_snr(s_cross, rate_i, rate_j, grid_dt)
-        spec = FilterSpec(mode=mode, snr=snr)
+    spec = filter_spec or FilterSpec()
+    if spec.mode == "wiener" and spec.snr is None:
+        spec = FilterSpec(mode="wiener",
+                          snr=estimate_snr(s_cross, rate_i, rate_j, grid_dt))
     out["snr"] = spec.snr
     s_hat = apply_filter(s_cross, rate_i, rate_j, spec, grid_dt)
     auto_spec = None if spec.mode == "inverse" else spec

@@ -3,15 +3,19 @@
 Bivariate Gaussian increment paths are synthesized in the frequency domain:
 the exact bin-averaged covariances of the target kernels are wrapped into a
 circulant, factorized per frequency, and colored onto complex white noise
-(circulant embedding).  Tick times are drawn independently of the path and a
-previous-tick stepped series assigns to each grid time the path value at the
-latest tick at or before it.
+(circulant embedding).  The circulant has one point per grid step of
+[-warmup, horizon], even where that length is slow to transform (40 010 =
+2 * 5 * 4001 for 40 000 s plus 10 s of warm-up): a longer circulant would
+be valid but would change every draw of a given seed.  Tick times are drawn
+independently of the path and a previous-tick stepped series assigns to
+each grid time the path value at the latest tick at or before it.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
+import scipy.fft
 
 from .errors import DataError, NumericalError
 from .kernels import ModelPair, _as_models
@@ -103,9 +107,9 @@ def _circulant_factors(pair, grid_dt, n):
         return g
 
     # positive-exponent transform: M_m = sum_k gamma(k) e^{+2 pi i m k / n}
-    m11 = np.fft.fft(wrapped(pair.auto_i)).conj()
-    m22 = np.fft.fft(wrapped(pair.auto_j)).conj()
-    m12 = np.fft.fft(wrapped(pair.cross)).conj()
+    m11 = scipy.fft.fft(wrapped(pair.auto_i)).conj()
+    m22 = scipy.fft.fft(wrapped(pair.auto_j)).conj()
+    m12 = scipy.fft.fft(wrapped(pair.cross)).conj()
     p = np.maximum(m11.real, 0.0)
     r = np.maximum(m22.real, 0.0)
     l11 = np.sqrt(p)
@@ -119,7 +123,7 @@ def _draw_increment_pairs(l11, l21, l22, rng, n):
     w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     z1 = math.sqrt(n) * l11 * w[0]
     z2 = math.sqrt(n) * (l21 * w[0] + l22 * w[1])
-    x = np.fft.ifft(np.vstack([z1, z2]), axis=-1)
+    x = scipy.fft.ifft(np.vstack([z1, z2]), axis=-1)
     return x.real, x.imag  # two independent increment samples, shape (2, n)
 
 

@@ -234,3 +234,50 @@ def test_run_cli_with_seed_override(model_file, tmp_path, capsys):
     m_b = json.loads((out_b / "manifest.json").read_text())
     assert m_b["seed"] == 2
     assert m_a["files"] != m_b["files"]
+
+
+def test_run_wiener_without_snr_estimates_it(model_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model_file": model_file, "lambda_i": 1.0, "lambda_j": 0.3,
+        "n_days": 2, "length": 2000.0, "dt_grid": [1, 10],
+        "max_lag": 30.0, "filter_mode": "wiener", "seed": 1}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["snr"] is None
+    assert math.isfinite(manifest["snr"]) and manifest["snr"] > 0
+
+
+def write_tick_csv(path, rates, n_days, seed=3):
+    """Two assets A and B on correlated random-walk prices, Poisson ticks
+    covering the default session window [36 900, 56 900] s of each day."""
+    rng = np.random.default_rng(seed)
+    lines = ["asset,day,time_sec,price"]
+    for day in range(n_days):
+        z = rng.standard_normal((2, 21001))
+        walk = np.cumsum(np.vstack([z[0], 0.5 * z[0] + 0.866 * z[1]]), axis=1)
+        for k, (asset, rate) in enumerate(zip("AB", rates)):
+            times = np.sort(rng.uniform(36000.0, 57000.0,
+                                        rng.poisson(rate * 21000.0)))
+            prices = 100.0 * np.exp(0.001 * walk[k, (times - 36000.0)
+                                                 .astype(int)])
+            lines += [f"{asset},{day},{t:.6f},{p:.10g}"
+                      for t, p in zip(times, prices)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_estimate_wiener_without_snr_estimates_it(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=2)
+    out = tmp_path / "est"
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--dt-grid", "1,5,20", "--max-lag", "40",
+                 "--filter-mode", "wiener", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "analyzed 2 days" in summary
+    snr = float(summary.split("wiener snr ")[1].split()[0])
+    assert math.isfinite(snr) and snr > 0
+    assert "(estimated)" in summary
+    assert (out / "epps_filtered.csv").exists()
+

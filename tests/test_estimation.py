@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from epps.errors import DataError
 from epps.sampling import SteppedSeries, rng_stream
@@ -213,7 +214,56 @@ def test_spectrum_rejects_mismatched_days():
     with pytest.raises(DataError):
         estimate_spectrum([np.zeros(16)], [np.zeros(17)])
     with pytest.raises(DataError):
+        estimate_spectrum([np.zeros(16)], [np.zeros(16)], T=15)
+    with pytest.raises(DataError):
         estimate_spectrum([], [])
+    with pytest.raises(DataError):
+        estimate_spectrum([np.zeros(0)], [np.zeros(0)])
+
+
+def per_day_fft_spectrum(days_i, days_j):
+    """The periodogram by its definition: mean over days of
+    fft(dx_i) conj(fft(dx_j)) / T, with full complex FFTs."""
+    T = len(days_i[0])
+    acc = np.zeros(T, dtype=complex)
+    for di, dj in zip(days_i, days_j):
+        acc += np.fft.fft(di) * np.conj(np.fft.fft(dj)) / T
+    return acc / len(days_i)
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 64, 101])
+@pytest.mark.parametrize("n_days", [1, 3])
+@pytest.mark.parametrize("pairing", ["cross", "auto", "equal_copies"])
+def test_spectrum_matches_per_day_fft_definition(T, n_days, pairing,
+                                                 monkeypatch):
+    rng = rng_stream(T, 57, n_days)
+    days_i = [rng.standard_normal(T) for _ in range(n_days)]
+    if pairing == "cross":
+        days_j = [rng.standard_normal(T) for _ in range(n_days)]
+    elif pairing == "auto":
+        days_j = days_i
+    else:  # equal values in distinct arrays: not recognised as an auto pair
+        days_j = [d.copy() for d in days_i]
+    rfft_calls = []
+    rfft = scipy.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        rfft_calls.append(np.shape(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+    spec = estimate_spectrum(days_i, days_j)
+    assert rfft_calls == [(T,)] * n_days * (1 if pairing == "auto" else 2)
+    expected = per_day_fft_spectrum(days_i, days_j)
+    assert spec.T == T and spec.n_days == n_days
+    np.testing.assert_allclose(spec.s_n, expected, rtol=1e-13)
+    # Hermitian pairing is exact, with real bins at 0 and T/2
+    n = np.arange(1, T)
+    np.testing.assert_array_equal(spec.s_n[T - n], np.conj(spec.s_n[n]))
+    assert spec.s_n[0].imag == 0.0
+    assert spec.s_n[T // 2].imag == 0.0 or T % 2
+    if pairing == "auto":
+        assert np.all(spec.s_n.imag == 0.0)
 
 
 def test_epps_csv_round_trip(tmp_path):

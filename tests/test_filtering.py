@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epps.errors import DataError, NumericalError
+from epps import filtering
 from epps.async_theory import discrete_kernel
 from epps.estimation import SpectrumEstimate, estimate_spectrum
 from epps.sampling import rng_stream
@@ -26,6 +27,7 @@ def hermitian_spectrum(T, seed=0, offset=2.0):
 def test_filter_spec_validation():
     FilterSpec()
     FilterSpec(mode="wiener", snr=3.0)
+    FilterSpec(mode="wiener")  # snr to be estimated
     with pytest.raises(DataError):
         FilterSpec(mode="butterworth")
     with pytest.raises(DataError):
@@ -83,6 +85,17 @@ def test_wiener_rejects_wrong_spec_or_snr_length():
     with pytest.raises(DataError):
         wiener_filter(s, 1.0, 1.0,
                       FilterSpec(mode="wiener", snr=np.ones(31)))
+
+
+def test_filters_need_a_resolved_snr():
+    s = hermitian_spectrum(32, seed=5)
+    unresolved = FilterSpec(mode="wiener")
+    with pytest.raises(DataError, match="estimate_snr"):
+        wiener_filter(s, 1.0, 1.0, unresolved)
+    with pytest.raises(DataError, match="estimate_snr"):
+        apply_filter(s, 1.0, 1.0, unresolved)
+    with pytest.raises(DataError, match="estimate_snr"):
+        auto_filter(s, 1.0, 0.5, unresolved)
 
 
 def test_apply_filter_dispatches_on_mode():
@@ -206,3 +219,34 @@ def test_filtered_epps_curve_errors():
     curve = filtered_epps_curve(s, bad, s, [1.0, 2.0])
     assert math.isnan(curve.rho[0])
     assert curve.rho[1] == pytest.approx(1.0)
+
+
+def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
+    rng = rng_stream(12, 64)
+    x, y = rng.standard_normal(128), rng.standard_normal(128)
+    s12 = estimate_spectrum([x], [y])
+    s11 = estimate_spectrum([x], [x])
+    s22 = estimate_spectrum([y], [y])
+    horizons = [1.0, 2.0, 8.0, 30.0]
+    expected = [spectrum_covariance(s12, m) / math.sqrt(
+        spectrum_covariance(s11, m) * spectrum_covariance(s22, m))
+        for m in (1, 2, 8, 30)]
+    built = []
+    window = filtering._window_weights
+
+    def counting_window(T, m):
+        built.append(m)
+        return window(T, m)
+
+    monkeypatch.setattr(filtering, "_window_weights", counting_window)
+    curve = filtered_epps_curve(s12, s11, s22, horizons)
+    assert built == [1, 2, 8, 30]
+    np.testing.assert_array_equal(curve.rho, expected)
+
+
+def test_filtered_epps_curve_rejects_spectra_of_different_lengths():
+    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(64, dtype=complex))
+    short = SpectrumEstimate(T=63, n_days=1, s_n=np.ones(63, dtype=complex))
+    for args in ((s, short, s), (s, s, short), (short, s, s)):
+        with pytest.raises(DataError, match="differ in length"):
+            filtered_epps_curve(*args, [1.0, 2.0])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from epps.errors import DataError, NumericalError, FitConvergenceError
+from epps._numutil import (decay_difference, decay_difference_da,
+                           expm1_minus_x_over_x2)
 from epps.estimation import Correlogram
 from epps.sampling import rng_stream
 from epps.fitting import (FitResult, fit_cross_raw, fit_cross_async,
@@ -88,6 +90,46 @@ def test_auto_async_jacobian_matches_finite_differences(theta, lam):
     _, jac = fj(theta)
     np.testing.assert_allclose(jac, fd_jacobian(fj, theta),
                                rtol=5e-6, atol=1e-8)
+
+
+def test_auto_async_finite_at_long_lags():
+    # lambda - 1/xi = 9.5 per second: e^{(lambda - 1/xi) t} overflows at
+    # lags of ~75 s unless the slower decay is factored out
+    tau = np.array([10.0, 100.0, 120.0])
+    theta = np.array([1.0, 0.3, math.log(2.0)])
+    lam, xi = 10.0, 2.0
+
+    def fj(th):
+        return _auto_async_fj(tau, lam, th)
+
+    f, jac = fj(theta)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(jac))
+    u = 1.0 + lam * xi
+    closed = -0.3 * lam * lam / (2.0 * u) * (
+        np.exp(-tau / xi) - np.exp(-lam * tau)) / (lam - 1.0 / xi)
+    np.testing.assert_allclose(f[1:], closed, rtol=1e-13)
+    np.testing.assert_allclose(jac, fd_jacobian(fj, theta), rtol=1e-6,
+                               atol=0.0)
+
+
+def test_decay_difference_da_matches_series_and_differences():
+    # (e^x - 1 - x)/x^2 is the series sum_k x^k / (k + 2)!, on both sides of
+    # the switch to the truncated series at |x| = 1e-3
+    xs = [-1.0, -0.1, -0.05, -2e-3, -1e-3, -5e-4, -1e-6, 0.0, 1e-6, 5e-4,
+          0.5]
+    series = [math.fsum(x ** k / math.factorial(k + 2) for k in range(30))
+              for x in xs]
+    np.testing.assert_allclose(expm1_minus_x_over_x2(xs), series,
+                               rtol=1e-12)
+    t = np.array([0.0, 0.5, 3.0, 40.0, 400.0])
+    h = 1e-6
+    for a, b in ((0.5, 0.5), (0.5, 0.5 + 1e-9), (0.5 + 1e-9, 0.5),
+                 (0.1, 2.0), (2.0, 0.1), (0.01, 10.0)):
+        central = (decay_difference(t, a + h, b)
+                   - decay_difference(t, a - h, b)) / (2.0 * h)
+        got = decay_difference_da(t, a, b)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, central, rtol=1e-6, atol=1e-300)
 
 
 def make_cross_cg(values, lags=None, n_days=1, stderr=None):

@@ -8,7 +8,8 @@ from epps.errors import DataError
 from epps.kernels import CorrelationModel, ModelPair, sync_covariance
 from epps.sampling import (SimulatedPath, rng_stream,
                            simulate_paths, simulate_ensemble,
-                           draw_poisson_times, default_warmup, previous_tick)
+                           draw_poisson_times, default_warmup, previous_tick,
+                           _binned_cov, _max_lag_steps)
 from epps.pipeline import _read_tick_times
 
 
@@ -101,6 +102,49 @@ def test_paths_in_one_draw_are_uncorrelated():
     d0, d1 = np.diff(p0.levels[0]), np.diff(p1.levels[0])
     r = np.corrcoef(d0, d1)[0, 1]
     assert abs(r) < 4.0 / math.sqrt(d0.size)
+
+
+def numpy_fft_draw(pair, grid_dt, n, seed, *key):
+    """Level pairs of one circulant draw, written out with numpy.fft: the
+    positive-exponent spectra, their 2 x 2 lower-triangular factors, complex
+    white noise from the keyed stream, and one inverse transform whose real
+    and imaginary parts are two independent increment samples."""
+    kmax = _max_lag_steps(pair, grid_dt)
+    ks = np.arange(-kmax, kmax + 1)
+
+    def spectrum(model):
+        g = np.zeros(n)
+        g[ks % n] = _binned_cov(model, grid_dt, ks)
+        return np.fft.fft(g).conj()
+
+    m11, m22, m12 = (spectrum(m)
+                     for m in (pair.auto_i, pair.auto_j, pair.cross))
+    l11 = np.sqrt(np.maximum(m11.real, 0.0))
+    l21 = np.where(l11 > 0, np.conj(m12) / np.where(l11 > 0, l11, 1.0), 0.0)
+    l22 = np.sqrt(np.maximum(np.maximum(m22.real, 0.0) - np.abs(l21) ** 2,
+                             0.0))
+    rng = rng_stream(seed, *key)
+    w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    x = np.fft.ifft(math.sqrt(n) * np.vstack([l11 * w[0],
+                                              l21 * w[0] + l22 * w[1]]),
+                    axis=-1)
+    return [np.hstack([np.zeros((2, 1)), np.cumsum(part, axis=1)])
+            for part in (x.real, x.imag)]
+
+
+def test_draws_match_the_numpy_fft_reference():
+    # n = 4010 = 2 * 5 * 401: a length with a large prime factor, like the
+    # 40 010 of a 40 000 s day
+    pair, grid_dt, horizon, warmup, seed = smooth_pair(), 1.0, 4000.0, 10.0, 9
+    n = 4010
+    path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
+    expected, _ = numpy_fft_draw(pair, grid_dt, n, seed, 0)
+    np.testing.assert_allclose(path.levels, expected, rtol=0, atol=1e-12)
+    paths = simulate_ensemble(pair, grid_dt, horizon, 3, seed=seed,
+                              warmup=warmup)
+    for k, p in enumerate(paths):
+        expected = numpy_fft_draw(pair, grid_dt, n, seed, 1, k // 2)[k % 2]
+        np.testing.assert_allclose(p.levels, expected, rtol=0, atol=1e-12)
 
 
 def test_simulation_rejects_bad_arguments():
