@@ -25,13 +25,13 @@ from .async_theory import (AsyncKernel, async_covariance, async_variance,
 from .sampling import (SimulatedPath, draw_poisson_times, previous_tick,
                        simulate_ensemble, default_warmup)
 from .estimation import (estimate_rate, read_correlogram_csv,
-                         read_spectrum_csv, write_spectrum_csv,
-                         write_epps_csv, write_correlogram_csv)
+                         read_spectrum_csv, write_spectrum_csv)
 from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
-from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize, align_pair,
-                       analyze_pair, run_pipeline, _read_tick_times)
+from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize,
+                       align_pair, analyze_pair, run_pipeline,
+                       write_artifacts, _read_tick_times)
 
 
 def _float_list(text):
@@ -196,6 +196,7 @@ def theory(model_file, quantity, lambda_i, lambda_j, grid, out_file):
 def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
              filter_mode, snr, fail_fast, out_dir):
     """Estimate Epps curves, correlograms, spectra and fits from ticks."""
+    spec = FilterSpec(filter_mode, snr)
     session = SessionSpec()
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
     for msg in errors:
@@ -225,28 +226,14 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     rate_j = estimate_rate(
         np.concatenate([series[(asset_j, d)].times for d in kept]),
         len(kept) * session.length)
-    spec = None
-    if filter_mode == "wiener":
-        spec = FilterSpec(mode="wiener", snr=snr)
+    dt_list = _float_list(dt_grid)
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
-                          _float_list(dt_grid), max_lag, spec, grid_dt)
-    os.makedirs(out_dir, exist_ok=True)
-    write_epps_csv(result["epps_raw"], os.path.join(out_dir, "epps_raw.csv"))
-    write_epps_csv(result["epps_filtered"],
-                   os.path.join(out_dir, "epps_filtered.csv"))
-    for key in ("cg_cross", "cg_cross_filtered", "cg_auto_i", "cg_auto_j"):
-        write_correlogram_csv(result[key],
-                              os.path.join(out_dir, key.replace("cg", "correlogram") + ".csv"))
-    write_spectrum_csv(result["s_cross"],
-                       os.path.join(out_dir, "spectrum_cross.csv"))
-    rows = [FIT_CSV_HEADER]
-    labels = {"cross": (asset_i, asset_j), "auto_i": (asset_i, asset_i),
-              "auto_j": (asset_j, asset_j)}
-    for name in sorted(result["fits"]):
-        rows.append(fit_csv_row(result["fits"][name],
-                                *labels[name.rsplit("_", 1)[0]]))
-    with open(os.path.join(out_dir, "fits.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+                          dt_list, max_lag, spec, grid_dt)
+    config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,
+              "dt_grid": dt_list, "max_lag": max_lag, "grid_dt": grid_dt,
+              "filter_mode": filter_mode, "snr": snr}
+    write_artifacts(result, out_dir, (asset_i, asset_j),
+                    {"config": config, "records_skipped": len(errors)})
     summary = f"rates {rate_i.value:.5g}, {rate_j.value:.5g}"
     if filter_mode == "wiener":
         source = "estimated" if snr is None else "given"
@@ -270,21 +257,20 @@ def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
                out_file):
     """Deconvolve the sampling kernel from a spectrum CSV."""
     s_tilde = read_spectrum_csv(spectrum_file)
-    if mode == "wiener":
-        if snr is None or snr == "auto":
-            snr_val = estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt)
-        elif snr.startswith("@"):
-            snr_val = np.loadtxt(snr[1:])
-        else:
-            try:
-                snr_val = float(snr)
-            except ValueError as exc:
-                raise click.UsageError(f"bad snr {snr!r}") from exc
-        spec = FilterSpec(mode="wiener", snr=snr_val)
+    if snr is None and mode == "inverse":
+        snr_val = None
+    elif snr is None or snr == "auto":
+        snr_val = estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt)
+    elif snr.startswith("@"):
+        snr_val = np.loadtxt(snr[1:])
     else:
-        spec = FilterSpec(mode="inverse")
-    write_spectrum_csv(apply_filter(s_tilde, lambda_i, lambda_j, spec,
-                                    grid_dt), out_file)
+        try:
+            snr_val = float(snr)
+        except ValueError as exc:
+            raise click.UsageError(f"bad snr {snr!r}") from exc
+    write_spectrum_csv(apply_filter(s_tilde, lambda_i, lambda_j,
+                                    FilterSpec(mode, snr_val), grid_dt),
+                       out_file)
 
 
 @cli.command()

@@ -20,10 +20,11 @@ from .async_theory import discrete_kernel
 class FilterSpec:
     """Filter mode plus, for the Wiener mode, the signal-to-noise ratio.
 
-    `snr` may be a positive scalar or one positive value per frequency bin.
-    A Wiener spec with `snr=None` means "estimate it": `analyze_pair` (and so
-    `epps run` and `epps estimate`) fill it in with `estimate_snr` on the
-    measured cross-spectrum; the filters themselves need a value.
+    `snr` may be a positive scalar or one positive value per frequency bin,
+    and only the Wiener mode takes one.  A Wiener spec with `snr=None` means
+    "estimate it": `analyze_pair` (and so `epps run` and `epps estimate`)
+    fill it in with `estimate_snr` on the measured cross-spectrum; the
+    filters themselves need a value.
     """
 
     mode: str = "inverse"
@@ -32,10 +33,13 @@ class FilterSpec:
     def __post_init__(self):
         if self.mode not in ("inverse", "wiener"):
             raise DataError(f"unknown filter mode {self.mode!r}")
-        if self.mode == "wiener" and self.snr is not None:
-            snr = np.asarray(self.snr, dtype=float)
-            if np.any(snr <= 0) or np.any(np.isnan(snr)):
-                raise DataError("wiener mode requires snr > 0")
+        if self.snr is None:
+            return
+        if self.mode == "inverse":
+            raise DataError("an snr applies only to the wiener filter")
+        snr = np.asarray(self.snr, dtype=float)
+        if np.any(snr <= 0) or np.any(np.isnan(snr)):
+            raise DataError("wiener mode requires snr > 0")
 
 
 def _wiener_snr(spec, T):

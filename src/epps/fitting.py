@@ -21,8 +21,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DataError, FitConvergenceError, NumericalError
-from ._numutil import (decay_difference, decay_difference_da, expm1_over_x,
-                       xexpx_minus_expm1_over_x2)
+from ._numutil import decay_difference, decay_difference_da
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ def _cross_raw_fj(tau, theta):
 
 
 def _h_side(s, lam, xi):
-    """2 xi * (one-sided exponential convolved with exp(-|u|/xi)/(2 xi)),
-    with its derivatives in s and xi.  Returns (value, d/ds, d/dxi)."""
+    """2 xi * async_theory._onesided_exp_conv(s, lam, xi), with its
+    derivatives in s and xi.  Returns (value, d/ds, d/dxi)."""
     s = np.asarray(s, dtype=float)
     if math.isinf(lam):
         z = np.zeros_like(s)
@@ -75,26 +74,13 @@ def _h_side(s, lam, xi):
     dds[neg] = en / u
     ddx[neg] = en * (1.0 / u ** 2 - sn / (xi * u))
     sp = s[~neg]
-    d = 1.0 / xi - lam
     el = np.exp(-lam * sp)
-    ex = np.exp(-sp / xi)
-    near = np.abs(d * sp) < 1e-3
-    arg = np.where(near, d * sp, 0.0)
-    phi = expm1_over_x(arg)
-    dphi = xexpx_minus_expm1_over_x2(arg)
-    # mid = sp * ex * phi(d sp) = (el - ex)/d; series form near d = 0,
-    # explicit two-exponential form away from it (no overflow, no cancellation)
-    mid = np.where(near, sp * ex * phi, (el - ex) / np.where(near, 1.0, d))
-    mid_s = np.where(near,
-                     ex * phi * (1.0 - sp / xi) + sp * ex * d * dphi,
-                     (-lam * el + ex / xi) / np.where(near, 1.0, d))
-    mid_x = np.where(near,
-                     (sp * sp / (xi * xi)) * ex * (phi - dphi),
-                     (-ex * sp / (xi * xi)) / np.where(near, 1.0, d)
-                     + (el - ex) / np.where(near, 1.0, d * d * xi * xi))
+    # mid = (e^{-lam s} - e^{-s/xi}) / (1/xi - lam), stable at lam xi = 1
+    mid = decay_difference(sp, lam, 1.0 / xi)
     val[~neg] = xi * el / u + mid
-    dds[~neg] = -lam * xi * el / u + mid_s
-    ddx[~neg] = el / u ** 2 + mid_x
+    dds[~neg] = -lam * xi * el / u + np.exp(-sp / xi) - lam * mid
+    ddx[~neg] = (el / u ** 2
+                 - decay_difference_da(sp, 1.0 / xi, lam) / (xi * xi))
     return val, dds, ddx
 
 
@@ -275,12 +261,14 @@ def fit_cross_raw(cg):
                   _cross_init(cg), cg.values.astype(float), sw, tau)
 
 
-def fit_cross_async(cg, lambda_i, lambda_j):
+def fit_cross_async(cg, lambda_i, lambda_j, raw=None):
     """Fit the sampling-corrected cross family at the given Poisson rates.
 
     The model is the raw exponential bump convolved with the asymmetric
     smoothing kernel of the rates, so the recovered lag and width refer to
-    the underlying synchronous process.  Initialized from the raw fit.
+    the underlying synchronous process.  Started from `raw`, a converged
+    `fit_cross_raw(cg)`; without it that raw fit is run here, and when it
+    fails the start is the data-driven initial guess.
     """
     if cg.lag_grid.size < 10:
         raise DataError("need at least 10 lag points for a cross fit")
@@ -291,7 +279,7 @@ def fit_cross_async(cg, lambda_i, lambda_j):
     sw = _weights(cg, idx)
     tau = cg.lag_grid
     try:
-        theta0 = _raw_theta(fit_cross_raw(cg))
+        theta0 = _raw_theta(raw or fit_cross_raw(cg))
     except (DataError, FitConvergenceError):
         theta0 = _cross_init(cg)
     return _solve("cross_async",
@@ -325,19 +313,19 @@ def fit_auto_raw(cg):
                   _auto_init(cg, reg_idx), y, sw, tau)
 
 
-def fit_auto_async(cg, lam):
+def fit_auto_async(cg, lam, raw=None):
     """Fit the sampled image of the auto family at Poisson rate lam.
 
     The point mass becomes a - b/(1 + lambda xi) and the regular part is
-    the exact sampled shape, which vanishes at zero lag.  Initialized from
-    the raw auto fit.
+    the exact sampled shape, which vanishes at zero lag.  Started from
+    `raw`, a converged `fit_auto_raw(cg)`, as `fit_cross_async` is.
     """
     if math.isnan(lam) or lam <= 0:
         raise DataError("sampling rate must be > 0")
     reg_idx, y, sw = _auto_setup(cg)
     tau = cg.lag_grid[reg_idx]
     try:
-        theta0 = _raw_theta(fit_auto_raw(cg))
+        theta0 = _raw_theta(raw or fit_auto_raw(cg))
     except (DataError, FitConvergenceError):
         theta0 = _auto_init(cg, reg_idx)
     return _solve("auto_async", lambda th: _auto_async_fj(tau, lam, th),

@@ -317,13 +317,13 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
                  filter_spec=None, grid_dt=1.0):
     """All pair-level estimates from per-day stepped series.
 
-    Returns a dict with raw and filtered Epps curves, cross and auto
-    correlograms (raw and filtered cross), spectra, the four fits, the
-    chi-square comparison, and the SNR actually used.  Days whose grids do
-    not span the full session are used for time-domain estimates but
-    skipped for spectra.
+    Returns a dict with the rates, raw and filtered Epps curves, cross and
+    auto correlograms (raw and filtered cross), spectra, the six fits and
+    their failures, the chi-square comparison, and the SNR actually used.
+    Days whose grids do not span the full session are used for time-domain
+    estimates but skipped for spectra.
     """
-    out = {}
+    out = {"rate_i": rate_i, "rate_j": rate_j}
     dt_grid = np.asarray(dt_grid, dtype=float)
     out["epps_raw"] = epps_curve(days_i, days_j, dt_grid)
     cg = correlogram(days_i, days_j, max_lag)
@@ -355,11 +355,10 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
                           snr=estimate_snr(s_cross, rate_i, rate_j, grid_dt))
     out["snr"] = spec.snr
     s_hat = apply_filter(s_cross, rate_i, rate_j, spec, grid_dt)
-    auto_spec = None if spec.mode == "inverse" else spec
-    s_ii_hat = auto_filter(s_ii, rate_i, out["cg_auto_i"].delta_mass,
-                           auto_spec, grid_dt)
-    s_jj_hat = auto_filter(s_jj, rate_j, out["cg_auto_j"].delta_mass,
-                           auto_spec, grid_dt)
+    s_ii_hat = auto_filter(s_ii, rate_i, out["cg_auto_i"].delta_mass, spec,
+                           grid_dt)
+    s_jj_hat = auto_filter(s_jj, rate_j, out["cg_auto_j"].delta_mass, spec,
+                           grid_dt)
     out["s_cross_filtered"] = s_hat
     out["cg_cross_filtered"] = filtered_correlogram(s_hat, max_lag, grid_dt)
     out["epps_filtered"] = filtered_epps_curve(s_hat, s_ii_hat, s_jj_hat,
@@ -367,20 +366,25 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
 
     fits = {}
     failures = {}
-    for name, fn in (
-            ("cross_raw", lambda: fit_cross_raw(cg)),
-            ("cross_async", lambda: fit_cross_async(cg, rate_i, rate_j)),
-            ("auto_i_raw", lambda: fit_auto_raw(out["cg_auto_i"])),
-            ("auto_i_async", lambda: fit_auto_async(out["cg_auto_i"], rate_i)),
-            ("auto_j_raw", lambda: fit_auto_raw(out["cg_auto_j"])),
-            ("auto_j_async", lambda: fit_auto_async(out["cg_auto_j"], rate_j))):
+
+    def attempt(name, fn, *args):
+        """Run one fit; return its result if it converged, else None."""
         try:
-            fits[name] = fn()
+            fits[name] = fn(*args)
+            return fits[name]
         except FitConvergenceError as exc:
             fits[name] = exc.result
             failures[name] = str(exc)
         except EppsError as exc:
             failures[name] = str(exc)
+        return None
+
+    # each async fit starts from its converged raw fit instead of redoing it
+    raw = attempt("cross_raw", fit_cross_raw, cg)
+    attempt("cross_async", fit_cross_async, cg, rate_i, rate_j, raw)
+    for key, lam in (("auto_i", rate_i), ("auto_j", rate_j)):
+        raw = attempt(f"{key}_raw", fit_auto_raw, out[f"cg_{key}"])
+        attempt(f"{key}_async", fit_auto_async, out[f"cg_{key}"], lam, raw)
     out["fits"] = fits
     out["fit_failures"] = failures
     if "cross_raw" in fits and "cross_async" in fits:
@@ -398,6 +402,63 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_text(lines, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_artifacts(result, out_dir, labels, meta):
+    """Write `analyze_pair`'s result and its manifest into `out_dir`.
+
+    Writes Epps curves, correlograms and spectra (raw and filtered) as eight
+    CSVs, and `fits.csv` with `labels` = (label_i, label_j) naming the
+    assets.  `manifest.json` holds `meta`, whose `config` describes the
+    run, plus the package version, the config's sha256, the rates and SNR
+    used, the number of days in the spectra, the fit comparison and
+    failures, and the sha256 of every file.  Returns the manifest.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    li, lj = labels
+    pairs = {"cross": (li, lj), "auto_i": (li, li), "auto_j": (lj, lj)}
+    fit_rows = [FIT_CSV_HEADER] + [
+        fit_csv_row(fit, *pairs[name.rsplit("_", 1)[0]])
+        for name, fit in sorted(result["fits"].items())]
+    files = {}
+
+    def emit(name, writer, obj):
+        path = os.path.join(out_dir, name)
+        writer(obj, path)
+        files[name] = _sha256(path)
+
+    for stem, key, writer, kinds in (
+            ("epps", "epps", write_epps_csv, ("raw", "filtered")),
+            ("correlogram", "cg", write_correlogram_csv,
+             ("cross", "cross_filtered", "auto_i", "auto_j")),
+            ("spectrum", "s", write_spectrum_csv, ("cross", "cross_filtered"))):
+        for kind in kinds:
+            emit(f"{stem}_{kind}.csv", writer, result[f"{key}_{kind}"])
+    emit("fits.csv", _write_text, fit_rows)
+
+    manifest = {
+        **meta,
+        "version": __version__,
+        "config_sha256": hashlib.sha256(json.dumps(
+            meta["config"], sort_keys=True).encode()).hexdigest(),
+        "rate_i": result["rate_i"],
+        "rate_j": result["rate_j"],
+        "snr": result["snr"],
+        "n_days_spectra": result["n_days_spectra"],
+        "chi2_ratio": result.get("chi2_ratio"),
+        "fit_failures": result["fit_failures"],
+        "files": files,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
 
 
 def _simulate_days(pair, config):
@@ -437,14 +498,16 @@ def _simulate_days(pair, config):
 def run_pipeline(config, out_dir):
     """Run the synthetic pipeline and write the artifact directory.
 
-    Emits spectra, raw and filtered correlograms, raw and filtered Epps
-    curves, a fit table, and manifest.json listing every file with its
-    sha256.  Deterministic for fixed (config, seed).
+    Simulates and samples `config.n_days` days, analyzes them with
+    `analyze_pair` and writes the result with `write_artifacts`; the
+    manifest's `config` is the full RunConfig and it also records the seed.
+    The filter settings are checked before anything is simulated.
+    Deterministic for fixed (config, seed).
     """
+    spec = FilterSpec(config.filter_mode, config.snr)
     pair = load_model_file(config.model_file)
     if not isinstance(pair, ModelPair):
         raise DataError("model file must define a full model pair")
-    os.makedirs(out_dir, exist_ok=True)
     days_i, days_j, ticks_i, ticks_j = _simulate_days(pair, config)
     in_window_i = [t[t >= 0] for t in ticks_i]
     in_window_j = [t[t >= 0] for t in ticks_j]
@@ -452,58 +515,8 @@ def run_pipeline(config, out_dir):
                            config.n_days * config.length)
     rate_j = estimate_rate(np.concatenate(in_window_j),
                            config.n_days * config.length)
-    spec = None
-    if config.filter_mode == "wiener":
-        spec = FilterSpec(mode="wiener", snr=config.snr)
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           config.dt_grid, config.max_lag, spec,
                           config.grid_dt)
-
-    files = {}
-
-    def emit(name, writer, obj):
-        path = os.path.join(out_dir, name)
-        writer(obj, path)
-        files[name] = _sha256(path)
-
-    emit("epps_raw.csv", write_epps_csv, result["epps_raw"])
-    emit("epps_filtered.csv", write_epps_csv, result["epps_filtered"])
-    emit("correlogram_cross.csv", write_correlogram_csv, result["cg_cross"])
-    emit("correlogram_cross_filtered.csv", write_correlogram_csv,
-         result["cg_cross_filtered"])
-    emit("correlogram_auto_i.csv", write_correlogram_csv, result["cg_auto_i"])
-    emit("correlogram_auto_j.csv", write_correlogram_csv, result["cg_auto_j"])
-    emit("spectrum_cross.csv", write_spectrum_csv, result["s_cross"])
-    emit("spectrum_cross_filtered.csv", write_spectrum_csv,
-         result["s_cross_filtered"])
-
-    fit_rows = [FIT_CSV_HEADER]
-    labels = {"cross": ("i", "j"), "auto_i": ("i", "i"), "auto_j": ("j", "j")}
-    for name in sorted(result["fits"]):
-        key = name.rsplit("_", 1)[0]
-        fit_rows.append(fit_csv_row(result["fits"][name], *labels[key]))
-    fit_path = os.path.join(out_dir, "fits.csv")
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(fit_rows) + "\n")
-    files["fits.csv"] = _sha256(fit_path)
-
-    config_dict = asdict(config)
-    manifest = {
-        "version": __version__,
-        "seed": config.seed,
-        "config": config_dict,
-        "config_sha256": hashlib.sha256(
-            json.dumps(config_dict, sort_keys=True).encode()).hexdigest(),
-        "rate_i": rate_i.value,
-        "rate_j": rate_j.value,
-        "snr": result["snr"],
-        "n_days_spectra": result["n_days_spectra"],
-        "chi2_ratio": result.get("chi2_ratio"),
-        "fit_failures": result["fit_failures"],
-        "files": files,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    return write_artifacts(result, out_dir, ("i", "j"),
+                           {"config": asdict(config), "seed": config.seed})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import epps.cli as cli_mod
+from epps import pipeline
 from epps.cli import main
 from epps.errors import NumericalError
 from epps.estimation import (Correlogram, write_correlogram_csv,
@@ -117,13 +119,37 @@ def test_simulate_sample_estimate_chain(model_file, tmp_path, capsys):
     assert main(["estimate", "--ticks", str(ticks), "--asset-i", "i",
                  "--asset-j", "j", "--dt-grid", "1,5,20",
                  "--max-lag", "40", "--out", str(out_dir)]) == 0
-    for name in ("epps_raw.csv", "epps_filtered.csv", "correlogram_cross.csv",
-                 "correlogram_auto_i.csv", "correlogram_auto_j.csv",
-                 "spectrum_cross.csv", "fits.csv"):
-        assert (out_dir / name).exists()
+    artifacts = {"epps_raw.csv", "epps_filtered.csv", "correlogram_cross.csv",
+                 "correlogram_cross_filtered.csv", "correlogram_auto_i.csv",
+                 "correlogram_auto_j.csv", "spectrum_cross.csv",
+                 "spectrum_cross_filtered.csv", "fits.csv"}
+    assert set(os.listdir(out_dir)) == artifacts | {"manifest.json"}
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["files"] == {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in artifacts}
+    assert manifest["config"]["asset_i"] == "i"
+    assert manifest["records_skipped"] == 0
+    assert manifest["fit_failures"] == {}
     fits = (out_dir / "fits.csv").read_text().splitlines()
     assert len(fits) == 7
     assert "analyzed 2 days" in capsys.readouterr().out
+    again = tmp_path / "est_again"
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "i",
+                 "--asset-j", "j", "--dt-grid", "1,5,20",
+                 "--max-lag", "40", "--out", str(again)]) == 0
+    assert ((again / "manifest.json").read_text()
+            == (out_dir / "manifest.json").read_text())
+
+    # `epps run` writes the same file set through the same writer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model_file": model_file, "lambda_i": 1.0, "lambda_j": 0.3,
+        "n_days": 2, "length": 2000.0, "dt_grid": [1, 10],
+        "max_lag": 30.0, "seed": 1}))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert set(os.listdir(tmp_path / "run")) == set(os.listdir(out_dir))
 
 
 def test_sample_keeps_ticks_microseconds_apart(model_file, tmp_path):
@@ -166,7 +192,7 @@ def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
         np.testing.assert_allclose(series[("j", day)].times, [50.0, 2000.0])
 
 
-def test_filter_cli_inverse_and_wiener(tmp_path):
+def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     rng = np.random.default_rng(1)
     gamma = np.zeros(64)
     gamma[0] = 2.0
@@ -195,6 +221,10 @@ def test_filter_cli_inverse_and_wiener(tmp_path):
     assert main(["filter", "--spectrum", str(f_in), "--lambda-i", "0.5",
                  "--lambda-j", "0.5", "--mode", "wiener", "--snr", "oops",
                  "--out", str(f_w)]) == 1
+    # an SNR only damps the Wiener filter; the inverse one rejects it
+    assert main(["filter", "--spectrum", str(f_in), "--lambda-i", "0.5",
+                 "--lambda-j", "0.5", "--snr", "3", "--out", str(f_w)]) == 2
+    assert "wiener" in capsys.readouterr().err
 
 
 def test_fit_cli_round_trip(tmp_path, capsys):
@@ -281,3 +311,40 @@ def test_estimate_wiener_without_snr_estimates_it(tmp_path, capsys):
     assert "(estimated)" in summary
     assert (out / "epps_filtered.csv").exists()
 
+
+
+def test_estimate_records_fits_it_could_not_run(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=2)
+    out = tmp_path / "est"
+    # 9 lags are too few for a cross fit, which needs 10
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--dt-grid", "1,5,20", "--max-lag", "4",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {"cross_raw", "cross_async"} <= set(manifest["fit_failures"])
+    assert "10 lag points" in manifest["fit_failures"]["cross_raw"]
+    families = [row.split(",")[2]
+                for row in (out / "fits.csv").read_text().splitlines()[1:]]
+    assert not any(f.startswith("cross") for f in families)
+
+
+def test_snr_without_the_wiener_filter_is_rejected(tmp_path, model_file,
+                                                   monkeypatch, capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=2)
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--snr", "5",
+                 "--out", str(tmp_path / "est")]) == 2
+    assert "wiener" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(pipeline, "simulate_ensemble", no_simulation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model_file": model_file, "snr": 3.0}))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "wiener" in capsys.readouterr().err

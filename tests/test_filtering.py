@@ -34,6 +34,8 @@ def test_filter_spec_validation():
         FilterSpec(mode="wiener", snr=-1.0)
     with pytest.raises(DataError):
         FilterSpec(mode="wiener", snr=[1.0, float("nan")])
+    with pytest.raises(DataError):
+        FilterSpec(mode="inverse", snr=3.0)  # an snr only damps the wiener
 
 
 def test_inverse_undoes_the_forward_kernel():

@@ -6,7 +6,9 @@ import pytest
 from epps.errors import DataError, NumericalError, FitConvergenceError
 from epps._numutil import (decay_difference, decay_difference_da,
                            expm1_minus_x_over_x2)
+from epps.async_theory import AsyncKernel, async_cross_corr
 from epps.estimation import Correlogram
+from epps.kernels import CorrelationModel
 from epps.sampling import rng_stream
 from epps.fitting import (FitResult, fit_cross_raw, fit_cross_async,
                           fit_auto_raw, fit_auto_async, chi2_ratio,
@@ -62,6 +64,20 @@ def test_cross_async_jacobian_matches_finite_differences(theta, rates):
     _, jac = fj(theta)
     np.testing.assert_allclose(jac, fd_jacobian(fj, theta),
                                rtol=5e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("theta", CROSS_THETAS)
+@pytest.mark.parametrize("rates", CROSS_RATES)
+def test_cross_async_model_is_the_sampled_theory(theta, rates):
+    # c exp(-|s|/xi) is the exponential component of mass 2 xi c, so the
+    # fitted family must be async_theory's sampled density of that component
+    tau = np.concatenate([np.linspace(-200, 200, 401), [1e-9, -1e-9]])
+    c, tau0, xi = theta[0], theta[1], math.exp(theta[2])
+    model = CorrelationModel(lag=tau0, width=xi, exp_weight=2.0 * xi * c)
+    f, _ = _cross_async_fj(tau, *rates, theta)
+    np.testing.assert_allclose(
+        f, async_cross_corr(model, AsyncKernel(*rates), tau),
+        rtol=1e-12, atol=1e-300)
 
 
 AUTO_THETAS = [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from epps import pipeline
+from epps import fitting, pipeline
 from epps.errors import DataError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
@@ -335,6 +335,32 @@ def test_analyze_pair_returns_complete_artifact_set():
     assert rho[0] < rho[-1]
     # the corrected cross fit should not be degenerate on signal like this
     assert not out["fits"]["cross_async"].degenerate
+
+
+def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
+    days_i, days_j = small_days()
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0])
+        return least_squares(*args, **kwargs)
+
+    least_squares = fitting.least_squares
+    monkeypatch.setattr(fitting, "least_squares", counted)
+    out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    assert out["fit_failures"] == {}
+    assert len(solves) == 6  # one per fit, no raw fit redone
+    # the same start point as a standalone async fit, so the same result
+    for name, standalone in (
+            ("cross_async", fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3)),
+            ("auto_i_async", fitting.fit_auto_async(out["cg_auto_i"], 1.0)),
+            ("auto_j_async", fitting.fit_auto_async(out["cg_auto_j"], 0.3))):
+        fit = out["fits"][name]
+        assert fit.params == standalone.params
+        assert fit.chi2 == standalone.chi2
+        np.testing.assert_array_equal(list(fit.stderr.values()),
+                                      list(standalone.stderr.values()))
+        np.testing.assert_array_equal(fit.cov, standalone.cov)
 
 
 def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):
