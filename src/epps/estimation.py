@@ -289,8 +289,9 @@ def write_spectrum_csv(spec, path):
         if spec.rate_j is not None:
             fh.write(f"# rate_j={spec.rate_j:.17g}\n")
         fh.write("n,re,im\n")
-        for n, s in enumerate(spec.s_n):
-            fh.write(f"{n},{s.real:.17g},{s.imag:.17g}\n")
+        s = spec.s_n
+        table = np.column_stack((np.arange(s.size), s.real, s.imag))
+        fh.write(("%d,%.17g,%.17g\n" * s.size) % tuple(table.ravel().tolist()))
 
 
 def read_spectrum_csv(path):

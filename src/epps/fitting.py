@@ -250,6 +250,9 @@ def _auto_init(cg, reg_idx):
 
 # -- public fits ----------------------------------------------------------------
 
+_RUN_RAW = object()  # default `raw` of the async fits: run the raw fit first
+
+
 def fit_cross_raw(cg):
     """Fit c * exp(-|tau - tau0|/xi) to a cross-correlogram."""
     if cg.lag_grid.size < 10:
@@ -261,14 +264,15 @@ def fit_cross_raw(cg):
                   _cross_init(cg), cg.values.astype(float), sw, tau)
 
 
-def fit_cross_async(cg, lambda_i, lambda_j, raw=None):
+def fit_cross_async(cg, lambda_i, lambda_j, raw=_RUN_RAW):
     """Fit the sampling-corrected cross family at the given Poisson rates.
 
     The model is the raw exponential bump convolved with the asymmetric
     smoothing kernel of the rates, so the recovered lag and width refer to
     the underlying synchronous process.  Started from `raw`, a converged
-    `fit_cross_raw(cg)`; without it that raw fit is run here, and when it
-    fails the start is the data-driven initial guess.
+    `fit_cross_raw(cg)`, or from the data-driven initial guess when `raw`
+    is None (a raw fit that failed); when `raw` is not given the raw fit
+    is run here first.
     """
     if cg.lag_grid.size < 10:
         raise DataError("need at least 10 lag points for a cross fit")
@@ -278,13 +282,22 @@ def fit_cross_async(cg, lambda_i, lambda_j, raw=None):
     idx = np.arange(cg.lag_grid.size)
     sw = _weights(cg, idx)
     tau = cg.lag_grid
-    try:
-        theta0 = _raw_theta(raw or fit_cross_raw(cg))
-    except (DataError, FitConvergenceError):
-        theta0 = _cross_init(cg)
+    theta0 = _async_start(raw, fit_cross_raw, cg, lambda: _cross_init(cg))
     return _solve("cross_async",
                   lambda th: _cross_async_fj(tau, lambda_i, lambda_j, th),
                   theta0, cg.values.astype(float), sw, tau)
+
+
+def _async_start(raw, fit_raw, cg, init):
+    """Start point of an async fit: the parameters of `raw`, of
+    `fit_raw(cg)` run here when `raw` is not given, or `init()` when the
+    raw fit failed."""
+    if raw is _RUN_RAW:
+        try:
+            raw = fit_raw(cg)
+        except (DataError, FitConvergenceError):
+            raw = None
+    return init() if raw is None else _raw_theta(raw)
 
 
 def _raw_theta(result):
@@ -313,21 +326,19 @@ def fit_auto_raw(cg):
                   _auto_init(cg, reg_idx), y, sw, tau)
 
 
-def fit_auto_async(cg, lam, raw=None):
+def fit_auto_async(cg, lam, raw=_RUN_RAW):
     """Fit the sampled image of the auto family at Poisson rate lam.
 
     The point mass becomes a - b/(1 + lambda xi) and the regular part is
     the exact sampled shape, which vanishes at zero lag.  Started from
-    `raw`, a converged `fit_auto_raw(cg)`, as `fit_cross_async` is.
+    `raw`, a converged `fit_auto_raw(cg)` or None, as `fit_cross_async` is.
     """
     if math.isnan(lam) or lam <= 0:
         raise DataError("sampling rate must be > 0")
     reg_idx, y, sw = _auto_setup(cg)
     tau = cg.lag_grid[reg_idx]
-    try:
-        theta0 = _raw_theta(raw or fit_auto_raw(cg))
-    except (DataError, FitConvergenceError):
-        theta0 = _auto_init(cg, reg_idx)
+    theta0 = _async_start(raw, fit_auto_raw, cg,
+                          lambda: _auto_init(cg, reg_idx))
     return _solve("auto_async", lambda th: _auto_async_fj(tau, lam, th),
                   theta0, y, sw, tau)
 

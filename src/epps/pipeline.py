@@ -15,9 +15,11 @@ bit-identical output tree.
 
 from dataclasses import dataclass, asdict
 import hashlib
+import io
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 
@@ -80,7 +82,8 @@ class TickSeries:
             raise DataError("tick times must be strictly increasing")
 
 
-_CHUNK_BYTES = 1 << 20  # text read per step, so memory stays bounded
+_CHUNK_BYTES = 1 << 20  # text parsed per step, so memory stays bounded
+_RANGE_BYTES = 8 << 20  # least bytes per parsing process: small files use one
 
 
 def load_ticks(path, session=None, fail_fast=False):
@@ -93,33 +96,191 @@ def load_ticks(path, session=None, fail_fast=False):
     unparseable or non-finite number, a nonpositive price, or (inside the
     inclusive session window) a time not after the last accepted time of
     its asset-day, equal times included.  With fail_fast the first bad
-    record raises instead.
+    record raises instead, once the whole file has been read.
+
+    Large files are read in parallel byte ranges where the platform has
+    `fork`: the file is cut at line boundaries into ranges of about equal
+    size, one per CPU the process may use but no more than one per
+    `_RANGE_BYTES` started, and the ranges are parsed at the same time in
+    forked processes.  The series, messages and message order are the same
+    as from one range.
     """
     session = session or SessionSpec()
-    buckets = {}  # (asset, day) -> ([time arrays], [log-price arrays])
-    errors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "asset,day,time_sec,price":
+    with open(path, "rb") as fh:
+        body = _line_end(fh, 0)
+        fh.seek(0)
+        if fh.read(body).decode("utf-8").strip() != "asset,day,time_sec,price":
             raise DataError("expected header 'asset,day,time_sec,price'")
-        lineno = 2
+        size = fh.seek(0, os.SEEK_END)
+        n = 1
+        if hasattr(os, "fork"):
+            n = max(1, min(_cpus(), -(-(size - body) // _RANGE_BYTES)))
+        cuts = [body] + [_line_end(fh, body + k * (size - body) // n - 1)
+                         for k in range(1, n)] + [size]
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    series, bad = _merge(_parse_ranges(path, ranges, session), session)
+    if bad and fail_fast:
+        raise DataError(f"line {bad[0][0]}: {bad[0][1]}")
+    return series, [f"line {n}: {msg}" for n, msg in bad]
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _line_end(fh, pos):
+    """Offset just past the first line break at or after byte `pos` of a
+    binary file: `\\n`, `\\r\\n` or a lone `\\r`, as universal newlines
+    read them.  The file size when no break follows."""
+    fh.seek(pos)
+    while True:
+        block = fh.read(1 << 16)
+        if not block:
+            return pos
+        hits = [k for k in (block.find(b"\n"), block.find(b"\r")) if k >= 0]
+        if hits:
+            k = min(hits)
+            pos += k + 1
+            if block[k] == ord("\r"):  # one break when a \n follows
+                fh.seek(pos)
+                pos += fh.read(1) == b"\n"
+            return pos
+        pos += len(block)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of a file as a raw stream."""
+
+    def __init__(self, path, start, end):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = end - start
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._fh.readinto(memoryview(buf)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def _parse_ranges(path, ranges, session):
+    """`_parse_range` of every range, in order: the first in this process,
+    the others at the same time in forked children, which send their
+    result back through a pipe.  Raises what a child raised, and
+    ChildProcessError when one exits without a result."""
+    if len(ranges) < 2:
+        return [_parse_range(path, start, end, session)
+                for start, end in ranges]
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    children = []
+    done = False
+    try:
+        for start, end in ranges[1:]:
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_range_child, daemon=True,
+                                 args=(send, path, start, end, session))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        parts = [_parse_range(path, *ranges[0], session)]
+        for child, recv in children:
+            try:
+                ok, part = pickle.loads(recv.recv_bytes())
+            except EOFError:
+                child.join()
+                raise ChildProcessError(f"tick parser exited with code "
+                                        f"{child.exitcode}") from None
+            if not ok:
+                raise part
+            parts.append(part)
+        done = True
+    finally:
+        for child, recv in children:
+            recv.close()
+            if not done:
+                child.terminate()
+            child.join()
+    return parts
+
+
+def _range_child(send, path, start, end, session):
+    """Body of a forked parser: sends (True, the parsed range) or (False,
+    the exception raised) through the pipe end `send`."""
+    try:
+        out = (True, _parse_range(path, start, end, session))
+    except Exception as exc:
+        out = (False, exc)
+    send.send_bytes(pickle.dumps(out, protocol=5))
+    send.close()
+
+
+def _parse_range(path, start, end, session):
+    """Parse bytes [start, end) of a tick file, which begin at a line start
+    and end after a line break or at the end of the file.
+
+    Returns (rows, bad, n_lines): `rows` maps (asset, day) to the in-window
+    times, log prices and line numbers of its valid records, in file order
+    and not yet checked for monotone times; `bad` lists the other rejected
+    records as (line number, message); `n_lines` counts the lines read.
+    Line numbers count from 0 at `start`.
+    """
+    rows = {}
+    bad = []
+    n_lines = 0
+    raw = io.BufferedReader(_ByteRange(path, start, end))
+    with io.TextIOWrapper(raw, encoding="utf-8") as fh:
         while True:
             lines = fh.readlines(_CHUNK_BYTES)
             if not lines:
                 break
-            bad = _ingest_chunk(lines, lineno, session, buckets)
-            lineno += len(lines)
-            bad.sort()
-            if bad and fail_fast:
-                raise DataError(f"line {bad[0][0]}: {bad[0][1]}")
-            errors += [f"line {n}: {msg}" for n, msg in bad]
+            bad += _ingest_chunk(lines, n_lines, session, rows)
+            n_lines += len(lines)
+    rows = {key: tuple(np.concatenate(col) for col in cols)
+            for key, cols in rows.items()}
+    return rows, bad, n_lines
+
+
+def _merge(parts, session):
+    """Series and sorted rejections from the parsed ranges of one file.
+
+    Offsets each range's line numbers past the header and the earlier
+    ranges, then rejects, per asset-day over all its rows in file order, a
+    time not above the running maximum of the times before it.
+    """
+    keyed = {}
+    bad = []
+    offset = 2
+    for rows, bad_k, n_lines in parts:
+        bad += [(offset + n, msg) for n, msg in bad_k]
+        for key, (times, logs, lines) in rows.items():
+            keyed.setdefault(key, []).append((times, logs, lines + offset))
+        offset += n_lines
     series = {}
-    for (asset, day), (times, logs) in sorted(buckets.items()):
+    for (asset, day), cols in sorted(keyed.items()):
+        times, logs, lines = (np.concatenate(c) for c in zip(*cols))
+        before = np.maximum.accumulate(np.concatenate(([-np.inf],
+                                                       times[:-1])))
+        accepted = times > before
         series[(asset, day)] = TickSeries(
             asset_id=asset, day_id=day,
-            times=np.concatenate(times) - session.window_start,
-            log_prices=np.concatenate(logs))
-    return series, errors
+            times=times[accepted] - session.window_start,
+            log_prices=logs[accepted])
+        bad += [(n, f"non-monotone time {time} for {asset} {day}")
+                for n, time in zip(lines[~accepted].tolist(),
+                                   times[~accepted].tolist())]
+    bad.sort()
+    return series, bad
 
 
 def _floats(texts):
@@ -139,12 +300,13 @@ def _floats(texts):
     return values, bad
 
 
-def _ingest_chunk(lines, first_lineno, session, buckets):
-    """Parse consecutive raw lines column-wise into `buckets`.
+def _ingest_chunk(lines, first_lineno, session, rows):
+    """Parse consecutive raw lines column-wise into `rows`.
 
-    Returns the chunk's rejected records as (line number, message).  The
-    monotonicity check of each asset-day carries over from earlier chunks
-    through the last time in its bucket.
+    Appends the in-window times, log prices and line numbers of each
+    asset-day's valid records to its lists in `rows`; the monotone-time
+    rule is left to `_merge`.  Returns the other rejected records as
+    (line number, message).
     """
     commas = np.array([ln.count(",") for ln in lines], dtype=np.intp)
     bad = [(first_lineno + k, f"expected 4 fields, got {commas[k] + 1}")
@@ -184,19 +346,11 @@ def _ingest_chunk(lines, first_lineno, session, buckets):
     group = np.repeat(run_group, np.diff(starts, append=keep.size))
     order = np.argsort(group, kind="stable")
     ends = np.cumsum(np.bincount(group))
-    for (asset, day), rows_g in zip(keys, np.split(keep[order], ends[:-1])):
-        times = t[rows_g]
-        times_b, logs_b = buckets.setdefault((asset, day), ([], []))
-        last = times_b[-1][-1] if times_b else -np.inf
-        before = np.maximum.accumulate(np.concatenate(([last], times[:-1])))
-        accepted = times > before
-        if accepted.any():
-            times_b.append(times[accepted])
-            logs_b.append(np.log(p[rows_g[accepted]]))
-        bad += [(first_lineno + good[k],
-                 f"non-monotone time {time} for {asset} {day}")
-                for k, time in zip(rows_g[~accepted].tolist(),
-                                   times[~accepted].tolist())]
+    for key, rows_g in zip(keys, np.split(keep[order], ends[:-1])):
+        times, logs, lines = rows.setdefault(key, ([], [], []))
+        times.append(t[rows_g])
+        logs.append(np.log(p[rows_g]))
+        lines.append(first_lineno + good[rows_g])
     return bad
 
 
@@ -379,7 +533,8 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
             failures[name] = str(exc)
         return None
 
-    # each async fit starts from its converged raw fit instead of redoing it
+    # each async fit starts from its converged raw fit instead of redoing
+    # it, or from the data-driven guess when the raw fit failed
     raw = attempt("cross_raw", fit_cross_raw, cg)
     attempt("cross_async", fit_cross_async, cg, rate_i, rate_j, raw)
     for key, lam in (("auto_i", rate_i), ("auto_j", rate_j)):

@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -150,6 +153,35 @@ def test_simulate_sample_estimate_chain(model_file, tmp_path, capsys):
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
     assert set(os.listdir(tmp_path / "run")) == set(os.listdir(out_dir))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), days=st.integers(1, 3))
+def test_simulate_sample_load_round_trip(seed, days):
+    # a short horizon keeps the exp(level) prices of `epps sample` finite
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.txt")
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write(MODEL_TEXT)
+        paths_dir = os.path.join(tmp, "paths")
+        ticks = os.path.join(tmp, "ticks.csv")
+        assert main(["simulate", "--model", model, "--horizon", "1000",
+                     "--days", str(days), "--seed", str(seed),
+                     "--out", paths_dir]) == 0
+        assert main(["sample", "--paths", paths_dir, "--lambda-i", "1",
+                     "--lambda-j", "0.3", "--seed", str(seed),
+                     "--out", ticks]) == 0
+        with open(ticks, "r", encoding="utf-8") as fh:
+            times = [float(row.split(",")[2]) for row in fh.readlines()[1:]]
+        session = pipeline.SessionSpec()
+        in_window = sum(session.window_start <= t <= session.window_end
+                        for t in times)
+        assert in_window == len(times) > 0
+        with mock.patch.multiple(pipeline, _RANGE_BYTES=1000,
+                                 _cpus=lambda: 3):
+            series, errors = load_ticks(ticks)
+    assert sum(s.times.size for s in series.values()) + len(errors) \
+        == in_window
 
 
 def test_sample_keeps_ticks_microseconds_apart(model_file, tmp_path):

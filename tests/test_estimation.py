@@ -9,7 +9,8 @@ from epps.sampling import SteppedSeries, rng_stream
 from epps.estimation import (estimate_rate, epps_curve, correlogram,
                              estimate_spectrum, write_epps_csv, read_epps_csv,
                              write_correlogram_csv, read_correlogram_csv,
-                             write_spectrum_csv, read_spectrum_csv)
+                             write_spectrum_csv, read_spectrum_csv,
+                             SpectrumEstimate)
 
 
 def make_series(levels, grid_dt=1.0):
@@ -302,6 +303,21 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert back.rate_i == pytest.approx(0.5)
     assert back.rate_j == pytest.approx(0.1)
     np.testing.assert_allclose(back.s_n, spec.s_n, rtol=1e-15)
+
+
+def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
+    rng = rng_stream(8, 58)
+    s_n = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    s_n[:8] = [complex(math.nan, 1.0), complex(math.inf, -math.inf),
+               complex(-0.0, 0.0), complex(1e-300, -1e-300),
+               complex(5e-324, 1.7976931348623157e308), complex(0.1, -0.0),
+               complex(-math.nan, math.nan), complex(123456789.0, 1.0 / 3)]
+    spec = SpectrumEstimate(T=20000, n_days=2, s_n=s_n, rate_i=0.5)
+    f = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, f)
+    want = "# n_days=2\n# rate_i=0.5\nn,re,im\n" + "".join(
+        f"{n},{s.real:.17g},{s.imag:.17g}\n" for n, s in enumerate(s_n))
+    assert f.read_bytes() == want.encode()
 
 
 def test_read_table_rejects_malformed_files(tmp_path):

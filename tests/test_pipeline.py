@@ -1,6 +1,9 @@
+import collections
+import contextlib
 import json
 import math
 import os
+import signal
 import tempfile
 from unittest import mock
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from epps import fitting, pipeline
-from epps.errors import DataError
+from epps.errors import DataError, FitConvergenceError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
 from epps.sampling import simulate_ensemble, draw_poisson_times, previous_tick
@@ -221,20 +224,39 @@ def _tick_line(draw):
     return ",".join(draw(_PAD) + f + draw(_PAD) for f in fields)
 
 
+def _forced_ranges(range_bytes, cpus):
+    """Patch `load_ticks` into cutting files into up to `cpus` ranges, no
+    more than one per `range_bytes` started."""
+    return mock.patch.multiple(pipeline, _RANGE_BYTES=range_bytes,
+                               _cpus=lambda: cpus)
+
+
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 @settings(max_examples=150, deadline=None)
-@given(lines=st.lists(_tick_line(), max_size=60),
+@given(lines=st.lists(st.tuples(_tick_line(), _EOL), max_size=8)
+       # long files, with several in-window rows per asset-day
+       | st.lists(st.tuples(_tick_line(), _EOL), min_size=20, max_size=60),
+       header_eol=_EOL,
        chunk=st.sampled_from([1, 40, 200, 1 << 20]),
+       range_bytes=st.sampled_from([1, 30, 100, pipeline._RANGE_BYTES]),
+       cpus=st.sampled_from([2, 3]),
        trailing_newline=st.booleans())
-def test_load_ticks_matches_rowwise_reference(lines, chunk, trailing_newline):
-    text = "asset,day,time_sec,price\n" + "\n".join(lines)
-    if trailing_newline:
-        text += "\n"
+def test_load_ticks_matches_rowwise_reference(lines, header_eol, chunk,
+                                              range_bytes, cpus,
+                                              trailing_newline):
+    text = "asset,day,time_sec,price" + header_eol + "".join(
+        line + eol for line, eol in lines)
+    if lines and not trailing_newline:
+        text = text[:-len(lines[-1][1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ticks.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         want, want_errors = load_ticks_rowwise(path, _SESSION)
-        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
+                _forced_ranges(range_bytes, cpus):
             got, errors = load_ticks(path, _SESSION)
             assert errors == want_errors
             assert list(got) == list(want)
@@ -246,6 +268,109 @@ def test_load_ticks_matches_rowwise_reference(lines, chunk, trailing_newline):
                 with pytest.raises(DataError) as exc:
                     load_ticks(path, _SESSION, fail_fast=True)
                 assert str(exc.value) == want_errors[0]
+
+
+def test_load_ticks_checks_times_across_range_boundaries(tmp_path):
+    # 3 and 4 both come after 5: a running maximum, not the previous row
+    t0 = SessionSpec().window_start
+    path = tick_file(tmp_path, [f"A,d1,{t0 + t:.6f},100"
+                                for t in (5.0, 3.0, 4.0, 6.0)])
+    for cpus in (1, 2, 3, 4):
+        with _forced_ranges(1, cpus):
+            series, errors = load_ticks(path)
+        assert errors == [f"line 3: non-monotone time {t0 + 3} for A d1",
+                          f"line 4: non-monotone time {t0 + 4} for A d1"]
+        np.testing.assert_array_equal(series[("A", "d1")].times, [5.0, 6.0])
+
+
+def test_load_ticks_splits_field_count_errors_that_balance(tmp_path):
+    # 2 + 4 commas balance to two lines' worth, but each line is wrong
+    t0 = SessionSpec().window_start
+    good = [f"A,d1,{t0 + k:.6f},100" for k in range(1, 9)]
+    three = f"A,d1,{t0 + 20:.6f}" + " " * 12  # longer than a good row
+    five = f"A,d1,{t0 + 21:.6f},100,7"
+    parse = pipeline._parse_ranges
+    starts = []
+
+    def spy(path, ranges, session):
+        starts.extend(start for start, _ in ranges)
+        return parse(path, ranges, session)
+
+    straddled = False
+    for k in range(len(good) + 1):
+        text = ("asset,day,time_sec,price\n"
+                + "".join(r + "\n" for r in good[:k] + [three, five]
+                          + good[k:]))
+        path = tmp_path / "ticks.csv"
+        path.write_text(text)
+        for cpus in (1, 2, 3):
+            starts.clear()
+            with _forced_ranges(1, cpus), \
+                    mock.patch.object(pipeline, "_parse_ranges", spy):
+                series, errors = load_ticks(str(path))
+            assert errors == [f"line {k + 2}: expected 4 fields, got 3",
+                              f"line {k + 3}: expected 4 fields, got 5"]
+            np.testing.assert_array_equal(series[("A", "d1")].times,
+                                          np.arange(1.0, 9.0))
+            straddled |= text.index(five) in starts
+    assert straddled  # some split starts a range at the 5-field line
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block, rather than hang, when it runs over `seconds`."""
+    def expire(signum, frame):
+        # not a TimeoutError: that is an OSError, which waitpid's callers
+        # may swallow
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _failing_parse(where, failure):
+    """`_parse_range` that fails with `failure()` after parsing, in the
+    parent process or in the forked children."""
+    parent = os.getpid()
+    parse = pipeline._parse_range
+
+    def parse_range(*args):
+        part = parse(*args)
+        if (os.getpid() == parent) == (where == "parent"):
+            failure()
+        return part
+
+    return parse_range
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("where, failure, error, match", [
+    ("child", _boom, ValueError, "boom"),
+    ("child", lambda: os._exit(3), ChildProcessError, "code 3"),
+    # the child is blocked sending more than a pipe holds
+    ("parent", _boom, ValueError, "boom"),
+])
+def test_load_ticks_raises_when_a_range_parser_fails(tmp_path, where,
+                                                     failure, error, match):
+    t0 = SessionSpec().window_start
+    rows = [f"A,d1,{t0 + k * 1e-3:.6f},100" for k in range(20000)]
+    path = tick_file(tmp_path, rows)
+    with _forced_ranges(1, 2), _deadline(30), \
+            mock.patch.object(pipeline, "_parse_range",
+                              _failing_parse(where, failure)):
+        with pytest.raises(error, match=match):
+            load_ticks(path)
+    with _forced_ranges(1, 2):  # and the next call works
+        series, errors = load_ticks(path)
+    assert errors == [] and series[("A", "d1")].times.size == 20000
 
 
 def test_grid_and_normalize_drops_leading_cells():
@@ -361,6 +486,34 @@ def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
         np.testing.assert_array_equal(list(fit.stderr.values()),
                                       list(standalone.stderr.values()))
         np.testing.assert_array_equal(fit.cov, standalone.cov)
+
+
+def test_analyze_pair_runs_a_failed_raw_fit_once(monkeypatch):
+    days_i, days_j = small_days()
+    solves = collections.Counter()
+    solve = fitting._solve
+
+    def raw_fails(family, *args):
+        solves[family] += 1
+        result = solve(family, *args)
+        if family.endswith("_raw"):
+            raise FitConvergenceError(f"{family} fit did not converge",
+                                      result=result)
+        return result
+
+    monkeypatch.setattr(fitting, "_solve", raw_fails)
+    out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    assert solves == {"cross_raw": 1, "cross_async": 1,
+                      "auto_raw": 2, "auto_async": 2}
+    assert set(out["fit_failures"]) == {"cross_raw", "auto_i_raw",
+                                        "auto_j_raw"}
+    # started from the data-driven guess, as a standalone fit whose own raw
+    # fit fails is
+    cross = fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3)
+    assert out["fits"]["cross_async"].params == cross.params
+    for key, lam in (("auto_i", 1.0), ("auto_j", 0.3)):
+        auto = fitting.fit_auto_async(out[f"cg_{key}"], lam)
+        assert out["fits"][f"{key}_async"].params == auto.params
 
 
 def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):
