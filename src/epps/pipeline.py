@@ -15,7 +15,6 @@ bit-identical output tree.
 
 from dataclasses import dataclass, asdict
 import hashlib
-import io
 import json
 import math
 import os
@@ -92,11 +91,12 @@ def load_ticks(path, session=None, fail_fast=False):
     Returns (series, errors) where `series` maps (asset, day) to a
     TickSeries and `errors` lists rejected records as human-readable
     strings carrying line numbers, in line order.  Fields are stripped and
-    blank lines skipped.  A record is rejected for a wrong field count, an
-    unparseable or non-finite number, a nonpositive price, or (inside the
-    inclusive session window) a time not after the last accepted time of
-    its asset-day, equal times included.  With fail_fast the first bad
-    record raises instead, once the whole file has been read.
+    blank lines skipped.  A record is rejected for bytes that are not
+    UTF-8, a wrong field count, an unparseable or non-finite number, a
+    nonpositive price, or (inside the inclusive session window) a time not
+    after the last accepted time of its asset-day, equal times included.
+    With fail_fast the first bad record raises instead, once the whole file
+    has been read.  A header that is not UTF-8 is a wrong header.
 
     Large files are read in parallel byte ranges where the platform has
     `fork`: the file is cut at line boundaries into ranges of about equal
@@ -104,12 +104,23 @@ def load_ticks(path, session=None, fail_fast=False):
     `_RANGE_BYTES` started, and the ranges are parsed at the same time in
     forked processes.  The series, messages and message order are the same
     as from one range.
+
+    Each range is read as raw bytes, `_CHUNK_BYTES` at a time, with `\\r\\n`
+    and a lone `\\r` turned into `\\n` as universal newlines read them.
+    One numpy pass over a chunk finds its line ends and each line's comma
+    count.  Only lines without three commas are decoded one at a time, to
+    tell blank lines from bad ones; the others are decoded and split into
+    fields once per chunk.
     """
     session = session or SessionSpec()
     with open(path, "rb") as fh:
         body = _line_end(fh, 0)
         fh.seek(0)
-        if fh.read(body).decode("utf-8").strip() != "asset,day,time_sec,price":
+        try:
+            header = fh.read(body).decode("utf-8").strip()
+        except UnicodeDecodeError:
+            header = None
+        if header != "asset,day,time_sec,price":
             raise DataError("expected header 'asset,day,time_sec,price'")
         size = fh.seek(0, os.SEEK_END)
         n = 1
@@ -150,27 +161,6 @@ def _line_end(fh, pos):
                 pos += fh.read(1) == b"\n"
             return pos
         pos += len(block)
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, end) of a file as a raw stream."""
-
-    def __init__(self, path, start, end):
-        self._fh = open(path, "rb", buffering=0)
-        self._fh.seek(start)
-        self._left = end - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = self._fh.readinto(memoryview(buf)[:self._left])
-        self._left -= n
-        return n
-
-    def close(self):
-        self._fh.close()
-        super().close()
 
 
 def _parse_ranges(path, ranges, session):
@@ -238,14 +228,30 @@ def _parse_range(path, start, end, session):
     rows = {}
     bad = []
     n_lines = 0
-    raw = io.BufferedReader(_ByteRange(path, start, end))
-    with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-        while True:
-            lines = fh.readlines(_CHUNK_BYTES)
-            if not lines:
-                break
-            bad += _ingest_chunk(lines, n_lines, session, rows)
-            n_lines += len(lines)
+    carry = b""
+    left = end - start
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        more = True
+        while more:
+            block = fh.read(min(_CHUNK_BYTES, left))
+            left -= len(block)
+            chunk, carry = carry + block, b""
+            more = left > 0 and len(block) > 0
+            if more:
+                # the last line may go on in the next block, and so may a
+                # \r that ends this one, when a \n follows it
+                cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+                chunk, carry = chunk[:cut], chunk[cut:]
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if chunk and not chunk.endswith(b"\n"):  # last line, no break
+                chunk += b"\n"
+            if chunk:
+                bad_chunk, n_chunk = _ingest_chunk(chunk, n_lines, session,
+                                                   rows)
+                bad += bad_chunk
+                n_lines += n_chunk
     rows = {key: tuple(np.concatenate(col) for col in cols)
             for key, cols in rows.items()}
     return rows, bad, n_lines
@@ -300,24 +306,48 @@ def _floats(texts):
     return values, bad
 
 
-def _ingest_chunk(lines, first_lineno, session, rows):
-    """Parse consecutive raw lines column-wise into `rows`.
+def _ingest_chunk(chunk, first_lineno, session, rows):
+    """Parse consecutive lines, bytes that each end in `\\n`, into `rows`.
 
     Appends the in-window times, log prices and line numbers of each
     asset-day's valid records to its lists in `rows`; the monotone-time
     rule is left to `_merge`.  Returns the other rejected records as
-    (line number, message).
+    (line number, message), and the number of lines.
     """
-    commas = np.array([ln.count(",") for ln in lines], dtype=np.intp)
-    bad = [(first_lineno + k, f"expected 4 fields, got {commas[k] + 1}")
-           for k in np.flatnonzero(commas != 3).tolist() if lines[k].strip()]
-    good = np.flatnonzero(commas == 3)
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    line_ends = np.flatnonzero(data == ord("\n"))
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")),
+                                     line_ends), prepend=0)
+    bad = []
+    invalid = np.zeros(line_ends.size, dtype=bool)
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        # only a line with a byte above 0x7f can be invalid UTF-8
+        text = None
+        for k in np.unique(np.searchsorted(
+                line_ends, np.flatnonzero(data > 0x7F))).tolist():
+            try:
+                chunk[line_starts[k]:line_ends[k]].decode("utf-8")
+            except UnicodeDecodeError:
+                invalid[k] = True
+                bad.append((first_lineno + k, "invalid UTF-8"))
+    for k in np.flatnonzero((commas != 3) & ~invalid).tolist():
+        if chunk[line_starts[k]:line_ends[k]].decode("utf-8").strip():
+            bad.append((first_lineno + k,
+                        f"expected 4 fields, got {commas[k] + 1}"))
+    ok = (commas == 3) & ~invalid
+    good = np.flatnonzero(ok)
     if not good.size:
-        return bad
-    text = lines if good.size == len(lines) else [lines[k] for k in good]
-    # Raw lines keep their padding and newline: float() ignores surrounding
-    # whitespace and the key fields are stripped once per run below.
-    fields = ",".join(text).split(",")
+        return bad, line_ends.size
+    if good.size < line_ends.size:  # always so when a line is not UTF-8
+        text = data[np.repeat(ok, np.diff(line_ends, prepend=-1))].tobytes(
+            ).decode("utf-8")
+    # Fields keep their padding: float() ignores surrounding whitespace and
+    # the key fields are stripped once per run below.
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # the empty string after the last line break
     t, bad_t = _floats(fields[2::4])
     p, bad_p = _floats(fields[3::4])
     unparseable = bad_t | bad_p
@@ -326,7 +356,8 @@ def _ingest_chunk(lines, first_lineno, session, rows):
     nonpositive = finite & ~positive
     for mask, what in ((unparseable, "unparseable number in {!r}"),
                        (~unparseable & ~finite, "non-finite number in {!r}")):
-        bad += [(first_lineno + good[k], what.format(text[k].strip()))
+        bad += [(first_lineno + good[k],
+                 what.format(",".join(fields[4 * k:4 * k + 4]).strip()))
                 for k in np.flatnonzero(mask).tolist()]
     bad += [(first_lineno + good[k], f"nonpositive price {price}")
             for k, price in zip(np.flatnonzero(nonpositive).tolist(),
@@ -335,7 +366,7 @@ def _ingest_chunk(lines, first_lineno, session, rows):
     keep = np.flatnonzero(positive & (t >= session.window_start)
                           & (t <= session.window_end))
     if not keep.size:
-        return bad
+        return bad, line_ends.size
     assets = np.array(fields[0::4], dtype=object)[keep]
     days = np.array(fields[1::4], dtype=object)[keep]
     starts = np.flatnonzero(np.concatenate(
@@ -351,7 +382,7 @@ def _ingest_chunk(lines, first_lineno, session, rows):
         times.append(t[rows_g])
         logs.append(np.log(p[rows_g]))
         lines.append(first_lineno + good[rows_g])
-    return bad
+    return bad, line_ends.size
 
 
 def grid_and_normalize(ts, grid_dt=1.0, session=None):

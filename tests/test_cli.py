@@ -345,6 +345,26 @@ def test_estimate_wiener_without_snr_estimates_it(tmp_path, capsys):
 
 
 
+def test_estimate_counts_a_line_that_is_not_utf8(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=2)
+    with open(ticks, "ab") as fh:
+        fh.write(b"A\xff,0,36902,100\n")
+    lineno = len(ticks.read_bytes().splitlines())
+    args = ["estimate", "--ticks", str(ticks), "--asset-i", "A",
+            "--asset-j", "B", "--dt-grid", "1,5,20", "--max-lag", "40",
+            "--out", str(tmp_path / "est")]
+    assert main(args) == 0
+    assert (f"skipped record: line {lineno}: invalid UTF-8"
+            in capsys.readouterr().err.splitlines())
+    assert main(args + ["--fail-fast"]) == 2
+    assert capsys.readouterr().err == (f"data error: line {lineno}: "
+                                       "invalid UTF-8\n")
+    ticks.write_bytes(b"asset,d\xe4y,time_sec,price\n")
+    assert main(args) == 2
+    assert "expected header" in capsys.readouterr().err
+
+
 def test_estimate_records_fits_it_could_not_run(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     write_tick_csv(ticks, (1.0, 0.3), n_days=2)

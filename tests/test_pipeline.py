@@ -135,7 +135,7 @@ def test_load_ticks_rejects_non_finite_numbers(tmp_path):
 
 def load_ticks_rowwise(path, session=None, fail_fast=False):
     """Row-by-row reference reader: the loop `load_ticks` replaced, plus
-    the non-finite rule."""
+    the non-finite and invalid UTF-8 rules."""
     session = session or SessionSpec()
     buckets = {}
     errors = []
@@ -145,13 +145,20 @@ def load_ticks_rowwise(path, session=None, fail_fast=False):
         if fail_fast:
             raise DataError(errors[-1])
 
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which do not
+    # encode back
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != "asset,day,time_sec,price":
             raise DataError("expected header 'asset,day,time_sec,price'")
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                bad(lineno, "invalid UTF-8")
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -194,15 +201,20 @@ _TIMES = [f"{_SESSION.window_start + dt:.6f}"
 _PAD = st.sampled_from(["", " ", "\t", "  "])
 
 
+# bytes that are not UTF-8, as `errors="surrogateescape"` writes them: a
+# stray 0xff, a lead byte with no continuation, an encoded surrogate
+_NOT_UTF8 = st.sampled_from(["\udcff", "\udcc3", "\udced\udca0\udc80"])
+
+
 @st.composite
 def _tick_line(draw):
     kind = draw(st.sampled_from(
         ["good"] * 6 + ["fields", "unparseable", "nonpositive", "non-finite",
-                        "blank"]))
+                        "blank", "not UTF-8"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "   ", "\t"]))
-    asset = draw(st.sampled_from(["A", "B", "AB"]))
-    day = draw(st.sampled_from(["d1", "d2"]))
+    asset = draw(st.sampled_from(["A", "B", "AB", "Ä", "日"]))
+    day = draw(st.sampled_from(["d1", "d2", "d日"]))
     t = draw(st.sampled_from(_TIMES))
     price = draw(st.sampled_from(["100", "101.5", "1e-3", "99.25"]))
     if kind == "unparseable":
@@ -217,8 +229,10 @@ def _tick_line(draw):
             t = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
         else:
             price = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
+    elif kind == "not UTF-8":
+        asset += draw(_NOT_UTF8)
     fields = [asset, day, t, price]
-    if kind == "fields":
+    if kind == "fields" or (kind == "not UTF-8" and draw(st.booleans())):
         n = draw(st.sampled_from([1, 2, 3, 5, 6]))
         fields = (fields + ["extra", "more"])[:n]
     return ",".join(draw(_PAD) + f + draw(_PAD) for f in fields)
@@ -234,6 +248,37 @@ def _forced_ranges(range_bytes, cpus):
 _EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 
+def _write_text(path, text):
+    """Write `text` as UTF-8 with its line breaks as given; lone surrogates
+    become the bytes that are not UTF-8."""
+    with open(path, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        fh.write(text)
+
+
+def _assert_same_ticks(path, session):
+    """`load_ticks` agrees with `load_ticks_rowwise` on `path`, fail_fast
+    included."""
+    want, want_errors = load_ticks_rowwise(path, session)
+    got, errors = load_ticks(path, session)
+    assert errors == want_errors
+    assert list(got) == list(want)
+    for key, ts in want.items():
+        assert got[key].times.tobytes() == ts.times.tobytes()
+        np.testing.assert_array_max_ulp(got[key].log_prices, ts.log_prices,
+                                        maxulp=1)
+    if want_errors:
+        with pytest.raises(DataError) as exc:
+            load_ticks(path, session, fail_fast=True)
+        assert str(exc.value) == want_errors[0]
+
+
+def _parse_in_process(path, ranges, session):
+    """`_parse_ranges` without forking: the same ranges, parsed in order."""
+    return [pipeline._parse_range(path, start, end, session)
+            for start, end in ranges]
+
+
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(st.tuples(_tick_line(), _EOL), max_size=8)
        # long files, with several in-window rows per asset-day
@@ -246,28 +291,120 @@ _EOL = st.sampled_from(["\n", "\r\n", "\r"])
 def test_load_ticks_matches_rowwise_reference(lines, header_eol, chunk,
                                               range_bytes, cpus,
                                               trailing_newline):
+    # the ranges are parsed in this process, so a failure shrinks fast;
+    # the forked transport has its own test below
     text = "asset,day,time_sec,price" + header_eol + "".join(
         line + eol for line, eol in lines)
     if lines and not trailing_newline:
         text = text[:-len(lines[-1][1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ticks.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        want, want_errors = load_ticks_rowwise(path, _SESSION)
+        _write_text(path, text)
         with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(pipeline, "_parse_ranges",
+                                  _parse_in_process), \
                 _forced_ranges(range_bytes, cpus):
-            got, errors = load_ticks(path, _SESSION)
-            assert errors == want_errors
-            assert list(got) == list(want)
-            for key, ts in want.items():
-                assert got[key].times.tobytes() == ts.times.tobytes()
-                np.testing.assert_array_max_ulp(got[key].log_prices,
-                                                ts.log_prices, maxulp=1)
-            if want_errors:
-                with pytest.raises(DataError) as exc:
-                    load_ticks(path, _SESSION, fail_fast=True)
-                assert str(exc.value) == want_errors[0]
+            _assert_same_ticks(path, _SESSION)
+
+
+def _mixed_lines():
+    """Every kind of line `_tick_line` draws, each with every line break,
+    as (line, line break) pairs."""
+    t0 = _SESSION.window_start
+    lines = []
+    for k, eol in enumerate(["\n", "\r\n", "\r"] * 3):
+        lines += [(line, eol) for line in (
+            f"A,d1,{t0 + k:.6f},100",
+            f" 日 ,\td日, {t0 + k + 0.5:.6f} ,101.5",
+            f"Ä,d2,{t0 + k:.6f},99.25",
+            "A,d1,37000",                          # fields
+            f"A,d1,{t0 + k:.6f},100,extra",        # fields
+            "B,d1,oops,100",                       # unparseable
+            f"B,d1,{t0 + k:.6f},-1.5",             # nonpositive
+            f"B,d1,{t0 + k:.6f},inf",              # non-finite
+            "  ",                                  # blank
+            f"A\udcff,d1,{t0 + k:.6f},100",        # not UTF-8
+            "A\udcc3,d1",                          # not UTF-8
+            f"A,d1,{t0 + k - 0.25:.6f},100",       # non-monotone
+            f"A,d1,{t0 - 1:.6f},100")]             # before the window
+    return lines
+
+
+def test_load_ticks_forked_ranges_match_rowwise_reference(tmp_path):
+    path = str(tmp_path / "ticks.csv")
+    _write_text(path, "asset,day,time_sec,price\r\n" + "".join(
+        line + eol for line, eol in _mixed_lines()))
+    calls = []
+    parse = pipeline._parse_ranges
+
+    def spy(path, ranges, session):
+        calls.append(len(ranges))
+        return parse(path, ranges, session)
+
+    with _forced_ranges(1, 3), _deadline(30), \
+            mock.patch.object(pipeline, "_parse_ranges", spy):
+        _assert_same_ticks(path, _SESSION)
+    assert calls == [3, 3]  # two children each time
+
+
+def _crlf_file(tmp_path, rows, last_break=True):
+    """Tick file with `\\r\\n` line breaks, the last one left out on
+    request; returns its path and its body's offset in the file."""
+    header = "asset,day,time_sec,price\r\n"
+    path = tmp_path / "ticks.csv"
+    body = "".join(r + "\r\n" for r in rows)
+    path.write_bytes((header + (body if last_break else body[:-2])).encode())
+    return str(path), len(header)
+
+
+def _good_rows_then_a_bad_one(t0, n):
+    """`n` good rows of A on day d1 at t0 + 1, 2, ..., then a bad one."""
+    return ([f"A,d1,{t0 + k:.6f},100" for k in range(1, n + 1)]
+            + ["A,d1,oops,100"])
+
+
+def test_load_ticks_chunk_ending_on_the_cr_of_a_crlf(tmp_path):
+    t0 = SessionSpec().window_start
+    rows = _good_rows_then_a_bad_one(t0, 6)
+    path, body = _crlf_file(tmp_path, rows)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # each block ends on the \r of a row's \r\n
+    chunk = data.index(b"\r", body) + 1 - body
+    with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+        series, errors = load_ticks(path)
+    assert errors == ["line 8: unparseable number in 'A,d1,oops,100'"]
+    np.testing.assert_array_equal(series[("A", "d1")].times,
+                                  np.arange(1.0, 7.0))
+
+
+def test_load_ticks_line_longer_than_a_chunk(tmp_path):
+    t0 = SessionSpec().window_start
+    rows = _good_rows_then_a_bad_one(t0, 3)
+    # the padded first row's \r ends the second block, so its \n starts
+    # the third
+    rows[0] = f"A,d1,{t0 + 1:.6f},".ljust(2 * pipeline._CHUNK_BYTES - 4) \
+        + "100"
+    path, body = _crlf_file(tmp_path, rows)
+    with open(path, "rb") as fh:
+        assert fh.read()[body + 2 * pipeline._CHUNK_BYTES - 1:][:2] \
+            == b"\r\n"
+    series, errors = load_ticks(path)
+    assert errors == ["line 5: unparseable number in 'A,d1,oops,100'"]
+    np.testing.assert_array_equal(series[("A", "d1")].times, [1.0, 2.0, 3.0])
+
+
+def test_load_ticks_last_line_without_a_line_break(tmp_path):
+    t0 = SessionSpec().window_start
+    rows = _good_rows_then_a_bad_one(t0, 4) + [f"A,d1,{t0 + 9:.6f},100"]
+    path, _ = _crlf_file(tmp_path, rows, last_break=False)
+    # every block size, so blocks end on every byte of the last lines
+    for chunk in range(1, 40):
+        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+            series, errors = load_ticks(path)
+        assert errors == ["line 6: unparseable number in 'A,d1,oops,100'"]
+        np.testing.assert_array_equal(series[("A", "d1")].times,
+                                      [1.0, 2.0, 3.0, 4.0, 9.0])
 
 
 def test_load_ticks_checks_times_across_range_boundaries(tmp_path):
