@@ -60,6 +60,13 @@ def decay_difference_da(t, a, b):
     return -t * t * np.exp(-min(a, b) * t) * rest
 
 
+# dt/xi below which triangle_exp_integral avoids cancellation.  Above it the
+# closed form errs by at most about 5e-16 (xi/dt)^2 relative, 5e-10 here.
+# ModelPair's validation grid starts at 1e-3 x the longest time scale, so
+# loading a model never takes the slower branch.
+_SMALL_DT = 1e-3
+
+
 def triangle_exp_integral(dt, center, xi):
     """Integral of (dt - |s|) * exp(-|s - center|/xi) / (2 xi) over s in [-dt, dt].
 
@@ -69,9 +76,27 @@ def triangle_exp_integral(dt, center, xi):
     > 0.  Exact closed form: with H(u) = max(u, 0) + (xi/2) exp(-|u|/xi), whose
     second derivative is the kernel, the integral is
     H(dt - c) + H(-dt - c) - 2 H(-c) for c = |center|.
+
+    That second difference of O(xi) terms is O((dt/xi)^2 xi), so it loses
+    digits like eps (xi/dt)^2 as dt/xi -> 0.  Below dt/xi = _SMALL_DT the
+    same integral is taken without cancellation: with x = dt/xi, g = c/xi
+    and z = max(x - g, 0) it is xi (2 e^{-g} sinh^2(x/2) - (sinh z - z)),
+    the second term by its series z^3/3! + z^5/5! + z^7/7!, which is exact
+    to rounding for z <= _SMALL_DT.
     """
     dt = np.asarray(dt, dtype=float)
     c = np.abs(np.asarray(center, dtype=float))
-    return np.maximum(dt - c, 0.0) + 0.5 * xi * (
+    out = np.maximum(dt - c, 0.0) + 0.5 * xi * (
         np.exp(-np.abs(dt - c) / xi) + np.exp(-(dt + c) / xi)
         - 2.0 * np.exp(-c / xi))
+    small = dt < _SMALL_DT * xi
+    if small.any():
+        x = np.minimum(dt, _SMALL_DT * xi) / xi  # no overflow off `small`
+        g = c / xi
+        z = np.maximum(x - g, 0.0)
+        z2 = z * z
+        sh = np.sinh(0.5 * x)
+        out = np.where(small, xi * (
+            2.0 * np.exp(-g) * sh * sh
+            - z * z2 * (1.0 / 6.0 + z2 * (1.0 / 120.0 + z2 / 5040.0))), out)
+    return out

@@ -107,15 +107,17 @@ def _common_grid(series_i, series_j):
     return gdt
 
 
-def _nonoverlapping_returns(series, m):
-    return np.diff(series.levels[::m])
-
-
 def epps_curve(series_i, series_j, dt_grid):
     """Equal-time Pearson correlation of non-overlapping dt-returns.
 
     Returns are pooled across days for the point estimate; the standard
-    error is the across-day dispersion of per-day coefficients.
+    error is the across-day dispersion of per-day coefficients.  A day
+    enters as its return count, mean returns and cross-products centred on
+    those means; pooling adds the between-day (parallel-axis) term, so a
+    large mean return costs no digits.  A horizon is missing (NaN) when the
+    pooled returns number fewer than two or either asset's are constant; a
+    day adds a coefficient when it has two returns and neither asset's are
+    constant.
     """
     gdt = _common_grid(series_i, series_j)
     dt_grid = np.asarray(dt_grid, dtype=float)
@@ -124,24 +126,39 @@ def epps_curve(series_i, series_j, dt_grid):
     steps = dt_grid / gdt
     if np.any(np.abs(steps - np.round(steps)) > 1e-9):
         raise DataError("every dt must be a multiple of the grid step")
-    rho = np.full(dt_grid.size, np.nan)
+    # per (horizon, day): return count, means, centred cross-products
+    n, mx, my, sxx, syy, sxy = np.zeros((6, dt_grid.size, len(series_i)))
+    ms = np.round(steps).astype(int)
+    for d, (si, sj) in enumerate(zip(series_i, series_j)):
+        for a, m in enumerate(ms):
+            ri = np.diff(si.levels[::m])
+            rj = np.diff(sj.levels[::m])
+            if ri.size == 0:
+                continue
+            n[a, d] = ri.size
+            mx[a, d] = ri.mean()
+            my[a, d] = rj.mean()
+            xc = ri - mx[a, d]
+            yc = rj - my[a, d]
+            sxx[a, d] = xc @ xc
+            syy[a, d] = yc @ yc
+            sxy[a, d] = xc @ yc
+    total = n.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bx = mx - (n * mx).sum(axis=1, keepdims=True) / total[:, None]
+        by = my - (n * my).sum(axis=1, keepdims=True) / total[:, None]
+        pxx = sxx.sum(axis=1) + (n * bx * bx).sum(axis=1)
+        pyy = syy.sum(axis=1) + (n * by * by).sum(axis=1)
+        pxy = sxy.sum(axis=1) + (n * bx * by).sum(axis=1)
+        pooled = np.clip(pxy / np.sqrt(pxx) / np.sqrt(pyy), -1.0, 1.0)
+        per_day = np.clip(sxy / np.sqrt(sxx) / np.sqrt(syy), -1.0, 1.0)
+    present = (total >= 2) & (pxx > 0) & (pyy > 0)
+    rho = np.where(present, pooled, np.nan)
     err = np.full(dt_grid.size, np.nan)
-    for a, m in enumerate(np.round(steps).astype(int)):
-        pooled_i, pooled_j, per_day = [], [], []
-        for si, sj in zip(series_i, series_j):
-            ri = _nonoverlapping_returns(si, m)
-            rj = _nonoverlapping_returns(sj, m)
-            pooled_i.append(ri)
-            pooled_j.append(rj)
-            if ri.size >= 2 and np.std(ri) > 0 and np.std(rj) > 0:
-                per_day.append(np.corrcoef(ri, rj)[0, 1])
-        ri = np.concatenate(pooled_i)
-        rj = np.concatenate(pooled_j)
-        if ri.size < 2 or np.std(ri) == 0 or np.std(rj) == 0:
-            continue  # flagged missing
-        rho[a] = np.corrcoef(ri, rj)[0, 1]
-        if len(per_day) >= 2:
-            err[a] = np.std(per_day, ddof=1) / math.sqrt(len(per_day))
+    counted = (n >= 2) & (sxx > 0) & (syy > 0)
+    for a in np.flatnonzero(present & (counted.sum(axis=1) >= 2)):
+        r = per_day[a, counted[a]]
+        err[a] = np.std(r, ddof=1) / math.sqrt(r.size)
     return EppsCurve(dt_grid=dt_grid, rho=rho, stderr=err)
 
 

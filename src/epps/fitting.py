@@ -9,8 +9,20 @@ Four families:
 * auto_async   the sampled image of auto_raw: point mass a - b/(1 + lambda xi)
                plus a regular part vanishing at tau = 0
 
+The cross families are fitted by Levenberg-Marquardt.  The auto families
+are linear in (a, b) once xi is fixed, so they are fitted by variable
+projection (Golub & Pereyra 1973): a matches the zero-lag point exactly,
+b is the one-column weighted least-squares solution on the regular lags,
+and what is left is the chi-square as a function of log(xi) alone.  That
+profile is searched over the widths the lag grid resolves, from 0.1 x the
+lag step to 10 x the largest |lag|: a coarse grid, then bounded Brent
+around its best point.  An optimum on either edge of that range is
+reported as a degenerate fit, since the data then favour a width the grid
+cannot resolve.
+
 All Jacobians are analytic (checked against finite differences in the test
-suite) and stable across the removable lambda*xi = 1 point.  The width is
+suite) and stable across the removable lambda*xi = 1 point; the covariance
+of every fit comes from the full Jacobian at the optimum.  The width is
 fitted as log(xi) so positivity needs no constrained solver.
 """
 
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import DataError, FitConvergenceError, NumericalError
 from ._numutil import decay_difference, decay_difference_da
@@ -31,8 +43,13 @@ class FitResult:
     stderr: dict
     chi2: float
     n_points: int
-    degenerate: bool = False
+    degenerate_reasons: tuple = ()  # names of the `_pack` tests that fired
+    nfev: int = 0  # model evaluations of the optimizer
     cov: np.ndarray = None  # 3x3, in the order of `params`, xi in natural units
+
+    @property
+    def degenerate(self):
+        return bool(self.degenerate_reasons)
 
 
 # -- model evaluations and derivatives ------------------------------------------
@@ -106,12 +123,16 @@ def _cross_async_fj(tau, lambda_i, lambda_j, theta):
     return f, jac
 
 
-def _auto_raw_fj(tau_reg, theta):
+def _auto_raw_fj(tau_reg, theta, jac=True):
+    """Model at the zero-lag point and at the regular lags `tau_reg`, and its
+    Jacobian (None when `jac` is false); so is `_auto_async_fj`."""
     a, b, p = theta
     xi = _safe_xi(p)
     t = np.abs(tau_reg)
     env = np.exp(-t / xi)
     f = np.concatenate([[a], -b * env / (2.0 * xi)])
+    if not jac:
+        return f, None
     n = t.size
     jac = np.zeros((n + 1, 3))
     jac[0, 0] = 1.0
@@ -120,9 +141,9 @@ def _auto_raw_fj(tau_reg, theta):
     return f, jac
 
 
-def _auto_async_fj(tau_reg, lam, theta):
+def _auto_async_fj(tau_reg, lam, theta, jac=True):
     if math.isinf(lam):
-        return _auto_raw_fj(tau_reg, theta)
+        return _auto_raw_fj(tau_reg, theta, jac)
     a, b, p = theta
     xi = _safe_xi(p)
     u = 1.0 + lam * xi
@@ -131,6 +152,8 @@ def _auto_async_fj(tau_reg, lam, theta):
     # (e^{-t/xi} - e^{-lam t}) / (lam - 1/xi), without overflow at large t
     rho = amp * decay_difference(t, 1.0 / xi, lam)
     f = np.concatenate([[a - b / u], -b * rho])
+    if not jac:
+        return f, None
     n = t.size
     jac = np.zeros((n + 1, 3))
     jac[0] = (1.0, -1.0 / u, xi * b * lam / u ** 2)
@@ -142,9 +165,11 @@ def _auto_async_fj(tau_reg, lam, theta):
     return f, jac
 
 
-# -- generic weighted solver ----------------------------------------------------
+# -- generic weighted solvers ---------------------------------------------------
 
 _NAMES = {"cross": ("c", "tau", "xi"), "auto": ("a", "b", "xi")}
+
+_PROFILE_GRID = 40  # coarse log(xi) points of the auto profile
 
 
 def _weights(cg, idx):
@@ -159,7 +184,20 @@ def _weights(cg, idx):
     return np.minimum(sw, 100.0 * np.median(sw[np.isfinite(sw)]))
 
 
+def _xi_range(tau_span):
+    """The widths the lag grid resolves: from 0.1 x the smallest lag step
+    (narrower is below the lag resolution) to 10 x the largest |lag|
+    (wider is flat over the whole grid)."""
+    tau = np.asarray(tau_span, dtype=float)
+    steps = np.diff(np.sort(tau))
+    if not np.any(steps > 0):
+        raise DataError("the lag grid needs a positive step")
+    return (0.1 * float(np.min(steps[steps > 0])),
+            10.0 * float(np.max(np.abs(tau))))
+
+
 def _solve(family, fj, theta0, y, sw, tau_span):
+    """Levenberg-Marquardt fit of all three parameters from theta0."""
     if y.size < 4:
         raise DataError("too few points to fit three parameters")
 
@@ -173,14 +211,61 @@ def _solve(family, fj, theta0, y, sw, tau_span):
 
     sol = least_squares(resid, theta0, jac=jac, method="lm",
                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=2000)
-    result = _pack(family, fj, sol.x, y, sw, tau_span)
+    result = _pack(family, fj, sol.x, y, sw, tau_span, int(sol.nfev))
     if not sol.success:
         raise FitConvergenceError(f"{family} fit did not converge: {sol.message}",
                                   result=result)
     return result
 
 
-def _pack(family, fj, theta, y, sw, tau_span):
+def _profile(family, fj, y, sw, tau_span):
+    """Variable-projection fit of an auto family, linear in (a, b) at fixed
+    xi: f = a e_0 + b g(xi), with e_0 the zero-lag point.  a puts the
+    zero-lag residual at 0 and b is the weighted least-squares solution on
+    the regular lags, so the chi-square is a function of p = log(xi) only.
+    It is searched on a coarse grid over log `_xi_range` and refined by
+    bounded Brent between the neighbours of the best grid point; the edges
+    of the range are grid points, so an optimum there is kept exactly on
+    the edge, where `_pack` flags it."""
+    w2 = sw[1:] ** 2
+    yr = y[1:]
+    nfev = 0
+
+    def project(p):
+        """(chi2, b, g_0) at log width p."""
+        nonlocal nfev
+        nfev += 1
+        g, _ = fj((0.0, 1.0, p), False)
+        gw = w2 * g[1:]
+        gg = float(gw @ g[1:])
+        if not gg > 0.0:
+            return math.inf, math.nan, math.nan
+        b = float(gw @ yr) / gg
+        r = (b * g[1:] - yr) * sw[1:]
+        return float(r @ r), b, float(g[0])
+
+    lo, hi = _xi_range(tau_span)
+    grid = np.linspace(math.log(lo), math.log(hi), _PROFILE_GRID)
+    chi2 = [project(p)[0] for p in grid]
+    k = int(np.argmin(chi2))
+    sol = minimize_scalar(lambda p: project(p)[0], method="bounded",
+                          bounds=(grid[max(k - 1, 0)],
+                                  grid[min(k + 1, grid.size - 1)]),
+                          options={"xatol": 1e-8})
+    p = float(sol.x) if sol.fun < chi2[k] else grid[k]
+    _, b, g0 = project(p)
+    theta = np.array([y[0] - b * g0, b, p])
+    return _pack(family, fj, theta, y, sw, tau_span, nfev)
+
+
+def _pack(family, fj, theta, y, sw, tau_span, nfev):
+    """FitResult at theta, with its covariance from the full Jacobian.
+
+    The fit is degenerate when any of five tests fires, recorded by name:
+    `amplitude` (c or b within 2 stderr of 0), `non_finite` (a parameter
+    is not finite), `xi_above_range` and `xi_below_range` (xi at or beyond
+    an edge of `_xi_range`), and, for the cross families,
+    `tau_outside_range` (|tau| beyond 10 x the largest |lag|)."""
     kind = "cross" if family.startswith("cross") else "auto"
     names = _NAMES[kind]
     f, j = fj(theta)
@@ -198,21 +283,24 @@ def _pack(family, fj, theta, y, sw, tau_span):
     params = {names[0]: theta[0], names[1]: theta[1], names[2]: xi}
     stderr = {names[0]: err[0], names[1]: err[1], names[2]: xi * err[2]}
     amp = names[0] if kind == "cross" else names[1]
-    span = 10.0 * float(np.max(np.abs(tau_span))) if np.size(tau_span) else 0.0
-    steps = np.diff(np.sort(np.asarray(tau_span, dtype=float)))
-    step = float(np.min(steps[steps > 0])) if np.any(steps > 0) else 0.0
-    degenerate = (not (abs(params[amp]) > 2.0 * stderr[amp])
-                  or not all(math.isfinite(v) for v in params.values())
-                  or xi > span
-                  or xi < 0.1 * step  # narrower than the lag resolution
-                  or (kind == "cross" and abs(params["tau"]) > span))
-    if degenerate:
+    lo, hi = _xi_range(tau_span)
+    # the width tests compare log(xi) with the log of each edge, as the
+    # profile's grid has them, so that an edge optimum counts as beyond it
+    tests = (
+        ("amplitude", not abs(params[amp]) > 2.0 * stderr[amp]),
+        ("non_finite", not all(math.isfinite(v) for v in params.values())),
+        ("xi_above_range", theta[2] >= math.log(hi)),
+        ("xi_below_range", theta[2] <= math.log(lo)),
+        ("tau_outside_range", kind == "cross" and abs(params["tau"]) > hi),
+    )
+    reasons = tuple(name for name, fired in tests if fired)
+    if reasons:
         for name in names[1 if kind == "cross" else 2:]:
             if name != amp:
                 stderr[name] = float("nan")
     return FitResult(family=family, params=params, stderr=stderr,
-                     chi2=chi2, n_points=int(n), degenerate=degenerate,
-                     cov=cov_nat)
+                     chi2=chi2, n_points=int(n), degenerate_reasons=reasons,
+                     nfev=nfev, cov=cov_nat)
 
 
 # -- initialization -------------------------------------------------------------
@@ -237,20 +325,9 @@ def _cross_init(cg):
     return np.array([c0, tau0, math.log(xi0)])
 
 
-def _auto_init(cg, reg_idx):
-    lags = cg.lag_grid[reg_idx]
-    vals = cg.values[reg_idx]
-    k = int(np.argmax(np.abs(vals)))
-    xi0 = _half_width(cg.lag_grid, cg.values, int(reg_idx[k]))
-    b0 = -2.0 * xi0 * float(vals[k]) * math.exp(abs(lags[k]) / xi0)
-    if b0 == 0.0:
-        b0 = 1e-12
-    return np.array([float(cg.delta_mass), b0, math.log(xi0)])
-
-
 # -- public fits ----------------------------------------------------------------
 
-_RUN_RAW = object()  # default `raw` of the async fits: run the raw fit first
+_RUN_RAW = object()  # default `raw` of fit_cross_async: run the raw fit first
 
 
 def fit_cross_raw(cg):
@@ -282,28 +359,17 @@ def fit_cross_async(cg, lambda_i, lambda_j, raw=_RUN_RAW):
     idx = np.arange(cg.lag_grid.size)
     sw = _weights(cg, idx)
     tau = cg.lag_grid
-    theta0 = _async_start(raw, fit_cross_raw, cg, lambda: _cross_init(cg))
+    if raw is _RUN_RAW:
+        try:
+            raw = fit_cross_raw(cg)
+        except (DataError, FitConvergenceError):
+            raw = None
+    theta0 = (_cross_init(cg) if raw is None else
+              np.array([raw.params["c"], raw.params["tau"],
+                        math.log(raw.params["xi"])]))
     return _solve("cross_async",
                   lambda th: _cross_async_fj(tau, lambda_i, lambda_j, th),
                   theta0, cg.values.astype(float), sw, tau)
-
-
-def _async_start(raw, fit_raw, cg, init):
-    """Start point of an async fit: the parameters of `raw`, of
-    `fit_raw(cg)` run here when `raw` is not given, or `init()` when the
-    raw fit failed."""
-    if raw is _RUN_RAW:
-        try:
-            raw = fit_raw(cg)
-        except (DataError, FitConvergenceError):
-            raw = None
-    return init() if raw is None else _raw_theta(raw)
-
-
-def _raw_theta(result):
-    names = _NAMES["cross" if result.family.startswith("cross") else "auto"]
-    return np.array([result.params[names[0]], result.params[names[1]],
-                     math.log(result.params["xi"])])
 
 
 def _auto_setup(cg):
@@ -315,32 +381,28 @@ def _auto_setup(cg):
     k0 = int(np.flatnonzero(cg.lag_grid == 0.0)[0])
     y = np.concatenate([[cg.delta_mass], cg.values[reg_idx]])
     sw = _weights(cg, np.concatenate([[k0], reg_idx]))
-    return reg_idx, y, sw
+    return cg.lag_grid[reg_idx], y, sw
 
 
 def fit_auto_raw(cg):
     """Fit a * delta - b * exp(-|tau|/xi)/(2 xi) to an autocorrelogram."""
-    reg_idx, y, sw = _auto_setup(cg)
-    tau = cg.lag_grid[reg_idx]
-    return _solve("auto_raw", lambda th: _auto_raw_fj(tau, th),
-                  _auto_init(cg, reg_idx), y, sw, tau)
+    tau, y, sw = _auto_setup(cg)
+    return _profile("auto_raw", lambda th, jac=True: _auto_raw_fj(tau, th, jac),
+                    y, sw, tau)
 
 
-def fit_auto_async(cg, lam, raw=_RUN_RAW):
+def fit_auto_async(cg, lam):
     """Fit the sampled image of the auto family at Poisson rate lam.
 
     The point mass becomes a - b/(1 + lambda xi) and the regular part is
-    the exact sampled shape, which vanishes at zero lag.  Started from
-    `raw`, a converged `fit_auto_raw(cg)` or None, as `fit_cross_async` is.
+    the exact sampled shape, which vanishes at zero lag.
     """
     if math.isnan(lam) or lam <= 0:
         raise DataError("sampling rate must be > 0")
-    reg_idx, y, sw = _auto_setup(cg)
-    tau = cg.lag_grid[reg_idx]
-    theta0 = _async_start(raw, fit_auto_raw, cg,
-                          lambda: _auto_init(cg, reg_idx))
-    return _solve("auto_async", lambda th: _auto_async_fj(tau, lam, th),
-                  theta0, y, sw, tau)
+    tau, y, sw = _auto_setup(cg)
+    return _profile("auto_async",
+                    lambda th, jac=True: _auto_async_fj(tau, lam, th, jac),
+                    y, sw, tau)
 
 
 def chi2_ratio(raw, asyn):

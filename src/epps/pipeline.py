@@ -564,13 +564,13 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
             failures[name] = str(exc)
         return None
 
-    # each async fit starts from its converged raw fit instead of redoing
-    # it, or from the data-driven guess when the raw fit failed
+    # the async cross fit starts from the converged raw fit instead of
+    # redoing it, or from the data-driven guess when the raw fit failed
     raw = attempt("cross_raw", fit_cross_raw, cg)
     attempt("cross_async", fit_cross_async, cg, rate_i, rate_j, raw)
     for key, lam in (("auto_i", rate_i), ("auto_j", rate_j)):
-        raw = attempt(f"{key}_raw", fit_auto_raw, out[f"cg_{key}"])
-        attempt(f"{key}_async", fit_auto_async, out[f"cg_{key}"], lam, raw)
+        attempt(f"{key}_raw", fit_auto_raw, out[f"cg_{key}"])
+        attempt(f"{key}_async", fit_auto_async, out[f"cg_{key}"], lam)
     out["fits"] = fits
     out["fit_failures"] = failures
     if "cross_raw" in fits and "cross_async" in fits:
@@ -603,7 +603,9 @@ def write_artifacts(result, out_dir, labels, meta):
     assets.  `manifest.json` holds `meta`, whose `config` describes the
     run, plus the package version, the config's sha256, the rates and SNR
     used, the number of days in the spectra, the fit comparison and
-    failures, and the sha256 of every file.  Returns the manifest.
+    failures, per fit the degeneracy tests that fired and the optimizer's
+    model evaluations (`fit_diagnostics`), and the sha256 of every file.
+    Returns the manifest.
     """
     os.makedirs(out_dir, exist_ok=True)
     li, lj = labels
@@ -638,6 +640,10 @@ def write_artifacts(result, out_dir, labels, meta):
         "n_days_spectra": result["n_days_spectra"],
         "chi2_ratio": result.get("chi2_ratio"),
         "fit_failures": result["fit_failures"],
+        "fit_diagnostics": {
+            name: {"degenerate_reasons": list(fit.degenerate_reasons),
+                   "nfev": fit.nfev}
+            for name, fit in result["fits"].items()},
         "files": files,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",

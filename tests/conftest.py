@@ -1,5 +1,6 @@
 """Shared test oracles."""
 
+from decimal import Decimal, localcontext
 import math
 import warnings
 
@@ -66,3 +67,25 @@ def oscillatory_oracle():
     """The QAWF oracle for the sampled covariance of an exponential
     component: f(weight, xi, tau, lambda_i, lambda_j, dt)."""
     return _oscillatory_covariance
+
+
+def _triangle_exp_integral_50_digits(dt, center, xi):
+    """triangle_exp_integral's closed form H(dt - c) + H(-dt - c) - 2 H(-c)
+    in 80-digit decimal arithmetic on the exact binary inputs.  Its second
+    difference cancels at most about 30 digits for dt/xi >= 1e-15, so at
+    least 50 remain."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        dt, c, xi = Decimal(dt), abs(Decimal(center)), Decimal(xi)
+
+        def h(u):
+            return max(u, Decimal(0)) + xi / 2 * (-abs(u) / xi).exp()
+
+        return float(h(dt - c) + h(-dt - c) - 2 * h(-c))
+
+
+@pytest.fixture
+def triangle_oracle():
+    """A 50-digit reference of `_numutil.triangle_exp_integral`:
+    f(dt, center, xi)."""
+    return _triangle_exp_integral_50_digits

@@ -78,6 +78,54 @@ def test_epps_curve_flags_missing_points_with_nan():
     assert np.isnan(curve.rho[1]) and np.isnan(curve.stderr[1])
 
 
+def epps_curve_reference(series_i, series_j, dt_grid):
+    """Per-day `np.corrcoef` loop: pooled returns for rho, the spread of
+    per-day coefficients for stderr."""
+    rho = np.full(len(dt_grid), np.nan)
+    err = np.full(len(dt_grid), np.nan)
+    for a, dt in enumerate(dt_grid):
+        m = int(round(dt / series_i[0].grid_dt))
+        pooled_i, pooled_j, per_day = [], [], []
+        for si, sj in zip(series_i, series_j):
+            ri = np.diff(si.levels[::m])
+            rj = np.diff(sj.levels[::m])
+            pooled_i.append(ri)
+            pooled_j.append(rj)
+            if ri.size >= 2 and np.std(ri) > 0 and np.std(rj) > 0:
+                per_day.append(np.corrcoef(ri, rj)[0, 1])
+        ri = np.concatenate(pooled_i)
+        rj = np.concatenate(pooled_j)
+        if ri.size < 2 or np.std(ri) == 0 or np.std(rj) == 0:
+            continue
+        rho[a] = np.corrcoef(ri, rj)[0, 1]
+        if len(per_day) >= 2:
+            err[a] = np.std(per_day, ddof=1) / math.sqrt(len(per_day))
+    return rho, err
+
+
+def test_epps_curve_matches_per_day_corrcoef_reference():
+    # unequal days, a large drift in asset i (per-day centring keeps its
+    # digits), a day on which asset j never moves, a horizon (150) that
+    # leaves some days one return or none, and one (400) longer than every day
+    rng = rng_stream(8, 52)
+    days_i, days_j = [], []
+    for T in (300, 157, 40, 120, 233):
+        z = rng.standard_normal((2, T))
+        days_i.append(make_series(np.concatenate(
+            [[5.0], 5.0 + np.cumsum(50.0 + z[0])])))
+        dj = 0.4 * z[0] + z[1] if T != 120 else np.zeros(T)
+        days_j.append(make_series(np.concatenate([[3.7], 3.7 + np.cumsum(dj)])))
+    dt_grid = [1.0, 2.0, 5.0, 30.0, 150.0, 400.0]
+    curve = epps_curve(days_i, days_j, dt_grid)
+    rho, err = epps_curve_reference(days_i, days_j, dt_grid)
+    assert np.isnan(rho[-1]) and np.isnan(err[-2])
+    np.testing.assert_allclose(curve.rho, rho, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(curve.stderr, err, rtol=0, atol=1e-13)
+    # the flat day counts in the pooled returns but adds no coefficient
+    flat = epps_curve(days_i[3:4] * 2, days_j[3:4] * 2, [1.0])
+    assert np.isnan(flat.rho[0]) and np.isnan(flat.stderr[0])
+
+
 def test_epps_curve_rejects_off_grid_horizons():
     days_i, days_j = gaussian_days(1, 50, seed=6)
     with pytest.raises(DataError):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from epps import fitting
 from epps.errors import DataError, NumericalError, FitConvergenceError
 from epps._numutil import (decay_difference, decay_difference_da,
                            expm1_minus_x_over_x2)
 from epps.async_theory import AsyncKernel, async_cross_corr
-from epps.estimation import Correlogram
+from epps.estimation import Correlogram, correlogram
 from epps.kernels import CorrelationModel
-from epps.sampling import rng_stream
+from epps.sampling import SteppedSeries, rng_stream
 from epps.fitting import (FitResult, fit_cross_raw, fit_cross_async,
                           fit_auto_raw, fit_auto_async, chi2_ratio,
                           fit_csv_row, FIT_CSV_HEADER,
@@ -258,6 +260,89 @@ def test_degenerate_flag_on_runaway_width():
     vals = rng.standard_normal(lags.size) * 1e-4
     res = fit_auto_async(make_auto_cg(1.0, vals, lags=lags), 0.5)
     assert res.degenerate
+
+
+def brownian_auto_cg(seed, n_days, T, max_lag):
+    """Autocorrelogram of Brownian unit-grid increments: a pure delta."""
+    rng = rng_stream(seed, 60)
+    days = []
+    for _ in range(n_days):
+        levels = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T))])
+        days.append(SteppedSeries(grid_dt=1.0, start=0.0, levels=levels,
+                                  tick_times=np.arange(T + 1.0)))
+    return correlogram(days, days, max_lag)
+
+
+def lm_auto_fit(cg, fj):
+    """Levenberg-Marquardt over all three auto parameters, started from the
+    correlogram's half width as the auto fits were before the profile.
+    Returns (chi2, xi)."""
+    tau, y, sw = fitting._auto_setup(cg)
+    reg = np.flatnonzero(cg.lag_grid != 0.0)
+    k = int(np.argmax(np.abs(cg.values[reg])))
+    half = np.abs(cg.values) >= abs(cg.values[reg[k]]) / 2.0
+    xi0 = max(0.5 * np.ptp(cg.lag_grid[half]) / math.log(2.0), cg.grid_dt)
+    b0 = -2.0 * xi0 * cg.values[reg[k]] * math.exp(abs(tau[k]) / xi0)
+    sol = least_squares(
+        lambda th: (fj(tau, th)[0] - y) * sw,
+        np.array([cg.delta_mass, b0, math.log(xi0)]),
+        jac=lambda th: fj(tau, th)[1] * sw[:, None], method="lm",
+        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=2000)
+    return float(sol.fun @ sol.fun), math.exp(sol.x[2])
+
+
+AUTO_FAMILIES = [
+    ("_auto_raw_fj", fit_auto_raw, lambda tau, th: _auto_raw_fj(tau, th)),
+    ("_auto_async_fj", lambda cg: fit_auto_async(cg, 0.5),
+     lambda tau, th: _auto_async_fj(tau, 0.5, th)),
+]
+
+
+@pytest.mark.parametrize("name,fit,_", AUTO_FAMILIES)
+def test_auto_fit_of_a_structureless_correlogram_is_cheap(name, fit, _,
+                                                          monkeypatch):
+    # a pure-delta autocorrelogram has no width to find; on this one
+    # Levenberg-Marquardt stopped at its 2000-evaluation cap unconverged
+    cg = brownian_auto_cg(25, n_days=10, T=4000, max_lag=60)
+    calls = []
+    fj = getattr(fitting, name)
+    monkeypatch.setattr(fitting, name,
+                        lambda *args: calls.append(1) or fj(*args))
+    res = fit(cg)
+    assert len(calls) <= 150
+    assert res.nfev <= len(calls)
+    assert res.degenerate
+
+
+@pytest.mark.parametrize("name,fit,fj", AUTO_FAMILIES)
+def test_auto_profile_is_no_worse_than_levenberg_marquardt(name, fit, fj):
+    compared = 0
+    for seed in range(8):
+        cg = brownian_auto_cg(seed, n_days=3, T=3000, max_lag=60)
+        lm_chi2, lm_xi = lm_auto_fit(cg, fj)
+        lo, hi = fitting._xi_range(cg.lag_grid[cg.lag_grid != 0.0])
+        if lo < lm_xi < hi:
+            compared += 1
+            assert fit(cg).chi2 <= lm_chi2 * (1.0 + 1e-9)
+    assert compared >= 4
+
+
+def test_auto_fit_optimum_on_an_edge_is_degenerate():
+    # noiseless data of a width past 10x the largest lag: the profile stops
+    # on the upper edge, and a single spike at lag 1 stops it on the lower
+    lags = np.arange(-40, 41, dtype=float)
+    reg = lags[lags != 0.0]
+    f, _ = _auto_raw_fj(reg, np.array([1.0, 0.5, math.log(5000.0)]))
+    vals = np.zeros(lags.size)
+    vals[lags != 0.0] = f[1:]
+    wide = fit_auto_raw(make_auto_cg(f[0], vals, lags=lags))
+    assert wide.params["xi"] == pytest.approx(400.0, rel=1e-12)
+    assert "xi_above_range" in wide.degenerate_reasons
+    spike = np.where(np.abs(lags) == 1.0, -0.2, 0.0)
+    narrow = fit_auto_raw(make_auto_cg(1.0, spike, lags=lags))
+    assert narrow.params["xi"] == pytest.approx(0.1, rel=1e-12)
+    assert "xi_below_range" in narrow.degenerate_reasons
+    assert wide.degenerate and narrow.degenerate
 
 
 def test_weighted_fit_uses_stderr_and_reports_scaled_errors():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from epps._numutil import _SMALL_DT, triangle_exp_integral
 from epps.errors import DataError
 from epps.kernels import (CorrelationModel, ModelPair, kernel_eval,
                           spectrum_eval, sync_covariance, sync_rho,
@@ -65,6 +66,32 @@ def test_sync_covariance_delta_only():
     m = CorrelationModel(delta_weight=1.0)
     np.testing.assert_allclose(sync_covariance(m, np.array([0.5, 2.0])),
                                [0.5, 2.0])
+
+
+@pytest.mark.parametrize("xi", [0.5, 8.0, 40.0])
+def test_triangle_exp_integral_keeps_its_digits_at_small_dt(xi,
+                                                            triangle_oracle):
+    # dt/xi from 1e-9 up past the switch to the cancelling closed form, with
+    # centres inside, at and beyond the horizon; the closed form lost
+    # 1.8e-7 relative at dt/xi = 2.5e-5
+    ratios = [1e-9, 1e-6, 2.5e-5, 2e-4, 0.999 * _SMALL_DT, _SMALL_DT, 0.01]
+    for r in ratios:
+        dt = r * xi
+        for center in (0.0, 0.3 * dt, -dt, 1.7 * dt, 0.5 * xi, -3.0 * xi):
+            got = float(triangle_exp_integral(dt, center, xi))
+            want = triangle_oracle(dt, center, xi)
+            # above the switch the old closed form stays, at eps (xi/dt)^2
+            tol = 1e-14 if r < _SMALL_DT else 1e-15 / r ** 2
+            assert abs(got - want) <= tol * abs(want), (r, center)
+
+
+def test_triangle_exp_integral_is_elementwise_across_the_switch():
+    xi = 10.0
+    dt = np.array([1e-4, 0.5, 2e-3, 5.0])
+    center = np.array([0.0, 1.0, 3.0, -2.0])
+    np.testing.assert_array_equal(
+        triangle_exp_integral(dt, center, xi),
+        [float(triangle_exp_integral(d, c, xi)) for d, c in zip(dt, center)])
 
 
 def test_superposition_sums_components():

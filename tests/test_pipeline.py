@@ -599,6 +599,34 @@ def test_analyze_pair_returns_complete_artifact_set():
     assert not out["fits"]["cross_async"].degenerate
 
 
+FIT_NAMES = {"cross_raw", "cross_async", "auto_i_raw", "auto_i_async",
+             "auto_j_raw", "auto_j_async"}
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_days=st.integers(2, 6), rate_i=st.floats(0.1, 2.0),
+       rate_j=st.floats(0.1, 2.0), length=st.floats(800.0, 2000.0),
+       max_lag=st.integers(10, 60), seed=st.integers(0, 2 ** 16))
+def test_analyze_pair_flags_fits_instead_of_raising(n_days, rate_i, rate_j,
+                                                     length, max_lag, seed):
+    days_i, days_j = small_days(n_days, length, rate_i, rate_j, seed)
+    out = analyze_pair(days_i, days_j, rate_i, rate_j, [1.0, 5.0, 20.0],
+                       float(max_lag))
+    assert set(out["fits"]) | set(out["fit_failures"]) == FIT_NAMES
+    for fit in out["fits"].values():
+        assert fit.degenerate or all(math.isfinite(v)
+                                     for v in fit.params.values())
+    assert np.all(np.isfinite(out["epps_raw"].rho[:1]))
+
+
+def assert_same_fit(fit, standalone):
+    assert fit.params == standalone.params
+    assert fit.chi2 == standalone.chi2
+    np.testing.assert_array_equal(list(fit.stderr.values()),
+                                  list(standalone.stderr.values()))
+    np.testing.assert_array_equal(fit.cov, standalone.cov)
+
+
 def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
     days_i, days_j = small_days()
     solves = []
@@ -611,18 +639,17 @@ def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
     monkeypatch.setattr(fitting, "least_squares", counted)
     out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
     assert out["fit_failures"] == {}
-    assert len(solves) == 6  # one per fit, no raw fit redone
+    # the two cross fits, the raw one not redone; the auto fits are
+    # profiles with no least-squares solve
+    assert len(solves) == 2
     # the same start point as a standalone async fit, so the same result
-    for name, standalone in (
-            ("cross_async", fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3)),
-            ("auto_i_async", fitting.fit_auto_async(out["cg_auto_i"], 1.0)),
-            ("auto_j_async", fitting.fit_auto_async(out["cg_auto_j"], 0.3))):
-        fit = out["fits"][name]
-        assert fit.params == standalone.params
-        assert fit.chi2 == standalone.chi2
-        np.testing.assert_array_equal(list(fit.stderr.values()),
-                                      list(standalone.stderr.values()))
-        np.testing.assert_array_equal(fit.cov, standalone.cov)
+    assert_same_fit(out["fits"]["cross_async"],
+                    fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3))
+    for key, lam in (("auto_i", 1.0), ("auto_j", 0.3)):
+        cg = out[f"cg_{key}"]
+        assert_same_fit(out["fits"][f"{key}_raw"], fitting.fit_auto_raw(cg))
+        assert_same_fit(out["fits"][f"{key}_async"],
+                        fitting.fit_auto_async(cg, lam))
 
 
 def test_analyze_pair_runs_a_failed_raw_fit_once(monkeypatch):
@@ -640,17 +667,12 @@ def test_analyze_pair_runs_a_failed_raw_fit_once(monkeypatch):
 
     monkeypatch.setattr(fitting, "_solve", raw_fails)
     out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
-    assert solves == {"cross_raw": 1, "cross_async": 1,
-                      "auto_raw": 2, "auto_async": 2}
-    assert set(out["fit_failures"]) == {"cross_raw", "auto_i_raw",
-                                        "auto_j_raw"}
+    assert solves == {"cross_raw": 1, "cross_async": 1}
+    assert set(out["fit_failures"]) == {"cross_raw"}
     # started from the data-driven guess, as a standalone fit whose own raw
     # fit fails is
     cross = fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3)
     assert out["fits"]["cross_async"].params == cross.params
-    for key, lam in (("auto_i", 1.0), ("auto_j", 0.3)):
-        auto = fitting.fit_auto_async(out[f"cg_{key}"], lam)
-        assert out["fits"][f"{key}_async"].params == auto.params
 
 
 def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):
@@ -675,6 +697,18 @@ def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):
     fits = (out_dir / "fits.csv").read_text().splitlines()
     assert len(fits) == 7  # header + six fits
     assert fits[0].startswith("i,j,family")
+    # why each fit is degenerate, and what it cost, per fit
+    flags = {row.split(",")[2]: row.split(",")[-1] for row in fits[1:]}
+    reasons = {"amplitude", "non_finite", "xi_above_range", "xi_below_range",
+               "tau_outside_range"}
+    diagnostics = on_disk["fit_diagnostics"]
+    assert set(diagnostics) == FIT_NAMES
+    for name, diag in diagnostics.items():
+        assert set(diag["degenerate_reasons"]) <= reasons
+        assert diag["nfev"] > 0
+        family = name.replace("_i_", "_").replace("_j_", "_")
+        if name.startswith("cross"):
+            assert flags[family] == str(int(bool(diag["degenerate_reasons"])))
 
 
 def test_run_pipeline_bit_identical_reruns(tmp_path, model_file):
