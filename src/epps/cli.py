@@ -80,13 +80,19 @@ def _read_path_csv(path):
     meta = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
-            if line.startswith("#"):
-                k, v = line[1:].split("=", 1)
-                meta[k.strip()] = float(v)
-            elif line and not line.startswith("t,"):
-                rows.append([float(x) for x in line.split(",")])
+            try:
+                if line.startswith("#"):
+                    k, v = line[1:].split("=", 1)
+                    meta[k.strip()] = float(v)
+                elif line and not line.startswith("t,"):
+                    t, a, b = (float(x) for x in line.split(","))
+                    rows.append((t, a, b))
+            except ValueError:
+                raise DataError(
+                    f"{path} line {n}: expected '# key=number' or "
+                    f"'t,level_i,level_j', got {line!r}") from None
     if "grid_dt" not in meta or not rows:
         raise DataError(f"{path} is not a simulated path file")
     levels = np.array(rows)[:, 1:].T
@@ -262,7 +268,10 @@ def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
     elif snr is None or snr == "auto":
         snr_val = estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt)
     elif snr.startswith("@"):
-        snr_val = np.loadtxt(snr[1:])
+        try:
+            snr_val = np.loadtxt(snr[1:])
+        except (OSError, ValueError) as exc:
+            raise DataError(f"snr file {snr[1:]}: {exc}") from exc
     else:
         try:
             snr_val = float(snr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError
 
@@ -178,6 +177,8 @@ def _lagged_products(x, y, n_lags):
     One zero-padded real FFT cross-correlation: padding to at least
     n + n_lags points keeps the circular wrap-around off every lag read.
     """
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     n = x.size
     size = scipy.fft.next_fast_len(n + n_lags, real=True)
     fx = scipy.fft.rfft(x, size)
@@ -232,6 +233,8 @@ def estimate_spectrum(increments_i, increments_j, T=None):
     serves both sides.  The bins above T/2 are mirrored from the half
     spectrum, so Hermitian pairing S_{T-n} = conj(S_n) holds exactly.
     """
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     if len(increments_i) != len(increments_j) or not increments_i:
         raise DataError("need the same nonzero number of days per asset")
     is_auto = all(di is dj for di, dj in zip(increments_i, increments_j))
@@ -284,17 +287,13 @@ def write_correlogram_csv(cg, path):
 
 
 def read_correlogram_csv(path):
-    meta = {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for line in text.splitlines():
-        if line.startswith("#") and "=" in line:
-            k, v = line[1:].split("=", 1)
-            meta[k.strip()] = float(v)
+    meta = _read_meta(text, path)
     data = _parse_table(text, "tau,value")
     return Correlogram(lag_grid=data[:, 0], values=data[:, 1],
                        stderr=np.full(data.shape[0], np.nan),
-                       n_days=int(meta.get("n_days", 1)),
+                       n_days=meta["n_days"],
                        delta_mass=meta.get("delta_mass"))
 
 
@@ -312,17 +311,30 @@ def write_spectrum_csv(spec, path):
 
 
 def read_spectrum_csv(path):
-    meta = {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    meta = _read_meta(text, path)
+    data = _parse_table(text, "n,re,im")
+    return SpectrumEstimate(T=data.shape[0], n_days=meta["n_days"],
+                            s_n=data[:, 1] + 1j * data[:, 2],
+                            rate_i=meta.get("rate_i"), rate_j=meta.get("rate_j"))
+
+
+def _read_meta(text, path):
+    """The `# key=value` lines of a correlogram or spectrum CSV as floats,
+    with `n_days` (1 when absent) as an int."""
+    meta = {"n_days": 1.0}
     for line in text.splitlines():
         if line.startswith("#") and "=" in line:
             k, v = line[1:].split("=", 1)
-            meta[k.strip()] = float(v)
-    data = _parse_table(text, "n,re,im")
-    return SpectrumEstimate(T=data.shape[0], n_days=int(meta.get("n_days", 1)),
-                            s_n=data[:, 1] + 1j * data[:, 2],
-                            rate_i=meta.get("rate_i"), rate_j=meta.get("rate_j"))
+            try:
+                meta[k.strip()] = float(v)
+            except ValueError:
+                raise DataError(f"{path}: bad number in {line!r}") from None
+    if not math.isfinite(meta["n_days"]):
+        raise DataError(f"{path}: n_days must be finite")
+    meta["n_days"] = int(meta["n_days"])
+    return meta
 
 
 def _read_table(path, header):

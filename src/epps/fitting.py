@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import DataError, FitConvergenceError, NumericalError
 from ._numutil import decay_difference, decay_difference_da
@@ -196,17 +195,35 @@ def _xi_range(tau_span):
             10.0 * float(np.max(np.abs(tau))))
 
 
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call so that
+    importing the package loads no scipy."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
+
 def _solve(family, fj, theta0, y, sw, tau_span):
-    """Levenberg-Marquardt fit of all three parameters from theta0."""
+    """Levenberg-Marquardt fit of all three parameters from theta0.
+
+    MINPACK asks for the Jacobian at the point it evaluated last, so the
+    model and its Jacobian are computed once per point: the last theta
+    (its bytes, a copy) is kept with its (f, j)."""
     if y.size < 4:
         raise DataError("too few points to fit three parameters")
+    last = [None, None]
+
+    def model(theta):
+        key = theta.tobytes()
+        if key != last[0]:
+            last[:] = key, fj(theta)
+        return last[1]
 
     def resid(theta):
-        f, _ = fj(theta)
+        f, _ = model(theta)
         return (f - y) * sw
 
     def jac(theta):
-        _, j = fj(theta)
+        _, j = model(theta)
         return j * sw[:, None]
 
     sol = least_squares(resid, theta0, jac=jac, method="lm",
@@ -227,6 +244,8 @@ def _profile(family, fj, y, sw, tau_span):
     bounded Brent between the neighbours of the best grid point; the edges
     of the range are grid points, so an optimum there is kept exactly on
     the edge, where `_pack` flags it."""
+    from scipy.optimize import minimize_scalar  # as in `least_squares`
+
     w2 = sw[1:] ** 2
     yr = y[1:]
     nfev = 0

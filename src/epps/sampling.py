@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError, NumericalError
 from .kernels import ModelPair, _as_models
@@ -96,6 +95,8 @@ def _max_lag_steps(pair, grid_dt):
 
 def _circulant_factors(pair, grid_dt, n):
     """Per-frequency lower-triangular factors of the 2x2 increment spectrum."""
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     kmax = _max_lag_steps(pair, grid_dt)
     if 2 * kmax + 1 >= n:
         raise DataError("horizon too short for the kernel time scales")
@@ -120,6 +121,8 @@ def _circulant_factors(pair, grid_dt, n):
 
 
 def _draw_increment_pairs(l11, l21, l22, rng, n):
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     z1 = math.sqrt(n) * l11 * w[0]
     z2 = math.sqrt(n) * (l21 * w[0] + l22 * w[1])

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -400,3 +402,98 @@ def test_snr_without_the_wiener_filter_is_rejected(tmp_path, model_file,
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 2
     assert "wiener" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", ["# a note", "1,0.5,oops"])
+def test_sample_rejects_a_malformed_path_file(bad_line, tmp_path, capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "path_d000.csv").write_text(
+        f"# grid_dt=1\n# t0=0\nt,level_i,level_j\n0,0,0\n{bad_line}\n")
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--out", str(tmp_path / "ticks.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "path_d000.csv" in err
+
+
+def write_small_spectrum(path, n_days="1"):
+    write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(8),
+                                        rate_i=0.5, rate_j=0.5), path)
+    path.write_text(path.read_text().replace("# n_days=1",
+                                             f"# n_days={n_days}"))
+
+
+def test_filter_rejects_an_snr_file_that_is_not_numeric(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    write_small_spectrum(spec)
+    snr = tmp_path / "snr.txt"
+    snr.write_text("high\n" * 8)
+    assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
+                 "--lambda-j", "0.5", "--mode", "wiener",
+                 "--snr", f"@{snr}", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "snr.txt" in err
+
+
+def test_bad_n_days_in_a_csv_header_is_a_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    cg = tmp_path / "cg.csv"
+    lags = np.arange(-20, 21, dtype=float)
+    for value in ("many", "nan"):
+        write_small_spectrum(spec, value)
+        assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
+                     "--lambda-j", "0.5",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "spec.csv" in capsys.readouterr().err
+        write_correlogram_csv(Correlogram(
+            lag_grid=lags, values=np.exp(-np.abs(lags) / 5.0),
+            stderr=np.full(lags.size, np.nan), n_days=1), cg)
+        cg.write_text(cg.read_text().replace("# n_days=1",
+                                             f"# n_days={value}"))
+        assert main(["fit", "--correlogram", str(cg),
+                     "--family", "cross_raw"]) == 2
+        assert "cg.csv" in capsys.readouterr().err
+
+
+COLD_START = """\
+import json, sys
+from epps.cli import main
+
+def scipy_loaded():
+    return [m for m in ("scipy.fft", "scipy.optimize") if m in sys.modules]
+
+model, cg, out = sys.argv[1:]
+seen = {"import": scipy_loaded()}
+code = main(["theory", "--model", model, "--grid", "1,10",
+             "--out", out + ".theory"])
+seen["theory"] = [code, scipy_loaded()]
+code = main(["fit", "--correlogram", cg, "--family", "cross_raw",
+             "--out", out + ".fit"])
+seen["fit"] = [code, scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_commands_that_use_it(
+        model_file, tmp_path):
+    # in a fresh interpreter: this one has scipy loaded by the test suite
+    lags = np.arange(-60, 61, dtype=float)
+    vals, _ = _cross_raw_fj(lags, np.array([0.45, 3.0, math.log(7.0)]))
+    cg = tmp_path / "cg.csv"
+    write_correlogram_csv(Correlogram(lag_grid=lags, values=vals,
+                                      stderr=np.full(lags.size, np.nan),
+                                      n_days=1), cg)
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, model_file,
+                           str(cg), str(out)], env=env, capture_output=True,
+                          text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == []
+    assert seen["theory"] == [0, []]
+    code, loaded = seen["fit"]
+    assert code == 0 and "scipy.optimize" in loaded
+    fit_row = (tmp_path / "out.fit").read_text().splitlines()[1]
+    assert fit_row.split(",")[2] == "cross_raw"

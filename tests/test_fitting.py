@@ -243,6 +243,44 @@ def test_raw_fit_absorbs_asymmetric_sampling_into_spurious_lag():
     assert chi2_ratio(raw, asyn) > 100.0
 
 
+def lm_cross_fit(fj, theta0, y):
+    """Levenberg-Marquardt as `_solve` runs it at unit weights, but with the
+    model evaluated afresh for every residual and every Jacobian."""
+    return least_squares(lambda th: fj(th)[0] - y, theta0,
+                         jac=lambda th: fj(th)[1], method="lm",
+                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=2000)
+
+
+CROSS_FAMILIES = [
+    ("_cross_raw_fj", fit_cross_raw, ()),
+    ("_cross_async_fj", lambda cg: fit_cross_async(cg, 1.0, 0.05, raw=None),
+     (1.0, 0.05)),
+]
+
+
+@pytest.mark.parametrize("name,fit,rates", CROSS_FAMILIES)
+def test_cross_fit_evaluates_the_model_once_per_point(name, fit, rates,
+                                                      monkeypatch):
+    # MINPACK asks for the Jacobian at the point whose residual it computed
+    # last, so one model evaluation serves both
+    lags = np.arange(-80, 81, dtype=float)
+    truth, _ = _cross_async_fj(lags, 1.0, 0.05,
+                               np.array([0.4, 2.0, math.log(8.0)]))
+    vals = truth + rng_stream(5, 75).standard_normal(lags.size) * 0.02
+    cg = make_cross_cg(vals, lags=lags)
+    calls = []
+    fj = getattr(fitting, name)
+    monkeypatch.setattr(fitting, name,
+                        lambda *args: calls.append(1) or fj(*args))
+    res = fit(cg)
+    assert len(calls) == res.nfev + 1  # every LM point, then `_pack`'s
+    sol = lm_cross_fit(lambda th: fj(lags, *rates, th),
+                       fitting._cross_init(cg), vals)
+    assert sol.nfev == res.nfev
+    assert res.params == {"c": sol.x[0], "tau": sol.x[1],
+                          "xi": math.exp(sol.x[2])}
+
+
 def test_degenerate_flag_on_pure_noise():
     rng = rng_stream(0, 70)
     lags = np.arange(-40, 41, dtype=float)
