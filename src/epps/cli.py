@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, read_text
 from .kernels import load_model_file, sync_covariance, sync_rho
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
@@ -79,20 +79,19 @@ def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
 def _read_path_csv(path):
     meta = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            try:
-                if line.startswith("#"):
-                    k, v = line[1:].split("=", 1)
-                    meta[k.strip()] = float(v)
-                elif line and not line.startswith("t,"):
-                    t, a, b = (float(x) for x in line.split(","))
-                    rows.append((t, a, b))
-            except ValueError:
-                raise DataError(
-                    f"{path} line {n}: expected '# key=number' or "
-                    f"'t,level_i,level_j', got {line!r}") from None
+    for n, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                k, v = line[1:].split("=", 1)
+                meta[k.strip()] = float(v)
+            elif line and not line.startswith("t,"):
+                t, a, b = (float(x) for x in line.split(","))
+                rows.append((t, a, b))
+        except ValueError:
+            raise DataError(
+                f"{path} line {n}: expected '# key=number' or "
+                f"'t,level_i,level_j', got {line!r}") from None
     if "grid_dt" not in meta or not rows:
         raise DataError(f"{path} is not a simulated path file")
     levels = np.array(rows)[:, 1:].T

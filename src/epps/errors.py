@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the text-file reader
+that turns undecodable input into one of them.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericalError -> 3.
 """
@@ -28,3 +29,15 @@ class FitConvergenceError(NumericalError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def read_text(path):
+    """The contents of a UTF-8 text file, newlines translated as in text
+    mode; a byte sequence that is not UTF-8 raises DataError naming the file
+    and the byte offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: invalid UTF-8 at byte {exc.start}") from None

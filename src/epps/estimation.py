@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def epps_curve(series_i, series_j, dt_grid):
 
 
 def _normalized_increments(series, normalize):
-    x = series.increments.astype(float)
+    x = series.increments.astype(float, copy=False)
     if not normalize:
         return x
     sd = np.std(x)
@@ -287,8 +287,7 @@ def write_correlogram_csv(cg, path):
 
 
 def read_correlogram_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     meta = _read_meta(text, path)
     data = _parse_table(text, "tau,value")
     return Correlogram(lag_grid=data[:, 0], values=data[:, 1],
@@ -311,8 +310,7 @@ def write_spectrum_csv(spec, path):
 
 
 def read_spectrum_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     meta = _read_meta(text, path)
     data = _parse_table(text, "n,re,im")
     return SpectrumEstimate(T=data.shape[0], n_days=meta["n_days"],
@@ -338,8 +336,7 @@ def _read_meta(text, path):
 
 
 def _read_table(path, header):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_table(fh.read(), header)
+    return _parse_table(read_text(path), header)
 
 
 def _parse_table(text, header):

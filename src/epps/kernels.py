@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, read_text
 from ._numutil import triangle_exp_integral
 
 
@@ -239,5 +239,4 @@ def parse_model_text(text):
 
 
 def load_model_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read())
+    return parse_model_text(read_text(path))

@@ -23,7 +23,7 @@ import pickle
 import numpy as np
 
 from . import __version__
-from .errors import DataError, EppsError, FitConvergenceError
+from .errors import DataError, EppsError, FitConvergenceError, read_text
 from .kernels import ModelPair, load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
                        previous_tick, default_warmup)
@@ -470,11 +470,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"bad config JSON: {exc}") from exc
+        try:
+            raw = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"bad config JSON: {exc}") from exc
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -485,8 +484,7 @@ class RunConfig:
 
 
 def _read_tick_times(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0] != "tick_time":
         raise DataError("expected a single 'tick_time' column")
     try:

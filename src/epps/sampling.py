@@ -6,12 +6,15 @@ circulant, factorized per frequency, and colored onto complex white noise
 (circulant embedding).  The circulant has one point per grid step of
 [-warmup, horizon], even where that length is slow to transform (40 010 =
 2 * 5 * 4001 for 40 000 s plus 10 s of warm-up): a longer circulant would
-be valid but would change every draw of a given seed.  Tick times are drawn
-independently of the path and a previous-tick stepped series assigns to
-each grid time the path value at the latest tick at or before it.
+be valid but would change every draw of a given seed.  The factors depend
+only on the model pair, the grid step and the length, so they are cached
+on those.  Tick times are drawn independently of the path and a
+previous-tick stepped series assigns to each grid time the path value at
+the latest tick at or before it.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -93,8 +96,13 @@ def _max_lag_steps(pair, grid_dt):
     return int(math.ceil(scale / grid_dt)) + 1
 
 
+@functools.lru_cache(maxsize=4)
 def _circulant_factors(pair, grid_dt, n):
-    """Per-frequency lower-triangular factors of the 2x2 increment spectrum."""
+    """Per-frequency lower-triangular factors of the 2x2 increment spectrum.
+
+    Cached on (pair, grid_dt, n), so the three transforms at length n run
+    once per model and grid; the arrays are shared and read-only.
+    """
     import scipy.fft  # here, so that importing the package loads no scipy
 
     kmax = _max_lag_steps(pair, grid_dt)
@@ -117,23 +125,36 @@ def _circulant_factors(pair, grid_dt, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         l21 = np.where(l11 > 0, np.conj(m12) / np.where(l11 > 0, l11, 1.0), 0.0)
     l22 = np.sqrt(np.maximum(r - np.abs(l21) ** 2, 0.0))
+    for factor in (l11, l21, l22):
+        factor.flags.writeable = False
     return l11, l21, l22
 
 
 def _draw_increment_pairs(l11, l21, l22, rng, n):
+    """Color complex white noise with the factors and transform it back.
+
+    The real and imaginary parts are two independent increment samples,
+    shape (2, n) each.  The noise is colored in place in one (2, n) array,
+    second row first since it reads the first row's white noise.
+    """
     import scipy.fft  # here, so that importing the package loads no scipy
 
-    w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    z1 = math.sqrt(n) * l11 * w[0]
-    z2 = math.sqrt(n) * (l21 * w[0] + l22 * w[1])
-    x = scipy.fft.ifft(np.vstack([z1, z2]), axis=-1)
-    return x.real, x.imag  # two independent increment samples, shape (2, n)
+    w = np.empty((2, n), dtype=complex)
+    w.real = rng.standard_normal((2, n))
+    w.imag = rng.standard_normal((2, n))
+    scale = math.sqrt(n)
+    w[1] *= l22
+    w[1] += l21 * w[0]
+    w[1] *= scale
+    w[0] *= scale * l11
+    x = scipy.fft.ifft(w, axis=-1, overwrite_x=True)
+    return x.real, x.imag
 
 
 def _levels(increments):
     n = increments.shape[1]
     lev = np.zeros((2, n + 1))
-    lev[:, 1:] = np.cumsum(increments, axis=1)
+    np.cumsum(increments, axis=1, out=lev[:, 1:])
     return lev
 
 
@@ -152,7 +173,12 @@ def simulate_paths(pair, grid_dt, horizon, seed=0, warmup=0.0):
 
 
 def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
-    """Independent paths for Monte Carlo; two paths per random draw."""
+    """Independent paths for Monte Carlo; two paths per random draw.
+
+    The circulant factors are computed once for equal (pair, grid_dt,
+    length) and reused by later calls, here and in `simulate_paths`; the
+    draws of a seed are the same as with fresh factors, byte for byte.
+    """
     if grid_dt <= 0 or horizon <= 0 or warmup < 0:
         raise DataError("grid_dt and horizon must be > 0, warmup >= 0")
     n = int(round((horizon + warmup) / grid_dt))
@@ -192,9 +218,55 @@ def default_warmup(lam):
     return 10.0 / lam
 
 
+def _tick_times(ticks):
+    """Tick times as a float array, checked: nonempty, finite and strictly
+    increasing (a NaN would pass the increasing test unnoticed)."""
+    ticks = np.asarray(ticks, dtype=float)
+    if ticks.size == 0:
+        raise DataError("no ticks supplied")
+    if not np.all(np.isfinite(ticks)):
+        raise DataError("tick times must be finite")
+    if np.any(np.diff(ticks) <= 0):
+        raise DataError("tick times must be strictly increasing")
+    return ticks
+
+
+def _last_tick_index(ticks, grid, grid_dt):
+    """Index of the last tick at or before each grid time, -1 where there is
+    none: ``np.searchsorted(ticks, grid, side="right") - 1`` in linear time.
+
+    Each tick's first grid index at or after it is guessed by arithmetic and
+    checked against the computed grid; the few guesses that rounding puts
+    one cell off are looked up exactly.  Counting ticks per first index and
+    summing counts the ticks at or before each grid time.
+    """
+    n = grid.size
+    first = ticks - grid[0]
+    first /= grid_dt
+    np.ceil(first, out=first)
+    np.clip(first, 0, n, out=first)
+    first = first.astype(np.intp)
+    # grid[first - 1] < t <= grid[first], with -inf and +inf past the ends
+    bounds = np.concatenate(([-np.inf], grid, [np.inf]))
+    edge = bounds.take(first)
+    wrong = edge >= ticks
+    bounds[1:].take(first, out=edge)
+    wrong |= edge < ticks
+    wrong = np.flatnonzero(wrong)
+    first[wrong] = np.searchsorted(grid, ticks[wrong], side="left")
+    counts = np.bincount(first, minlength=n + 1)[:n]
+    np.cumsum(counts, out=counts)
+    counts -= 1
+    return counts
+
+
 def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
                   start=0.0, end=None):
     """Previous-tick stepped series on a uniform grid.
+
+    Each grid time takes the value of the latest tick at or before it.  The
+    lookup is a linear-time count, equal to a binary search of every grid
+    time among the ticks.
 
     Parameters
     ----------
@@ -202,7 +274,8 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
         Where tick values come from.  For a path, the value at each tick is
         the path level at that time; for raw tick data, the recorded value.
     ticks : array_like, optional
-        Tick times; defaults to the source's own times for tick data.
+        Tick times; defaults to the source's own times for tick data.  They
+        must be finite and strictly increasing, else DataError.
     grid_dt : float
         Output grid step; defaults to the source grid step when available.
     asset : int
@@ -213,14 +286,12 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     if isinstance(source, SimulatedPath):
         if ticks is None:
             raise DataError("previous_tick on a path requires tick times")
-        ticks = np.asarray(ticks, dtype=float)
+        ticks = _tick_times(ticks)
         values = source.value_at(asset, ticks)
         grid_dt = source.grid_dt if grid_dt is None else grid_dt
         end = source.t_end if end is None else end
     elif isinstance(source, SteppedSeries):
-        if ticks is None:
-            ticks = source.tick_times
-        ticks = np.asarray(ticks, dtype=float)
+        ticks = _tick_times(source.tick_times if ticks is None else ticks)
         grid = source.start + np.arange(source.levels.size) * source.grid_dt
         idx = np.searchsorted(grid, ticks, side="right") - 1
         if np.any(idx < 0):
@@ -231,20 +302,21 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
             if end is None else end
     else:
         times, values = source
-        ticks = np.asarray(times if ticks is None else ticks, dtype=float)
+        ticks = _tick_times(times if ticks is None else ticks)
         values = np.asarray(values, dtype=float)
         if ticks.size != values.size:
             raise DataError("tick times and values differ in length")
         if grid_dt is None:
             raise DataError("grid_dt is required for tick-data sources")
         end = float(ticks[-1]) if end is None else end
-    if ticks.size == 0:
-        raise DataError("no ticks supplied")
-    if np.any(np.diff(ticks) <= 0):
-        raise DataError("tick times must be strictly increasing")
+    if not (0 < grid_dt < math.inf and math.isfinite(start)
+            and math.isfinite(end)):
+        raise DataError("previous_tick needs finite start, end and grid_dt > 0")
     n_cells = int(math.floor((end - start) / grid_dt + 1e-9))
+    if n_cells < 0:
+        raise DataError("grid end before its start")
     grid = start + np.arange(n_cells + 1) * grid_dt
-    idx = np.searchsorted(ticks, grid, side="right") - 1
+    idx = _last_tick_index(ticks, grid, grid_dt)
     if idx[0] < 0:
         raise DataError("no tick at or before the grid start; "
                         "supply warmup or truncate the grid")

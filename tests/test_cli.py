@@ -14,8 +14,9 @@ import pytest
 import epps.cli as cli_mod
 from epps import pipeline
 from epps.cli import main
-from epps.errors import NumericalError
+from epps.errors import DataError, NumericalError
 from epps.estimation import (Correlogram, write_correlogram_csv,
+                             EppsCurve, write_epps_csv, read_epps_csv,
                              SpectrumEstimate, write_spectrum_csv,
                              read_spectrum_csv)
 from epps.fitting import _cross_raw_fj
@@ -453,6 +454,68 @@ def test_bad_n_days_in_a_csv_header_is_a_data_error(tmp_path, capsys):
         assert main(["fit", "--correlogram", str(cg),
                      "--family", "cross_raw"]) == 2
         assert "cg.csv" in capsys.readouterr().err
+
+
+def append_a_byte_that_is_not_utf8(path):
+    """Append 0xff, which no UTF-8 text holds, and return its offset."""
+    text = path.read_bytes()
+    path.write_bytes(text + b"\xff\n")
+    return len(text)
+
+
+def write_cli_input(kind, tmp_path, model_file):
+    """One well-formed input file of each kind a command reads as text, and
+    the argument list of a command that reads it."""
+    if kind == "model":
+        return tmp_path / "model.txt", ["theory", "--model", model_file]
+    if kind == "correlogram":
+        f = tmp_path / "cg.csv"
+        lags = np.arange(-20, 21, dtype=float)
+        write_correlogram_csv(Correlogram(
+            lag_grid=lags, values=np.exp(-np.abs(lags) / 5.0),
+            stderr=np.full(lags.size, np.nan), n_days=1), f)
+        return f, ["fit", "--correlogram", str(f), "--family", "cross_raw"]
+    if kind == "spectrum":
+        f = tmp_path / "spec.csv"
+        write_small_spectrum(f)
+        return f, ["filter", "--spectrum", str(f), "--lambda-i", "0.5",
+                   "--lambda-j", "0.5", "--out", str(tmp_path / "o.csv")]
+    if kind == "config":
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"model_file": model_file}))
+        return f, ["run", "--config", str(f), "--out", str(tmp_path / "run")]
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    path_file = paths_dir / "path_d000.csv"
+    path_file.write_text("# grid_dt=1\n# t0=0\nt,level_i,level_j\n0,0,0\n")
+    args = ["sample", "--paths", str(paths_dir),
+            "--out", str(tmp_path / "ticks.csv")]
+    if kind == "path":
+        return path_file, args
+    replay = tmp_path / "times.csv"
+    replay.write_text("tick_time\n0\n")
+    return replay, args + ["--replay-i", str(replay), "--replay-j", str(replay)]
+
+
+@pytest.mark.parametrize("kind", ["model", "correlogram", "spectrum", "config",
+                                  "path", "tick_times"])
+def test_a_text_input_that_is_not_utf8_is_a_data_error(kind, tmp_path,
+                                                       model_file, capsys):
+    path, args = write_cli_input(kind, tmp_path, model_file)
+    offset = append_a_byte_that_is_not_utf8(path)
+    assert main(args) == 2
+    assert (f"data error: {path}: invalid UTF-8 at byte {offset}"
+            in capsys.readouterr().err)
+
+
+def test_an_epps_csv_that_is_not_utf8_is_a_data_error(tmp_path):
+    f = tmp_path / "epps.csv"
+    write_epps_csv(EppsCurve(dt_grid=np.array([1.0, 2.0]),
+                             rho=np.array([0.1, 0.2]),
+                             stderr=np.array([0.01, 0.02])), f)
+    offset = append_a_byte_that_is_not_utf8(f)
+    with pytest.raises(DataError, match=f"invalid UTF-8 at byte {offset}"):
+        read_epps_csv(f)
 
 
 COLD_START = """\

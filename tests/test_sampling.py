@@ -1,15 +1,17 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.stats import kstest
 
 from epps.errors import DataError
 from epps.kernels import CorrelationModel, ModelPair, sync_covariance
-from epps.sampling import (SimulatedPath, rng_stream,
+from epps.sampling import (SimulatedPath, SteppedSeries, rng_stream,
                            simulate_paths, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
-                           _binned_cov, _max_lag_steps)
+                           _binned_cov, _circulant_factors, _max_lag_steps)
 from epps.pipeline import _read_tick_times
 
 
@@ -104,18 +106,17 @@ def test_paths_in_one_draw_are_uncorrelated():
     assert abs(r) < 4.0 / math.sqrt(d0.size)
 
 
-def numpy_fft_draw(pair, grid_dt, n, seed, *key):
-    """Level pairs of one circulant draw, written out with numpy.fft: the
-    positive-exponent spectra, their 2 x 2 lower-triangular factors, complex
-    white noise from the keyed stream, and one inverse transform whose real
-    and imaginary parts are two independent increment samples."""
+def reference_factors(pair, grid_dt, n, fft):
+    """The circulant factors written out, uncached: the positive-exponent
+    spectra of the wrapped covariances and their 2 x 2 lower-triangular
+    factors."""
     kmax = _max_lag_steps(pair, grid_dt)
     ks = np.arange(-kmax, kmax + 1)
 
     def spectrum(model):
         g = np.zeros(n)
         g[ks % n] = _binned_cov(model, grid_dt, ks)
-        return np.fft.fft(g).conj()
+        return fft.fft(g).conj()
 
     m11, m22, m12 = (spectrum(m)
                      for m in (pair.auto_i, pair.auto_j, pair.cross))
@@ -123,11 +124,20 @@ def numpy_fft_draw(pair, grid_dt, n, seed, *key):
     l21 = np.where(l11 > 0, np.conj(m12) / np.where(l11 > 0, l11, 1.0), 0.0)
     l22 = np.sqrt(np.maximum(np.maximum(m22.real, 0.0) - np.abs(l21) ** 2,
                              0.0))
+    return l11, l21, l22
+
+
+def reference_draw(pair, grid_dt, n, seed, *key, fft=scipy.fft):
+    """Level pairs of one circulant draw by the coloring that makes a new
+    array at each step: complex white noise from the keyed stream, two
+    colored rows, their stack and one inverse transform, whose real and
+    imaginary parts are two independent increment samples."""
+    l11, l21, l22 = reference_factors(pair, grid_dt, n, fft)
     rng = rng_stream(seed, *key)
     w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    x = np.fft.ifft(math.sqrt(n) * np.vstack([l11 * w[0],
-                                              l21 * w[0] + l22 * w[1]]),
-                    axis=-1)
+    z1 = math.sqrt(n) * l11 * w[0]
+    z2 = math.sqrt(n) * (l21 * w[0] + l22 * w[1])
+    x = fft.ifft(np.vstack([z1, z2]), axis=-1)
     return [np.hstack([np.zeros((2, 1)), np.cumsum(part, axis=1)])
             for part in (x.real, x.imag)]
 
@@ -138,13 +148,47 @@ def test_draws_match_the_numpy_fft_reference():
     pair, grid_dt, horizon, warmup, seed = smooth_pair(), 1.0, 4000.0, 10.0, 9
     n = 4010
     path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
-    expected, _ = numpy_fft_draw(pair, grid_dt, n, seed, 0)
+    expected, _ = reference_draw(pair, grid_dt, n, seed, 0, fft=np.fft)
     np.testing.assert_allclose(path.levels, expected, rtol=0, atol=1e-12)
     paths = simulate_ensemble(pair, grid_dt, horizon, 3, seed=seed,
                               warmup=warmup)
     for k, p in enumerate(paths):
-        expected = numpy_fft_draw(pair, grid_dt, n, seed, 1, k // 2)[k % 2]
+        expected = reference_draw(pair, grid_dt, n, seed, 1, k // 2,
+                                  fft=np.fft)[k % 2]
         np.testing.assert_allclose(p.levels, expected, rtol=0, atol=1e-12)
+
+
+def test_draws_equal_the_copying_reference_byte_for_byte():
+    # the same transforms as the simulator, so in-place coloring and cached
+    # factors must leave every bit of the levels as it was
+    pair, grid_dt, horizon, warmup, seed = smooth_pair(), 1.0, 4000.0, 10.0, 4
+    n = 4010
+    path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
+    expected, _ = reference_draw(pair, grid_dt, n, seed, 0)
+    assert path.levels.tobytes() == expected.tobytes()
+    paths = simulate_ensemble(pair, grid_dt, horizon, 5, seed=seed,
+                              warmup=warmup)
+    assert len(paths) == 5
+    for k, p in enumerate(paths):
+        expected = reference_draw(pair, grid_dt, n, seed, 1, k // 2)[k % 2]
+        assert p.levels.tobytes() == expected.tobytes()
+
+
+def test_equal_pairs_share_read_only_factors():
+    args = (1.0, 4000.0, 3)
+    first = simulate_ensemble(smooth_pair(), *args, seed=2, warmup=10.0)
+    hits = _circulant_factors.cache_info().hits
+    again = simulate_ensemble(smooth_pair(), *args, seed=2, warmup=10.0)
+    assert _circulant_factors.cache_info().hits == hits + 1
+    for a, b in zip(first, again):
+        assert a.levels.tobytes() == b.levels.tobytes()
+    factors = _circulant_factors(smooth_pair(), 1.0, 4010)
+    for cached, fresh in zip(factors, reference_factors(
+            smooth_pair(), 1.0, 4010, scipy.fft)):
+        assert cached.tobytes() == fresh.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_simulation_rejects_bad_arguments():
@@ -238,3 +282,87 @@ def test_previous_tick_dense_ticks_recover_the_path():
     ticks = np.arange(0.0, 40.5, 1.0)  # one tick per grid point
     s = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=40.0)
     np.testing.assert_array_equal(s.levels, p.levels[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_previous_tick_rejects_non_finite_tick_times(bad):
+    # a NaN passes a strictly-increasing test, since comparisons with it
+    # are false
+    with pytest.raises(DataError, match="finite"):
+        previous_tick((np.array([0.0, 1.5, bad]), np.array([1.0, 2.0, 3.0])),
+                      grid_dt=1.0, start=0.0, end=3.0)
+    path = SimulatedPath(grid_dt=1.0, t0=0.0, levels=np.zeros((2, 5)))
+    with pytest.raises(DataError, match="finite"):
+        previous_tick(path, [0.0, bad], start=0.0, end=3.0)
+
+
+@pytest.mark.parametrize("grid", [dict(grid_dt=0.0), dict(grid_dt=math.nan),
+                                  dict(start=math.nan), dict(end=math.inf),
+                                  dict(start=5.0, end=3.0)])
+def test_previous_tick_rejects_a_bad_output_grid(grid):
+    # these ended in ZeroDivisionError, ValueError or IndexError
+    span = dict(grid_dt=1.0, start=0.0, end=3.0) | grid
+    with pytest.raises(DataError):
+        previous_tick((np.array([0.0, 1.5]), np.array([1.0, 2.0])), **span)
+
+
+@st.composite
+def grids_and_ticks(draw):
+    """A grid as previous_tick builds it, and strictly increasing ticks that
+    include one at or before its start, some exactly on grid times or one
+    ulp off them, and some before its start or past its end."""
+    start = draw(st.one_of(st.integers(-50, 50).map(float),
+                           st.floats(-1e4, 1e4, allow_nan=False)))
+    grid_dt = draw(st.sampled_from([0.1, 1.0 / 3.0, 0.25, 1.0, 7.0]))
+    n_cells = draw(st.integers(0, 40))
+    end = start + n_cells * grid_dt
+    grid = start + np.arange(n_cells + 1) * grid_dt
+    offsets = st.floats(-3.0, n_cells + 3.0, allow_nan=False)
+    ticks = [start - draw(st.floats(0.0, 3.0)) * grid_dt]
+    ticks += [start + x * grid_dt for x in draw(st.lists(offsets, max_size=60))]
+    on_grid = np.array(draw(st.lists(st.sampled_from(list(grid)),
+                                     max_size=20)))
+    # one ulp either side of a grid time, where rounding bites
+    ticks += [*on_grid, *np.nextafter(on_grid, -np.inf),
+              *np.nextafter(on_grid, np.inf)]
+    return start, grid_dt, end, grid, np.unique(ticks)
+
+
+# 9 * 0.1 rounds below 0.9, so the tick one ulp above it divides to 9.0
+# while it lies past grid time 9
+TENTHS = np.arange(41) * 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grids_and_ticks(), kind=st.sampled_from(["pair", "path",
+                                                     "stepped"]))
+@example(case=(0.0, 0.1, 4.0, TENTHS,
+               np.array([0.0, np.nextafter(TENTHS[9], np.inf)])),
+         kind="pair")
+def test_previous_tick_takes_the_last_tick_at_or_before_each_grid_time(
+        case, kind):
+    start, grid_dt, end, grid, ticks = case
+    last = np.searchsorted(ticks, grid, side="right") - 1
+    if kind == "pair":
+        # values equal to the tick index, so the levels are the indices
+        series = previous_tick((ticks, np.arange(ticks.size, dtype=float)),
+                               grid_dt=grid_dt, start=start, end=end)
+        np.testing.assert_array_equal(series.levels, last)
+        return
+    # a source grid 8 times finer than the output grid, one value per point
+    fine = grid_dt / 8.0
+    t0 = ticks[0] - fine
+    size = int((ticks[-1] - t0) / fine) + 2
+    values = np.arange(2 * size, dtype=float).reshape(2, size)
+    if kind == "path":
+        source = SimulatedPath(grid_dt=fine, t0=t0, levels=values)
+        tick_values = source.value_at(1, ticks)
+    else:
+        source = SteppedSeries(grid_dt=fine, start=t0, levels=values[1],
+                               tick_times=ticks)
+        source_grid = t0 + np.arange(size) * fine
+        tick_values = values[1][np.searchsorted(source_grid, ticks,
+                                                side="right") - 1]
+    series = previous_tick(source, ticks, grid_dt=grid_dt, asset=1,
+                           start=start, end=end)
+    np.testing.assert_array_equal(series.levels, tick_values[last])
