@@ -4,12 +4,10 @@ theory, estimation, spectral deconvolution, and model fitting."""
 __version__ = "0.1.0"
 
 from .errors import EppsError, DataError, NumericalError, FitConvergenceError
-from .kernels import (CorrelationModel, ModelPair, kernel_eval, spectrum_eval,
-                      sync_covariance, sync_rho, parse_model_text,
-                      load_model_file)
-from .async_theory import (AsyncKernel, lorentz_kernel, discrete_kernel,
-                           async_cross_corr, async_covariance, async_variance,
-                           async_autocorr, async_rho)
+from .kernels import (CorrelationModel, ModelPair, sync_covariance, sync_rho,
+                      parse_model_text, load_model_file)
+from .async_theory import (AsyncKernel, discrete_kernel, async_cross_corr,
+                           async_covariance, async_variance, async_rho)
 from .sampling import (SimulatedPath, SteppedSeries, rng_stream,
                        simulate_paths, simulate_ensemble, draw_poisson_times,
                        default_warmup, previous_tick)

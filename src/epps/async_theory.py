@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .kernels import sync_covariance, _as_models
-from ._numutil import decay_difference
+from ._numutil import decay_difference, decay_difference_da
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ class AsyncKernel:
 
     def swapped(self):
         return AsyncKernel(self.lambda_j, self.lambda_i)
-
-
-def lorentz_kernel(k, omega):
-    """Spectral suppression factor K(omega); K(0) = 1 and |K| <= 1."""
-    omega = np.asarray(omega, dtype=float)
-    fi = 1.0 if math.isinf(k.lambda_i) else 1.0 / (1.0 + 1j * omega / k.lambda_i)
-    fj = 1.0 if math.isinf(k.lambda_j) else 1.0 / (1.0 - 1j * omega / k.lambda_j)
-    return np.asarray(fi * fj, dtype=complex)
 
 
 def _rate_prefactor(li, lj):
@@ -81,22 +73,38 @@ def _smoothing_weight(k, s):
     return pos + neg
 
 
-def _onesided_exp_conv(t, lam, xi):
+def _onesided_exp_conv(t, lam, xi, jac=False):
     """integral_0^inf exp(-lam s) g(t - s) ds with g(u) = exp(-|u|/xi)/(2 xi).
 
-    Stable at lam*xi = 1 (the 1/(1 - lam xi) pole is removable).
+    Stable at lam*xi = 1 (the 1/(1 - lam xi) pole is removable).  With
+    `jac`, returns (value, d/dt, d/dxi) instead of the value alone.
     """
     t = np.asarray(t, dtype=float)
     if math.isinf(lam):
-        return np.zeros_like(t)
+        z = np.zeros_like(t)
+        return (z, z.copy(), z.copy()) if jac else z
+    u = 1.0 + lam * xi
     neg = t <= 0
     out = np.empty_like(t)
-    out[neg] = np.exp(t[neg] / xi) / (2.0 * (1.0 + lam * xi))
+    out[neg] = np.exp(t[neg] / xi) / (2.0 * u)
     tp = t[~neg]
     # (exp(-lam t) - exp(-t/xi)) / (2 (1 - lam xi))
     mid = decay_difference(tp, lam, 1.0 / xi) / (2.0 * xi)
-    out[~neg] = np.exp(-lam * tp) / (2.0 * (1.0 + lam * xi)) + mid
-    return out
+    edge = np.exp(-lam * tp) / (2.0 * u)
+    out[~neg] = edge + mid
+    if not jac:
+        return out
+    d_t = np.empty_like(t)
+    d_xi = np.empty_like(t)
+    d_t[neg] = out[neg] / xi
+    d_xi[neg] = -out[neg] * (t[neg] / (xi * xi) + lam / u)
+    d_t[~neg] = np.exp(-tp / xi) / (2.0 * xi) - lam * out[~neg]
+    # the rate 1/xi of decay_difference brings -1/xi^2 per unit of xi;
+    # dividing by xi^2 before 2 xi keeps xi in [e^-300, e^300] finite
+    d_xi[~neg] = (-lam * edge / u - mid / xi
+                  - decay_difference_da(tp, 1.0 / xi, lam) / (xi * xi)
+                  / (2.0 * xi))
+    return out, d_t, d_xi
 
 
 def _sampled_exp_density(k, xi, s):
@@ -234,35 +242,6 @@ def async_variance(model, lam, dt):
     return out[0] if scalar else out
 
 
-def async_autocorr(model, lam, tau):
-    """Auto-correlation of the sampled process: (delta weight, regular part).
-
-    The delta mass is a + b/(1 + lambda xi); the regular part vanishes at
-    tau = 0 and is stable across lambda*xi = 1.
-    """
-    scalar = np.isscalar(tau)
-    tau = np.abs(np.atleast_1d(np.asarray(tau, dtype=float)))
-    if math.isnan(lam) or lam <= 0:
-        raise DataError("sampling rate must be > 0")
-    delta_w = 0.0
-    regular = np.zeros_like(tau)
-    for m in _as_models(model):
-        if m.lag != 0.0:
-            raise DataError("async_autocorr requires an auto kernel (lag = 0)")
-        a = m.total_delta_weight
-        b = m.exp_weight if m.width > 0.0 else 0.0
-        if math.isinf(lam):
-            delta_w += a
-            if b != 0.0:
-                regular += b * np.exp(-tau / m.width) / (2.0 * m.width)
-            continue
-        delta_w += a + b / (1.0 + lam * m.width)
-        if b != 0.0:
-            regular += b * (lam ** 2 / (2.0 * (1.0 + lam * m.width))) * (
-                decay_difference(tau, lam, 1.0 / m.width))
-    return (delta_w, regular[0] if scalar else regular)
-
-
 def async_rho(pair, k, dt):
     """Pearson correlation of dt-increments of the sampled pair."""
     scalar = np.isscalar(dt)
@@ -282,8 +261,8 @@ def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
     """Finite-length, discrete-time suppression factor at frequency index n.
 
     Rates are per grid step; each step contains a tick with probability
-    1 - exp(-rate).  Reduces to lorentz_kernel in the continuum limit and to 1
-    as the rates grow.
+    1 - exp(-rate).  Reduces to the continuum factor K(omega) of the module
+    docstring in the continuum limit and to 1 as the rates grow.
     """
     if T < 2:
         raise DataError("discrete_kernel requires T >= 2")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError, read_text
-from .kernels import load_model_file, sync_covariance, sync_rho
+from .kernels import load_model_file
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
 from .sampling import (SimulatedPath, draw_poisson_times, previous_tick,
@@ -164,12 +164,9 @@ def theory(model_file, quantity, lambda_i, lambda_j, grid, out_file):
     if quantity == "covariance":
         ys = async_covariance(pair.cross, kern, xs)
     elif quantity == "variance":
-        ys = (async_variance(pair.auto_i, lambda_i, xs)
-              if not math.isinf(lambda_i)
-              else sync_covariance(pair.auto_i, xs))
+        ys = async_variance(pair.auto_i, lambda_i, xs)
     elif quantity == "rho":
-        ys = (async_rho(pair, kern, xs) if not kern.synchronous
-              else sync_rho(pair, xs))
+        ys = async_rho(pair, kern, xs)
     else:
         ys = async_cross_corr(pair.cross, kern, xs)
     label = "tau" if quantity == "crosscorr" else "dt"

@@ -137,7 +137,7 @@ def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
     return float(np.mean(low)) / plateau
 
 
-def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0, split_delta=False):
+def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0):
     """Correlogram from a corrected spectrum by inverse DFT.
 
     The output must come out real; an imaginary residue above 1e-6 of the
@@ -153,15 +153,10 @@ def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0, split_delta=False):
     if not 1 <= n_lags <= T // 2 - 1 + T % 2:
         raise DataError("max_lag out of range for this spectrum length")
     values = np.concatenate([gamma[-n_lags:], gamma[:n_lags + 1]])
-    delta = None
-    if split_delta:
-        delta = float(values[n_lags])
-        values = values.copy()
-        values[n_lags] = 0.0
     return Correlogram(lag_grid=np.arange(-n_lags, n_lags + 1) * grid_dt,
                        values=values,
                        stderr=np.full(2 * n_lags + 1, np.nan),
-                       n_days=s_hat.n_days, delta_mass=delta)
+                       n_days=s_hat.n_days)
 
 
 def _window_weights(T, m):
@@ -180,12 +175,6 @@ def _windowed_covariance(spec, w):
 def _check_horizon(m, T):
     if not 1 <= m < T:
         raise DataError("horizon must be in [1, T) grid steps")
-
-
-def spectrum_covariance(spec, m):
-    """Covariance of m-step increments implied by a spectrum."""
-    _check_horizon(m, spec.T)
-    return _windowed_covariance(spec, _window_weights(spec.T, m))
 
 
 def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DataError, FitConvergenceError, NumericalError
 from ._numutil import decay_difference, decay_difference_da
+from .async_theory import _onesided_exp_conv, _rate_prefactor
 
 
 @dataclass(frozen=True)
@@ -72,53 +73,23 @@ def _cross_raw_fj(tau, theta):
     return f, jac
 
 
-def _h_side(s, lam, xi):
-    """2 xi * async_theory._onesided_exp_conv(s, lam, xi), with its
-    derivatives in s and xi.  Returns (value, d/ds, d/dxi)."""
-    s = np.asarray(s, dtype=float)
-    if math.isinf(lam):
-        z = np.zeros_like(s)
-        return z, z.copy(), z.copy()
-    u = 1.0 + lam * xi
-    neg = s <= 0
-    val = np.empty_like(s)
-    dds = np.empty_like(s)
-    ddx = np.empty_like(s)
-    sn = s[neg]
-    en = np.exp(sn / xi)
-    val[neg] = xi * en / u
-    dds[neg] = en / u
-    ddx[neg] = en * (1.0 / u ** 2 - sn / (xi * u))
-    sp = s[~neg]
-    el = np.exp(-lam * sp)
-    # mid = (e^{-lam s} - e^{-s/xi}) / (1/xi - lam), stable at lam xi = 1
-    mid = decay_difference(sp, lam, 1.0 / xi)
-    val[~neg] = xi * el / u + mid
-    dds[~neg] = -lam * xi * el / u + np.exp(-sp / xi) - lam * mid
-    ddx[~neg] = (el / u ** 2
-                 - decay_difference_da(sp, 1.0 / xi, lam) / (xi * xi))
-    return val, dds, ddx
-
-
 def _cross_async_fj(tau, lambda_i, lambda_j, theta):
+    """c exp(-|s|/xi) is the exponential component of mass 2 xi c, so the
+    model is 2 xi c r (g_j(s) + g_i(-s)), with r = `_rate_prefactor` and
+    g = `_onesided_exp_conv`: async_theory's sampled density."""
     c, tau0, p = theta
     xi = _safe_xi(p)
     if math.isinf(lambda_i) and math.isinf(lambda_j):
         return _cross_raw_fj(tau, theta)
-    if math.isinf(lambda_i):
-        r = lambda_j
-    elif math.isinf(lambda_j):
-        r = lambda_i
-    else:
-        r = lambda_i * lambda_j / (lambda_i + lambda_j)
+    scale = 2.0 * xi * _rate_prefactor(lambda_i, lambda_j)
     s = tau - tau0
-    hj, hj_s, hj_x = _h_side(s, lambda_j, xi)
-    hi, hi_s, hi_x = _h_side(-s, lambda_i, xi)
-    shape = r * (hj + hi)
+    gj, gj_t, gj_x = _onesided_exp_conv(s, lambda_j, xi, jac=True)
+    gi, gi_t, gi_x = _onesided_exp_conv(-s, lambda_i, xi, jac=True)
+    shape = scale * (gj + gi)
     f = c * shape
     jac = np.column_stack([shape,
-                           c * r * (-hj_s + hi_s),
-                           xi * c * r * (hj_x + hi_x)])
+                           c * scale * (gi_t - gj_t),
+                           c * (shape + xi * scale * (gj_x + gi_x))])
     return f, jac
 
 

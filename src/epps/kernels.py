@@ -6,8 +6,8 @@ continuous-time increment processes,
     c(tau) = delta_weight * delta(tau - lag)
            + exp_weight * exp(-|tau - lag| / width) / (2 * width),
 
-together with its Fourier transform (the spectrum) and the induced
-finite-horizon covariance and Pearson correlation.
+together with the induced finite-horizon covariance and Pearson
+correlation.
 
 Conventions used throughout the package:
 
@@ -76,52 +76,6 @@ def _as_models(model):
     if isinstance(model, CorrelationModel):
         return (model,)
     return tuple(model)
-
-
-def kernel_eval(model, tau):
-    """Evaluate the kernel, returning the delta and regular parts separately.
-
-    Parameters
-    ----------
-    model : CorrelationModel or sequence of CorrelationModel
-        Superpositions are summed component-wise.
-    tau : float or array_like
-        Lag(s), in seconds.
-
-    Returns
-    -------
-    delta_part : ndarray
-        Delta mass located at each tau (nonzero only where tau equals the
-        kernel center).
-    regular_part : ndarray
-        Density of the exponential component at tau.
-    """
-    tau = np.asarray(tau, dtype=float)
-    delta = np.zeros_like(tau)
-    regular = np.zeros_like(tau)
-    for m in _as_models(model):
-        delta = delta + np.where(tau == m.lag, m.total_delta_weight, 0.0)
-        if m.width > 0.0:
-            regular = regular + m.exp_weight * np.exp(
-                -np.abs(tau - m.lag) / m.width) / (2.0 * m.width)
-    return delta, regular
-
-
-def spectrum_eval(model, omega):
-    """Spectrum S(omega) of the model (Fourier transform of the kernel).
-
-    Returns ``exp(i omega lag) * (delta_weight + exp_weight/(1 + omega^2 width^2))``
-    summed over components.  Hermitian pairing holds: S_ji(omega) = S_ij(-omega).
-    """
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros(omega.shape, dtype=complex)
-    for m in _as_models(model):
-        flat = m.total_delta_weight
-        lorentz = 0.0
-        if m.width > 0.0:
-            lorentz = m.exp_weight / (1.0 + (omega * m.width) ** 2)
-        out = out + np.exp(1j * omega * m.lag) * (flat + lorentz)
-    return out
 
 
 def sync_covariance(model, dt):

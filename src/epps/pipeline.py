@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, EppsError, FitConvergenceError, read_text
-from .kernels import ModelPair, load_model_file
+from .kernels import load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
                        previous_tick, default_warmup)
 from .estimation import (estimate_rate, epps_curve, correlogram,
@@ -696,8 +696,6 @@ def run_pipeline(config, out_dir):
     """
     spec = FilterSpec(config.filter_mode, config.snr)
     pair = load_model_file(config.model_file)
-    if not isinstance(pair, ModelPair):
-        raise DataError("model file must define a full model pair")
     days_i, days_j, ticks_i, ticks_j = _simulate_days(pair, config)
     in_window_i = [t[t >= 0] for t in ticks_i]
     in_window_j = [t[t >= 0] for t in ticks_j]

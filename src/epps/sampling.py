@@ -197,8 +197,10 @@ def draw_poisson_times(lam, horizon, warmup, seed, stream=0):
     """Strictly increasing Poisson tick times on [-warmup, horizon]."""
     if math.isnan(lam) or math.isinf(lam) or lam <= 0:
         raise DataError("Poisson rate must be finite and > 0")
-    if warmup < 0:
-        raise DataError("warmup must be >= 0")
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise DataError("warmup must be finite and >= 0")
+    if not (math.isfinite(horizon) and horizon >= -warmup):
+        raise DataError("horizon must be finite and >= -warmup")
     rng = rng_stream(seed, 2, stream)
     span = horizon + warmup
     times = []

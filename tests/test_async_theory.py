@@ -6,19 +6,62 @@ from scipy.integrate import quad
 
 from epps.errors import DataError
 from epps.kernels import CorrelationModel, ModelPair, sync_covariance, sync_rho
-from epps.async_theory import (AsyncKernel, lorentz_kernel, discrete_kernel,
+from epps.async_theory import (AsyncKernel, discrete_kernel,
                                async_cross_corr, async_covariance,
-                               async_variance, async_autocorr, async_rho)
+                               async_variance, async_rho, _onesided_exp_conv)
 
 
-def test_lorentz_kernel_basics():
-    k = AsyncKernel(0.5, 2.0)
-    assert lorentz_kernel(k, 0.0) == pytest.approx(1.0)
-    w = np.linspace(0.1, 20, 40)
-    assert np.all(np.abs(lorentz_kernel(k, w)) <= 1.0)
-    # swapping the assets conjugates the kernel
-    np.testing.assert_allclose(lorentz_kernel(k.swapped(), w),
-                               np.conj(lorentz_kernel(k, w)), rtol=1e-14)
+def lorentz_kernel(li, lj, omega):
+    """Continuum suppression factor K(omega) of the sampling, the reference
+    for discrete_kernel."""
+    return 1.0 / ((1.0 + 1j * omega / li) * (1.0 - 1j * omega / lj))
+
+
+def async_autocorr(m, lam, tau):
+    """Sampled autocorrelation of an auto kernel at finite rate lam:
+    (delta weight a + b/(1 + lam xi), regular part at tau), the two-
+    exponential closed form, exact away from lam xi = 1."""
+    a, b, xi = m.delta_weight, m.exp_weight, m.width
+    t = abs(tau)
+    regular = b * lam ** 2 / (2.0 * (1.0 + lam * xi)) * (
+        math.exp(-lam * t) - math.exp(-t / xi)) / (1.0 / xi - lam)
+    return a + b / (1.0 + lam * xi), regular
+
+
+@pytest.mark.parametrize("lam_xi", [0.5, 1.0, 2.0])
+def test_onesided_exp_conv_derivatives(lam_xi):
+    xi = 4.0
+    lam = lam_xi / xi
+    t = np.array([-30.0, -4.0, -1e-3, 0.0, 1e-3, 0.7, 4.0, 25.0, 90.0])
+    value = _onesided_exp_conv(t, lam, xi)
+    v, d_t, d_xi = _onesided_exp_conv(t, lam, xi, jac=True)
+    assert v.tobytes() == value.tobytes()
+    h = 1e-6
+    off = t != 0.0  # the t-derivative has a kink at t = 0 when lam xi != 1
+    fd_t = (_onesided_exp_conv(t + h, lam, xi)
+            - _onesided_exp_conv(t - h, lam, xi)) / (2.0 * h)
+    np.testing.assert_allclose(d_t[off], fd_t[off], rtol=1e-7, atol=1e-12)
+    # d/dxi at fixed lam; for lam xi = 1 this crosses the removable pole
+    fd_xi = (_onesided_exp_conv(t, lam, xi + h)
+             - _onesided_exp_conv(t, lam, xi - h)) / (2.0 * h)
+    np.testing.assert_allclose(d_xi, fd_xi, rtol=1e-7, atol=1e-12)
+
+
+def test_onesided_exp_conv_infinite_rate_and_long_lags():
+    t = np.array([-5.0, 0.0, 3.0])
+    for out in (_onesided_exp_conv(t, math.inf, 2.0),
+                *_onesided_exp_conv(t, math.inf, 2.0, jac=True)):
+        np.testing.assert_array_equal(out, 0.0)
+    # (lam - 1/xi) t reaches 1900: no factor may overflow into inf * 0
+    lam, xi = 2.0, 10.0
+    t = np.array([-1000.0, 400.0, 1000.0])
+    assert (lam - 1.0 / xi) * t[1] > 709.0
+    for out in _onesided_exp_conv(t, lam, xi, jac=True):
+        assert np.all(np.isfinite(out))
+    # the fits clamp xi to [e^-300, e^300]; the derivatives stay finite there
+    for xi in (math.exp(-300.0), math.exp(300.0)):
+        for out in _onesided_exp_conv(t, 0.5, xi, jac=True):
+            assert np.all(np.isfinite(out))
 
 
 def test_smoothed_cross_corr_has_unit_mass():
@@ -155,9 +198,6 @@ def test_async_theory_finite_at_long_horizons():
     var = async_variance(auto, lam, np.array([400.0, 500.0]))
     assert np.all(np.isfinite(var))
     assert var[1] - var[0] == pytest.approx(0.7 * 100.0, rel=1e-3)
-    _, reg = async_autocorr(CorrelationModel(delta_weight=1.0, width=10.0,
-                                             exp_weight=-0.3), 2.0, tau)
-    assert np.all(np.isfinite(reg))
     assert np.all(async_covariance(cross, k, np.array([1.0, 500.0])) > 0)
 
 
@@ -189,14 +229,6 @@ def test_async_variance_consistent_with_autocorr():
                    -dt, dt, limit=400)[0]
         assert async_variance(m, lam, dt) == pytest.approx(
             delta_w * dt + reg, rel=1e-9)
-
-
-def test_async_autocorr_regular_part_vanishes_at_zero():
-    m = CorrelationModel(delta_weight=1.0, width=6.0, exp_weight=-0.5)
-    for lam in (0.2, 1.0 / 6.0):  # includes lambda xi = 1
-        delta_w, reg0 = async_autocorr(m, lam, 0.0)
-        assert reg0 == 0.0
-        assert delta_w == pytest.approx(1.0 - 0.5 / (1.0 + lam * 6.0))
 
 
 def test_async_rho_monotone_for_brownian_pair():
@@ -231,7 +263,7 @@ def test_discrete_kernel_continuum_limit():
     omega = 2.0 * math.pi * n / T
     step = 0.01  # rates per step Lambda = lambda * step, frequency scaled too
     approx = discrete_kernel(li * step, lj * step, n, T)
-    exact = lorentz_kernel(AsyncKernel(li, lj), omega / step)
+    exact = lorentz_kernel(li, lj, omega / step)
     assert approx == pytest.approx(exact, rel=5e-3)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import epps.cli as cli_mod
 from epps import pipeline
+from epps.async_theory import async_variance
 from epps.cli import main
 from epps.errors import DataError, NumericalError
 from epps.estimation import (Correlogram, write_correlogram_csv,
@@ -20,6 +21,7 @@ from epps.estimation import (Correlogram, write_correlogram_csv,
                              SpectrumEstimate, write_spectrum_csv,
                              read_spectrum_csv)
 from epps.fitting import _cross_raw_fj
+from epps.kernels import parse_model_text, sync_covariance, sync_rho
 from epps.pipeline import load_ticks
 
 
@@ -89,6 +91,35 @@ def test_theory_rho_to_stdout(model_file, capsys):
     # correlation is depressed at short horizons and recovers to c
     assert float(rows[0][1]) < float(rows[1][1]) < float(rows[2][1])
     assert float(rows[2][1]) == pytest.approx(0.4, abs=1e-2)
+
+
+@pytest.mark.parametrize("quantity,rates", [
+    ("variance", ("inf", "0.3")),
+    ("variance", ("0.1", "inf")),
+    ("rho", ("inf", "inf")),
+])
+def test_theory_variance_and_infinite_rates(tmp_path, capsys, quantity,
+                                            rates):
+    text = ("cross.c=0.4\ncross.tau=2\ncross.xi=10\n"
+            "auto_i.a=1\nauto_i.b=-0.3\nauto_i.xi=10\nauto_j.a=1\n")
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    grid = "0.5,1,7,30,400"
+    assert main(["theory", "--model", str(model), "--quantity", quantity,
+                 "--lambda-i", rates[0], "--lambda-j", rates[1],
+                 "--grid", grid]) == 0
+    pair = parse_model_text(text)
+    xs = np.array([float(x) for x in grid.split(",")])
+    lam = float(rates[0])
+    if quantity == "rho":
+        ys = sync_rho(pair, xs)
+    elif math.isinf(lam):
+        ys = sync_covariance(pair.auto_i, xs)
+    else:
+        ys = async_variance(pair.auto_i, lam, xs)
+    expected = "".join([f"dt,{quantity}\n"] + [
+        f"{x:.10g},{y:.17g}\n" for x, y in zip(xs, ys)])
+    assert capsys.readouterr().out == expected
 
 
 def test_theory_crosscorr_writes_file(model_file, tmp_path):

@@ -10,8 +10,7 @@ from epps.estimation import SpectrumEstimate, estimate_spectrum
 from epps.sampling import rng_stream
 from epps.filtering import (FilterSpec, inverse_filter, wiener_filter,
                             apply_filter, auto_filter, estimate_snr,
-                            filtered_correlogram, spectrum_covariance,
-                            filtered_epps_curve)
+                            filtered_correlogram, filtered_epps_curve)
 
 
 def hermitian_spectrum(T, seed=0, offset=2.0):
@@ -164,9 +163,11 @@ def test_filtered_correlogram_inverts_the_periodogram():
 
 def test_filtered_correlogram_flat_spectrum_is_pure_delta():
     s = SpectrumEstimate(T=128, n_days=1, s_n=np.full(128, 2.0, dtype=complex))
-    cg = filtered_correlogram(s, max_lag=10.0, split_delta=True)
-    assert cg.delta_mass == pytest.approx(2.0)
-    np.testing.assert_allclose(cg.values, 0.0, atol=1e-13)
+    cg = filtered_correlogram(s, max_lag=10.0)
+    k0 = cg.lag_grid.size // 2
+    assert cg.lag_grid[k0] == 0.0
+    assert cg.values[k0] == pytest.approx(2.0)
+    np.testing.assert_allclose(np.delete(cg.values, k0), 0.0, atol=1e-13)
 
 
 def test_filtered_correlogram_rejects_broken_symmetry():
@@ -185,21 +186,27 @@ def test_filtered_correlogram_lag_range_check():
         filtered_correlogram(s, max_lag=0.2)
 
 
-def test_spectrum_covariance_matches_circular_overlapping_mean():
+def circular_rho(x, y, m):
+    """Pearson coefficient of circular, overlapping m-step sums, uncentred:
+    the Dirichlet-window identity makes it exact for a one-day spectrum."""
+    xs = sum(np.roll(x, -t) for t in range(m))
+    ys = sum(np.roll(y, -t) for t in range(m))
+    return np.mean(xs * ys) / math.sqrt(np.mean(xs * xs) * np.mean(ys * ys))
+
+
+def test_filtered_epps_curve_matches_circular_overlapping_mean():
     rng = rng_stream(10, 62)
     x = rng.standard_normal(128)
     y = rng.standard_normal(128)
-    spec = estimate_spectrum([x], [y])
-    for m in (1, 3, 8):
-        # circular m-step sums: the Dirichlet-window identity is exact
-        xs = sum(np.roll(x, -t) for t in range(m))
-        ys = sum(np.roll(y, -t) for t in range(m))
-        assert spectrum_covariance(spec, m) == pytest.approx(
-            np.mean(xs * ys), rel=1e-10, abs=1e-12)
-    with pytest.raises(DataError):
-        spectrum_covariance(spec, 0)
-    with pytest.raises(DataError):
-        spectrum_covariance(spec, 128)
+    spectra = (estimate_spectrum([x], [y]), estimate_spectrum([x], [x]),
+               estimate_spectrum([y], [y]))
+    curve = filtered_epps_curve(*spectra, [1.0, 3.0, 8.0])
+    np.testing.assert_allclose(curve.rho,
+                               [circular_rho(x, y, m) for m in (1, 3, 8)],
+                               rtol=1e-10, atol=1e-12)
+    for bad in (0.0, 128.0):
+        with pytest.raises(DataError):
+            filtered_epps_curve(*spectra, [bad])
 
 
 def test_filtered_epps_curve_unit_for_identical_spectra():
@@ -230,9 +237,12 @@ def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
     s11 = estimate_spectrum([x], [x])
     s22 = estimate_spectrum([y], [y])
     horizons = [1.0, 2.0, 8.0, 30.0]
-    expected = [spectrum_covariance(s12, m) / math.sqrt(
-        spectrum_covariance(s11, m) * spectrum_covariance(s22, m))
-        for m in (1, 2, 8, 30)]
+    # one window per spectrum, built apart, gives the same coefficients
+    expected = []
+    for m in (1, 2, 8, 30):
+        c12, v1, v2 = (filtering._windowed_covariance(
+            s, filtering._window_weights(128, m)) for s in (s12, s11, s22))
+        expected.append(c12 / math.sqrt(v1 * v2))
     built = []
     window = filtering._window_weights
 

@@ -130,6 +130,16 @@ def test_auto_async_finite_at_long_lags():
                                atol=0.0)
 
 
+def test_auto_async_point_mass_and_zero_lag_value():
+    # the sampled point mass is a - b/(1 + lambda xi) and the regular part
+    # vanishes at zero lag, also at lambda xi = 1
+    theta = np.array([1.0, 0.5, math.log(6.0)])
+    for lam in (0.2, 1.0 / 6.0):
+        f, _ = _auto_async_fj(np.array([0.0]), lam, theta)
+        assert f[0] == pytest.approx(1.0 - 0.5 / (1.0 + lam * 6.0))
+        assert f[1] == 0.0
+
+
 def test_decay_difference_da_matches_series_and_differences():
     # (e^x - 1 - x)/x^2 is the series sum_k x^k / (k + 2)!, on both sides of
     # the switch to the truncated series at |x| = 1e-3

@@ -7,9 +7,8 @@ from scipy.integrate import quad
 
 from epps._numutil import _SMALL_DT, triangle_exp_integral
 from epps.errors import DataError
-from epps.kernels import (CorrelationModel, ModelPair, kernel_eval,
-                          spectrum_eval, sync_covariance, sync_rho,
-                          parse_model_text)
+from epps.kernels import (CorrelationModel, ModelPair, sync_covariance,
+                          sync_rho, parse_model_text)
 
 
 def test_total_delta_weight_folds_zero_width_exponential():
@@ -20,43 +19,21 @@ def test_total_delta_weight_folds_zero_width_exponential():
     assert m2.total_delta_weight == pytest.approx(0.3)
 
 
-def test_kernel_eval_splits_delta_and_regular():
-    m = CorrelationModel(delta_weight=2.0, lag=1.0, width=3.0, exp_weight=0.6)
-    delta, regular = kernel_eval(m, np.array([0.0, 1.0, 4.0]))
-    assert delta[1] == pytest.approx(2.0)
-    assert delta[0] == delta[2] == 0.0
-    assert regular[1] == pytest.approx(0.6 / 6.0)
-    assert regular[2] == pytest.approx(0.6 / 6.0 * math.exp(-1.0))
-
-
 def test_negative_width_rejected():
     with pytest.raises(DataError):
         CorrelationModel(width=-1.0)
 
 
-def test_spectrum_matches_numeric_fourier_transform():
-    m = CorrelationModel(delta_weight=0.4, lag=2.0, width=5.0, exp_weight=0.7)
-    for omega in (0.0, 0.1, 0.7, 3.0):
-        re = quad(lambda t: kernel_eval(m, t)[1] * math.cos(omega * t),
-                  -200, 200, limit=400)[0]
-        im = quad(lambda t: kernel_eval(m, t)[1] * math.sin(omega * t),
-                  -200, 200, limit=400)[0]
-        numeric = (re + 1j * im
-                   + m.delta_weight * np.exp(1j * omega * m.lag))
-        assert spectrum_eval(m, omega) == pytest.approx(numeric, abs=1e-6)
-
-
-def test_spectrum_hermitian_pairing():
-    m = CorrelationModel(delta_weight=0.1, lag=3.0, width=2.0, exp_weight=0.5)
-    w = np.linspace(-4, 4, 17)
-    np.testing.assert_allclose(spectrum_eval(m, -w),
-                               np.conj(spectrum_eval(m, w)), rtol=1e-14)
+def exp_density(m, tau):
+    """Regular part of the kernel: the exponential component's density."""
+    return (m.exp_weight * math.exp(-abs(tau - m.lag) / m.width)
+            / (2.0 * m.width))
 
 
 def test_sync_covariance_against_double_integral():
     m = CorrelationModel(delta_weight=0.2, lag=1.5, width=4.0, exp_weight=0.9)
     for dt in (0.5, 1.5, 3.0, 12.0):
-        reg = quad(lambda s: (dt - abs(s)) * kernel_eval(m, s)[1],
+        reg = quad(lambda s: (dt - abs(s)) * exp_density(m, s),
                    -dt, dt, points=[0.0, m.lag], limit=400)[0]
         exact = reg + m.delta_weight * max(dt - abs(m.lag), 0.0)
         assert sync_covariance(m, dt) == pytest.approx(exact, rel=1e-8)

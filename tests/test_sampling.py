@@ -229,6 +229,19 @@ def test_poisson_times_deterministic_per_stream():
     assert a.size != c.size or not np.allclose(a, c)
 
 
+@pytest.mark.parametrize("horizon,warmup", [
+    (-5.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+    (10.0, math.nan), (10.0, math.inf)])
+def test_poisson_times_reject_a_bad_horizon_or_warmup(horizon, warmup):
+    with pytest.raises(DataError):
+        draw_poisson_times(1.0, horizon, warmup, seed=1)
+
+
+def test_poisson_times_accept_an_empty_span():
+    times = draw_poisson_times(1.0, -3.0, 3.0, seed=1)
+    assert times.size == 0
+
+
 def test_default_warmup_scale():
     assert default_warmup(0.1) == pytest.approx(100.0)
 
