@@ -261,27 +261,27 @@ def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
     """Finite-length, discrete-time suppression factor at frequency index n.
 
     Rates are per grid step; each step contains a tick with probability
-    1 - exp(-rate).  Reduces to the continuum factor K(omega) of the module
-    docstring in the continuum limit and to 1 as the rates grow.
+    1 - exp(-rate).  The factor is f(lambda_i) conj f(lambda_j) with the
+    per-asset f(lambda) = -expm1(-lambda) / (1 - exp(-lambda - i theta)),
+    theta = 2 pi n / T, and f = 1 at lambda = inf; at equal rates it is
+    |f|^2 and exactly real.  Reduces to the continuum factor K(omega) of
+    the module docstring in the continuum limit and to 1 as the rates grow.
     """
     if T < 2:
         raise DataError("discrete_kernel requires T >= 2")
     n_arr = np.atleast_1d(np.asarray(n))
     if np.any((n_arr < 0) | (n_arr >= T)):
         raise DataError("frequency index out of range [0, T)")
+    theta = 2.0 * math.pi * n_arr / T
+    f = {}
     for lam in (lambda_i_step, lambda_j_step):
         if math.isnan(lam) or lam <= 0:
             raise DataError("discrete_kernel rates must be > 0")
-    theta = 2.0 * math.pi * n_arr / T
-    if math.isinf(lambda_i_step):
-        fi = np.ones_like(theta, dtype=complex)
+        f[lam] = np.ones_like(theta, dtype=complex) if math.isinf(lam) \
+            else -math.expm1(-lam) / (1.0 - np.exp(-lam - 1j * theta))
+    fi = f[lambda_i_step]
+    if lambda_i_step == lambda_j_step:
+        out = (fi.real ** 2 + fi.imag ** 2).astype(complex)
     else:
-        fi = -math.expm1(-lambda_i_step) / (
-            1.0 - np.exp(-lambda_i_step - 1j * theta))
-    if math.isinf(lambda_j_step):
-        fj = np.ones_like(theta, dtype=complex)
-    else:
-        fj = -math.expm1(-lambda_j_step) / (
-            1.0 - np.exp(-lambda_j_step + 1j * theta))
-    out = fi * fj
+        out = fi * f[lambda_j_step].conj()
     return out if not np.isscalar(n) else complex(out[0])

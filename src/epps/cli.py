@@ -30,8 +30,8 @@ from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
 from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize,
-                       align_pair, analyze_pair, run_pipeline,
-                       write_artifacts, _read_tick_times)
+                       analyze_pair, run_pipeline, write_artifacts,
+                       _read_tick_times)
 
 
 def _float_list(text):
@@ -200,34 +200,34 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     """Estimate Epps curves, correlograms, spectra and fits from ticks."""
     spec = FilterSpec(filter_mode, snr)
     session = SessionSpec()
+    if not (0 < grid_dt <= session.length / 2 and math.isfinite(max_lag)):
+        raise DataError("grid_dt must be > 0 and at most half the session, "
+                        "and max_lag finite")
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
     for msg in errors:
         click.echo(f"skipped record: {msg}", err=True)
-    days = sorted({day for (asset, day) in series})
-    days_i, days_j, kept = [], [], []
-    for day in days:
-        ti = series.get((asset_i, day))
-        tj = series.get((asset_j, day))
-        if ti is None or tj is None:
-            continue
-        si = grid_and_normalize(ti, grid_dt, session)
-        sj = grid_and_normalize(tj, grid_dt, session)
-        if si is None or sj is None:
-            click.echo(f"skipped day {day}: too few ticks or flat prices",
-                       err=True)
-            continue
-        si, sj = align_pair(si, sj)
-        days_i.append(si)
-        days_j.append(sj)
-        kept.append(day)
+    kept, grids, skipped = [], {}, {}
+    for day in sorted({day for (_, day) in series}):
+        for asset in (asset_i, asset_j):
+            ts = series.get((asset, day))
+            grids[asset] = ts and grid_and_normalize(ts, grid_dt, session)
+            if grids[asset] is None:
+                reason = "flat prices" if ts else "no ticks in the window"
+                click.echo(f"skipped day {day}: {reason} for {asset}",
+                           err=True)
+                skipped[reason] = skipped.get(reason, 0) + 1
+                break
+        else:
+            kept.append((day, grids[asset_i], grids[asset_j]))
     if not kept:
         raise DataError("no usable asset-days for the requested pair")
-    rate_i = estimate_rate(
-        np.concatenate([series[(asset_i, d)].times for d in kept]),
-        len(kept) * session.length)
-    rate_j = estimate_rate(
-        np.concatenate([series[(asset_j, d)].times for d in kept]),
-        len(kept) * session.length)
+    days, days_i, days_j = (list(col) for col in zip(*kept))
+    rate_i, rate_j = (estimate_rate(
+        np.concatenate([s.tick_times for s in stepped]),
+        len(days) * session.length) for stepped in (days_i, days_j))
+    open_ticks_missing = sum(series[(asset, d)].open_tick is None
+                             for d in days for asset in (asset_i, asset_j))
+    del series  # the spectra hold every day's increments: free the ticks
     dt_list = _float_list(dt_grid)
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           dt_list, max_lag, spec, grid_dt)
@@ -235,12 +235,14 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
               "dt_grid": dt_list, "max_lag": max_lag, "grid_dt": grid_dt,
               "filter_mode": filter_mode, "snr": snr}
     write_artifacts(result, out_dir, (asset_i, asset_j),
-                    {"config": config, "records_skipped": len(errors)})
+                    {"config": config, "records_skipped": len(errors),
+                     "days_skipped": skipped,
+                     "open_ticks_missing": open_ticks_missing})
     summary = f"rates {rate_i.value:.5g}, {rate_j.value:.5g}"
     if filter_mode == "wiener":
         source = "estimated" if snr is None else "given"
         summary += f"; wiener snr {result['snr']:.5g} ({source})"
-    click.echo(f"analyzed {len(kept)} days ({summary}) -> {out_dir}")
+    click.echo(f"analyzed {len(days)} days ({summary}) -> {out_dir}")
 
 
 @cli.command("filter")

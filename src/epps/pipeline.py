@@ -29,7 +29,8 @@ from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
                        previous_tick, default_warmup)
 from .estimation import (estimate_rate, epps_curve, correlogram,
                          estimate_spectrum, write_epps_csv,
-                         write_correlogram_csv, write_spectrum_csv)
+                         write_correlogram_csv, write_spectrum_csv,
+                         _normalized_increments)
 from .filtering import (FilterSpec, apply_filter, auto_filter, estimate_snr,
                         filtered_correlogram, filtered_epps_curve)
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
@@ -67,12 +68,18 @@ class SessionSpec:
 
 @dataclass(frozen=True)
 class TickSeries:
-    """One asset-day of in-window ticks, times rebased to the window start."""
+    """One asset-day of in-window ticks, times rebased to the window start.
+
+    `open_tick` is (time, log price) of the last valid record before the
+    window, which sets the level at the window start; None when the file
+    has no record before the window.  It is not one of `times`.
+    """
 
     asset_id: str
     day_id: str
     times: np.ndarray
     log_prices: np.ndarray
+    open_tick: tuple = None
 
     def __post_init__(self):
         if self.times.shape != self.log_prices.shape:
@@ -95,8 +102,11 @@ def load_ticks(path, session=None, fail_fast=False):
     UTF-8, a wrong field count, an unparseable or non-finite number, a
     nonpositive price, or (inside the inclusive session window) a time not
     after the last accepted time of its asset-day, equal times included.
-    With fail_fast the first bad record raises instead, once the whole file
-    has been read.  A header that is not UTF-8 is a wrong header.
+    Records after the window are ignored.  Of the valid records before it,
+    the latest becomes the series' `open_tick` (the first in line order
+    among equal times); an asset-day with no tick in the window has no
+    series.  With fail_fast the first bad record raises instead, once the
+    whole file has been read.  A header that is not UTF-8 is a wrong header.
 
     Large files are read in parallel byte ranges where the platform has
     `fork`: the file is cut at line boundaries into ranges of about equal
@@ -219,10 +229,11 @@ def _parse_range(path, start, end, session):
     """Parse bytes [start, end) of a tick file, which begin at a line start
     and end after a line break or at the end of the file.
 
-    Returns (rows, bad, n_lines): `rows` maps (asset, day) to the in-window
-    times, log prices and line numbers of its valid records, in file order
-    and not yet checked for monotone times; `bad` lists the other rejected
-    records as (line number, message); `n_lines` counts the lines read.
+    Returns (rows, bad, n_lines): `rows` maps (asset, day) to the times, log
+    prices and line numbers of its valid records up to the window end, in
+    file order and not yet checked for monotone times; `bad` lists the
+    other rejected records as (line number, message); `n_lines` counts the
+    lines read.
     Line numbers count from 0 at `start`.
     """
     rows = {}
@@ -261,8 +272,9 @@ def _merge(parts, session):
     """Series and sorted rejections from the parsed ranges of one file.
 
     Offsets each range's line numbers past the header and the earlier
-    ranges, then rejects, per asset-day over all its rows in file order, a
-    time not above the running maximum of the times before it.
+    ranges.  Per asset-day, keeps the latest row before the window as its
+    open tick, then rejects, over its in-window rows in file order, a time
+    not above the running maximum of the times before it.
     """
     keyed = {}
     bad = []
@@ -275,13 +287,22 @@ def _merge(parts, session):
     series = {}
     for (asset, day), cols in sorted(keyed.items()):
         times, logs, lines = (np.concatenate(c) for c in zip(*cols))
+        inside = times >= session.window_start
+        if not inside.any():
+            continue
+        open_tick = None
+        if not inside.all():  # argmax: the first of equal latest times
+            k = np.argmax(np.where(inside, -np.inf, times))
+            open_tick = (float(times[k] - session.window_start),
+                         float(logs[k]))
+            times, logs, lines = times[inside], logs[inside], lines[inside]
         before = np.maximum.accumulate(np.concatenate(([-np.inf],
                                                        times[:-1])))
         accepted = times > before
         series[(asset, day)] = TickSeries(
             asset_id=asset, day_id=day,
             times=times[accepted] - session.window_start,
-            log_prices=logs[accepted])
+            log_prices=logs[accepted], open_tick=open_tick)
         bad += [(n, f"non-monotone time {time} for {asset} {day}")
                 for n, time in zip(lines[~accepted].tolist(),
                                    times[~accepted].tolist())]
@@ -309,10 +330,10 @@ def _floats(texts):
 def _ingest_chunk(chunk, first_lineno, session, rows):
     """Parse consecutive lines, bytes that each end in `\\n`, into `rows`.
 
-    Appends the in-window times, log prices and line numbers of each
-    asset-day's valid records to its lists in `rows`; the monotone-time
-    rule is left to `_merge`.  Returns the other rejected records as
-    (line number, message), and the number of lines.
+    Appends the times, log prices and line numbers of each asset-day's valid
+    records up to the window end to its lists in `rows`; the open tick and
+    the monotone-time rule are left to `_merge`.  Returns the other
+    rejected records as (line number, message), and the number of lines.
     """
     data = np.frombuffer(chunk, dtype=np.uint8)
     line_ends = np.flatnonzero(data == ord("\n"))
@@ -363,8 +384,7 @@ def _ingest_chunk(chunk, first_lineno, session, rows):
             for k, price in zip(np.flatnonzero(nonpositive).tolist(),
                                 p[nonpositive].tolist())]
 
-    keep = np.flatnonzero(positive & (t >= session.window_start)
-                          & (t <= session.window_end))
+    keep = np.flatnonzero(positive & (t <= session.window_end))
     if not keep.size:
         return bad, line_ends.size
     assets = np.array(fields[0::4], dtype=object)[keep]
@@ -386,21 +406,26 @@ def _ingest_chunk(chunk, first_lineno, session, rows):
 
 
 def grid_and_normalize(ts, grid_dt=1.0, session=None):
-    """Previous-tick grid of one asset-day, increments normalized.
+    """Previous-tick grid of one asset-day on [0, session length],
+    increments normalized.
 
-    The grid runs from the first whole step at or after the first tick to
-    the session length; leading cells without a prior tick are dropped, not
-    back-filled.  Returns None (a skipped day) when fewer than two ticks are
-    in the window or the gridded increments have zero variance.
+    The level at the window start is the open tick's; without one, the
+    first tick's level is back-filled to the window start, which loses the
+    return before that tick.  The result's `tick_times` are the in-window
+    ticks.  Returns None (a skipped day) when the series has no tick, the
+    grid has fewer than two cells or the gridded increments have zero
+    variance.
     """
     session = session or SessionSpec()
-    if ts.times.size < 2:
+    if not ts.times.size or session.length < 2 * grid_dt:
         return None
-    start = math.ceil(ts.times[0] / grid_dt - 1e-9) * grid_dt
-    if session.length - start < 2 * grid_dt:
-        return None
-    stepped = previous_tick((ts.times, ts.log_prices), grid_dt=grid_dt,
-                            start=start, end=session.length)
+    # without an open tick, a stand-in before the window carries the first
+    # tick's level
+    t0, level0 = ts.open_tick or (min(ts.times[0], 0.0) - grid_dt,
+                                  ts.log_prices[0])
+    stepped = previous_tick((np.insert(ts.times, 0, t0),
+                             np.insert(ts.log_prices, 0, level0)),
+                            grid_dt=grid_dt, start=0.0, end=session.length)
     incr = stepped.increments
     sd = np.std(incr)
     if sd == 0:
@@ -408,28 +433,7 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
     levels = np.zeros(stepped.levels.size)
     levels[1:] = np.cumsum((incr - np.mean(incr)) / sd)
     return SteppedSeries(grid_dt=grid_dt, start=stepped.start, levels=levels,
-                         tick_times=stepped.tick_times)
-
-
-def align_pair(si, sj):
-    """Trim two same-day stepped series to a common grid start.
-
-    Each asset's grid begins at its own first tick, so paired days can come
-    out with unequal lengths; the estimators need them aligned.  Levels keep
-    their values (only increments matter downstream).
-    """
-    if si.grid_dt != sj.grid_dt:
-        raise DataError("paired series must share one grid step")
-    start = max(si.start, sj.start)
-
-    def trim(s):
-        k = int(round((start - s.start) / s.grid_dt))
-        if k == 0:
-            return s
-        return SteppedSeries(grid_dt=s.grid_dt, start=start,
-                             levels=s.levels[k:], tick_times=s.tick_times)
-
-    return trim(si), trim(sj)
+                         tick_times=ts.times)
 
 
 @dataclass(frozen=True)
@@ -456,14 +460,15 @@ class RunConfig:
     replay_ticks_j: str = None
 
     def __post_init__(self):
-        if self.n_days < 1 or self.length <= 0 or self.grid_dt <= 0:
-            raise DataError("n_days, length and grid_dt must be positive")
-        if self.lambda_i <= 0 or self.lambda_j <= 0:
-            raise DataError("sampling rates must be > 0")
-        if self.max_lag <= self.grid_dt:
-            raise DataError("max_lag must exceed the grid step")
-        if any(dt <= 0 for dt in self.dt_grid):
-            raise DataError("dt grid must be positive")
+        if not isinstance(self.n_days, int) or self.n_days < 1:
+            raise DataError("n_days must be a positive integer")
+        if not all(0 < x < math.inf for x in (self.lambda_i, self.lambda_j,
+                                              self.length, self.grid_dt,
+                                              *self.dt_grid)):
+            raise DataError("sampling rates, length, grid_dt and the dt "
+                            "grid must be finite and > 0")
+        if not self.grid_dt < self.max_lag < math.inf:
+            raise DataError("max_lag must be finite and exceed the grid step")
         if self.filter_mode not in ("inverse", "wiener"):
             raise DataError(f"unknown filter_mode {self.filter_mode!r}; "
                             "expected 'inverse' or 'wiener'")
@@ -503,8 +508,7 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     Returns a dict with the rates, raw and filtered Epps curves, cross and
     auto correlograms (raw and filtered cross), spectra, the six fits and
     their failures, the chi-square comparison, and the SNR actually used.
-    Days whose grids do not span the full session are used for time-domain
-    estimates but skipped for spectra.
+    Every day enters the spectra, so all days need grids of one length.
     """
     out = {"rate_i": rate_i, "rate_j": rate_j}
     dt_grid = np.asarray(dt_grid, dtype=float)
@@ -514,19 +518,9 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     out["cg_auto_i"] = correlogram(days_i, days_i, max_lag)
     out["cg_auto_j"] = correlogram(days_j, days_j, max_lag)
 
-    def norm(x):
-        sd = np.std(x)
-        if sd == 0:
-            raise DataError("zero-variance day in spectrum input")
-        return (x - np.mean(x)) / sd
-
-    n_full = max(s.levels.size for s in days_i)
-    full = [(norm(si.increments), norm(sj.increments))
-            for si, sj in zip(days_i, days_j)
-            if si.levels.size == n_full and sj.levels.size == n_full]
-    out["n_days_spectra"] = len(full)
-    di = [f[0] for f in full]
-    dj = [f[1] for f in full]
+    di = [_normalized_increments(s, True) for s in days_i]
+    dj = [_normalized_increments(s, True) for s in days_j]
+    out["n_days_spectra"] = len(di)
     s_cross = estimate_spectrum(di, dj)
     s_ii = estimate_spectrum(di, di)
     s_jj = estimate_spectrum(dj, dj)

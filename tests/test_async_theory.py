@@ -274,6 +274,29 @@ def test_discrete_kernel_unit_at_zero_and_hermitian():
     np.testing.assert_allclose(k[1:][::-1], np.conj(k[1:]), rtol=1e-12)
 
 
+def _two_factor_kernel(li, lj, n, T):
+    """The kernel as it was first written: an i factor and a j factor, each
+    built from its own complex exponential."""
+    theta = 2.0 * math.pi * n / T
+    fi = (np.ones_like(theta, dtype=complex) if math.isinf(li)
+          else -math.expm1(-li) / (1.0 - np.exp(-li - 1j * theta)))
+    fj = (np.ones_like(theta, dtype=complex) if math.isinf(lj)
+          else -math.expm1(-lj) / (1.0 - np.exp(-lj + 1j * theta)))
+    return fi * fj
+
+
+@pytest.mark.parametrize("li, lj", [(0.3, 0.3), (1.0, 1.0), (1e-3, 1e-3),
+                                    (0.3, 0.9), (1.0, 0.2), (math.inf, 0.5),
+                                    (2.0, math.inf), (math.inf, math.inf)])
+def test_discrete_kernel_matches_the_two_factor_formula(li, lj):
+    T = 20001
+    k = discrete_kernel(li, lj, np.arange(T), T)
+    want = _two_factor_kernel(li, lj, np.arange(T), T)
+    assert np.max(np.abs(k - want) / np.abs(want)) <= 4e-16
+    if li == lj:  # |f|^2: exactly real
+        assert not np.any(k.imag)
+
+
 def test_rate_validation():
     with pytest.raises(DataError):
         async_variance(CorrelationModel(delta_weight=1.0), -1.0, 1.0)

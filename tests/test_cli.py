@@ -167,6 +167,10 @@ def test_simulate_sample_estimate_chain(model_file, tmp_path, capsys):
         for name in artifacts}
     assert manifest["config"]["asset_i"] == "i"
     assert manifest["records_skipped"] == 0
+    # `epps sample` writes no ticks before the window: every day is
+    # back-filled, and every day enters the spectra
+    assert manifest["n_days_spectra"] == 2
+    assert manifest["open_ticks_missing"] == 4
     assert manifest["fit_failures"] == {}
     fits = (out_dir / "fits.csv").read_text().splitlines()
     assert len(fits) == 7
@@ -377,6 +381,59 @@ def test_estimate_wiener_without_snr_estimates_it(tmp_path, capsys):
     assert "(estimated)" in summary
     assert (out / "epps_filtered.csv").exists()
 
+
+
+def test_estimate_puts_every_day_in_the_spectra(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=4)
+    # day 0 of B loses its records before the window, so its first level
+    # is back-filled; day 8 has flat prices for A, day 9 no ticks for B
+    lines = [line for line in ticks.read_text().splitlines()
+             if not (line.startswith("B,0,") and float(line.split(",")[2])
+                     < pipeline.SessionSpec().window_start)]
+    lines += ["A,8,37000,100", "A,8,38000,100", "B,8,37000,100",
+              "B,8,38000,101", "A,9,37000,100", "A,9,38000,101"]
+    ticks.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--dt-grid", "1,5,20", "--max-lag", "40",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "analyzed 4 days" in captured.out
+    assert captured.err.splitlines() == [
+        "skipped day 8: flat prices for A",
+        "skipped day 9: no ticks in the window for B"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_days_spectra"] == 4
+    assert manifest["days_skipped"] == {"flat prices": 1,
+                                        "no ticks in the window": 1}
+    assert manifest["open_ticks_missing"] == 1
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("estimate", ["--grid-dt", "0"]),
+    ("estimate", ["--grid-dt", "nan"]),
+    ("estimate", ["--max-lag", "nan"]),
+    ("run", {"grid_dt": math.nan}),
+    ("run", {"max_lag": math.nan}),
+    ("run", {"length": math.nan}),
+    ("run", {"lambda_i": math.nan}),
+    ("run", {"n_days": 1.5}),
+])
+def test_invalid_settings_are_data_errors(command, setting, model_file,
+                                          tmp_path, capsys):
+    if command == "estimate":
+        ticks = tmp_path / "ticks.csv"
+        write_tick_csv(ticks, (1.0, 0.3), n_days=1)
+        args = ["--ticks", str(ticks), "--asset-i", "A", "--asset-j", "B",
+                *setting]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_file": model_file, "n_days": 1,
+                                   "length": 2000.0, **setting}))
+        args = ["--config", str(cfg)]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_estimate_counts_a_line_that_is_not_utf8(tmp_path, capsys):

@@ -135,9 +135,10 @@ def test_load_ticks_rejects_non_finite_numbers(tmp_path):
 
 def load_ticks_rowwise(path, session=None, fail_fast=False):
     """Row-by-row reference reader: the loop `load_ticks` replaced, plus
-    the non-finite and invalid UTF-8 rules."""
+    the non-finite and invalid UTF-8 rules and the open tick."""
     session = session or SessionSpec()
     buckets = {}
+    opens = {}
     errors = []
 
     def bad(lineno, msg):
@@ -177,9 +178,14 @@ def load_ticks_rowwise(path, session=None, fail_fast=False):
             if price <= 0:
                 bad(lineno, f"nonpositive price {price}")
                 continue
-            if not session.window_start <= t <= session.window_end:
-                continue
             key = (asset, day)
+            if t < session.window_start:
+                t -= session.window_start
+                if key not in opens or t > opens[key][0]:
+                    opens[key] = (t, math.log(price))
+                continue
+            if t > session.window_end:
+                continue
             bucket = buckets.setdefault(key, ([], []))
             if bucket[0] and t <= bucket[0][-1]:
                 bad(lineno, f"non-monotone time {t} for {asset} {day}")
@@ -191,13 +197,14 @@ def load_ticks_rowwise(path, session=None, fail_fast=False):
         series[(asset, day)] = TickSeries(
             asset_id=asset, day_id=day,
             times=np.asarray(times) - session.window_start,
-            log_prices=np.asarray(logs))
+            log_prices=np.asarray(logs), open_tick=opens.get((asset, day)))
     return series, errors
 
 
 _SESSION = SessionSpec(length=10.0)
 _TIMES = [f"{_SESSION.window_start + dt:.6f}"
-          for dt in (-0.5, 0.0, 0.000001, 1.0, 1.25, 2.5, 9.999999, 10.0, 10.5)]
+          for dt in (-2.0, -0.5, 0.0, 0.000001, 1.0, 1.25, 2.5, 9.999999,
+                     10.0, 10.5)]
 _PAD = st.sampled_from(["", " ", "\t", "  "])
 
 
@@ -267,6 +274,12 @@ def _assert_same_ticks(path, session):
         assert got[key].times.tobytes() == ts.times.tobytes()
         np.testing.assert_array_max_ulp(got[key].log_prices, ts.log_prices,
                                         maxulp=1)
+        if ts.open_tick is None:
+            assert got[key].open_tick is None
+        else:
+            assert got[key].open_tick[0] == ts.open_tick[0]
+            np.testing.assert_array_max_ulp(got[key].open_tick[1],
+                                            ts.open_tick[1], maxulp=1)
     if want_errors:
         with pytest.raises(DataError) as exc:
             load_ticks(path, session, fail_fast=True)
@@ -328,6 +341,28 @@ def _mixed_lines():
             f"A,d1,{t0 + k - 0.25:.6f},100",       # non-monotone
             f"A,d1,{t0 - 1:.6f},100")]             # before the window
     return lines
+
+
+def test_load_ticks_keeps_the_last_record_before_the_window(tmp_path):
+    t0 = SessionSpec().window_start
+    path = tick_file(tmp_path, [
+        f"A,d1,{t0 - 5:.6f},90",
+        f"A,d1,{t0 - 2:.6f},95",        # the latest before the window
+        f"A,d1,{t0 - 2:.6f},96",        # the same time later in the file
+        f"A,d1,{t0 - 3:.6f},97",        # earlier, but not non-monotone
+        f"A,d1,{t0 - 1:.6f},0",         # rejected
+        f"A,d1,{t0 + 1:.6f},100",
+        f"A,d1,{t0 + 20001:.6f},100",   # after the window
+        f"B,d1,{t0 + 2:.6f},100",
+        f"C,d1,{t0 - 1:.6f},100"])      # nothing in the window
+    series, errors = load_ticks(path)
+    assert errors == ["line 6: nonpositive price 0.0"]
+    a = series[("A", "d1")]
+    assert a.open_tick[0] == -2.0
+    assert a.open_tick[1] == pytest.approx(math.log(95.0), rel=1e-15)
+    np.testing.assert_array_equal(a.times, [1.0])
+    assert series[("B", "d1")].open_tick is None
+    assert list(series) == [("A", "d1"), ("B", "d1")]
 
 
 def test_load_ticks_forked_ranges_match_rowwise_reference(tmp_path):
@@ -510,16 +545,29 @@ def test_load_ticks_raises_when_a_range_parser_fails(tmp_path, where,
     assert errors == [] and series[("A", "d1")].times.size == 20000
 
 
-def test_grid_and_normalize_drops_leading_cells():
+def _normalized(levels):
+    incr = np.diff(levels)
+    return (incr - np.mean(incr)) / np.std(incr)
+
+
+def test_grid_and_normalize_starts_at_the_window_start():
     session = SessionSpec(length=100.0)
-    ts = TickSeries("a", "d", times=np.array([2.4, 10.0, 50.0, 90.0]),
-                    log_prices=np.array([0.0, 1.0, -1.0, 2.0]))
-    s = grid_and_normalize(ts, grid_dt=1.0, session=session)
-    assert s.start == 3.0
-    assert s.levels.size == 98
-    incr = s.increments
-    assert np.mean(incr) == pytest.approx(0.0, abs=1e-12)
-    assert np.std(incr) == pytest.approx(1.0, rel=1e-12)
+    times = np.array([2.4, 10.0, 50.0, 90.0])
+    logs = np.array([0.0, 1.0, -1.0, 2.0])
+    # the level of grid time k is that of the last tick at or before it
+    after = np.repeat(logs, np.diff([3, 10, 50, 90, 101]))
+    for open_tick, first in (((-3.0, 0.5), 0.5), (None, 0.0)):
+        # without an open tick the first tick's level is back-filled, and
+        # the return up to that tick is lost
+        ts = TickSeries("a", "d", times=times, log_prices=logs,
+                        open_tick=open_tick)
+        s = grid_and_normalize(ts, grid_dt=1.0, session=session)
+        assert s.start == 0.0
+        assert s.levels.size == 101
+        np.testing.assert_array_equal(s.tick_times, times)
+        np.testing.assert_allclose(
+            s.increments, _normalized(np.concatenate([[first] * 3, after])),
+            rtol=1e-12, atol=1e-12)
 
 
 def test_grid_and_normalize_skips_degenerate_days():
@@ -528,11 +576,16 @@ def test_grid_and_normalize_skips_degenerate_days():
                           log_prices=np.array([1.0]))
     assert grid_and_normalize(one_tick, session=session) is None
     flat = TickSeries("a", "d", times=np.array([5.0, 50.0]),
-                      log_prices=np.array([1.0, 1.0]))
+                      log_prices=np.array([1.0, 1.0]), open_tick=(-1.0, 1.0))
     assert grid_and_normalize(flat, session=session) is None
-    late = TickSeries("a", "d", times=np.array([99.2, 99.7]),
-                      log_prices=np.array([1.0, 2.0]))
-    assert grid_and_normalize(late, session=session) is None
+    one_cell = TickSeries("a", "d", times=np.array([0.2, 0.7]),
+                          log_prices=np.array([1.0, 2.0]))
+    assert grid_and_normalize(one_cell,
+                              session=SessionSpec(length=1.5)) is None
+    # one tick after the open tick is a return, so the day counts
+    assert grid_and_normalize(TickSeries(
+        "a", "d", times=np.array([99.2]), log_prices=np.array([2.0]),
+        open_tick=(-1.0, 1.0)), session=session) is not None
 
 
 def test_run_config_validation(model_file):
@@ -547,6 +600,11 @@ def test_run_config_validation(model_file):
         RunConfig(model_file=model_file, dt_grid=(1.0, -2.0))
     with pytest.raises(DataError):
         RunConfig(model_file=model_file, filter_mode="bogus")
+    for key in ("lambda_j", "length", "grid_dt", "max_lag"):
+        with pytest.raises(DataError, match="finite"):
+            RunConfig(model_file=model_file, **{key: math.inf})
+    with pytest.raises(DataError, match="finite"):
+        RunConfig(model_file=model_file, dt_grid=(1.0, math.nan))
 
 
 def test_run_config_from_file(tmp_path, model_file):
