@@ -7,6 +7,7 @@ correlograms and Epps curves from the corrected spectrum.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -52,12 +53,19 @@ def _wiener_snr(spec, T):
     return snr
 
 
+@functools.lru_cache(maxsize=4)
+def _kernel_bins(lambda_i_step, lambda_j_step, T):
+    """`discrete_kernel` over all T bins, cached per rate pair and length;
+    the array is shared and read-only."""
+    kern = discrete_kernel(lambda_i_step, lambda_j_step, np.arange(T), T)
+    kern.flags.writeable = False
+    return kern
+
+
 def _kernel(s_tilde, lambda_i, lambda_j, grid_dt):
     if lambda_i <= 0 or lambda_j <= 0:
         raise DataError("sampling rates must be > 0")
-    n = np.arange(s_tilde.T)
-    return discrete_kernel(lambda_i * grid_dt, lambda_j * grid_dt,
-                           n, s_tilde.T)
+    return _kernel_bins(lambda_i * grid_dt, lambda_j * grid_dt, s_tilde.T)
 
 
 def _replace(spec, s_n):

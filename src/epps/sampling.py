@@ -4,13 +4,16 @@ Bivariate Gaussian increment paths are synthesized in the frequency domain:
 the exact bin-averaged covariances of the target kernels are wrapped into a
 circulant, factorized per frequency, and colored onto complex white noise
 (circulant embedding).  The circulant has one point per grid step of
-[-warmup, horizon], even where that length is slow to transform (40 010 =
-2 * 5 * 4001 for 40 000 s plus 10 s of warm-up): a longer circulant would
-be valid but would change every draw of a given seed.  The factors depend
-only on the model pair, the grid step and the length, so they are cached
-on those.  Tick times are drawn independently of the path and a
-previous-tick stepped series assigns to each grid time the path value at
-the latest tick at or before it.
+[-warmup, horizon], also where that length has a large prime factor
+(40 010 = 2 * 5 * 4001 for 40 000 s plus 10 s of warm-up): a longer
+circulant would be valid but would change every draw of a given seed.
+Such a length n = m * p, p prime with p * p > n, is transformed back as an
+m x p grid (Good-Thomas prime-factor split), which keeps the length and
+changes the draws only at round-off.  The factors depend only on the model
+pair, the grid step and the length, so they are cached on those.  Tick
+times are drawn independently of the path and a previous-tick stepped
+series assigns to each grid time the path value at the latest tick at or
+before it.
 """
 
 from dataclasses import dataclass
@@ -130,6 +133,56 @@ def _circulant_factors(pair, grid_dt, n):
     return l11, l21, l22
 
 
+def _largest_prime_factor(n):
+    largest, f = 1, 2
+    while f * f <= n:
+        while n % f == 0:
+            largest, n = f, n // f
+        f += 1
+    return max(largest, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _prime_factor_maps(n):
+    """Index maps of the prime-factor split of length n, None if unsplit.
+
+    With p the largest prime factor of n and m = n / p, n is split when
+    p * p > n and m > 1; then p > m, so m and p are coprime.  The length-n
+    inverse transform is then the 2-D one of the (m, p) grid gathered by
+    the input map (p a + m b) mod n, read back by the Chinese-remainder
+    output map k -> (k mod m, k mod p); no twiddle factors enter.  The
+    maps are shared and read-only.
+    """
+    p = _largest_prime_factor(n)
+    m = n // p
+    if p * p <= n or m == 1:
+        return None
+    gather = (p * np.arange(m)[:, None] + m * np.arange(p)) % n
+    k = np.arange(n)
+    crt = (k % m) * p + k % p
+    for index in (gather, crt):
+        index.flags.writeable = False
+    return gather, crt
+
+
+def _inverse_transform(w):
+    """Inverse DFT of each row of w, which it may overwrite.
+
+    Lengths with a large prime factor go through the m x p split of
+    `_prime_factor_maps`, equal to the whole-length transform up to
+    round-off; every other length is transformed whole, bit for bit as
+    ``scipy.fft.ifft``.
+    """
+    import scipy.fft  # here, so that importing the package loads no scipy
+
+    maps = _prime_factor_maps(w.shape[-1])
+    if maps is None:
+        return scipy.fft.ifft(w, axis=-1, overwrite_x=True)
+    gather, crt = maps
+    grid = scipy.fft.ifft2(w.take(gather, axis=-1), overwrite_x=True)
+    return grid.reshape(w.shape).take(crt, axis=-1)
+
+
 def _draw_increment_pairs(l11, l21, l22, rng, n):
     """Color complex white noise with the factors and transform it back.
 
@@ -137,8 +190,6 @@ def _draw_increment_pairs(l11, l21, l22, rng, n):
     shape (2, n) each.  The noise is colored in place in one (2, n) array,
     second row first since it reads the first row's white noise.
     """
-    import scipy.fft  # here, so that importing the package loads no scipy
-
     w = np.empty((2, n), dtype=complex)
     w.real = rng.standard_normal((2, n))
     w.imag = rng.standard_normal((2, n))
@@ -147,7 +198,7 @@ def _draw_increment_pairs(l11, l21, l22, rng, n):
     w[1] += l21 * w[0]
     w[1] *= scale
     w[0] *= scale * l11
-    x = scipy.fft.ifft(w, axis=-1, overwrite_x=True)
+    x = _inverse_transform(w)
     return x.real, x.imag
 
 

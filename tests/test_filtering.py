@@ -46,6 +46,28 @@ def test_inverse_undoes_the_forward_kernel():
     np.testing.assert_allclose(back.s_n, s.s_n, rtol=1e-12, atol=1e-12)
 
 
+def test_sampling_kernel_is_cached_read_only_and_left_unchanged():
+    T, li, lj, grid_dt = 256, 0.8, 0.15, 0.5
+    s = hermitian_spectrum(T, seed=7)
+    cross = filtering._kernel_bins(li * grid_dt, lj * grid_dt, T)
+    auto = filtering._kernel_bins(li * grid_dt, li * grid_dt, T)
+    for kern, lj_step in ((cross, lj * grid_dt), (auto, li * grid_dt)):
+        fresh = discrete_kernel(li * grid_dt, lj_step, np.arange(T), T)
+        assert kern.tobytes() == fresh.tobytes()
+        assert not kern.flags.writeable
+        with pytest.raises(ValueError):
+            kern[0] = 0.0
+    before = cross.tobytes(), auto.tobytes()
+    wiener = FilterSpec(mode="wiener", snr=4.0)
+    out = inverse_filter(s, li, lj, grid_dt)
+    assert out.s_n.tobytes() == (s.s_n / cross).tobytes()
+    wiener_filter(s, li, lj, wiener, grid_dt)
+    auto_filter(s, li, 0.5, grid_dt=grid_dt)
+    auto_filter(s, li, 0.5, wiener, grid_dt=grid_dt)
+    assert (cross.tobytes(), auto.tobytes()) == before
+    assert filtering._kernel_bins(li * grid_dt, lj * grid_dt, T) is cross
+
+
 def test_inverse_filter_identity_at_huge_rates():
     s = hermitian_spectrum(64, seed=2)
     out = inverse_filter(s, 1e9, 1e9)

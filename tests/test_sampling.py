@@ -11,7 +11,8 @@ from epps.kernels import CorrelationModel, ModelPair, sync_covariance
 from epps.sampling import (SimulatedPath, SteppedSeries, rng_stream,
                            simulate_paths, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
-                           _binned_cov, _circulant_factors, _max_lag_steps)
+                           _binned_cov, _circulant_factors, _inverse_transform,
+                           _max_lag_steps, _prime_factor_maps)
 from epps.pipeline import _read_tick_times
 
 
@@ -127,17 +128,20 @@ def reference_factors(pair, grid_dt, n, fft):
     return l11, l21, l22
 
 
-def reference_draw(pair, grid_dt, n, seed, *key, fft=scipy.fft):
+def reference_draw(pair, grid_dt, n, seed, *key, fft=scipy.fft,
+                   inverse=None):
     """Level pairs of one circulant draw by the coloring that makes a new
     array at each step: complex white noise from the keyed stream, two
-    colored rows, their stack and one inverse transform, whose real and
-    imaginary parts are two independent increment samples."""
+    colored rows, their stack and one inverse transform (`fft.ifft` over
+    the rows unless `inverse` is given), whose real and imaginary parts are
+    two independent increment samples."""
     l11, l21, l22 = reference_factors(pair, grid_dt, n, fft)
     rng = rng_stream(seed, *key)
     w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     z1 = math.sqrt(n) * l11 * w[0]
     z2 = math.sqrt(n) * (l21 * w[0] + l22 * w[1])
-    x = fft.ifft(np.vstack([z1, z2]), axis=-1)
+    z = np.vstack([z1, z2])
+    x = fft.ifft(z, axis=-1) if inverse is None else inverse(z)
     return [np.hstack([np.zeros((2, 1)), np.cumsum(part, axis=1)])
             for part in (x.real, x.imag)]
 
@@ -158,20 +162,75 @@ def test_draws_match_the_numpy_fft_reference():
         np.testing.assert_allclose(p.levels, expected, rtol=0, atol=1e-12)
 
 
-def test_draws_equal_the_copying_reference_byte_for_byte():
-    # the same transforms as the simulator, so in-place coloring and cached
-    # factors must leave every bit of the levels as it was
-    pair, grid_dt, horizon, warmup, seed = smooth_pair(), 1.0, 4000.0, 10.0, 4
-    n = 4010
+def assert_draws_equal_reference(horizon, warmup, n, **transform):
+    pair, grid_dt, seed = smooth_pair(), 1.0, 4
     path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
-    expected, _ = reference_draw(pair, grid_dt, n, seed, 0)
+    expected, _ = reference_draw(pair, grid_dt, n, seed, 0, **transform)
     assert path.levels.tobytes() == expected.tobytes()
     paths = simulate_ensemble(pair, grid_dt, horizon, 5, seed=seed,
                               warmup=warmup)
     assert len(paths) == 5
     for k, p in enumerate(paths):
-        expected = reference_draw(pair, grid_dt, n, seed, 1, k // 2)[k % 2]
+        expected = reference_draw(pair, grid_dt, n, seed, 1, k // 2,
+                                  **transform)[k % 2]
         assert p.levels.tobytes() == expected.tobytes()
+
+
+def test_draws_equal_the_copying_reference_byte_for_byte():
+    # the same transforms as the simulator, so in-place coloring and cached
+    # factors must leave every bit of the levels as it was; n = 4010 is
+    # split, so the reference calls the simulator's own inverse transform
+    assert _prime_factor_maps(4010) is not None
+    assert_draws_equal_reference(4000.0, 10.0, 4010,
+                                 inverse=_inverse_transform)
+
+
+def test_unsplit_draws_equal_plain_scipy_byte_for_byte():
+    # n = 4000 = 2^5 * 5^3 is not split: the draws are those of a plain
+    # scipy.fft.ifft, bit for bit
+    assert _prime_factor_maps(4000) is None
+    assert_draws_equal_reference(3990.0, 10.0, 4000)
+
+
+# length -> (m, p) of its prime-factor split, or None where it is not split:
+# 40 010 (mc_deconv, criterion 5), 4010 (the tests' 4000 s paths), 20 050
+# (perfbench's tick days at rate 0.2); 20 010 (the default `epps simulate`
+# and `epps run` length), 20 200 (`run_async`), 40 000, and the prime 4001
+_SPLITS = {40010: (10, 4001), 4010: (10, 401), 20050: (50, 401),
+           20010: None, 20200: None, 40000: None, 4001: None}
+
+
+@pytest.mark.parametrize("n", sorted(_SPLITS))
+def test_prime_factor_split_decision_is_pinned(n):
+    maps = _prime_factor_maps(n)
+    if _SPLITS[n] is None:
+        assert maps is None
+        return
+    gather, crt = maps
+    assert gather.shape == _SPLITS[n]
+    assert crt.shape == (n,)
+    for index in (gather, crt):
+        assert not index.flags.writeable
+
+
+def random_rows(n, seed):
+    rng = rng_stream(seed, 70)
+    return rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+
+
+@pytest.mark.parametrize("n", [n for n in sorted(_SPLITS) if _SPLITS[n]])
+def test_split_transform_matches_scipy_to_round_off(n):
+    w = random_rows(n, seed=n)
+    expected = scipy.fft.ifft(w, axis=-1)
+    got = _inverse_transform(w.copy())
+    assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [n for n in sorted(_SPLITS) if not _SPLITS[n]])
+def test_unsplit_transform_is_scipy_byte_for_byte(n):
+    w = random_rows(n, seed=n)
+    expected = scipy.fft.ifft(w, axis=-1)
+    assert _inverse_transform(w.copy()).tobytes() == expected.tobytes()
 
 
 def test_equal_pairs_share_read_only_factors():
