@@ -167,11 +167,11 @@ def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0):
                        n_days=s_hat.n_days)
 
 
-def _window_weights(T, m):
-    """|sum_{t<m} e^{i theta_n t}|^2 for every frequency index n."""
-    n = np.arange(T)
+def _window_weights(T, m, n, sin_n):
+    """|sum_{t<m} e^{i theta_n t}|^2 for every frequency index n, given
+    n = arange(T) and sin_n = sin(pi n / T)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = (np.sin(np.pi * n * m / T) / np.sin(np.pi * n / T)) ** 2
+        w = (np.sin(np.pi * n * m / T) / sin_n) ** 2
     w[0] = m * m
     return w
 
@@ -203,9 +203,11 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     if np.any(np.abs(steps - np.round(steps)) > 1e-9) or np.any(steps < 1):
         raise DataError("every dt must be a positive multiple of the grid step")
     rho = np.empty(dt_grid.size)
+    n = np.arange(T)
+    sin_n = np.sin(np.pi * n / T)
     for a, m in enumerate(np.round(steps).astype(int)):
         _check_horizon(m, T)
-        w = _window_weights(T, m)
+        w = _window_weights(T, m, n, sin_n)
         c12, v1, v2 = (_windowed_covariance(s, w)
                        for s in (s_hat, s_auto_i, s_auto_j))
         rho[a] = c12 / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else np.nan

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from epps import estimation
 from epps.errors import DataError
 from epps.sampling import SteppedSeries, rng_stream
 from epps.estimation import (estimate_rate, epps_curve, correlogram,
@@ -126,6 +130,38 @@ def test_epps_curve_matches_per_day_corrcoef_reference():
     assert np.isnan(flat.rho[0]) and np.isnan(flat.stderr[0])
 
 
+EPPS_CURVE_BYTES = """
+import sys
+import numpy as np
+from epps.estimation import epps_curve
+from epps.sampling import SteppedSeries
+for seed in (0, 1, 3):
+    z = np.random.default_rng(seed).standard_normal((2, 20000))
+    levels = np.cumsum(np.hstack([np.zeros((2, 1)), z]), axis=1)
+    days = [[SteppedSeries(grid_dt=1.0, start=0.0, levels=lv,
+                           tick_times=np.arange(lv.size, dtype=float))]
+            for lv in (levels[0], levels[0] + 0.3 * levels[1])]
+    curve = epps_curve(days[0], days[1], [1.0, 2.0, 5.0])
+    sys.stdout.write(curve.rho.tobytes().hex())
+"""
+
+
+def test_epps_curve_does_not_depend_on_the_blas_thread_count():
+    # one day of 20 000 returns, three times: a BLAS dot product of that
+    # length is split across threads, which changes its rounding
+    src = os.path.dirname(os.path.dirname(estimation.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out.append(subprocess.run([sys.executable, "-c", EPPS_CURVE_BYTES],
+                                  env=env, capture_output=True, text=True,
+                                  check=True).stdout)
+    assert out[0] and out[0] == out[1]
+
+
 def test_epps_curve_rejects_off_grid_horizons():
     days_i, days_j = gaussian_days(1, 50, seed=6)
     with pytest.raises(DataError):
@@ -206,6 +242,56 @@ def test_correlogram_lagged_mean_against_direct_loop():
                             / math.sqrt(n_days), rtol=0, atol=1e-14)
                     else:
                         assert np.all(np.isnan(cg.stderr))
+
+
+def test_correlogram_direct_sums_match_the_fft_path(monkeypatch):
+    # each window (1 lag, the cutoff, one lag above it) taken once by the
+    # direct sums and once by the FFT, at three day lengths, auto and
+    # cross, raw and normalized
+    cut = estimation._DIRECT_MAX_LAGS
+    for n in (64, 2000, 39990):
+        z = rng_stream(4, n).standard_normal((3, 2, n))
+        days_i = [make_series(np.concatenate([[0.0], np.cumsum(d[0])]))
+                  for d in z]
+        days_j = [make_series(np.concatenate([[0.0], np.cumsum(d[1])]))
+                  for d in z]
+        for n_lags in (1, cut, cut + 1):
+            for normalize in (False, True):
+                for dj in (days_i, days_j):
+                    got = {}
+                    for path, limit in (("direct", n_lags), ("fft", 0)):
+                        monkeypatch.setattr(estimation, "_DIRECT_MAX_LAGS",
+                                            limit)
+                        got[path] = correlogram(days_i, dj, float(n_lags),
+                                                normalize=normalize)
+                    direct, fft = got["direct"], got["fft"]
+                    for field in ("values", "stderr"):
+                        np.testing.assert_allclose(
+                            getattr(direct, field), getattr(fft, field),
+                            rtol=0, atol=1e-14)
+                    if dj is days_i:
+                        assert direct.delta_mass == pytest.approx(
+                            fft.delta_mass, rel=0, abs=1e-14)
+                    else:
+                        assert direct.delta_mass is fft.delta_mass is None
+
+
+def test_correlogram_short_windows_take_no_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("scipy.fft called")
+
+    monkeypatch.setattr(scipy.fft, "rfft", no_fft)
+    monkeypatch.setattr(scipy.fft, "irfft", no_fft)
+    days_i, days_j = gaussian_days(2, 500, seed=11)
+    cut = float(estimation._DIRECT_MAX_LAGS)
+    for dj in (days_i, days_j):
+        for max_lag in (1.0, cut):
+            correlogram(days_i, dj, max_lag)
+        # one lag more, and the 120 s default of `epps run` and `epps
+        # estimate`, take the FFT
+        for max_lag in (cut + 1.0, 120.0):
+            with pytest.raises(AssertionError, match="scipy.fft called"):
+                correlogram(days_i, dj, max_lag)
 
 
 def test_correlogram_argument_validation():

@@ -259,22 +259,29 @@ def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
     s11 = estimate_spectrum([x], [x])
     s22 = estimate_spectrum([y], [y])
     horizons = [1.0, 2.0, 8.0, 30.0]
-    # one window per spectrum, built apart, gives the same coefficients
+    # one window per spectrum, each built from scratch by the squared
+    # Dirichlet kernel, gives the same coefficients, bit for bit
+    n = np.arange(128)
     expected = []
     for m in (1, 2, 8, 30):
-        c12, v1, v2 = (filtering._windowed_covariance(
-            s, filtering._window_weights(128, m)) for s in (s12, s11, s22))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (np.sin(np.pi * n * m / 128) / np.sin(np.pi * n / 128)) ** 2
+        w[0] = m * m
+        c12, v1, v2 = (filtering._windowed_covariance(s, w)
+                       for s in (s12, s11, s22))
         expected.append(c12 / math.sqrt(v1 * v2))
     built = []
     window = filtering._window_weights
 
-    def counting_window(T, m):
-        built.append(m)
-        return window(T, m)
+    def counting_window(T, m, *shared):
+        built.append((m, *map(id, shared)))
+        return window(T, m, *shared)
 
     monkeypatch.setattr(filtering, "_window_weights", counting_window)
     curve = filtered_epps_curve(s12, s11, s22, horizons)
-    assert built == [1, 2, 8, 30]
+    assert [b[0] for b in built] == [1, 2, 8, 30]
+    # the shared arrays (n and sin(pi n / T)) are built once per call
+    assert len({b[1:] for b in built}) == 1
     np.testing.assert_array_equal(curve.rho, expected)
 
 
