@@ -9,14 +9,14 @@ from .kernels import (CorrelationModel, ModelPair, sync_covariance, sync_rho,
 from .async_theory import (AsyncKernel, discrete_kernel, async_cross_corr,
                            async_covariance, async_variance, async_rho)
 from .sampling import (SimulatedPath, SteppedSeries, rng_stream,
-                       simulate_paths, simulate_ensemble, draw_poisson_times,
-                       default_warmup, previous_tick)
+                       simulate_ensemble, draw_poisson_times, default_warmup,
+                       previous_tick)
 from .estimation import (RateEstimate, EppsCurve, Correlogram,
                          SpectrumEstimate, estimate_rate, epps_curve,
                          correlogram, estimate_spectrum)
-from .filtering import (FilterSpec, inverse_filter, wiener_filter,
-                        apply_filter, auto_filter, estimate_snr,
-                        filtered_correlogram, filtered_epps_curve)
+from .filtering import (FilterSpec, inverse_filter, apply_filter,
+                        auto_filter, estimate_snr, filtered_correlogram,
+                        filtered_epps_curve)
 from .fitting import (FitResult, fit_cross_raw, fit_cross_async,
                       fit_auto_raw, fit_auto_async, chi2_ratio)
 from .pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,

@@ -36,9 +36,12 @@ from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize,
 
 def _float_list(text):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad numeric list {text!r}: {exc}") from exc
+    if not values:
+        raise click.UsageError(f"empty numeric list {text!r}")
+    return values
 
 
 @click.group()
@@ -60,6 +63,8 @@ def cli():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
     """Simulate synchronous correlated paths onto CSV files."""
+    if days < 1:
+        raise click.UsageError("--days must be at least 1")
     pair = load_model_file(model_file)
     if warmup is None:
         warmup = 10.0
@@ -198,6 +203,9 @@ def theory(model_file, quantity, lambda_i, lambda_j, grid, out_file):
 def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
              filter_mode, snr, fail_fast, out_dir):
     """Estimate Epps curves, correlograms, spectra and fits from ticks."""
+    if asset_i == asset_j:
+        raise click.UsageError("--asset-i and --asset-j must differ")
+    dt_list = _float_list(dt_grid)
     spec = FilterSpec(filter_mode, snr)
     session = SessionSpec()
     if not (0 < grid_dt <= session.length / 2 and math.isfinite(max_lag)):
@@ -228,7 +236,6 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     open_ticks_missing = sum(series[(asset, d)].open_tick is None
                              for d in days for asset in (asset_i, asset_j))
     del series  # the spectra hold every day's increments: free the ticks
-    dt_list = _float_list(dt_grid)
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           dt_list, max_lag, spec, grid_dt)
     config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,

@@ -258,7 +258,7 @@ def correlogram(series_i, series_j, max_lag, normalize=True):
                        delta_mass=delta)
 
 
-def estimate_spectrum(increments_i, increments_j, T=None):
+def estimate_spectrum(increments_i, increments_j):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
     Every day must supply exactly T increments.  Each side takes one real
@@ -276,8 +276,7 @@ def estimate_spectrum(increments_i, increments_j, T=None):
     days_i = [np.asarray(d, dtype=float) for d in increments_i]
     days_j = days_i if is_auto else [np.asarray(d, dtype=float)
                                      for d in increments_j]
-    if T is None:
-        T = days_i[0].size
+    T = days_i[0].size
     if T < 1:
         raise DataError("need at least one increment per day")
     for d in (*days_i, *days_j):

@@ -73,6 +73,23 @@ def _replace(spec, s_n):
                             rate_i=spec.rate_i, rate_j=spec.rate_j)
 
 
+def _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt, delta_mass=None):
+    """The one deconvolution body of the three filters.
+
+    Divides the excess of the spectrum over `delta_mass` (none for a cross
+    spectrum) by the kernel K, or for a Wiener spec multiplies it by
+    conj(K) / (|K|^2 + 1/snr), and adds the point mass back.
+    """
+    kern = _kernel(s_tilde, lambda_i, lambda_j, grid_dt)
+    excess = s_tilde.s_n if delta_mass is None else s_tilde.s_n - delta_mass
+    if spec is None or spec.mode == "inverse":
+        out = excess / kern
+    else:
+        snr = _wiener_snr(spec, s_tilde.T)
+        out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
+    return _replace(s_tilde, out if delta_mass is None else delta_mass + out)
+
+
 def inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
     """Divide out the discrete sampling kernel bin by bin.
 
@@ -80,29 +97,17 @@ def inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
     high-frequency bins are amplified roughly like omega^2, so noisy inputs
     come out noisy there.  Hermitian symmetry is preserved.
     """
-    return _replace(s_tilde,
-                    s_tilde.s_n / _kernel(s_tilde, lambda_i, lambda_j, grid_dt))
-
-
-def wiener_filter(s_tilde, lambda_i, lambda_j, spec, grid_dt=1.0):
-    """Inverse filter damped by |K|^2 / (|K|^2 + 1/snr).
-
-    Interpolates between zero output (snr -> 0) and the plain inverse
-    (snr -> inf).
-    """
-    if spec.mode != "wiener":
-        raise DataError("wiener_filter requires a wiener FilterSpec")
-    snr = _wiener_snr(spec, s_tilde.T)
-    kern = _kernel(s_tilde, lambda_i, lambda_j, grid_dt)
-    power = np.abs(kern) ** 2
-    return _replace(s_tilde,
-                    s_tilde.s_n * np.conj(kern) / (power + 1.0 / snr))
+    return _deconvolve(s_tilde, lambda_i, lambda_j, None, grid_dt)
 
 
 def apply_filter(s_tilde, lambda_i, lambda_j, spec, grid_dt=1.0):
-    if spec.mode == "inverse":
-        return inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt)
-    return wiener_filter(s_tilde, lambda_i, lambda_j, spec, grid_dt)
+    """Deconvolve a cross-spectrum with the filter `spec` selects.
+
+    The inverse mode is `inverse_filter`.  The Wiener mode is the inverse
+    filter damped by |K|^2 / (|K|^2 + 1/snr), which interpolates between
+    zero output (snr -> 0) and the plain inverse (snr -> inf).
+    """
+    return _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt)
 
 
 def auto_filter(s_tilde, lam, delta_mass, spec=None, grid_dt=1.0):
@@ -113,14 +118,9 @@ def auto_filter(s_tilde, lam, delta_mass, spec=None, grid_dt=1.0):
     level gets divided by the kernel.  `delta_mass` comes from the measured
     autocorrelogram; `spec` selects Wiener damping, default plain inverse.
     """
-    kern = _kernel(s_tilde, lam, lam, grid_dt)
-    excess = s_tilde.s_n - delta_mass
-    if spec is None or spec.mode == "inverse":
-        out = excess / kern
-    else:
-        snr = _wiener_snr(spec, s_tilde.T)
-        out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
-    return _replace(s_tilde, delta_mass + out)
+    if delta_mass is None:
+        raise DataError("auto_filter needs the point mass of an auto spectrum")
+    return _deconvolve(s_tilde, lam, lam, spec, grid_dt, delta_mass)
 
 
 def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):

@@ -78,6 +78,19 @@ def _as_models(model):
     return tuple(model)
 
 
+def _triangle_covariance(model, dt, shift):
+    """integral (dt - |s|) c(s + shift) ds over s in [-dt, dt], elementwise
+    over broadcast `dt` >= 0 and `shift`: the covariance of two dt-horizon
+    increments whose starts lie `shift` apart, in closed form."""
+    out = np.zeros(np.broadcast(dt, shift).shape)
+    for m in _as_models(model):
+        center = m.lag - shift
+        out += m.total_delta_weight * np.maximum(dt - abs(center), 0.0)
+        if m.width > 0.0:
+            out += m.exp_weight * triangle_exp_integral(dt, center, m.width)
+    return out
+
+
 def sync_covariance(model, dt):
     """Synchronous covariance C(dt) of dt-horizon increments.
 
@@ -88,11 +101,7 @@ def sync_covariance(model, dt):
     dt = np.atleast_1d(np.asarray(dt, dtype=float))
     if np.any(dt < 0):
         raise DataError("sync_covariance requires dt >= 0")
-    out = np.zeros_like(dt)
-    for m in _as_models(model):
-        out += m.total_delta_weight * np.maximum(dt - abs(m.lag), 0.0)
-        if m.width > 0.0:
-            out += m.exp_weight * triangle_exp_integral(dt, m.lag, m.width)
+    out = _triangle_covariance(model, dt, 0.0)
     return out[0] if scalar else out
 
 

@@ -2,8 +2,8 @@
 
 Tick files are UTF-8 CSV with header `asset,day,time_sec,price`, where
 time_sec counts decimal seconds from midnight exchange time.  A session
-window skips the first 45 and last 21 minutes of the trading day and keeps
-a fixed-length stretch (20000 s by default) for analysis.
+window skips the first 45 minutes after the open and keeps a fixed-length
+stretch (20000 s by default: 10:15 to 15:48:20) for analysis.
 
 `run_pipeline` wires the whole chain together on synthetic data: simulate
 correlated paths, sample them at Poisson (or replayed) tick times, grid with
@@ -47,15 +47,14 @@ class SessionSpec:
     """
 
     open_skip: float = 2700.0
-    close_skip: float = 1260.0
     length: float = 20000.0
     open_time: float = 34200.0
 
     def __post_init__(self):
         if self.length <= 0:
             raise DataError("session length must be > 0")
-        if self.open_skip < 0 or self.close_skip < 0:
-            raise DataError("session skips must be >= 0")
+        if self.open_skip < 0:
+            raise DataError("session open skip must be >= 0")
 
     @property
     def window_start(self):
@@ -115,12 +114,12 @@ def load_ticks(path, session=None, fail_fast=False):
     forked processes.  The series, messages and message order are the same
     as from one range.
 
-    Each range is read as raw bytes, `_CHUNK_BYTES` at a time, with `\\r\\n`
-    and a lone `\\r` turned into `\\n` as universal newlines read them.
-    One numpy pass over a chunk finds its line ends and each line's comma
-    count.  Only lines without three commas are decoded one at a time, to
-    tell blank lines from bad ones; the others are decoded and split into
-    fields once per chunk.
+    Each range is read as raw bytes, in chunks of `_CHUNK_BYTES` or more
+    that end at a line break, with `\\r\\n` and a lone `\\r` turned into
+    `\\n` as universal newlines read them.  One numpy pass over a chunk
+    finds its line ends and each line's comma count.  Only lines without
+    three commas are decoded one at a time, to tell blank lines from bad
+    ones; the others are decoded and split into fields once per chunk.
     """
     session = session or SessionSpec()
     with open(path, "rb") as fh:
@@ -239,21 +238,15 @@ def _parse_range(path, start, end, session):
     rows = {}
     bad = []
     n_lines = 0
-    carry = b""
-    left = end - start
+    pos = start
     with open(path, "rb") as fh:
-        fh.seek(start)
-        more = True
-        while more:
-            block = fh.read(min(_CHUNK_BYTES, left))
-            left -= len(block)
-            chunk, carry = carry + block, b""
-            more = left > 0 and len(block) > 0
-            if more:
-                # the last line may go on in the next block, and so may a
-                # \r that ends this one, when a \n follows it
-                cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
-                chunk, carry = chunk[:cut], chunk[cut:]
+        while pos < end:
+            # chunks end at a line break, cut by the rule that cut the range
+            cut = (_line_end(fh, pos + _CHUNK_BYTES - 1)
+                   if end - pos > _CHUNK_BYTES else end)
+            fh.seek(pos)
+            chunk = fh.read(cut - pos)
+            pos = cut
             if b"\r" in chunk:
                 chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             if chunk and not chunk.endswith(b"\n"):  # last line, no break

@@ -23,8 +23,7 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .kernels import ModelPair, _as_models
-from ._numutil import triangle_exp_integral
+from .kernels import ModelPair, _as_models, _triangle_covariance
 
 
 def rng_stream(seed, *key):
@@ -39,7 +38,6 @@ class SimulatedPath:
     grid_dt: float
     t0: float
     levels: np.ndarray  # (2, n_steps + 1)
-    seed: int = 0
 
     @property
     def n_steps(self):
@@ -74,22 +72,6 @@ class SteppedSeries:
     def increments(self):
         return np.diff(self.levels)
 
-    @property
-    def n_increments(self):
-        return self.levels.size - 1
-
-
-def _binned_cov(model, grid_dt, k):
-    """Covariance of grid increments at integer lags k (array):
-    integral (dt - |s|) c(k dt + s) ds."""
-    out = np.zeros(np.shape(k))
-    for m in _as_models(model):
-        center = m.lag - k * grid_dt
-        out += m.total_delta_weight * np.maximum(grid_dt - np.abs(center), 0.0)
-        if m.width > 0.0:
-            out += m.exp_weight * triangle_exp_integral(grid_dt, center, m.width)
-    return out
-
 
 def _max_lag_steps(pair, grid_dt):
     scale = 0.0
@@ -115,7 +97,7 @@ def _circulant_factors(pair, grid_dt, n):
 
     def wrapped(model):
         g = np.zeros(n)
-        g[ks % n] = _binned_cov(model, grid_dt, ks)
+        g[ks % n] = _triangle_covariance(model, grid_dt, ks * grid_dt)
         return g
 
     # positive-exponent transform: M_m = sum_k gamma(k) e^{+2 pi i m k / n}
@@ -209,29 +191,19 @@ def _levels(increments):
     return lev
 
 
-def simulate_paths(pair, grid_dt, horizon, seed=0, warmup=0.0):
-    """Simulate one synchronous bivariate path with the pair's correlation
-    structure on a uniform grid covering [-warmup, horizon]."""
-    if grid_dt <= 0 or horizon <= 0 or warmup < 0:
-        raise DataError("grid_dt and horizon must be > 0, warmup >= 0")
-    if not isinstance(pair, ModelPair):
-        raise DataError("simulate_paths requires a validated ModelPair")
-    n = int(round((horizon + warmup) / grid_dt))
-    factors = _circulant_factors(pair, grid_dt, n)
-    incr, _ = _draw_increment_pairs(*factors, rng_stream(seed, 0), n)
-    return SimulatedPath(grid_dt=grid_dt, t0=-warmup, levels=_levels(incr),
-                         seed=seed)
-
-
 def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
     """Independent paths for Monte Carlo; two paths per random draw.
 
-    The circulant factors are computed once for equal (pair, grid_dt,
-    length) and reused by later calls, here and in `simulate_paths`; the
-    draws of a seed are the same as with fresh factors, byte for byte.
+    Each path holds synchronous bivariate levels with the pair's correlation
+    structure on a uniform grid covering [-warmup, horizon].  The circulant
+    factors are computed once for equal (pair, grid_dt, length) and reused
+    by later calls; the draws of a seed are the same as with fresh factors,
+    byte for byte.
     """
     if grid_dt <= 0 or horizon <= 0 or warmup < 0:
         raise DataError("grid_dt and horizon must be > 0, warmup >= 0")
+    if not isinstance(pair, ModelPair):
+        raise DataError("simulate_ensemble requires a validated ModelPair")
     n = int(round((horizon + warmup) / grid_dt))
     factors = _circulant_factors(pair, grid_dt, n)
     paths = []
@@ -240,7 +212,7 @@ def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
         for incr in (re, im):
             if len(paths) < n_paths:
                 paths.append(SimulatedPath(grid_dt=grid_dt, t0=-warmup,
-                                           levels=_levels(incr), seed=seed))
+                                           levels=_levels(incr)))
     return paths
 
 
@@ -323,7 +295,7 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
 
     Parameters
     ----------
-    source : SimulatedPath, SteppedSeries, or (times, values) pair
+    source : SimulatedPath or (times, values) pair
         Where tick values come from.  For a path, the value at each tick is
         the path level at that time; for raw tick data, the recorded value.
     ticks : array_like, optional
@@ -343,16 +315,6 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
         values = source.value_at(asset, ticks)
         grid_dt = source.grid_dt if grid_dt is None else grid_dt
         end = source.t_end if end is None else end
-    elif isinstance(source, SteppedSeries):
-        ticks = _tick_times(source.tick_times if ticks is None else ticks)
-        grid = source.start + np.arange(source.levels.size) * source.grid_dt
-        idx = np.searchsorted(grid, ticks, side="right") - 1
-        if np.any(idx < 0):
-            raise DataError("tick before the stepped series start")
-        values = source.levels[idx]
-        grid_dt = source.grid_dt if grid_dt is None else grid_dt
-        end = source.start + (source.levels.size - 1) * source.grid_dt \
-            if end is None else end
     else:
         times, values = source
         ticks = _tick_times(times if ticks is None else ticks)

@@ -436,6 +436,29 @@ def test_invalid_settings_are_data_errors(command, setting, model_file,
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("estimate", ["--dt-grid", ""]),
+    ("estimate", ["--dt-grid", " , "]),
+    ("estimate", ["--asset-j", "A"]),
+    ("theory", ["--grid", ""]),
+    ("simulate", ["--days", "0"]),
+])
+def test_settings_that_leave_nothing_to_compute_are_usage_errors(
+        command, setting, model_file, tmp_path, capsys):
+    # these ran and exited 0: with header-only curves, no path files, or an
+    # "A,A" fit written as the cross fit
+    out = tmp_path / "o"
+    if command == "estimate":
+        ticks = tmp_path / "ticks.csv"
+        write_tick_csv(ticks, (1.0, 0.3), n_days=1)
+        args = ["--ticks", str(ticks), "--asset-i", "A", "--asset-j", "B"]
+    else:
+        args = ["--model", model_file]
+    assert main([command, *args, *setting, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "Error: " in capsys.readouterr().err
+
+
 def test_estimate_counts_a_line_that_is_not_utf8(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     write_tick_csv(ticks, (1.0, 0.3), n_days=2)

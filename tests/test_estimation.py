@@ -349,8 +349,6 @@ def test_spectrum_rejects_mismatched_days():
     with pytest.raises(DataError):
         estimate_spectrum([np.zeros(16)], [np.zeros(17)])
     with pytest.raises(DataError):
-        estimate_spectrum([np.zeros(16)], [np.zeros(16)], T=15)
-    with pytest.raises(DataError):
         estimate_spectrum([], [])
     with pytest.raises(DataError):
         estimate_spectrum([np.zeros(0)], [np.zeros(0)])

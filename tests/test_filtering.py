@@ -8,9 +8,9 @@ from epps import filtering
 from epps.async_theory import discrete_kernel
 from epps.estimation import SpectrumEstimate, estimate_spectrum
 from epps.sampling import rng_stream
-from epps.filtering import (FilterSpec, inverse_filter, wiener_filter,
-                            apply_filter, auto_filter, estimate_snr,
-                            filtered_correlogram, filtered_epps_curve)
+from epps.filtering import (FilterSpec, inverse_filter, apply_filter,
+                            auto_filter, estimate_snr, filtered_correlogram,
+                            filtered_epps_curve)
 
 
 def hermitian_spectrum(T, seed=0, offset=2.0):
@@ -61,7 +61,7 @@ def test_sampling_kernel_is_cached_read_only_and_left_unchanged():
     wiener = FilterSpec(mode="wiener", snr=4.0)
     out = inverse_filter(s, li, lj, grid_dt)
     assert out.s_n.tobytes() == (s.s_n / cross).tobytes()
-    wiener_filter(s, li, lj, wiener, grid_dt)
+    apply_filter(s, li, lj, wiener, grid_dt)
     auto_filter(s, li, 0.5, grid_dt=grid_dt)
     auto_filter(s, li, 0.5, wiener, grid_dt=grid_dt)
     assert (cross.tobytes(), auto.tobytes()) == before
@@ -85,9 +85,9 @@ def test_wiener_limits():
     T, li, lj = 64, 0.5, 0.1
     s = hermitian_spectrum(T, seed=4)
     plain = inverse_filter(s, li, lj)
-    huge = wiener_filter(s, li, lj, FilterSpec(mode="wiener", snr=1e14))
+    huge = apply_filter(s, li, lj, FilterSpec(mode="wiener", snr=1e14))
     np.testing.assert_allclose(huge.s_n, plain.s_n, rtol=1e-9)
-    tiny = wiener_filter(s, li, lj, FilterSpec(mode="wiener", snr=1e-14))
+    tiny = apply_filter(s, li, lj, FilterSpec(mode="wiener", snr=1e-14))
     assert np.max(np.abs(tiny.s_n)) < 1e-10 * np.max(np.abs(s.s_n))
 
 
@@ -95,26 +95,23 @@ def test_wiener_damping_grows_with_frequency():
     T, li, lj = 128, 0.5, 0.1
     s = SpectrumEstimate(T=T, n_days=1, s_n=np.ones(T, dtype=complex))
     plain = inverse_filter(s, li, lj)
-    damped = wiener_filter(s, li, lj, FilterSpec(mode="wiener", snr=10.0))
+    damped = apply_filter(s, li, lj, FilterSpec(mode="wiener", snr=10.0))
     ratio = np.abs(damped.s_n[1:T // 2]) / np.abs(plain.s_n[1:T // 2])
     assert np.all(ratio <= 1.0 + 1e-12)
     assert np.all(np.diff(ratio) < 0)  # more damping where |K| is smaller
 
 
-def test_wiener_rejects_wrong_spec_or_snr_length():
+def test_wiener_rejects_an_snr_of_the_wrong_length():
     s = hermitian_spectrum(32, seed=5)
     with pytest.raises(DataError):
-        wiener_filter(s, 1.0, 1.0, FilterSpec(mode="inverse"))
+        apply_filter(s, 1.0, 1.0, FilterSpec(mode="wiener", snr=np.ones(31)))
     with pytest.raises(DataError):
-        wiener_filter(s, 1.0, 1.0,
-                      FilterSpec(mode="wiener", snr=np.ones(31)))
+        auto_filter(s, 1.0, 0.5, FilterSpec(mode="wiener", snr=np.ones(33)))
 
 
 def test_filters_need_a_resolved_snr():
     s = hermitian_spectrum(32, seed=5)
     unresolved = FilterSpec(mode="wiener")
-    with pytest.raises(DataError, match="estimate_snr"):
-        wiener_filter(s, 1.0, 1.0, unresolved)
     with pytest.raises(DataError, match="estimate_snr"):
         apply_filter(s, 1.0, 1.0, unresolved)
     with pytest.raises(DataError, match="estimate_snr"):
@@ -127,8 +124,40 @@ def test_apply_filter_dispatches_on_mode():
         apply_filter(s, 0.4, 0.4, FilterSpec()).s_n,
         inverse_filter(s, 0.4, 0.4).s_n)
     w = FilterSpec(mode="wiener", snr=5.0)
-    np.testing.assert_array_equal(apply_filter(s, 0.4, 0.4, w).s_n,
-                                  wiener_filter(s, 0.4, 0.4, w).s_n)
+    assert not np.allclose(apply_filter(s, 0.4, 0.4, w).s_n,
+                           inverse_filter(s, 0.4, 0.4).s_n)
+
+
+def reference_deconvolution(s_n, kern, snr=None, delta_mass=None):
+    """The three filter formulas written out: (S - delta) / K, or
+    (S - delta) conj(K) / (|K|^2 + 1/snr), plus delta; no delta for a
+    cross spectrum."""
+    excess = s_n if delta_mass is None else s_n - delta_mass
+    if snr is None:
+        out = excess / kern
+    else:
+        out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
+    return out if delta_mass is None else delta_mass + out
+
+
+@pytest.mark.parametrize("li, lj", [(0.4, 0.4), (0.8, 0.15)])
+def test_filters_equal_the_reference_formulas_byte_for_byte(li, lj):
+    T, grid_dt, delta = 64, 0.5, 0.7
+    s = hermitian_spectrum(T, seed=8)
+    cross = discrete_kernel(li * grid_dt, lj * grid_dt, np.arange(T), T)
+    auto = discrete_kernel(li * grid_dt, li * grid_dt, np.arange(T), T)
+    per_bin = 1.0 + np.arange(T) % 7
+    for snr in (None, 5.0, per_bin):
+        spec = FilterSpec() if snr is None else FilterSpec("wiener", snr)
+        want = reference_deconvolution(s.s_n, cross, snr).tobytes()
+        assert apply_filter(s, li, lj, spec, grid_dt).s_n.tobytes() == want
+        if snr is None:
+            assert inverse_filter(s, li, lj, grid_dt).s_n.tobytes() == want
+        want = reference_deconvolution(s.s_n, auto, snr, delta).tobytes()
+        got = auto_filter(s, li, delta, None if snr is None else spec,
+                          grid_dt)
+        assert got.s_n.tobytes() == want
+        assert got.T == s.T and got.n_days == s.n_days
 
 
 def test_auto_filter_round_trip_keeps_point_mass():
@@ -141,6 +170,8 @@ def test_auto_filter_round_trip_keeps_point_mass():
                                s_n=delta + kern * (s.s_n - delta))
     back = auto_filter(stepped, lam, delta)
     np.testing.assert_allclose(back.s_n, s.s_n, rtol=1e-11, atol=1e-11)
+    with pytest.raises(DataError, match="point mass"):
+        auto_filter(stepped, lam, None)  # a cross correlogram's delta_mass
 
 
 def test_auto_filter_flat_spectrum_is_fixed_point():

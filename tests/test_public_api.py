@@ -17,8 +17,7 @@ PUBLIC_NAMES = [
     "fit_auto_async", "fit_auto_raw", "fit_cross_async", "fit_cross_raw",
     "grid_and_normalize", "inverse_filter", "load_model_file", "load_ticks",
     "parse_model_text", "previous_tick", "rng_stream", "run_pipeline",
-    "simulate_ensemble", "simulate_paths", "sync_covariance", "sync_rho",
-    "wiener_filter",
+    "simulate_ensemble", "sync_covariance", "sync_rho",
 ]
 
 

@@ -7,11 +7,11 @@ import scipy.fft
 from scipy.stats import kstest
 
 from epps.errors import DataError
-from epps.kernels import CorrelationModel, ModelPair, sync_covariance
-from epps.sampling import (SimulatedPath, SteppedSeries, rng_stream,
-                           simulate_paths, simulate_ensemble,
+from epps.kernels import (CorrelationModel, ModelPair, sync_covariance,
+                          _triangle_covariance)
+from epps.sampling import (SimulatedPath, rng_stream, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
-                           _binned_cov, _circulant_factors, _inverse_transform,
+                           _circulant_factors, _inverse_transform,
                            _max_lag_steps, _prime_factor_maps)
 from epps.pipeline import _read_tick_times
 
@@ -37,17 +37,17 @@ def test_rng_streams_are_independent_and_reproducible():
     assert not np.allclose(a, c)
 
 
-def test_simulate_paths_deterministic_in_seed():
+def test_simulate_ensemble_deterministic_in_seed():
     pair = brownian_pair()
-    p1 = simulate_paths(pair, 0.5, 100.0, seed=3)
-    p2 = simulate_paths(pair, 0.5, 100.0, seed=3)
-    p3 = simulate_paths(pair, 0.5, 100.0, seed=4)
+    p1, = simulate_ensemble(pair, 0.5, 100.0, 1, seed=3)
+    p2, = simulate_ensemble(pair, 0.5, 100.0, 1, seed=3)
+    p3, = simulate_ensemble(pair, 0.5, 100.0, 1, seed=4)
     np.testing.assert_array_equal(p1.levels, p2.levels)
     assert not np.allclose(p1.levels, p3.levels)
 
 
-def test_simulate_paths_shape_and_grid():
-    p = simulate_paths(brownian_pair(), 0.25, 10.0, warmup=2.0, seed=1)
+def test_simulate_ensemble_shape_and_grid():
+    p, = simulate_ensemble(brownian_pair(), 0.25, 10.0, 1, warmup=2.0, seed=1)
     assert p.levels.shape == (2, 49)
     assert p.t0 == -2.0
     assert p.t_end == pytest.approx(10.0)
@@ -116,7 +116,7 @@ def reference_factors(pair, grid_dt, n, fft):
 
     def spectrum(model):
         g = np.zeros(n)
-        g[ks % n] = _binned_cov(model, grid_dt, ks)
+        g[ks % n] = _triangle_covariance(model, grid_dt, ks * grid_dt)
         return fft.fft(g).conj()
 
     m11, m22, m12 = (spectrum(m)
@@ -151,9 +151,6 @@ def test_draws_match_the_numpy_fft_reference():
     # 40 010 of a 40 000 s day
     pair, grid_dt, horizon, warmup, seed = smooth_pair(), 1.0, 4000.0, 10.0, 9
     n = 4010
-    path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
-    expected, _ = reference_draw(pair, grid_dt, n, seed, 0, fft=np.fft)
-    np.testing.assert_allclose(path.levels, expected, rtol=0, atol=1e-12)
     paths = simulate_ensemble(pair, grid_dt, horizon, 3, seed=seed,
                               warmup=warmup)
     for k, p in enumerate(paths):
@@ -164,9 +161,6 @@ def test_draws_match_the_numpy_fft_reference():
 
 def assert_draws_equal_reference(horizon, warmup, n, **transform):
     pair, grid_dt, seed = smooth_pair(), 1.0, 4
-    path = simulate_paths(pair, grid_dt, horizon, seed=seed, warmup=warmup)
-    expected, _ = reference_draw(pair, grid_dt, n, seed, 0, **transform)
-    assert path.levels.tobytes() == expected.tobytes()
     paths = simulate_ensemble(pair, grid_dt, horizon, 5, seed=seed,
                               warmup=warmup)
     assert len(paths) == 5
@@ -253,14 +247,14 @@ def test_equal_pairs_share_read_only_factors():
 def test_simulation_rejects_bad_arguments():
     pair = brownian_pair()
     with pytest.raises(DataError):
-        simulate_paths(pair, -1.0, 10.0)
+        simulate_ensemble(pair, -1.0, 10.0, 1)
     with pytest.raises(DataError):
-        simulate_paths(pair, 1.0, 10.0, warmup=-1.0)
-    with pytest.raises(DataError):
-        simulate_paths(pair.cross, 1.0, 10.0)
+        simulate_ensemble(pair, 1.0, 10.0, 1, warmup=-1.0)
+    with pytest.raises(DataError, match="ModelPair"):
+        simulate_ensemble(pair.cross, 1.0, 10.0, 1)
     with pytest.raises(DataError):
         # horizon far shorter than the kernel memory
-        simulate_paths(smooth_pair(), 1.0, 20.0)
+        simulate_ensemble(smooth_pair(), 1.0, 20.0, 1)
 
 
 def test_poisson_gaps_are_exponential():
@@ -320,7 +314,7 @@ def test_previous_tick_from_tick_data():
                             np.array([10.0, 11.0, 12.0])),
                            grid_dt=1.0, start=0.0, end=4.0)
     np.testing.assert_array_equal(series.levels, [10, 10, 11, 11, 12])
-    assert series.n_increments == 4
+    assert series.increments.size == 4
     np.testing.assert_array_equal(series.increments, [0, 1, 0, 1])
 
 
@@ -331,7 +325,7 @@ def test_previous_tick_requires_tick_before_start():
 
 
 def test_previous_tick_from_path_matches_manual_lookup():
-    p = simulate_paths(brownian_pair(), 0.5, 50.0, warmup=5.0, seed=6)
+    p, = simulate_ensemble(brownian_pair(), 0.5, 50.0, 1, warmup=5.0, seed=6)
     ticks = draw_poisson_times(0.4, 50.0, 5.0, seed=6)
     s = previous_tick(p, ticks, grid_dt=1.0, asset=1, start=0.0, end=50.0)
     # each grid value is the path value at the last tick <= grid time
@@ -341,16 +335,17 @@ def test_previous_tick_from_path_matches_manual_lookup():
 
 
 def test_previous_tick_regrids_stepped_series_to_coarser_grid():
-    p = simulate_paths(brownian_pair(), 1.0, 60.0, warmup=10.0, seed=2)
+    p, = simulate_ensemble(brownian_pair(), 1.0, 60.0, 1, warmup=10.0, seed=2)
     ticks = draw_poisson_times(0.5, 60.0, 10.0, seed=2)
     s1 = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=60.0)
     grid_ticks = np.arange(0.0, 61.0)
-    s2 = previous_tick(s1, grid_ticks, grid_dt=2.0, start=0.0, end=60.0)
+    s2 = previous_tick((grid_ticks, s1.levels), grid_dt=2.0, start=0.0,
+                       end=60.0)
     np.testing.assert_array_equal(s2.levels, s1.levels[::2])
 
 
 def test_previous_tick_dense_ticks_recover_the_path():
-    p = simulate_paths(brownian_pair(), 1.0, 40.0, seed=13)
+    p, = simulate_ensemble(brownian_pair(), 1.0, 40.0, 1, seed=13)
     ticks = np.arange(0.0, 40.5, 1.0)  # one tick per grid point
     s = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=40.0)
     np.testing.assert_array_equal(s.levels, p.levels[0])
@@ -406,8 +401,7 @@ TENTHS = np.arange(41) * 0.1
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=grids_and_ticks(), kind=st.sampled_from(["pair", "path",
-                                                     "stepped"]))
+@given(case=grids_and_ticks(), kind=st.sampled_from(["pair", "path"]))
 @example(case=(0.0, 0.1, 4.0, TENTHS,
                np.array([0.0, np.nextafter(TENTHS[9], np.inf)])),
          kind="pair")
@@ -426,15 +420,8 @@ def test_previous_tick_takes_the_last_tick_at_or_before_each_grid_time(
     t0 = ticks[0] - fine
     size = int((ticks[-1] - t0) / fine) + 2
     values = np.arange(2 * size, dtype=float).reshape(2, size)
-    if kind == "path":
-        source = SimulatedPath(grid_dt=fine, t0=t0, levels=values)
-        tick_values = source.value_at(1, ticks)
-    else:
-        source = SteppedSeries(grid_dt=fine, start=t0, levels=values[1],
-                               tick_times=ticks)
-        source_grid = t0 + np.arange(size) * fine
-        tick_values = values[1][np.searchsorted(source_grid, ticks,
-                                                side="right") - 1]
+    source = SimulatedPath(grid_dt=fine, t0=t0, levels=values)
+    tick_values = source.value_at(1, ticks)
     series = previous_tick(source, ticks, grid_dt=grid_dt, asset=1,
                            start=start, end=end)
     np.testing.assert_array_equal(series.levels, tick_values[last])

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from epps.kernels import CorrelationModel, sync_covariance
+from epps.kernels import (CorrelationModel, sync_covariance,
+                          _triangle_covariance)
 from epps.async_theory import AsyncKernel, async_covariance
-from epps.sampling import _binned_cov
 
 RTOL = 1e-11
 
@@ -151,5 +151,6 @@ def test_binned_cov_matches_scalar_reference():
     for grid_dt in (0.5, 1.0):
         for m in models():
             expected = [scalar_binned_cov(m, grid_dt, int(k)) for k in ks]
-            np.testing.assert_allclose(_binned_cov(m, grid_dt, ks), expected,
-                                       rtol=RTOL, atol=1e-15)
+            np.testing.assert_allclose(
+                _triangle_covariance(m, grid_dt, ks * grid_dt), expected,
+                rtol=RTOL, atol=1e-15)
