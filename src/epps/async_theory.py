@@ -283,5 +283,7 @@ def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
     if lambda_i_step == lambda_j_step:
         out = (fi.real ** 2 + fi.imag ** 2).astype(complex)
     else:
-        out = fi * f[lambda_j_step].conj()
+        # the order numpy's temporary elision takes from 256 KiB up, so that
+        # a bin's bits do not depend on the array length
+        out = f[lambda_j_step].conj() * fi
     return out if not np.isscalar(n) else complex(out[0])

@@ -22,8 +22,7 @@ from .errors import DataError, NumericalError, read_text
 from .kernels import load_model_file
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
-from .sampling import (SimulatedPath, draw_poisson_times, previous_tick,
-                       simulate_ensemble, default_warmup)
+from .sampling import SimulatedPath, draw_poisson_times, simulate_ensemble
 from .estimation import (estimate_rate, read_correlogram_csv,
                          read_spectrum_csv, write_spectrum_csv)
 from .filtering import FilterSpec, apply_filter, estimate_snr
@@ -261,7 +260,7 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
               default="inverse", show_default=True)
 @click.option("--snr", default=None,
               help="Wiener SNR: a number, 'auto', or @file with one value "
-                   "per frequency bin.")
+                   "per frequency bin n = 0..T//2.")
 @click.option("--grid-dt", default=1.0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
 def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
@@ -310,7 +309,8 @@ def fit(cg_file, family, lambda_i, lambda_j, out_file):
         if lambda_i is None:
             raise click.UsageError("auto_async needs --lambda-i")
         res = fit_auto_async(cg, lambda_i)
-    text = FIT_CSV_HEADER + "\n" + fit_csv_row(res, "i", "j") + "\n"
+    labels = ("i", "i") if family.startswith("auto") else ("i", "j")
+    text = FIT_CSV_HEADER + "\n" + fit_csv_row(res, *labels) + "\n"
     if out_file == "-":
         click.echo(text, nl=False)
     else:

@@ -7,7 +7,8 @@ lagged correlograms of one-step returns, and day-averaged cross-periodograms.
 Spectrum convention matches the analytic modules: the periodogram
 fft(dx_i) * conj(fft(dx_j)) / T estimates S(theta_n) with
 S(omega) = integral c(tau) exp(+i omega tau) dtau.  It is computed from
-real FFTs (one per series and day) and mirrored above T/2.
+real FFTs (one per series and day).  Real increments give a Hermitian
+spectrum, S_{T-n} = conj(S_n), so only bins n = 0..T//2 are kept.
 """
 
 from dataclasses import dataclass
@@ -68,17 +69,17 @@ class Correlogram:
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Day-averaged cross-periodogram over T uniform increments."""
+    """Day-averaged cross-periodogram over T uniform increments, held as
+    its bins n = 0..T//2; the rest follow from S_{T-n} = conj(S_n)."""
 
     T: int
     n_days: int
     s_n: np.ndarray
-    rate_i: float = None
-    rate_j: float = None
 
     def __post_init__(self):
-        if self.s_n.shape != (self.T,):
-            raise DataError("spectrum length must equal T")
+        if self.s_n.shape != (self.T // 2 + 1,):
+            raise DataError(f"a spectrum of T = {self.T} holds T//2 + 1 = "
+                            f"{self.T // 2 + 1} bins, not {self.s_n.shape}")
 
 
 def estimate_rate(ticks, session_length):
@@ -265,8 +266,7 @@ def estimate_spectrum(increments_i, increments_j):
     FFT per day, accumulated day by day so that memory does not grow with
     the number of days; when every day of `increments_i` is the same object
     as the matching day of `increments_j` (an auto spectrum), one transform
-    serves both sides.  The bins above T/2 are mirrored from the half
-    spectrum, so Hermitian pairing S_{T-n} = conj(S_n) holds exactly.
+    serves both sides.  Only bins n = 0..T//2 are computed and returned.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
@@ -290,10 +290,7 @@ def estimate_spectrum(increments_i, increments_j):
         else:
             half += fi * scipy.fft.rfft(dj).conj()
     half /= len(days_i) * T
-    s_n = np.empty(T, dtype=complex)
-    s_n[:half.size] = half
-    s_n[half.size:] = half[1:(T + 1) // 2][::-1].conj()
-    return SpectrumEstimate(T=int(T), n_days=len(days_i), s_n=s_n)
+    return SpectrumEstimate(T=int(T), n_days=len(days_i), s_n=half)
 
 
 # -- CSV round trips ------------------------------------------------------------
@@ -331,12 +328,9 @@ def read_correlogram_csv(path):
 
 
 def write_spectrum_csv(spec, path):
+    """Rows n = 0..T//2; the `# T=` line tells an odd T from an even one."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n_days={spec.n_days}\n")
-        if spec.rate_i is not None:
-            fh.write(f"# rate_i={spec.rate_i:.17g}\n")
-        if spec.rate_j is not None:
-            fh.write(f"# rate_j={spec.rate_j:.17g}\n")
+        fh.write(f"# n_days={spec.n_days}\n# T={spec.T}\n")
         fh.write("n,re,im\n")
         s = spec.s_n
         table = np.column_stack((np.arange(s.size), s.real, s.imag))
@@ -346,10 +340,13 @@ def write_spectrum_csv(spec, path):
 def read_spectrum_csv(path):
     text = read_text(path)
     meta = _read_meta(text, path)
+    T = meta.get("T", math.nan)
+    if not (math.isfinite(T) and T >= 1 and T == int(T)):
+        raise DataError(f"{path}: no '# T=' line with an integer T >= 1; "
+                        "older full-length spectrum CSVs are not read")
     data = _parse_table(text, "n,re,im")
-    return SpectrumEstimate(T=data.shape[0], n_days=meta["n_days"],
-                            s_n=data[:, 1] + 1j * data[:, 2],
-                            rate_i=meta.get("rate_i"), rate_j=meta.get("rate_j"))
+    return SpectrumEstimate(T=int(T), n_days=meta["n_days"],
+                            s_n=data[:, 1] + 1j * data[:, 2])
 
 
 def _read_meta(text, path):

@@ -2,7 +2,8 @@
 
 The measured cross-spectrum of previous-tick series is the genuine spectrum
 multiplied by a low-pass kernel set by the Poisson rates.  This module
-inverts that kernel (plain inverse or Wiener-damped), and rebuilds
+inverts that kernel (plain inverse or Wiener-damped) bin by bin on the
+half spectrum n = 0..T//2 that `SpectrumEstimate` holds, and rebuilds
 correlograms and Epps curves from the corrected spectrum.
 """
 
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .estimation import Correlogram, EppsCurve, SpectrumEstimate
 from .async_theory import discrete_kernel
 
@@ -21,7 +22,7 @@ from .async_theory import discrete_kernel
 class FilterSpec:
     """Filter mode plus, for the Wiener mode, the signal-to-noise ratio.
 
-    `snr` may be a positive scalar or one positive value per frequency bin,
+    `snr` may be a positive scalar or one positive value per bin 0..T//2,
     and only the Wiener mode takes one.  A Wiener spec with `snr=None` means
     "estimate it": `analyze_pair` (and so `epps run` and `epps estimate`)
     fill it in with `estimate_snr` on the measured cross-spectrum; the
@@ -48,16 +49,18 @@ def _wiener_snr(spec, T):
         raise DataError("wiener filter needs an snr; estimate one with "
                         "estimate_snr")
     snr = np.asarray(spec.snr, dtype=float)
-    if snr.ndim == 1 and snr.size != T:
-        raise DataError("per-frequency snr must have one value per bin")
+    if snr.ndim and snr.shape != (T // 2 + 1,):
+        raise DataError(f"per-bin snr needs one value per bin n = 0..T//2: "
+                        f"{T // 2 + 1} for T = {T}, got shape {snr.shape}")
     return snr
 
 
 @functools.lru_cache(maxsize=4)
 def _kernel_bins(lambda_i_step, lambda_j_step, T):
-    """`discrete_kernel` over all T bins, cached per rate pair and length;
-    the array is shared and read-only."""
-    kern = discrete_kernel(lambda_i_step, lambda_j_step, np.arange(T), T)
+    """`discrete_kernel` over bins n = 0..T//2, cached per rate pair and
+    length; the array is shared and read-only."""
+    kern = discrete_kernel(lambda_i_step, lambda_j_step,
+                           np.arange(T // 2 + 1), T)
     kern.flags.writeable = False
     return kern
 
@@ -66,11 +69,6 @@ def _kernel(s_tilde, lambda_i, lambda_j, grid_dt):
     if lambda_i <= 0 or lambda_j <= 0:
         raise DataError("sampling rates must be > 0")
     return _kernel_bins(lambda_i * grid_dt, lambda_j * grid_dt, s_tilde.T)
-
-
-def _replace(spec, s_n):
-    return SpectrumEstimate(T=spec.T, n_days=spec.n_days, s_n=s_n,
-                            rate_i=spec.rate_i, rate_j=spec.rate_j)
 
 
 def _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt, delta_mass=None):
@@ -86,8 +84,11 @@ def _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt, delta_mass=None):
         out = excess / kern
     else:
         snr = _wiener_snr(spec, s_tilde.T)
-        out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
-    return _replace(s_tilde, out if delta_mass is None else delta_mass + out)
+        # conj(K) first, as in discrete_kernel: the same bits at any length
+        out = np.conj(kern) * excess / (np.abs(kern) ** 2 + 1.0 / snr)
+    if delta_mass is not None:
+        out = delta_mass + out
+    return SpectrumEstimate(T=s_tilde.T, n_days=s_tilde.n_days, s_n=out)
 
 
 def inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
@@ -95,7 +96,7 @@ def inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
 
     Exact algebraic inverse; the kernel never vanishes at finite rates, but
     high-frequency bins are amplified roughly like omega^2, so noisy inputs
-    come out noisy there.  Hermitian symmetry is preserved.
+    come out noisy there.
     """
     return _deconvolve(s_tilde, lambda_i, lambda_j, None, grid_dt)
 
@@ -146,17 +147,14 @@ def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
 
 
 def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0):
-    """Correlogram from a corrected spectrum by inverse DFT.
+    """Correlogram from a corrected spectrum by one inverse real DFT.
 
-    The output must come out real; an imaginary residue above 1e-6 of the
-    norm signals broken Hermitian symmetry and raises.
+    With S(omega) = integral c(tau) exp(+i omega tau) dtau the lag-k value
+    is (1/T) sum_n conj(S_n) exp(2 pi i n k / T), which `irfft` takes from
+    the half spectrum; it is real by construction.
     """
     T = s_hat.T
-    gamma = np.fft.fft(s_hat.s_n) / T
-    norm = np.linalg.norm(gamma)
-    if norm > 0 and np.linalg.norm(gamma.imag) > 1e-6 * norm:
-        raise NumericalError("corrected spectrum is not Hermitian")
-    gamma = gamma.real
+    gamma = np.fft.irfft(s_hat.s_n.conj(), T)
     n_lags = T // 2 - 1 if max_lag is None else int(round(max_lag / grid_dt))
     if not 1 <= n_lags <= T // 2 - 1 + T % 2:
         raise DataError("max_lag out of range for this spectrum length")
@@ -169,7 +167,7 @@ def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0):
 
 def _window_weights(T, m, n, sin_n):
     """|sum_{t<m} e^{i theta_n t}|^2 for every frequency index n, given
-    n = arange(T) and sin_n = sin(pi n / T)."""
+    n = arange(T // 2 + 1) and sin_n = sin(pi n / T)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (np.sin(np.pi * n * m / T) / sin_n) ** 2
     w[0] = m * m
@@ -177,7 +175,7 @@ def _window_weights(T, m, n, sin_n):
 
 
 def _windowed_covariance(spec, w):
-    return float((np.sum(spec.s_n * w) / spec.T).real)
+    return float(np.sum(spec.s_n.real * w) / spec.T)
 
 
 def _check_horizon(m, T):
@@ -191,8 +189,9 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     Each horizon's covariance is the spectrum summed against the squared
     Dirichlet window of that horizon, built once for all three spectra,
     which must therefore share one length T; the Pearson coefficient
-    follows.  A horizon whose filtered variance is <= 0 has no coefficient
-    and is NaN.
+    follows.  On the half spectrum the interior bins 1..(T-1)//2 stand for
+    their mirror images too, so they count twice.  A horizon whose filtered
+    variance is <= 0 has no coefficient and is NaN.
     """
     T = s_hat.T
     if s_auto_i.T != T or s_auto_j.T != T:
@@ -203,11 +202,12 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     if np.any(np.abs(steps - np.round(steps)) > 1e-9) or np.any(steps < 1):
         raise DataError("every dt must be a positive multiple of the grid step")
     rho = np.empty(dt_grid.size)
-    n = np.arange(T)
+    n = np.arange(T // 2 + 1)
     sin_n = np.sin(np.pi * n / T)
+    mult = np.where((n == 0) | (2 * n == T), 1.0, 2.0)
     for a, m in enumerate(np.round(steps).astype(int)):
         _check_horizon(m, T)
-        w = _window_weights(T, m, n, sin_n)
+        w = mult * _window_weights(T, m, n, sin_n)
         c12, v1, v2 = (_windowed_covariance(s, w)
                        for s in (s_hat, s_auto_i, s_auto_j))
         rho[a] = c12 / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else np.nan

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .kernels import ModelPair, _as_models, _triangle_covariance
 
 

@@ -297,6 +297,17 @@ def test_discrete_kernel_matches_the_two_factor_formula(li, lj):
         assert not np.any(k.imag)
 
 
+@pytest.mark.parametrize("li, lj", [(1.0, 0.2), (0.8, 0.15), (1.0, 1.0)])
+def test_discrete_kernel_bins_do_not_depend_on_the_array_length(li, lj):
+    # the full 20 000 bins take 320 KB, past numpy's 256 KiB temporary
+    # elision threshold; bins 0..T//2 and a short prefix take less
+    T = 20000
+    full = discrete_kernel(li, lj, np.arange(T), T)
+    for size in (T // 2 + 1, 513):
+        part = discrete_kernel(li, lj, np.arange(size), T)
+        assert part.tobytes() == full[:size].tobytes()
+
+
 def test_rate_validation():
     with pytest.raises(DataError):
         async_variance(CorrelationModel(delta_weight=1.0), -1.0, 1.0)

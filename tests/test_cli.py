@@ -20,7 +20,7 @@ from epps.estimation import (Correlogram, write_correlogram_csv,
                              EppsCurve, write_epps_csv, read_epps_csv,
                              SpectrumEstimate, write_spectrum_csv,
                              read_spectrum_csv)
-from epps.fitting import _cross_raw_fj
+from epps.fitting import _auto_raw_fj, _cross_raw_fj
 from epps.kernels import parse_model_text, sync_covariance, sync_rho
 from epps.pipeline import load_ticks
 
@@ -266,8 +266,8 @@ def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     rng = np.random.default_rng(1)
     gamma = np.zeros(64)
     gamma[0] = 2.0
-    s_n = np.fft.ifft(gamma).conj() * 64  # flat spectrum, value 2
-    spec = SpectrumEstimate(T=64, n_days=1, s_n=s_n, rate_i=0.5, rate_j=0.5)
+    s_n = np.fft.ifft(gamma).conj()[:33] * 64  # flat spectrum, value 2
+    spec = SpectrumEstimate(T=64, n_days=1, s_n=s_n)
     f_in = tmp_path / "spec.csv"
     write_spectrum_csv(spec, f_in)
 
@@ -315,6 +315,22 @@ def test_fit_cli_round_trip(tmp_path, capsys):
     # async families insist on their rates
     assert main(["fit", "--correlogram", str(f),
                  "--family", "cross_async"]) == 1
+
+
+@pytest.mark.parametrize("family", ["auto_raw", "auto_async"])
+def test_fit_cli_labels_an_auto_fit_i_i(family, tmp_path, capsys):
+    lags = np.arange(-40, 41, dtype=float)
+    base, _ = _auto_raw_fj(lags[lags != 0.0], np.array([1.0, 0.3, 4.0]))
+    vals = np.zeros(lags.size)
+    vals[lags != 0.0] = base[1:]
+    f = tmp_path / "cg_auto.csv"
+    write_correlogram_csv(Correlogram(
+        lag_grid=lags, values=vals, stderr=np.full(lags.size, np.nan),
+        n_days=1, delta_mass=float(base[0])), f)
+    assert main(["fit", "--correlogram", str(f), "--family", family,
+                 "--lambda-i", "1"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row.startswith(f"i,i,{family},")
 
 
 def test_run_cli_with_seed_override(model_file, tmp_path, capsys):
@@ -529,8 +545,7 @@ def test_sample_rejects_a_malformed_path_file(bad_line, tmp_path, capsys):
 
 
 def write_small_spectrum(path, n_days="1"):
-    write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(8),
-                                        rate_i=0.5, rate_j=0.5), path)
+    write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(5)), path)
     path.write_text(path.read_text().replace("# n_days=1",
                                              f"# n_days={n_days}"))
 
@@ -539,12 +554,46 @@ def test_filter_rejects_an_snr_file_that_is_not_numeric(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     write_small_spectrum(spec)
     snr = tmp_path / "snr.txt"
-    snr.write_text("high\n" * 8)
+    snr.write_text("high\n" * 5)
     assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
                  "--lambda-j", "0.5", "--mode", "wiener",
                  "--snr", f"@{snr}", "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "snr.txt" in err
+
+
+def test_filter_rejects_an_snr_file_of_the_wrong_length(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    write_small_spectrum(spec)  # T = 8: bins 0..4
+    snr = tmp_path / "snr.txt"
+    args = ["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
+            "--lambda-j", "0.5", "--mode", "wiener", "--snr", f"@{snr}",
+            "--out", str(tmp_path / "o.csv")]
+    snr.write_text("2\n" * 8)  # one value per bin of the full length
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "5 for T = 8, got shape (8,)" in err
+    snr.write_text("2 2\n" * 5)  # two columns
+    assert main(args) == 2
+    assert "got shape (5, 2)" in capsys.readouterr().err
+    snr.write_text("2\n" * 5)
+    assert main(args) == 0
+
+
+def test_filter_rejects_a_spectrum_without_its_length(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    write_small_spectrum(spec)
+    out = tmp_path / "o.csv"
+    args = ["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
+            "--lambda-j", "0.5", "--out", str(out)]
+    assert main(args) == 0
+    assert "# T=8\n" in out.read_text()
+    assert len(read_spectrum_csv(out).s_n) == 5
+    # a full-length file as older versions wrote it: no T line, 8 rows
+    spec.write_text("# n_days=1\nn,re,im\n" + "".join(
+        f"{n},1,0\n" for n in range(8)))
+    assert main(args) == 2
+    assert "'# T=' line" in capsys.readouterr().err
 
 
 def test_bad_n_days_in_a_csv_header_is_a_data_error(tmp_path, capsys):

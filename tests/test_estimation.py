@@ -305,34 +305,38 @@ def test_correlogram_argument_validation():
         correlogram(short, short, max_lag=2.0)  # zero-variance day
 
 
+def half_form_sum(spec):
+    """sum_n S_n over all T bins, from the half spectrum: the interior bins
+    1..(T-1)//2 stand for their mirror images conj(S_n) too."""
+    n = np.arange(spec.s_n.size)
+    mult = np.where((n == 0) | (2 * n == spec.T), 1.0, 2.0)
+    return float(np.sum(mult * spec.s_n.real))
+
+
 def test_spectrum_parseval():
     rng = rng_stream(4, 53)
-    x = rng.standard_normal(256)
-    spec = estimate_spectrum([x], [x])
-    assert spec.s_n.sum().real / spec.T == pytest.approx(np.mean(x * x),
+    for T in (256, 255):
+        x = rng.standard_normal(T)
+        y = rng.standard_normal(T)
+        auto = estimate_spectrum([x], [x])
+        cross = estimate_spectrum([x], [y])
+        assert half_form_sum(auto) / T == pytest.approx(np.mean(x * x),
+                                                        rel=1e-10)
+        assert half_form_sum(cross) / T == pytest.approx(np.mean(x * y),
                                                          rel=1e-10)
-    assert abs(spec.s_n.sum().imag) < 1e-10
 
 
 def test_spectrum_dft_round_trip_recovers_circular_correlogram():
     rng = rng_stream(5, 54)
-    x = rng.standard_normal(128)
-    y = rng.standard_normal(128)
-    spec = estimate_spectrum([x], [y])
-    gamma = np.fft.fft(spec.s_n) / spec.T
-    assert np.max(np.abs(gamma.imag)) < 1e-12
-    # gamma(k) is the circular lagged mean of x against y
-    for k in (0, 1, 5, 127):
-        direct = np.mean(x * np.roll(y, -k))
-        assert gamma[k].real == pytest.approx(direct, abs=1e-12)
-
-
-def test_spectrum_hermitian_pairing():
-    rng = rng_stream(6, 55)
-    spec = estimate_spectrum([rng.standard_normal(100)],
-                             [rng.standard_normal(100)])
-    np.testing.assert_allclose(spec.s_n[1:][::-1], np.conj(spec.s_n[1:]),
-                               rtol=1e-12, atol=1e-12)
+    for T in (128, 127):
+        x = rng.standard_normal(T)
+        y = rng.standard_normal(T)
+        spec = estimate_spectrum([x], [y])
+        gamma = np.fft.irfft(spec.s_n.conj(), spec.T)
+        # gamma(k) is the circular lagged mean of x against y
+        for k in (0, 1, 5, T - 1):
+            direct = np.mean(x * np.roll(y, -k))
+            assert gamma[k] == pytest.approx(direct, abs=1e-12)
 
 
 def test_spectrum_white_noise_is_flat():
@@ -356,7 +360,7 @@ def test_spectrum_rejects_mismatched_days():
 
 def per_day_fft_spectrum(days_i, days_j):
     """The periodogram by its definition: mean over days of
-    fft(dx_i) conj(fft(dx_j)) / T, with full complex FFTs."""
+    fft(dx_i) conj(fft(dx_j)) / T, with full complex FFTs, at all T bins."""
     T = len(days_i[0])
     acc = np.zeros(T, dtype=complex)
     for di, dj in zip(days_i, days_j):
@@ -389,10 +393,9 @@ def test_spectrum_matches_per_day_fft_definition(T, n_days, pairing,
     assert rfft_calls == [(T,)] * n_days * (1 if pairing == "auto" else 2)
     expected = per_day_fft_spectrum(days_i, days_j)
     assert spec.T == T and spec.n_days == n_days
-    np.testing.assert_allclose(spec.s_n, expected, rtol=1e-13)
-    # Hermitian pairing is exact, with real bins at 0 and T/2
-    n = np.arange(1, T)
-    np.testing.assert_array_equal(spec.s_n[T - n], np.conj(spec.s_n[n]))
+    # the half spectrum is the full one's bins 0..T//2, real at 0 and T/2
+    assert spec.s_n.shape == (T // 2 + 1,)
+    np.testing.assert_allclose(spec.s_n, expected[:T // 2 + 1], rtol=1e-13)
     assert spec.s_n[0].imag == 0.0
     assert spec.s_n[T // 2].imag == 0.0 or T % 2
     if pairing == "auto":
@@ -424,30 +427,43 @@ def test_correlogram_csv_round_trip(tmp_path):
 
 def test_spectrum_csv_round_trip(tmp_path):
     rng = rng_stream(8, 57)
-    spec = estimate_spectrum([rng.standard_normal(64)],
-                             [rng.standard_normal(64)])
-    spec = type(spec)(T=spec.T, n_days=spec.n_days, s_n=spec.s_n,
-                      rate_i=0.5, rate_j=0.1)
     f = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, f)
+    for T in (64, 65):  # the same 33 rows; only the T line tells them apart
+        spec = estimate_spectrum([rng.standard_normal(T)],
+                                 [rng.standard_normal(T)])
+        write_spectrum_csv(spec, f)
+        back = read_spectrum_csv(f)
+        assert back.T == T and back.n_days == 1 and back.s_n.size == 33
+        np.testing.assert_allclose(back.s_n, spec.s_n, rtol=1e-15)
+
+
+def test_spectrum_csv_needs_its_length_and_half_the_bins(tmp_path):
+    f = tmp_path / "spec.csv"
+    rows = "n,re,im\n" + "".join(f"{n},1,0\n" for n in range(5))
+    # a header line the reader does not know is still read
+    f.write_text("# n_days=2\n# T=9\n# rate_i=0.5\n" + rows)
     back = read_spectrum_csv(f)
-    assert back.T == 64 and back.n_days == 1
-    assert back.rate_i == pytest.approx(0.5)
-    assert back.rate_j == pytest.approx(0.1)
-    np.testing.assert_allclose(back.s_n, spec.s_n, rtol=1e-15)
+    assert (back.T, back.n_days, back.s_n.size) == (9, 2, 5)
+    for header, match in (("", "older full-length"), ("# T=0\n", "T >= 1"),
+                          ("# T=8.5\n", "T >= 1"), ("# T=nan\n", "T >= 1"),
+                          ("# T=inf\n", "T >= 1"), ("# T=10\n", "6 bins"),
+                          ("# T=7\n", "4 bins")):
+        f.write_text(header + rows)
+        with pytest.raises(DataError, match=match):
+            read_spectrum_csv(f)
 
 
 def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
     rng = rng_stream(8, 58)
-    s_n = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    s_n = rng.standard_normal(10001) + 1j * rng.standard_normal(10001)
     s_n[:8] = [complex(math.nan, 1.0), complex(math.inf, -math.inf),
                complex(-0.0, 0.0), complex(1e-300, -1e-300),
                complex(5e-324, 1.7976931348623157e308), complex(0.1, -0.0),
                complex(-math.nan, math.nan), complex(123456789.0, 1.0 / 3)]
-    spec = SpectrumEstimate(T=20000, n_days=2, s_n=s_n, rate_i=0.5)
+    spec = SpectrumEstimate(T=20000, n_days=2, s_n=s_n)
     f = tmp_path / "spec.csv"
     write_spectrum_csv(spec, f)
-    want = "# n_days=2\n# rate_i=0.5\nn,re,im\n" + "".join(
+    want = "# n_days=2\n# T=20000\nn,re,im\n" + "".join(
         f"{n},{s.real:.17g},{s.imag:.17g}\n" for n, s in enumerate(s_n))
     assert f.read_bytes() == want.encode()
 

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from epps.errors import DataError, NumericalError
+from epps.errors import DataError
 from epps import filtering
 from epps.async_theory import discrete_kernel
 from epps.estimation import SpectrumEstimate, estimate_spectrum
@@ -14,13 +15,20 @@ from epps.filtering import (FilterSpec, inverse_filter, apply_filter,
 
 
 def hermitian_spectrum(T, seed=0, offset=2.0):
-    """Random real-correlogram spectrum: real, positive where offset large."""
+    """Random real-correlogram spectrum: real, positive where offset large;
+    bins 0..T//2."""
     rng = rng_stream(seed, 60)
     gamma = rng.standard_normal(T)
     gamma = gamma + gamma[np.concatenate([[0], np.arange(T - 1, 0, -1)])]
     s = np.fft.ifft(gamma).conj() * T  # positive-exponent transform
     s = s.real + offset * T / T
-    return SpectrumEstimate(T=T, n_days=1, s_n=s.astype(complex) + offset)
+    return SpectrumEstimate(T=T, n_days=1,
+                            s_n=s[:T // 2 + 1].astype(complex) + offset)
+
+
+def half_bins(T):
+    """The bin indices n = 0..T//2 a SpectrumEstimate holds."""
+    return np.arange(T // 2 + 1)
 
 
 def test_filter_spec_validation():
@@ -40,7 +48,7 @@ def test_filter_spec_validation():
 def test_inverse_undoes_the_forward_kernel():
     T, li, lj = 128, 0.8, 0.15
     s = hermitian_spectrum(T, seed=1)
-    kern = discrete_kernel(li, lj, np.arange(T), T)
+    kern = discrete_kernel(li, lj, half_bins(T), T)
     forward = SpectrumEstimate(T=T, n_days=1, s_n=s.s_n * kern)
     back = inverse_filter(forward, li, lj)
     np.testing.assert_allclose(back.s_n, s.s_n, rtol=1e-12, atol=1e-12)
@@ -52,7 +60,7 @@ def test_sampling_kernel_is_cached_read_only_and_left_unchanged():
     cross = filtering._kernel_bins(li * grid_dt, lj * grid_dt, T)
     auto = filtering._kernel_bins(li * grid_dt, li * grid_dt, T)
     for kern, lj_step in ((cross, lj * grid_dt), (auto, li * grid_dt)):
-        fresh = discrete_kernel(li * grid_dt, lj_step, np.arange(T), T)
+        fresh = discrete_kernel(li * grid_dt, lj_step, half_bins(T), T)
         assert kern.tobytes() == fresh.tobytes()
         assert not kern.flags.writeable
         with pytest.raises(ValueError):
@@ -74,13 +82,6 @@ def test_inverse_filter_identity_at_huge_rates():
     np.testing.assert_allclose(out.s_n, s.s_n, rtol=1e-6)
 
 
-def test_inverse_filter_preserves_hermitian_symmetry():
-    s = hermitian_spectrum(100, seed=3)
-    out = inverse_filter(s, 0.3, 0.05)
-    np.testing.assert_allclose(out.s_n[1:][::-1], np.conj(out.s_n[1:]),
-                               rtol=1e-10, atol=1e-12)
-
-
 def test_wiener_limits():
     T, li, lj = 64, 0.5, 0.1
     s = hermitian_spectrum(T, seed=4)
@@ -93,7 +94,7 @@ def test_wiener_limits():
 
 def test_wiener_damping_grows_with_frequency():
     T, li, lj = 128, 0.5, 0.1
-    s = SpectrumEstimate(T=T, n_days=1, s_n=np.ones(T, dtype=complex))
+    s = SpectrumEstimate(T=T, n_days=1, s_n=np.ones(65, dtype=complex))
     plain = inverse_filter(s, li, lj)
     damped = apply_filter(s, li, lj, FilterSpec(mode="wiener", snr=10.0))
     ratio = np.abs(damped.s_n[1:T // 2]) / np.abs(plain.s_n[1:T // 2])
@@ -102,11 +103,15 @@ def test_wiener_damping_grows_with_frequency():
 
 
 def test_wiener_rejects_an_snr_of_the_wrong_length():
-    s = hermitian_spectrum(32, seed=5)
-    with pytest.raises(DataError):
-        apply_filter(s, 1.0, 1.0, FilterSpec(mode="wiener", snr=np.ones(31)))
-    with pytest.raises(DataError):
-        auto_filter(s, 1.0, 0.5, FilterSpec(mode="wiener", snr=np.ones(33)))
+    s = hermitian_spectrum(32, seed=5)  # bins 0..16
+    for shape in ((16,), (18,), (32,), (17, 1)):
+        match = re.escape(f"17 for T = 32, got shape {shape}")
+        with pytest.raises(DataError, match=match):
+            apply_filter(s, 1.0, 1.0,
+                         FilterSpec(mode="wiener", snr=np.ones(shape)))
+        with pytest.raises(DataError, match=match):
+            auto_filter(s, 1.0, 0.5,
+                        FilterSpec(mode="wiener", snr=np.ones(shape)))
 
 
 def test_filters_need_a_resolved_snr():
@@ -136,7 +141,7 @@ def reference_deconvolution(s_n, kern, snr=None, delta_mass=None):
     if snr is None:
         out = excess / kern
     else:
-        out = excess * np.conj(kern) / (np.abs(kern) ** 2 + 1.0 / snr)
+        out = np.conj(kern) * excess / (np.abs(kern) ** 2 + 1.0 / snr)
     return out if delta_mass is None else delta_mass + out
 
 
@@ -144,9 +149,9 @@ def reference_deconvolution(s_n, kern, snr=None, delta_mass=None):
 def test_filters_equal_the_reference_formulas_byte_for_byte(li, lj):
     T, grid_dt, delta = 64, 0.5, 0.7
     s = hermitian_spectrum(T, seed=8)
-    cross = discrete_kernel(li * grid_dt, lj * grid_dt, np.arange(T), T)
-    auto = discrete_kernel(li * grid_dt, li * grid_dt, np.arange(T), T)
-    per_bin = 1.0 + np.arange(T) % 7
+    cross = discrete_kernel(li * grid_dt, lj * grid_dt, half_bins(T), T)
+    auto = discrete_kernel(li * grid_dt, li * grid_dt, half_bins(T), T)
+    per_bin = 1.0 + half_bins(T) % 7
     for snr in (None, 5.0, per_bin):
         spec = FilterSpec() if snr is None else FilterSpec("wiener", snr)
         want = reference_deconvolution(s.s_n, cross, snr).tobytes()
@@ -165,7 +170,7 @@ def test_auto_filter_round_trip_keeps_point_mass():
     # must invert it exactly given the measured point mass
     T, lam, delta = 96, 0.4, 0.8
     s = hermitian_spectrum(T, seed=7, offset=4.0)
-    kern = discrete_kernel(lam, lam, np.arange(T), T)
+    kern = discrete_kernel(lam, lam, half_bins(T), T)
     stepped = SpectrumEstimate(T=T, n_days=1,
                                s_n=delta + kern * (s.s_n - delta))
     back = auto_filter(stepped, lam, delta)
@@ -176,7 +181,8 @@ def test_auto_filter_round_trip_keeps_point_mass():
 
 def test_auto_filter_flat_spectrum_is_fixed_point():
     T, lam = 64, 0.7
-    s = SpectrumEstimate(T=T, n_days=1, s_n=np.full(T, 1.3, dtype=complex))
+    s = SpectrumEstimate(T=T, n_days=1,
+                         s_n=np.full(T // 2 + 1, 1.3, dtype=complex))
     out = auto_filter(s, lam, 1.3)
     np.testing.assert_allclose(out.s_n, 1.3, rtol=1e-13)
 
@@ -184,8 +190,7 @@ def test_auto_filter_flat_spectrum_is_fixed_point():
 def test_estimate_snr_orders_bands_correctly():
     # low band dominated by signal, high band by the plateau
     T = 256
-    omega = 2.0 * math.pi * np.arange(T) / T
-    omega = np.minimum(omega, 2.0 * math.pi - omega)
+    omega = 2.0 * math.pi * half_bins(T) / T
     s_n = 0.05 + 20.0 / (1.0 + (omega / 0.1) ** 2)
     s = SpectrumEstimate(T=T, n_days=1, s_n=s_n.astype(complex))
     snr = estimate_snr(s, 0.5, 0.1)
@@ -193,29 +198,30 @@ def test_estimate_snr_orders_bands_correctly():
 
 
 def test_estimate_snr_errors():
-    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(32, dtype=complex))
+    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(17, dtype=complex))
     with pytest.raises(DataError):
         estimate_snr(s, 1e9, 1e9, grid_dt=1.0)  # split above every bin
-    z = SpectrumEstimate(T=32, n_days=1, s_n=np.zeros(32, dtype=complex))
+    z = SpectrumEstimate(T=32, n_days=1, s_n=np.zeros(17, dtype=complex))
     with pytest.raises(DataError):
         estimate_snr(z, 0.5, 0.5)
 
 
 def test_filtered_correlogram_inverts_the_periodogram():
     rng = rng_stream(9, 61)
-    x = rng.standard_normal(64)
-    y = rng.standard_normal(64)
-    spec = estimate_spectrum([x], [y])
-    cg = filtered_correlogram(spec, max_lag=5.0)
-    k0 = cg.lag_grid.size // 2
-    for a, k in enumerate(range(-5, 6)):
-        direct = np.mean(x * np.roll(y, -k))
-        assert cg.values[a] == pytest.approx(direct, abs=1e-12)
-    assert cg.lag_grid[k0] == 0.0
+    for T in (64, 65):
+        x = rng.standard_normal(T)
+        y = rng.standard_normal(T)
+        spec = estimate_spectrum([x], [y])
+        cg = filtered_correlogram(spec, max_lag=5.0)
+        k0 = cg.lag_grid.size // 2
+        for a, k in enumerate(range(-5, 6)):
+            direct = np.mean(x * np.roll(y, -k))
+            assert cg.values[a] == pytest.approx(direct, abs=1e-12)
+        assert cg.lag_grid[k0] == 0.0
 
 
 def test_filtered_correlogram_flat_spectrum_is_pure_delta():
-    s = SpectrumEstimate(T=128, n_days=1, s_n=np.full(128, 2.0, dtype=complex))
+    s = SpectrumEstimate(T=128, n_days=1, s_n=np.full(65, 2.0, dtype=complex))
     cg = filtered_correlogram(s, max_lag=10.0)
     k0 = cg.lag_grid.size // 2
     assert cg.lag_grid[k0] == 0.0
@@ -223,16 +229,8 @@ def test_filtered_correlogram_flat_spectrum_is_pure_delta():
     np.testing.assert_allclose(np.delete(cg.values, k0), 0.0, atol=1e-13)
 
 
-def test_filtered_correlogram_rejects_broken_symmetry():
-    s_n = np.zeros(64, dtype=complex)
-    s_n[3] = 1.0 + 1.0j  # no Hermitian partner
-    s = SpectrumEstimate(T=64, n_days=1, s_n=s_n)
-    with pytest.raises(NumericalError):
-        filtered_correlogram(s, max_lag=4.0)
-
-
 def test_filtered_correlogram_lag_range_check():
-    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(32, dtype=complex))
+    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(17, dtype=complex))
     with pytest.raises(DataError):
         filtered_correlogram(s, max_lag=16.0)
     with pytest.raises(DataError):
@@ -249,17 +247,18 @@ def circular_rho(x, y, m):
 
 def test_filtered_epps_curve_matches_circular_overlapping_mean():
     rng = rng_stream(10, 62)
-    x = rng.standard_normal(128)
-    y = rng.standard_normal(128)
-    spectra = (estimate_spectrum([x], [y]), estimate_spectrum([x], [x]),
-               estimate_spectrum([y], [y]))
-    curve = filtered_epps_curve(*spectra, [1.0, 3.0, 8.0])
-    np.testing.assert_allclose(curve.rho,
-                               [circular_rho(x, y, m) for m in (1, 3, 8)],
-                               rtol=1e-10, atol=1e-12)
-    for bad in (0.0, 128.0):
-        with pytest.raises(DataError):
-            filtered_epps_curve(*spectra, [bad])
+    for T in (128, 127):
+        x = rng.standard_normal(T)
+        y = rng.standard_normal(T)
+        spectra = (estimate_spectrum([x], [y]), estimate_spectrum([x], [x]),
+                   estimate_spectrum([y], [y]))
+        curve = filtered_epps_curve(*spectra, [1.0, 3.0, 8.0])
+        np.testing.assert_allclose(curve.rho,
+                                   [circular_rho(x, y, m) for m in (1, 3, 8)],
+                                   rtol=1e-10, atol=1e-12)
+        for bad in (0.0, float(T)):
+            with pytest.raises(DataError):
+                filtered_epps_curve(*spectra, [bad])
 
 
 def test_filtered_epps_curve_unit_for_identical_spectra():
@@ -271,12 +270,12 @@ def test_filtered_epps_curve_unit_for_identical_spectra():
 
 
 def test_filtered_epps_curve_errors():
-    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(64, dtype=complex))
+    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(33, dtype=complex))
     with pytest.raises(DataError):
         filtered_epps_curve(s, s, s, [1.5])
     # variance -1 at one step, +2 at two steps: only the first horizon is
     # degenerate, and it is marked NaN instead of aborting the curve
-    c = np.cos(2.0 * np.pi * np.arange(64) / 64)
+    c = np.cos(2.0 * np.pi * half_bins(64) / 64)
     bad = SpectrumEstimate(T=64, n_days=1, s_n=(4.0 * c - 1.0).astype(complex))
     curve = filtered_epps_curve(s, bad, s, [1.0, 2.0])
     assert math.isnan(curve.rho[0])
@@ -291,13 +290,15 @@ def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
     s22 = estimate_spectrum([y], [y])
     horizons = [1.0, 2.0, 8.0, 30.0]
     # one window per spectrum, each built from scratch by the squared
-    # Dirichlet kernel, gives the same coefficients, bit for bit
-    n = np.arange(128)
+    # Dirichlet kernel with the interior bins 1..63 counted twice, gives
+    # the same coefficients, bit for bit
+    n = half_bins(128)
     expected = []
     for m in (1, 2, 8, 30):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (np.sin(np.pi * n * m / 128) / np.sin(np.pi * n / 128)) ** 2
         w[0] = m * m
+        w = np.where((n == 0) | (n == 64), 1.0, 2.0) * w
         c12, v1, v2 = (filtering._windowed_covariance(s, w)
                        for s in (s12, s11, s22))
         expected.append(c12 / math.sqrt(v1 * v2))
@@ -317,8 +318,8 @@ def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
 
 
 def test_filtered_epps_curve_rejects_spectra_of_different_lengths():
-    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(64, dtype=complex))
-    short = SpectrumEstimate(T=63, n_days=1, s_n=np.ones(63, dtype=complex))
+    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(33, dtype=complex))
+    short = SpectrumEstimate(T=63, n_days=1, s_n=np.ones(32, dtype=complex))
     for args in ((s, short, s), (s, s, short), (short, s, s)):
         with pytest.raises(DataError, match="differ in length"):
             filtered_epps_curve(*args, [1.0, 2.0])
