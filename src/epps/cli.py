@@ -99,6 +99,13 @@ def _read_path_csv(path):
     if "grid_dt" not in meta or not rows:
         raise DataError(f"{path} is not a simulated path file")
     levels = np.array(rows)[:, 1:].T
+    with np.errstate(over="ignore", under="ignore"):
+        price = np.exp(levels)
+    bad = ~(np.isfinite(price) & (price > 0)).all(axis=0)
+    if bad.any():
+        t, a, b = rows[np.flatnonzero(bad)[0]]
+        raise DataError(f"{path}: the levels {a:g}, {b:g} at t = {t:g} "
+                        "give no finite positive price exp(level)")
     return SimulatedPath(grid_dt=meta["grid_dt"], t0=meta.get("t0", 0.0),
                          levels=levels)
 

@@ -175,6 +175,31 @@ def _normalized_increments(series, normalize):
     return (x - np.mean(x)) / sd
 
 
+# Days per 2-D scipy.fft call.  pocketfft transforms the rows of a block
+# two at a time in SIMD lanes, and each row keeps the bits of its own 1-D
+# call.  At 5-smooth lengths, which include every padded correlogram length,
+# blocks of 4 took about 3/4 of the time of 1-D calls (20 000, 20 250 and
+# 40 000 points); at lengths with a larger prime factor batching gained
+# nothing and made the spectra of 39 990-step days slower, so those take one
+# day per call (README, "Correlograms").
+_FFT_BLOCK_DAYS = 4
+
+
+def _day_blocks(lengths, per_block):
+    """Slices of up to `per_block` consecutive days of one length."""
+    start = 0
+    for k in range(1, len(lengths) + 1):
+        if (k == len(lengths) or k - start == per_block
+                or lengths[k] != lengths[start]):
+            yield slice(start, k)
+            start = k
+
+
+def _stacked(days):
+    """A block's days as the rows of one array; one day is not copied."""
+    return days[0][None, :] if len(days) == 1 else np.array(days)
+
+
 # Lag windows of up to this many lags are summed directly; longer ones take
 # one padded real FFT.  Per day, the direct sums cost as much as the FFT at
 # about 32 lags on 2 000 steps and between 32 and 60 on 20 000 and 39 990;
@@ -194,56 +219,63 @@ def _lag_sums(x, y, n_lags):
     return np.einsum("i,ij->j", x, sliding_window_view(padded, n_lags + 1))
 
 
-def _lagged_products(x, y, n_lags):
-    """Mean lagged products mean(x[m] * y[m + k]) for k = -n_lags..n_lags.
-
-    Up to `_DIRECT_MAX_LAGS` lags, direct sums over the overlapping
-    products (an auto correlogram sums k >= 0 only and mirrors them).
-    Longer windows take one zero-padded real FFT cross-correlation: padding
-    to at least n + n_lags points keeps the circular wrap-around off every
-    lag read.
-    """
-    n = x.size
+def _direct_lagged_products(x, y, n_lags):
+    """Mean lagged products mean(x[m] * y[m + k]), k = -n_lags..n_lags, of
+    one day by direct sums over the overlapping products (an auto
+    correlogram sums k >= 0 only and mirrors them)."""
+    ahead = _lag_sums(x, y, n_lags)
+    behind = ahead if y is x else _lag_sums(y, x, n_lags)
     lags = np.arange(-n_lags, n_lags + 1)
-    if n_lags <= _DIRECT_MAX_LAGS:
-        ahead = _lag_sums(x, y, n_lags)
-        behind = ahead if y is x else _lag_sums(y, x, n_lags)
-        return np.concatenate([behind[:0:-1], ahead]) / (n - np.abs(lags))
+    return np.concatenate([behind[:0:-1], ahead]) / (x.size - np.abs(lags))
+
+
+def _fft_lagged_products(xs, ys, n_lags, autos):
+    """The same means for a block of days of one length, by zero-padded
+    real FFT cross-correlation: padding to at least n + n_lags points keeps
+    the circular wrap-around off every lag read.
+
+    Returns the rows of (x, y) and, with `autos`, those of (x, x) and
+    (y, y): two padded rFFTs and three irFFTs per day, each one 2-D call.
+    """
     import scipy.fft  # here, so that importing the package loads no scipy
 
+    n = xs[0].size
+    lags = np.arange(-n_lags, n_lags + 1)
     size = scipy.fft.next_fast_len(n + n_lags, real=True)
-    fx = scipy.fft.rfft(x, size)
-    fy = fx if y is x else scipy.fft.rfft(y, size)
-    return scipy.fft.irfft(fx.conj() * fy, size)[lags] / (n - np.abs(lags))
+    fx = scipy.fft.rfft(_stacked(xs), size, axis=-1)
+    fy = fx if ys is xs else scipy.fft.rfft(_stacked(ys), size, axis=-1)
+    pairs = [(fx, fy), (fx, fx), (fy, fy)] if autos else [(fx, fy)]
+    return [scipy.fft.irfft(a.conj() * b, size, axis=-1)[:, lags]
+            / (n - np.abs(lags)) for a, b in pairs]
 
 
-def correlogram(series_i, series_j, max_lag, normalize=True):
-    """Lagged correlogram of one-step returns, averaged over days.
-
-    Each day's increments are normalized to zero mean and unit variance
-    before the cross-products (disable with normalize=False).  When the two
-    inputs are the same series the zero-lag point mass is split off into
-    `delta_mass`.
-
-    Each day's mean lagged products come from one of two exact methods,
-    which agree to round-off: windows of up to `_DIRECT_MAX_LAGS` (16)
-    lags sum the overlapping products directly, longer ones take one
-    zero-padded real FFT.  Neither uses BLAS, so the output does not
-    depend on the BLAS thread count.
-    """
-    gdt = _common_grid(series_i, series_j)
-    n_lags = int(round(max_lag / gdt))
-    if n_lags < 1:
-        raise DataError("max_lag must cover at least one grid step")
+def _lagged_product_rows(series_i, series_j, n_lags, normalize, autos):
+    """Per-day mean lagged products of (i, j) and, with `autos`, of (i, i)
+    and (j, j), from one pass over the days: each day is normalized once,
+    and one block of days at a time is held."""
     is_auto = all(si is sj for si, sj in zip(series_i, series_j))
-    rows = []
-    for si, sj in zip(series_i, series_j):
-        x = _normalized_increments(si, normalize)
-        y = x if is_auto else _normalized_increments(sj, normalize)
-        if n_lags >= x.size:
+    rows = [[] for _ in range(3 if autos else 1)]
+    lengths = [s.levels.size - 1 for s in series_i]
+    # the direct sums take one day at a time, while it is in cache
+    use_fft = n_lags > _DIRECT_MAX_LAGS
+    for block in _day_blocks(lengths, _FFT_BLOCK_DAYS if use_fft else 1):
+        xs = [_normalized_increments(s, normalize) for s in series_i[block]]
+        ys = xs if is_auto else [_normalized_increments(s, normalize)
+                                 for s in series_j[block]]
+        if n_lags >= xs[0].size:
             raise DataError("max_lag must be shorter than the session")
-        rows.append(_lagged_products(x, y, n_lags))
-    rows = np.array(rows)
+        if use_fft:
+            got = _fft_lagged_products(xs, ys, n_lags, autos)
+        else:
+            pairs = [(xs, ys), (xs, xs), (ys, ys)] if autos else [(xs, ys)]
+            got = [[_direct_lagged_products(x, y, n_lags)
+                    for x, y in zip(a, b)] for a, b in pairs]
+        for out, block_rows in zip(rows, got):
+            out.extend(block_rows)
+    return is_auto, [np.array(r) for r in rows]
+
+
+def _correlogram_from_rows(rows, n_lags, gdt, is_auto):
     values = rows.mean(axis=0)
     if len(rows) >= 2:
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
@@ -259,14 +291,44 @@ def correlogram(series_i, series_j, max_lag, normalize=True):
                        delta_mass=delta)
 
 
-def estimate_spectrum(increments_i, increments_j):
+def correlogram(series_i, series_j, max_lag, normalize=True, autos=False):
+    """Lagged correlogram of one-step returns, averaged over days.
+
+    Each day's increments are normalized to zero mean and unit variance
+    before the cross-products (disable with normalize=False).  When the two
+    inputs are the same series the zero-lag point mass is split off into
+    `delta_mass`.  With `autos`, returns (cross, auto_i, auto_j), each
+    equal to its own call, from one pass over the days.
+
+    Each day's mean lagged products come from one of two exact methods,
+    which agree to round-off: windows of up to `_DIRECT_MAX_LAGS` (16)
+    lags sum the overlapping products directly, longer ones take one
+    zero-padded real FFT per series and day, batched over blocks of days.
+    Neither uses BLAS, so the output does not depend on the BLAS thread
+    count.
+    """
+    gdt = _common_grid(series_i, series_j)
+    n_lags = int(round(max_lag / gdt))
+    if n_lags < 1:
+        raise DataError("max_lag must cover at least one grid step")
+    is_auto, rows = _lagged_product_rows(series_i, series_j, n_lags,
+                                         normalize, autos)
+    cgs = [_correlogram_from_rows(r, n_lags, gdt, auto)
+           for r, auto in zip(rows, (is_auto, True, True))]
+    return tuple(cgs) if autos else cgs[0]
+
+
+def estimate_spectrum(increments_i, increments_j, autos=False):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
     Every day must supply exactly T increments.  Each side takes one real
-    FFT per day, accumulated day by day so that memory does not grow with
-    the number of days; when every day of `increments_i` is the same object
-    as the matching day of `increments_j` (an auto spectrum), one transform
-    serves both sides.  Only bins n = 0..T//2 are computed and returned.
+    FFT per day, one 2-D call per block of days, and the periodograms are
+    accumulated day by day, so memory does not grow with the number of
+    days; when every day of `increments_i` is the same object as the
+    matching day of `increments_j` (an auto spectrum), one transform serves
+    both sides.  With `autos`, returns (cross, auto_i, auto_j), each equal
+    to its own call, from the same transforms.  Only bins n = 0..T//2 are
+    computed and returned.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
@@ -282,15 +344,28 @@ def estimate_spectrum(increments_i, increments_j):
     for d in (*days_i, *days_j):
         if d.size != T:
             raise DataError(f"day length {d.size} != T = {T}")
-    half = np.zeros(T // 2 + 1, dtype=complex)
-    for di, dj in zip(days_i, days_j):
-        fi = scipy.fft.rfft(di)
-        if is_auto:
-            half += fi.real ** 2 + fi.imag ** 2
-        else:
-            half += fi * scipy.fft.rfft(dj).conj()
-    half /= len(days_i) * T
-    return SpectrumEstimate(T=int(T), n_days=len(days_i), s_n=half)
+    sums = [np.zeros(T // 2 + 1, dtype=complex)
+            for _ in range(3 if autos else 1)]
+    smooth = scipy.fft.next_fast_len(T, real=True) == T
+    per_block = _FFT_BLOCK_DAYS if smooth else 1
+    for block in _day_blocks([T] * len(days_i), per_block):
+        fi = scipy.fft.rfft(_stacked(days_i[block]), axis=-1)
+        fj = fi if is_auto else scipy.fft.rfft(_stacked(days_j[block]),
+                                               axis=-1)
+        for a, b in zip(fi, fj):
+            if is_auto:
+                sums[0] += a.real ** 2 + a.imag ** 2
+            else:
+                sums[0] += a * b.conj()
+            if autos:
+                sums[1] += a.real ** 2 + a.imag ** 2
+                sums[2] += b.real ** 2 + b.imag ** 2
+    spectra = []
+    for half in sums:
+        half /= len(days_i) * T
+        spectra.append(SpectrumEstimate(T=int(T), n_days=len(days_i),
+                                        s_n=half))
+    return tuple(spectra) if autos else spectra[0]
 
 
 # -- CSV round trips ------------------------------------------------------------
@@ -345,8 +420,12 @@ def read_spectrum_csv(path):
         raise DataError(f"{path}: no '# T=' line with an integer T >= 1; "
                         "older full-length spectrum CSVs are not read")
     data = _parse_table(text, "n,re,im")
-    return SpectrumEstimate(T=int(T), n_days=meta["n_days"],
+    spec = SpectrumEstimate(T=int(T), n_days=meta["n_days"],
                             s_n=data[:, 1] + 1j * data[:, 2])
+    if not np.array_equal(data[:, 0], np.arange(spec.s_n.size)):
+        raise DataError(f"{path}: the n column must read 0..{spec.T // 2} "
+                        "in order")
+    return spec
 
 
 def _read_meta(text, path):

@@ -506,17 +506,14 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     out = {"rate_i": rate_i, "rate_j": rate_j}
     dt_grid = np.asarray(dt_grid, dtype=float)
     out["epps_raw"] = epps_curve(days_i, days_j, dt_grid)
-    cg = correlogram(days_i, days_j, max_lag)
+    cg, out["cg_auto_i"], out["cg_auto_j"] = correlogram(
+        days_i, days_j, max_lag, autos=True)
     out["cg_cross"] = cg
-    out["cg_auto_i"] = correlogram(days_i, days_i, max_lag)
-    out["cg_auto_j"] = correlogram(days_j, days_j, max_lag)
 
     di = [_normalized_increments(s, True) for s in days_i]
     dj = [_normalized_increments(s, True) for s in days_j]
     out["n_days_spectra"] = len(di)
-    s_cross = estimate_spectrum(di, dj)
-    s_ii = estimate_spectrum(di, di)
-    s_jj = estimate_spectrum(dj, dj)
+    s_cross, s_ii, s_jj = estimate_spectrum(di, dj, autos=True)
     out["s_cross"] = s_cross
 
     spec = filter_spec or FilterSpec()

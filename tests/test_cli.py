@@ -544,6 +544,20 @@ def test_sample_rejects_a_malformed_path_file(bad_line, tmp_path, capsys):
     assert "data error" in err and "path_d000.csv" in err
 
 
+@pytest.mark.parametrize("level", ["710", "-800", "nan", "inf"])
+def test_sample_rejects_a_level_without_a_finite_positive_price(
+        level, tmp_path, capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "path_d000.csv").write_text(
+        f"# grid_dt=1\n# t0=0\nt,level_i,level_j\n0,0,0\n1,0,{level}\n")
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--out", str(tmp_path / "ticks.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "path_d000.csv" in err
+    assert "at t = 1 give no finite positive price" in err
+
+
 def write_small_spectrum(path, n_days="1"):
     write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(5)), path)
     path.write_text(path.read_text().replace("# n_days=1",
@@ -594,6 +608,17 @@ def test_filter_rejects_a_spectrum_without_its_length(tmp_path, capsys):
         f"{n},1,0\n" for n in range(8)))
     assert main(args) == 2
     assert "'# T=' line" in capsys.readouterr().err
+
+
+def test_filter_rejects_a_spectrum_whose_bins_are_out_of_order(tmp_path,
+                                                             capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text("# T=8\nn,re,im\n" + "7,1,0\n" * 5)
+    assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
+                 "--lambda-j", "0.5", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "spec.csv" in err
+    assert "n column must read 0..4 in order" in err
 
 
 def test_bad_n_days_in_a_csv_header_is_a_data_error(tmp_path, capsys):

@@ -294,6 +294,74 @@ def test_correlogram_short_windows_take_no_fft(monkeypatch):
                 correlogram(days_i, dj, max_lag)
 
 
+def assert_same_correlogram(got, want):
+    for field in ("lag_grid", "values", "stderr"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.n_days, got.delta_mass) == (want.n_days, want.delta_mass)
+
+
+def unequal_days(lengths, seed):
+    rng = rng_stream(seed, 59)
+    return [[make_series(np.concatenate([[0.0], np.cumsum(
+        rng.standard_normal(n))])) for n in lengths] for _ in range(2)]
+
+
+@pytest.mark.parametrize("n_days", [1, 3, 9])
+@pytest.mark.parametrize("n_lags", [10, 120])  # direct sums, FFT
+@pytest.mark.parametrize("normalize", [True, False])
+def test_correlogram_autos_equal_the_three_separate_calls(n_days, n_lags,
+                                                          normalize):
+    days_i, days_j = gaussian_days(n_days, 2000, seed=12)
+    got = correlogram(days_i, days_j, float(n_lags), normalize=normalize,
+                      autos=True)
+    for cg, (a, b) in zip(got, ((days_i, days_j), (days_i, days_i),
+                                (days_j, days_j))):
+        assert_same_correlogram(cg, correlogram(a, b, float(n_lags),
+                                                normalize=normalize))
+    assert got[0].delta_mass is None
+    assert got[1].delta_mass is not None and got[2].delta_mass is not None
+
+
+def test_correlogram_autos_on_days_of_unequal_length():
+    # blocks break where the length changes; every day keeps its own rows
+    days_i, days_j = unequal_days([2000, 2000, 1500, 1500, 2000], seed=1)
+    for n_lags in (10, 120):
+        got = correlogram(days_i, days_j, float(n_lags), autos=True)
+        for cg, (a, b) in zip(got, ((days_i, days_j), (days_i, days_i),
+                                    (days_j, days_j))):
+            assert_same_correlogram(cg, correlogram(a, b, float(n_lags)))
+            assert cg.n_days == 5
+
+
+def per_day_fft_lagged_means(days_i, days_j, n_lags):
+    """Mean lagged products by one 1-D padded transform per series and
+    day, as the FFT path computes each row."""
+    rows = []
+    for si, sj in zip(days_i, days_j):
+        x = (si.increments - si.increments.mean()) / si.increments.std()
+        y = (sj.increments - sj.increments.mean()) / sj.increments.std()
+        n = x.size
+        lags = np.arange(-n_lags, n_lags + 1)
+        size = scipy.fft.next_fast_len(n + n_lags, real=True)
+        fx = scipy.fft.rfft(x, size)
+        fy = fx if sj is si else scipy.fft.rfft(y, size)
+        rows.append(scipy.fft.irfft(fx.conj() * fy, size)[lags]
+                    / (n - np.abs(lags)))
+    return np.array(rows).mean(axis=0)
+
+
+def test_correlogram_blocks_keep_the_bits_of_per_day_transforms():
+    days_i, days_j = unequal_days([2000] * 9 + [1999] * 2, seed=2)
+    cross, auto_i, auto_j = correlogram(days_i, days_j, 120.0, autos=True)
+    assert cross.values.tobytes() == per_day_fft_lagged_means(
+        days_i, days_j, 120).tobytes()
+    for cg, days in ((auto_i, days_i), (auto_j, days_j)):
+        want = per_day_fft_lagged_means(days, days, 120)
+        assert cg.delta_mass == want[120]
+        want[120] = 0.0
+        assert cg.values.tobytes() == want.tobytes()
+
+
 def test_correlogram_argument_validation():
     days, _ = gaussian_days(2, 40, seed=10)
     with pytest.raises(DataError):
@@ -358,6 +426,35 @@ def test_spectrum_rejects_mismatched_days():
         estimate_spectrum([np.zeros(0)], [np.zeros(0)])
 
 
+@pytest.mark.parametrize("n_days", [1, 3, 9])
+@pytest.mark.parametrize("T", [64, 101])
+def test_spectrum_autos_equal_the_three_separate_calls(n_days, T):
+    rng = rng_stream(T, 60, n_days)
+    days_i = [rng.standard_normal(T) for _ in range(n_days)]
+    days_j = [rng.standard_normal(T) for _ in range(n_days)]
+    got = estimate_spectrum(days_i, days_j, autos=True)
+    for spec, (a, b) in zip(got, ((days_i, days_j), (days_i, days_i),
+                                  (days_j, days_j))):
+        want = estimate_spectrum(a, b)
+        assert (spec.T, spec.n_days) == (want.T, want.n_days)
+        assert spec.s_n.tobytes() == want.s_n.tobytes()
+    # the same bits as one 1-D transform per series and day, summed in
+    # day order
+    half = np.zeros(T // 2 + 1, dtype=complex)
+    for di, dj in zip(days_i, days_j):
+        fi = scipy.fft.rfft(di)
+        half += fi * scipy.fft.rfft(dj).conj()
+    half /= n_days * T
+    assert got[0].s_n.tobytes() == half.tobytes()
+
+
+def test_spectrum_autos_reject_days_of_unequal_length():
+    rng = rng_stream(9, 60)
+    days = [rng.standard_normal(n) for n in (64, 64, 63)]
+    with pytest.raises(DataError, match="day length 63 != T = 64"):
+        estimate_spectrum(days, days[::-1], autos=True)
+
+
 def per_day_fft_spectrum(days_i, days_j):
     """The periodogram by its definition: mean over days of
     fft(dx_i) conj(fft(dx_j)) / T, with full complex FFTs, at all T bins."""
@@ -390,7 +487,11 @@ def test_spectrum_matches_per_day_fft_definition(T, n_days, pairing,
 
     monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
     spec = estimate_spectrum(days_i, days_j)
-    assert rfft_calls == [(T,)] * n_days * (1 if pairing == "auto" else 2)
+    # one 2-D call per side for the block of days at a 5-smooth T, one
+    # call per day and side at any other (7, 101)
+    rows = n_days if scipy.fft.next_fast_len(T, real=True) == T else 1
+    sides = 1 if pairing == "auto" else 2
+    assert rfft_calls == [(rows, T)] * (n_days // rows) * sides
     expected = per_day_fft_spectrum(days_i, days_j)
     assert spec.T == T and spec.n_days == n_days
     # the half spectrum is the full one's bins 0..T//2, real at 0 and T/2
@@ -450,6 +551,16 @@ def test_spectrum_csv_needs_its_length_and_half_the_bins(tmp_path):
                           ("# T=7\n", "4 bins")):
         f.write_text(header + rows)
         with pytest.raises(DataError, match=match):
+            read_spectrum_csv(f)
+
+
+def test_spectrum_csv_rows_must_be_bins_0_to_half_t_in_order(tmp_path):
+    f = tmp_path / "spec.csv"
+    for ns in ([7] * 5, [0, 1, 2, 4, 3], [1, 2, 3, 4, 5], [0, 1, 2, 3, "nan"],
+               [0, 1, 2, 3, 4.5]):
+        f.write_text("# T=8\nn,re,im\n"
+                     + "".join(f"{n},1,0\n" for n in ns))
+        with pytest.raises(DataError, match=r"n column must read 0\.\.4"):
             read_spectrum_csv(f)
 
 

@@ -10,6 +10,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.fft
 
 from epps import fitting, pipeline
 from epps.errors import DataError, FitConvergenceError
@@ -708,6 +709,30 @@ def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
         assert_same_fit(out["fits"][f"{key}_raw"], fitting.fit_auto_raw(cg))
         assert_same_fit(out["fits"][f"{key}_async"],
                         fitting.fit_auto_async(cg, lam))
+
+
+def test_analyze_pair_transforms_each_block_of_days_seven_times(
+        monkeypatch):
+    # 9 days of 3 000 steps (5-smooth) make blocks of 4, 4 and 1; a 40 s
+    # window takes the FFT path
+    days_i, days_j = small_days(n_days=9)
+    calls = []
+
+    def counting(name, fn):
+        def counted(x, *args, **kwargs):
+            calls.append((name, np.shape(x)[0]))
+            return fn(x, *args, **kwargs)
+        return counted
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name,
+                            counting(name, getattr(scipy.fft, name)))
+    analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    # per block: the correlograms' two padded rFFTs and three irFFTs
+    # (cross and both autos), then the spectra's two rFFTs
+    per_block = ["rfft"] * 2 + ["irfft"] * 3
+    assert calls == ([(f, rows) for rows in (4, 4, 1) for f in per_block]
+                     + [("rfft", rows) for rows in (4, 4, 1) for _ in "ij"])
 
 
 def test_analyze_pair_runs_a_failed_raw_fit_once(monkeypatch):
