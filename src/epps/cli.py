@@ -18,13 +18,16 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, NumericalError, read_text
+from .errors import DataError, NumericalError
 from .kernels import load_model_file
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
-from .sampling import SimulatedPath, draw_poisson_times, simulate_ensemble
+from .sampling import (SimulatedPath, draw_poisson_times, rng_stream,
+                       simulate_ensemble)
 from .estimation import (estimate_rate, read_correlogram_csv,
-                         read_spectrum_csv, write_spectrum_csv)
+                         read_spectrum_csv, write_spectrum_csv,
+                         _horizon_steps, _read_table, _write_table,
+                         _write_text)
 from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
@@ -67,38 +70,22 @@ def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
     pair = load_model_file(model_file)
     if warmup is None:
         warmup = 10.0
-    os.makedirs(out_dir, exist_ok=True)
     paths = simulate_ensemble(pair, grid_dt, horizon, days, seed=seed,
                               warmup=warmup)
+    os.makedirs(out_dir, exist_ok=True)
     for d, p in enumerate(paths):
-        name = os.path.join(out_dir, f"path_d{d:03d}.csv")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(f"# grid_dt={p.grid_dt:.10g}\n# t0={p.t0:.10g}\n")
-            fh.write("t,level_i,level_j\n")
-            for t, a, b in zip(p.times(), p.levels[0], p.levels[1]):
-                fh.write(f"{t:.10g},{a:.17g},{b:.17g}\n")
+        _write_table(os.path.join(out_dir, f"path_d{d:03d}.csv"),
+                     "t,level_i,level_j", (p.times(), *p.levels),
+                     "%.10g,%.17g,%.17g",
+                     {"grid_dt": f"{p.grid_dt:.10g}", "t0": f"{p.t0:.10g}"})
     click.echo(f"wrote {len(paths)} path files to {out_dir}")
 
 
 def _read_path_csv(path):
-    meta = {}
-    rows = []
-    for n, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        try:
-            if line.startswith("#"):
-                k, v = line[1:].split("=", 1)
-                meta[k.strip()] = float(v)
-            elif line and not line.startswith("t,"):
-                t, a, b = (float(x) for x in line.split(","))
-                rows.append((t, a, b))
-        except ValueError:
-            raise DataError(
-                f"{path} line {n}: expected '# key=number' or "
-                f"'t,level_i,level_j', got {line!r}") from None
-    if "grid_dt" not in meta or not rows:
+    meta, rows = _read_table(path, "t,level_i,level_j")
+    if "grid_dt" not in meta or not rows.size:
         raise DataError(f"{path} is not a simulated path file")
-    levels = np.array(rows)[:, 1:].T
+    levels = rows[:, 1:].T
     with np.errstate(over="ignore", under="ignore"):
         price = np.exp(levels)
     bad = ~(np.isfinite(price) & (price > 0)).all(axis=0)
@@ -132,26 +119,34 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
     replay = None
     if replay_i is not None:
         replay = (_read_tick_times(replay_i), _read_tick_times(replay_j))
-    with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write("asset,day,time_sec,price\n")
-        for d, name in enumerate(names):
-            p = _read_path_csv(os.path.join(paths_dir, name))
-            horizon = p.t_end
-            if replay is not None:
-                times = replay
-            else:
-                times = (
-                    draw_poisson_times(lambda_i, horizon, -p.t0, seed,
-                                       stream=2 * d),
-                    draw_poisson_times(lambda_j, horizon, -p.t0, seed,
-                                       stream=2 * d + 1))
-            for asset, tt in zip("ij", times):
-                tt = tt[(tt >= 0) & (tt <= horizon)]
-                levels = p.value_at(0 if asset == "i" else 1, tt)
-                for t, lev in zip(tt, levels):
-                    fh.write(f"{asset},d{d:03d},"
-                             f"{session.window_start + t:.6f},"
-                             f"{math.exp(lev):.17g}\n")
+    # written beside --out and renamed on success, so that a failure leaves
+    # no partial tick file
+    tmp = f"{out_file}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("asset,day,time_sec,price\n")
+            for d, name in enumerate(names):
+                p = _read_path_csv(os.path.join(paths_dir, name))
+                horizon = p.t_end
+                if replay is not None:
+                    times = replay
+                else:
+                    times = (
+                        draw_poisson_times(lambda_i, horizon, -p.t0, seed,
+                                           stream=2 * d),
+                        draw_poisson_times(lambda_j, horizon, -p.t0, seed,
+                                           stream=2 * d + 1))
+                for asset, tt in zip("ij", times):
+                    tt = tt[(tt >= 0) & (tt <= horizon)]
+                    levels = p.value_at(0 if asset == "i" else 1, tt)
+                    for t, lev in zip(tt, levels):
+                        fh.write(f"{asset},d{d:03d},"
+                                 f"{session.window_start + t:.6f},"
+                                 f"{math.exp(lev):.17g}\n")
+        os.replace(tmp, out_file)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     click.echo(f"wrote ticks for {len(names)} days to {out_file}")
 
 
@@ -181,14 +176,7 @@ def theory(model_file, quantity, lambda_i, lambda_j, grid, out_file):
     else:
         ys = async_cross_corr(pair.cross, kern, xs)
     label = "tau" if quantity == "crosscorr" else "dt"
-    lines = [f"{label},{quantity}"] + [
-        f"{x:.10g},{y:.17g}" for x, y in zip(xs, ys)]
-    text = "\n".join(lines) + "\n"
-    if out_file == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_table(out_file, f"{label},{quantity}", (xs, ys), "%.10g,%.17g")
 
 
 @cli.command()
@@ -217,6 +205,7 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     if not (0 < grid_dt <= session.length / 2 and math.isfinite(max_lag)):
         raise DataError("grid_dt must be > 0 and at most half the session, "
                         "and max_lag finite")
+    _horizon_steps(dt_list, grid_dt)
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
     for msg in errors:
         click.echo(f"skipped record: {msg}", err=True)
@@ -317,12 +306,8 @@ def fit(cg_file, family, lambda_i, lambda_j, out_file):
             raise click.UsageError("auto_async needs --lambda-i")
         res = fit_auto_async(cg, lambda_i)
     labels = ("i", "i") if family.startswith("auto") else ("i", "j")
-    text = FIT_CSV_HEADER + "\n" + fit_csv_row(res, *labels) + "\n"
-    if out_file == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(f"{FIT_CSV_HEADER}\n{fit_csv_row(res, *labels)}\n",
+                out_file)
 
 
 @cli.command()
@@ -365,6 +350,7 @@ def figures(seed, days, out_dir):
     Two pipeline runs (equal and strongly unequal sampling rates) plus the
     exact theory curves they should bracket.
     """
+    rng_stream(seed)  # a bad seed fails before out_dir is made
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.txt")
     with open(model_path, "w", encoding="utf-8") as fh:
@@ -377,11 +363,8 @@ def figures(seed, days, out_dir):
         run_pipeline(config, os.path.join(out_dir, name))
         kern = AsyncKernel(rates["lambda_i"], rates["lambda_j"])
         xs = np.asarray(dt_grid)
-        with open(os.path.join(out_dir, name, "epps_theory.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("dt,rho\n")
-            for x, y in zip(xs, async_rho(pair, kern, xs)):
-                fh.write(f"{x:.10g},{y:.17g}\n")
+        _write_table(os.path.join(out_dir, name, "epps_theory.csv"),
+                     "dt,rho", (xs, async_rho(pair, kern, xs)), "%.10g,%.17g")
     click.echo(f"figure data written to {out_dir}")
 
 

@@ -13,6 +13,7 @@ spectrum, S_{T-n} = conj(S_n), so only bins n = 0..T//2 are kept.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,6 +109,18 @@ def _common_grid(series_i, series_j):
     return gdt
 
 
+def _horizon_steps(dt_grid, grid_dt):
+    """Each horizon of `dt_grid` as a whole number of grid steps, at least
+    one; DataError when one is not."""
+    steps = np.asarray(dt_grid, dtype=float) / grid_dt
+    ms = np.round(steps)
+    # below 2**62 so that the cast to int cannot wrap
+    if not np.all((np.abs(steps - ms) <= 1e-9) & (ms >= 1) & (ms < 2.0**62)):
+        raise DataError("every dt must be a positive multiple of the grid "
+                        f"step {grid_dt:g}")
+    return ms.astype(int)
+
+
 def epps_curve(series_i, series_j, dt_grid):
     """Equal-time Pearson correlation of non-overlapping dt-returns.
 
@@ -120,16 +133,10 @@ def epps_curve(series_i, series_j, dt_grid):
     day adds a coefficient when it has two returns and neither asset's are
     constant.
     """
-    gdt = _common_grid(series_i, series_j)
+    ms = _horizon_steps(dt_grid, _common_grid(series_i, series_j))
     dt_grid = np.asarray(dt_grid, dtype=float)
-    if np.any(dt_grid <= 0):
-        raise DataError("dt grid must be positive")
-    steps = dt_grid / gdt
-    if np.any(np.abs(steps - np.round(steps)) > 1e-9):
-        raise DataError("every dt must be a multiple of the grid step")
     # per (horizon, day): return count, means, centred cross-products
     n, mx, my, sxx, syy, sxy = np.zeros((6, dt_grid.size, len(series_i)))
-    ms = np.round(steps).astype(int)
     for d, (si, sj) in enumerate(zip(series_i, series_j)):
         for a, m in enumerate(ms):
             ri = np.diff(si.levels[::m])
@@ -370,94 +377,114 @@ def estimate_spectrum(increments_i, increments_j, autos=False):
 
 # -- CSV round trips ------------------------------------------------------------
 
+def _write_text(text, path):
+    """Write `text` to the file `path`, or to standard output for "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _write_table(path, header, columns, row_format, meta=None):
+    """Write a table: one `# key=text` line per item of `meta`, the header,
+    then row k of the equal-length `columns` formatted by `row_format`
+    (one % conversion per column, comma-separated).  `path` "-" is
+    standard output."""
+    table = np.column_stack(columns)
+    rows = ((row_format + "\n") * len(table)) % tuple(table.ravel().tolist())
+    lines = "".join(f"# {key}={text}\n" for key, text in (meta or {}).items())
+    _write_text(f"{lines}{header}\n{rows}", path)
+
+
+def _read_table(path, header):
+    """The `# key=number` lines and the rows of numbers of a table file.
+
+    Returns (meta, rows): `meta` maps each key to its number, the last line
+    winning, and `rows` is an (n, k) float array for a header of k names.
+    Lines are stripped and blank ones skipped.  A `#` line that is not
+    `# key=number`, a first other line that is not `header`, or a row that
+    is not k numbers raises DataError naming the file and the line.
+    """
+    meta, body = {}, []
+    for n, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            try:
+                meta[key.strip()] = float(value)
+            except ValueError:
+                raise DataError(f"{path} line {n}: expected '# key=number', "
+                                f"got {line!r}") from None
+        elif line:
+            body.append((n, line))
+    n, first = body[0] if body else (n, "")
+    if first != header:
+        raise DataError(f"{path} line {n}: expected the header {header!r}, "
+                        f"got {first!r}")
+    ncol = header.count(",") + 1
+    rows = []
+    for n, line in body[1:]:
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != ncol:
+            raise DataError(f"{path} line {n}: expected {ncol} numbers, "
+                            f"got {line!r}")
+        rows.append(row)
+    return meta, np.array(rows, dtype=float).reshape(-1, ncol)
+
+
+def _n_days(meta, path):
+    n_days = meta.get("n_days", 1.0)
+    if not math.isfinite(n_days):
+        raise DataError(f"{path}: n_days must be finite")
+    return int(n_days)
+
+
 def write_epps_csv(curve, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dt,rho,stderr\n")
-        for dt, r, e in zip(curve.dt_grid, curve.rho, curve.stderr):
-            fh.write(f"{dt:.10g},{r:.17g},{e:.17g}\n")
+    _write_table(path, "dt,rho,stderr", (curve.dt_grid, curve.rho,
+                                         curve.stderr), "%.10g,%.17g,%.17g")
 
 
 def read_epps_csv(path):
-    data = _read_table(path, "dt,rho,stderr")
-    return EppsCurve(dt_grid=data[:, 0], rho=data[:, 1], stderr=data[:, 2])
+    _, rows = _read_table(path, "dt,rho,stderr")
+    return EppsCurve(dt_grid=rows[:, 0], rho=rows[:, 1], stderr=rows[:, 2])
 
 
 def write_correlogram_csv(cg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n_days={cg.n_days}\n")
-        if cg.delta_mass is not None:
-            fh.write(f"# delta_mass={cg.delta_mass:.17g}\n")
-        fh.write("tau,value\n")
-        for t, v in zip(cg.lag_grid, cg.values):
-            fh.write(f"{t:.10g},{v:.17g}\n")
+    meta = {"n_days": cg.n_days}
+    if cg.delta_mass is not None:
+        meta["delta_mass"] = f"{cg.delta_mass:.17g}"
+    _write_table(path, "tau,value", (cg.lag_grid, cg.values), "%.10g,%.17g",
+                 meta)
 
 
 def read_correlogram_csv(path):
-    text = read_text(path)
-    meta = _read_meta(text, path)
-    data = _parse_table(text, "tau,value")
-    return Correlogram(lag_grid=data[:, 0], values=data[:, 1],
-                       stderr=np.full(data.shape[0], np.nan),
-                       n_days=meta["n_days"],
+    meta, rows = _read_table(path, "tau,value")
+    return Correlogram(lag_grid=rows[:, 0], values=rows[:, 1],
+                       stderr=np.full(rows.shape[0], np.nan),
+                       n_days=_n_days(meta, path),
                        delta_mass=meta.get("delta_mass"))
 
 
 def write_spectrum_csv(spec, path):
     """Rows n = 0..T//2; the `# T=` line tells an odd T from an even one."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n_days={spec.n_days}\n# T={spec.T}\n")
-        fh.write("n,re,im\n")
-        s = spec.s_n
-        table = np.column_stack((np.arange(s.size), s.real, s.imag))
-        fh.write(("%d,%.17g,%.17g\n" * s.size) % tuple(table.ravel().tolist()))
+    s = spec.s_n
+    _write_table(path, "n,re,im", (np.arange(s.size), s.real, s.imag),
+                 "%d,%.17g,%.17g", {"n_days": spec.n_days, "T": spec.T})
 
 
 def read_spectrum_csv(path):
-    text = read_text(path)
-    meta = _read_meta(text, path)
+    meta, rows = _read_table(path, "n,re,im")
     T = meta.get("T", math.nan)
     if not (math.isfinite(T) and T >= 1 and T == int(T)):
         raise DataError(f"{path}: no '# T=' line with an integer T >= 1; "
                         "older full-length spectrum CSVs are not read")
-    data = _parse_table(text, "n,re,im")
-    spec = SpectrumEstimate(T=int(T), n_days=meta["n_days"],
-                            s_n=data[:, 1] + 1j * data[:, 2])
-    if not np.array_equal(data[:, 0], np.arange(spec.s_n.size)):
+    spec = SpectrumEstimate(T=int(T), n_days=_n_days(meta, path),
+                            s_n=rows[:, 1] + 1j * rows[:, 2])
+    if not np.array_equal(rows[:, 0], np.arange(spec.s_n.size)):
         raise DataError(f"{path}: the n column must read 0..{spec.T // 2} "
                         "in order")
     return spec
-
-
-def _read_meta(text, path):
-    """The `# key=value` lines of a correlogram or spectrum CSV as floats,
-    with `n_days` (1 when absent) as an int."""
-    meta = {"n_days": 1.0}
-    for line in text.splitlines():
-        if line.startswith("#") and "=" in line:
-            k, v = line[1:].split("=", 1)
-            try:
-                meta[k.strip()] = float(v)
-            except ValueError:
-                raise DataError(f"{path}: bad number in {line!r}") from None
-    if not math.isfinite(meta["n_days"]):
-        raise DataError(f"{path}: n_days must be finite")
-    meta["n_days"] = int(meta["n_days"])
-    return meta
-
-
-def _read_table(path, header):
-    return _parse_table(read_text(path), header)
-
-
-def _parse_table(text, header):
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0].strip() != header:
-        raise DataError(f"expected header {header!r}")
-    try:
-        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise DataError(f"bad number in table: {exc}") from exc
-    ncol = len(header.split(","))
-    if any(len(r) != ncol for r in rows):
-        raise DataError("ragged rows in table")
-    return np.array(rows, dtype=float).reshape(-1, ncol)

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .estimation import Correlogram, EppsCurve, SpectrumEstimate
+from .estimation import (Correlogram, EppsCurve, SpectrumEstimate,
+                         _horizon_steps)
 from .async_theory import discrete_kernel
 
 
@@ -178,11 +179,6 @@ def _windowed_covariance(spec, w):
     return float(np.sum(spec.s_n.real * w) / spec.T)
 
 
-def _check_horizon(m, T):
-    if not 1 <= m < T:
-        raise DataError("horizon must be in [1, T) grid steps")
-
-
 def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
     """Epps curve implied by corrected cross- and auto-spectra.
 
@@ -198,15 +194,13 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
         raise DataError(f"cross and auto spectra differ in length: "
                         f"{T}, {s_auto_i.T}, {s_auto_j.T}")
     dt_grid = np.asarray(dt_grid, dtype=float)
-    steps = dt_grid / grid_dt
-    if np.any(np.abs(steps - np.round(steps)) > 1e-9) or np.any(steps < 1):
-        raise DataError("every dt must be a positive multiple of the grid step")
     rho = np.empty(dt_grid.size)
     n = np.arange(T // 2 + 1)
     sin_n = np.sin(np.pi * n / T)
     mult = np.where((n == 0) | (2 * n == T), 1.0, 2.0)
-    for a, m in enumerate(np.round(steps).astype(int)):
-        _check_horizon(m, T)
+    for a, m in enumerate(_horizon_steps(dt_grid, grid_dt)):
+        if m >= T:
+            raise DataError("horizon must be in [1, T) grid steps")
         w = mult * _window_weights(T, m, n, sin_n)
         c12, v1, v2 = (_windowed_covariance(s, w)
                        for s in (s_hat, s_auto_i, s_auto_j))

@@ -30,7 +30,8 @@ from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
 from .estimation import (estimate_rate, epps_curve, correlogram,
                          estimate_spectrum, write_epps_csv,
                          write_correlogram_csv, write_spectrum_csv,
-                         _normalized_increments)
+                         _horizon_steps, _normalized_increments, _read_table,
+                         _write_text)
 from .filtering import (FilterSpec, apply_filter, auto_filter, estimate_snr,
                         filtered_correlogram, filtered_epps_curve)
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
@@ -455,11 +456,15 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.n_days, int) or self.n_days < 1:
             raise DataError("n_days must be a positive integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got "
+                            f"{self.seed!r}")
         if not all(0 < x < math.inf for x in (self.lambda_i, self.lambda_j,
                                               self.length, self.grid_dt,
                                               *self.dt_grid)):
             raise DataError("sampling rates, length, grid_dt and the dt "
                             "grid must be finite and > 0")
+        _horizon_steps(self.dt_grid, self.grid_dt)
         if not self.grid_dt < self.max_lag < math.inf:
             raise DataError("max_lag must be finite and exceed the grid step")
         if self.filter_mode not in ("inverse", "wiener"):
@@ -482,15 +487,10 @@ class RunConfig:
 
 
 def _read_tick_times(path):
-    lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
-    if not lines or lines[0] != "tick_time":
-        raise DataError("expected a single 'tick_time' column")
-    try:
-        times = np.array([float(x) for x in lines[1:]])
-    except ValueError as exc:
-        raise DataError(f"bad tick time: {exc}") from exc
+    times = _read_table(path, "tick_time")[1][:, 0]
     if times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DataError("tick times must be nonempty and strictly increasing")
+        raise DataError(f"{path}: tick times must be nonempty and strictly "
+                        "increasing")
     return times
 
 
@@ -572,11 +572,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_text(lines, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_artifacts(result, out_dir, labels, meta):
     """Write `analyze_pair`'s result and its manifest into `out_dir`.
 
@@ -609,7 +604,7 @@ def write_artifacts(result, out_dir, labels, meta):
             ("spectrum", "s", write_spectrum_csv, ("cross", "cross_filtered"))):
         for kind in kinds:
             emit(f"{stem}_{kind}.csv", writer, result[f"{key}_{kind}"])
-    emit("fits.csv", _write_text, fit_rows)
+    emit("fits.csv", _write_text, "\n".join(fit_rows) + "\n")
 
     manifest = {
         **meta,

@@ -28,6 +28,8 @@ from .kernels import ModelPair, _as_models, _triangle_covariance
 
 def rng_stream(seed, *key):
     """Counter-based, seedable generator; distinct keys give independent streams."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
 
 
@@ -200,8 +202,10 @@ def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
     by later calls; the draws of a seed are the same as with fresh factors,
     byte for byte.
     """
-    if grid_dt <= 0 or horizon <= 0 or warmup < 0:
-        raise DataError("grid_dt and horizon must be > 0, warmup >= 0")
+    if not (0 < grid_dt < math.inf and 0 < horizon < math.inf
+            and 0 <= warmup < math.inf):
+        raise DataError("grid_dt and horizon must be finite and > 0, warmup "
+                        "finite and >= 0")
     if not isinstance(pair, ModelPair):
         raise DataError("simulate_ensemble requires a validated ModelPair")
     n = int(round((horizon + warmup) / grid_dt))

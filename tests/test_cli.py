@@ -745,3 +745,170 @@ def test_cold_start_loads_scipy_only_for_the_commands_that_use_it(
     assert code == 0 and "scipy.optimize" in loaded
     fit_row = (tmp_path / "out.fit").read_text().splitlines()[1]
     assert fit_row.split(",")[2] == "cross_raw"
+
+
+# -- tables: the bytes each command writes -----------------------------------
+
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 0.1, 1.0 / 3]
+
+
+def test_simulate_writes_path_files_in_the_per_row_format(model_file,
+                                                          tmp_path):
+    levels = np.array([AWKWARD, AWKWARD[::-1]])
+    path = cli_mod.SimulatedPath(grid_dt=0.1, t0=-1.0 / 3, levels=levels)
+    with mock.patch.object(cli_mod, "simulate_ensemble",
+                           return_value=[path]):
+        assert main(["simulate", "--model", model_file,
+                     "--out", str(tmp_path / "paths")]) == 0
+    want = "# grid_dt=0.1\n# t0=-0.3333333333\nt,level_i,level_j\n" + "".join(
+        f"{t:.10g},{a:.17g},{b:.17g}\n"
+        for t, a, b in zip(path.times(), *levels))
+    assert (tmp_path / "paths" / "path_d000.csv").read_bytes() == want.encode()
+
+
+def test_theory_writes_the_same_bytes_to_stdout_and_to_a_file(
+        model_file, tmp_path, capsys):
+    grid = "5e-324,1e-310,0.1,0.30000000000000004,1,2,1e300,1e308"
+    xs = [float(x) for x in grid.split(",")]
+    out = tmp_path / "rho.csv"
+    with mock.patch.object(cli_mod, "async_rho",
+                           return_value=np.array(AWKWARD)):
+        for target in ("-", str(out)):
+            assert main(["theory", "--model", model_file, "--lambda-i", "1",
+                         "--lambda-j", "0.5", "--grid", grid,
+                         "--out", target]) == 0
+    want = "dt,rho\n" + "".join(f"{x:.10g},{y:.17g}\n"
+                                for x, y in zip(xs, AWKWARD))
+    assert capsys.readouterr().out == want
+    assert out.read_bytes() == want.encode()
+
+
+def test_figures_writes_its_theory_curves_in_the_per_row_format(tmp_path,
+                                                                capsys):
+    def make_run_dir(config, out_dir):
+        os.makedirs(out_dir)
+
+    with mock.patch.object(cli_mod, "run_pipeline",
+                           side_effect=make_run_dir), \
+            mock.patch.object(cli_mod, "async_rho",
+                              return_value=np.array(AWKWARD)):
+        assert main(["figures", "--out", str(tmp_path / "figs")]) == 0
+    want = "dt,rho\n" + "".join(
+        f"{x:.10g},{y:.17g}\n" for x, y in zip(
+            (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0), AWKWARD))
+    for name in ("symmetric", "asymmetric"):
+        got = (tmp_path / "figs" / name / "epps_theory.csv").read_bytes()
+        assert got == want.encode()
+
+
+def test_fit_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    lags = np.arange(-60, 61, dtype=float)
+    vals, _ = _cross_raw_fj(lags, np.array([0.45, 3.0, math.log(7.0)]))
+    cg = tmp_path / "cg.csv"
+    write_correlogram_csv(Correlogram(lag_grid=lags, values=vals,
+                                      stderr=np.full(lags.size, np.nan),
+                                      n_days=1), cg)
+    out = tmp_path / "fit.csv"
+    for target in ("-", str(out)):
+        assert main(["fit", "--correlogram", str(cg), "--family",
+                     "cross_raw", "--out", target]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("i,j,family,") and text.count("\n") == 2
+    assert out.read_bytes() == text.encode()
+
+
+def test_a_bad_correlogram_row_is_a_data_error_naming_file_and_line(
+        tmp_path, capsys):
+    cg = tmp_path / "cg.csv"
+    cg.write_text("# n_days=1\ntau,value\n-1,0.5\n0,1\n1,0.5,\n")
+    assert main(["fit", "--correlogram", str(cg),
+                 "--family", "cross_raw"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {cg} line 5: expected 2 numbers, got '1,0.5,'\n")
+
+
+# -- settings checked before any work ----------------------------------------
+
+def write_path_file(path, n_steps=100):
+    rows = "".join(f"{t},0,0\n" for t in range(n_steps + 1))
+    path.write_text(f"# grid_dt=1\n# t0=0\nt,level_i,level_j\n{rows}")
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("simulate", ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("simulate", ["--horizon", "nan"], "must be finite"),
+    ("simulate", ["--horizon", "inf"], "must be finite"),
+    ("simulate", ["--warmup", "nan"], "must be finite"),
+    ("simulate", ["--grid-dt", "nan"], "must be finite"),
+    ("sample", ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("figures", ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("run", ["--seed", "-2"], "seed must be a non-negative integer"),
+])
+def test_a_negative_seed_or_a_nan_setting_is_a_data_error(
+        command, setting, message, model_file, tmp_path, capsys):
+    # each of these ended in a traceback from numpy
+    out = tmp_path / "o"
+    if command == "simulate":
+        args = ["--model", model_file]
+    elif command == "sample":
+        (tmp_path / "paths").mkdir()
+        write_path_file(tmp_path / "paths" / "path_d000.csv")
+        args = ["--paths", str(tmp_path / "paths")]
+    elif command == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_file": model_file}))
+        args = ["--config", str(cfg)]
+    else:
+        args = []
+    with mock.patch.object(pipeline, "simulate_ensemble",
+                           side_effect=AssertionError("simulated")):
+        assert main([command, *args, *setting, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_grid", ["1e-12,1", "0.5", "1,2.5", "nan", "1e19"])
+def test_estimate_checks_its_horizons_before_reading_ticks(dt_grid, tmp_path,
+                                                           capsys):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("asset,day,time_sec,price\n")
+    with mock.patch.object(cli_mod, "load_ticks",
+                           side_effect=AssertionError("ticks read")):
+        assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                     "--asset-j", "B", "--dt-grid", dt_grid,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "positive multiple of the grid step 1" in capsys.readouterr().err
+
+
+def test_run_checks_its_horizons_before_simulating(model_file, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model_file": model_file, "dt_grid": [1.5]}))
+    with mock.patch.object(pipeline, "simulate_ensemble",
+                           side_effect=AssertionError("simulated")):
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "positive multiple of the grid step 1" in capsys.readouterr().err
+
+
+def test_sample_leaves_no_partial_tick_file(tmp_path, capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    write_path_file(paths_dir / "path_d000.csv")
+    (paths_dir / "path_d001.csv").write_text(
+        "# grid_dt=1\n# t0=0\nt,level_i,level_j\n0,0,0\n1,0.5,oops\n")
+    out = tmp_path / "ticks.csv"
+    args = ["sample", "--paths", str(paths_dir), "--out", str(out)]
+    assert main(args) == 2
+    assert "path_d001.csv line 5" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["paths"]
+    # a file from an earlier run is left as it was
+    out.write_text("earlier\n")
+    assert main(args) == 2
+    assert sorted(os.listdir(tmp_path)) == ["paths", "ticks.csv"]
+    assert out.read_text() == "earlier\n"
+    os.remove(paths_dir / "path_d001.csv")
+    assert main(args) == 0
+    assert sorted(os.listdir(tmp_path)) == ["paths", "ticks.csv"]
+    assert out.read_text().startswith("asset,day,time_sec,price\ni,d000,")

@@ -168,6 +168,12 @@ def test_epps_curve_rejects_off_grid_horizons():
         epps_curve(days_i, days_j, [1.5])
     with pytest.raises(DataError):
         epps_curve(days_i, days_j, [-1.0])
+    # a horizon that rounds to 0 steps (it once ended in numpy's "slice step
+    # cannot be zero"), one that is no number, and one whose step count would
+    # wrap to a negative int64
+    for bad in (1e-12, math.nan, 1e19):
+        with pytest.raises(DataError, match="positive multiple of the grid"):
+            epps_curve(days_i, days_j, [bad, 1.0])
 
 
 def test_correlogram_auto_splits_unit_delta_mass():
@@ -590,3 +596,83 @@ def test_read_table_rejects_malformed_files(tmp_path):
     f.write_text("dt,rho,stderr\n1,2\n")
     with pytest.raises(DataError):
         read_epps_csv(f)
+
+
+# Values whose text is easy to get wrong: NaN, both infinities, a negative
+# zero, subnormals, and numbers that need all 17 digits.
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 0.1, 1.0 / 3,
+           -123456789.0, 1.7976931348623157e308]
+
+
+def test_epps_csv_bytes_match_per_row_format(tmp_path):
+    dt = np.array([-0.0, 5e-324, 1e-310, 0.1, 1.0 / 3, 2.0, 7.5, 1e6, 1e300,
+                   1.7976931348623157e308])
+    curve = estimation.EppsCurve(dt_grid=dt, rho=np.array(AWKWARD),
+                                 stderr=np.array(AWKWARD[::-1]))
+    f = tmp_path / "epps.csv"
+    write_epps_csv(curve, f)
+    want = "dt,rho,stderr\n" + "".join(
+        f"{t:.10g},{r:.17g},{e:.17g}\n"
+        for t, r, e in zip(dt, AWKWARD, AWKWARD[::-1]))
+    assert f.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("delta", [None, 0.75, -0.0, 5e-324, math.nan])
+def test_correlogram_csv_bytes_match_per_row_format(delta, tmp_path):
+    lags = np.arange(-4, 6) * 0.1  # 0.30000000000000004 and the like
+    cg = estimation.Correlogram(lag_grid=lags, values=np.array(AWKWARD),
+                                stderr=np.zeros(lags.size), n_days=3,
+                                delta_mass=delta)
+    f = tmp_path / "cg.csv"
+    write_correlogram_csv(cg, f)
+    meta = "" if delta is None else f"# delta_mass={delta:.17g}\n"
+    want = f"# n_days=3\n{meta}tau,value\n" + "".join(
+        f"{t:.10g},{v:.17g}\n" for t, v in zip(lags, AWKWARD))
+    assert f.read_bytes() == want.encode()
+
+
+def test_a_table_on_standard_output_matches_its_file(tmp_path, capsys):
+    cg = estimation.Correlogram(lag_grid=np.arange(-4, 6) * 0.5,
+                                values=np.array(AWKWARD),
+                                stderr=np.zeros(10), n_days=2)
+    f = tmp_path / "cg.csv"
+    write_correlogram_csv(cg, f)
+    write_correlogram_csv(cg, "-")
+    assert capsys.readouterr().out.encode() == f.read_bytes()
+    assert not os.path.exists("-")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# n_days=2\ntau,value\n-1,0.5\n0,abc\n1,0.5\n", 4,
+     "expected 2 numbers, got '0,abc'"),
+    ("# n_days=2\ntau,value\n-1,0.5\n\n0,0.5,7\n", 5,
+     "expected 2 numbers, got '0,0.5,7'"),
+    ("# n_days=2\ntau,value\n-1\n0,0.5\n", 3,
+     "expected 2 numbers, got '-1'"),
+    ("# n_days=2\n# a note\ntau,value\n0,1\n", 2,
+     "expected '# key=number', got '# a note'"),
+    ("#\ntau,value\n0,1\n", 1, "expected '# key=number', got '#'"),
+    ("# n_days=two\ntau,value\n0,1\n", 1,
+     "expected '# key=number', got '# n_days=two'"),
+    ("# n_days=2\n\ntau,val\n0,1\n", 3,
+     "expected the header 'tau,value', got 'tau,val'"),
+    ("# n_days=2\n", 2, "expected the header 'tau,value', got ''"),
+])
+def test_a_bad_correlogram_csv_names_its_file_and_line(text, line, message,
+                                                       tmp_path):
+    f = tmp_path / "cg.csv"
+    f.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_correlogram_csv(f)
+    assert str(info.value) == f"{f} line {line}: {message}"
+
+
+def test_a_table_reads_blank_lines_padding_and_an_empty_body(tmp_path):
+    f = tmp_path / "cg.csv"
+    f.write_text("\n  # n_days = 4 \n tau,value \n\n -1 , 0.5\n 0,1 \n\n")
+    cg = read_correlogram_csv(f)
+    assert cg.n_days == 4 and cg.delta_mass is None
+    np.testing.assert_array_equal(cg.lag_grid, [-1.0, 0.0])
+    np.testing.assert_array_equal(cg.values, [0.5, 1.0])
+    f.write_text("dt,rho,stderr\n")
+    assert read_epps_csv(f).dt_grid.shape == (0,)
