@@ -35,7 +35,8 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.mode not in ("inverse", "wiener"):
-            raise DataError(f"unknown filter mode {self.mode!r}")
+            raise DataError(f"unknown filter_mode {self.mode!r}; expected "
+                            "'inverse' or 'wiener'")
         if self.snr is None:
             return
         if self.mode == "inverse":

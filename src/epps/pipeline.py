@@ -6,10 +6,10 @@ window skips the first 45 minutes after the open and keeps a fixed-length
 stretch (20000 s by default: 10:15 to 15:48:20) for analysis.
 
 `run_pipeline` wires the whole chain together on synthetic data: simulate
-correlated paths, sample them at Poisson (or replayed) tick times, grid with
-the previous-tick rule, estimate correlograms / spectra / Epps curves,
-deconvolve the sampling kernel, fit both model families, and write every
-artifact plus a manifest with content hashes.  Fixed seed and config give a
+correlated paths, sample them at Poisson (or replayed) tick times, grid
+and normalize them as tick files are, estimate correlograms / spectra /
+Epps curves, deconvolve the sampling kernel, fit both model families, and
+write every artifact plus a manifest with content hashes.  Fixed seed and config give a
 bit-identical output tree.
 """
 
@@ -26,12 +26,11 @@ from . import __version__
 from .errors import DataError, EppsError, FitConvergenceError, read_text
 from .kernels import load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
-                       previous_tick, default_warmup)
+                       previous_tick, default_warmup, _tick_times)
 from .estimation import (estimate_rate, epps_curve, correlogram,
                          estimate_spectrum, write_epps_csv,
                          write_correlogram_csv, write_spectrum_csv,
-                         _horizon_steps, _normalized_increments, _read_table,
-                         _write_text)
+                         _horizon_steps, _read_table, _write_text)
 from .filtering import (FilterSpec, apply_filter, auto_filter, estimate_snr,
                         filtered_correlogram, filtered_epps_curve)
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
@@ -426,8 +425,7 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
         return None
     levels = np.zeros(stepped.levels.size)
     levels[1:] = np.cumsum((incr - np.mean(incr)) / sd)
-    return SteppedSeries(grid_dt=grid_dt, start=stepped.start, levels=levels,
-                         tick_times=ts.times)
+    return SteppedSeries(grid_dt=grid_dt, levels=levels, tick_times=ts.times)
 
 
 @dataclass(frozen=True)
@@ -467,9 +465,7 @@ class RunConfig:
         _horizon_steps(self.dt_grid, self.grid_dt)
         if not self.grid_dt < self.max_lag < math.inf:
             raise DataError("max_lag must be finite and exceed the grid step")
-        if self.filter_mode not in ("inverse", "wiener"):
-            raise DataError(f"unknown filter_mode {self.filter_mode!r}; "
-                            "expected 'inverse' or 'wiener'")
+        FilterSpec(self.filter_mode, self.snr)  # checks the mode and snr
 
     @classmethod
     def from_file(cls, path):
@@ -487,16 +483,20 @@ class RunConfig:
 
 
 def _read_tick_times(path):
+    """The `tick_time` column of a replay file: nonempty, finite and
+    strictly increasing, else DataError naming the file."""
     times = _read_table(path, "tick_time")[1][:, 0]
-    if times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DataError(f"{path}: tick times must be nonempty and strictly "
-                        "increasing")
-    return times
+    try:
+        return _tick_times(times)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
                  filter_spec=None, grid_dt=1.0):
-    """All pair-level estimates from per-day stepped series.
+    """All pair-level estimates from per-day grids as `grid_and_normalize`
+    makes them, whose increments are already normalized: neither the
+    correlograms nor the spectra normalize them again.
 
     Returns a dict with the rates, raw and filtered Epps curves, cross and
     auto correlograms (raw and filtered cross), spectra, the six fits and
@@ -507,13 +507,13 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     dt_grid = np.asarray(dt_grid, dtype=float)
     out["epps_raw"] = epps_curve(days_i, days_j, dt_grid)
     cg, out["cg_auto_i"], out["cg_auto_j"] = correlogram(
-        days_i, days_j, max_lag, autos=True)
+        days_i, days_j, max_lag, normalize=False, autos=True)
     out["cg_cross"] = cg
 
-    di = [_normalized_increments(s, True) for s in days_i]
-    dj = [_normalized_increments(s, True) for s in days_j]
-    out["n_days_spectra"] = len(di)
-    s_cross, s_ii, s_jj = estimate_spectrum(di, dj, autos=True)
+    out["n_days_spectra"] = len(days_i)
+    s_cross, s_ii, s_jj = estimate_spectrum(
+        [s.increments for s in days_i], [s.increments for s in days_j],
+        autos=True)
     out["s_cross"] = s_cross
 
     spec = filter_spec or FilterSpec()
@@ -631,59 +631,60 @@ def write_artifacts(result, out_dir, labels, meta):
 
 
 def _simulate_days(pair, config):
+    """Simulated asset-days gridded by `grid_and_normalize` as tick files
+    are, the last warm-up tick being the open tick.  Returns (days_i,
+    days_j, open_ticks_missing), the last counting days without one."""
     warmup = max(default_warmup(config.lambda_i),
                  default_warmup(config.lambda_j))
     paths = simulate_ensemble(pair, config.grid_dt, config.length,
                               config.n_days, seed=config.seed, warmup=warmup)
-    replay = (None, None)
-    if config.replay_ticks_i or config.replay_ticks_j:
-        if not (config.replay_ticks_i and config.replay_ticks_j):
-            raise DataError("replay mode needs tick-time files for both assets")
-        replay = (_read_tick_times(config.replay_ticks_i),
-                  _read_tick_times(config.replay_ticks_j))
-    days_i, days_j, ticks_i, ticks_j = [], [], [], []
+    files = [f for f in (config.replay_ticks_i, config.replay_ticks_j) if f]
+    if len(files) == 1:
+        raise DataError("replay mode needs tick-time files for both assets")
+    replay = [_read_tick_times(f) for f in files]
+    if replay and min(t[0] for t in replay) < -warmup:
+        raise DataError("replayed times start before the warmup")
+    session = SessionSpec(length=config.length)
+    days = ([], [])
+    missing = 0
     for d, path in enumerate(paths):
-        if replay[0] is not None:
-            t_i = replay[0][replay[0] <= config.length]
-            t_j = replay[1][replay[1] <= config.length]
-            if t_i.size == 0 or t_j.size == 0:
-                raise DataError("no replayed times inside the session")
-            if t_i[0] < -warmup or t_j[0] < -warmup:
-                raise DataError("replayed times start before the warmup")
-        else:
-            t_i = draw_poisson_times(config.lambda_i, config.length, warmup,
-                                     seed=config.seed, stream=2 * d)
-            t_j = draw_poisson_times(config.lambda_j, config.length, warmup,
-                                     seed=config.seed, stream=2 * d + 1)
-        days_i.append(previous_tick(path, t_i, asset=0, start=0.0,
-                                    end=config.length))
-        days_j.append(previous_tick(path, t_j, asset=1, start=0.0,
-                                    end=config.length))
-        ticks_i.append(t_i)
-        ticks_j.append(t_j)
-    return days_i, days_j, ticks_i, ticks_j
+        for a, lam in enumerate((config.lambda_i, config.lambda_j)):
+            if replay:
+                t = replay[a][replay[a] <= config.length]
+            else:
+                t = draw_poisson_times(lam, config.length, warmup,
+                                       seed=config.seed, stream=2 * d + a)
+            levels = path.value_at(a, t)
+            k = np.searchsorted(t, 0.0)  # the first tick in the window
+            open_tick = (float(t[k - 1]), float(levels[k - 1])) if k else None
+            ts = TickSeries("ij"[a], f"d{d:03d}", t[k:], levels[k:], open_tick)
+            grid = grid_and_normalize(ts, config.grid_dt, session)
+            if grid is None:
+                raise DataError(f"day {ts.day_id}, asset {ts.asset_id}: no "
+                                "ticks in the window or flat prices")
+            missing += open_tick is None
+            days[a].append(grid)
+    return (*days, missing)
 
 
 def run_pipeline(config, out_dir):
     """Run the synthetic pipeline and write the artifact directory.
 
-    Simulates and samples `config.n_days` days, analyzes them with
-    `analyze_pair` and writes the result with `write_artifacts`; the
-    manifest's `config` is the full RunConfig and it also records the seed.
-    The filter settings are checked before anything is simulated.
-    Deterministic for fixed (config, seed).
+    Simulates and samples `config.n_days` days, grids them with
+    `_simulate_days`, analyzes them with `analyze_pair` and writes the
+    result with `write_artifacts`; the manifest's `config` is the full
+    RunConfig, and it also records the seed and the number of back-filled
+    asset-days.  Deterministic for fixed (config, seed).
     """
-    spec = FilterSpec(config.filter_mode, config.snr)
     pair = load_model_file(config.model_file)
-    days_i, days_j, ticks_i, ticks_j = _simulate_days(pair, config)
-    in_window_i = [t[t >= 0] for t in ticks_i]
-    in_window_j = [t[t >= 0] for t in ticks_j]
-    rate_i = estimate_rate(np.concatenate(in_window_i),
-                           config.n_days * config.length)
-    rate_j = estimate_rate(np.concatenate(in_window_j),
-                           config.n_days * config.length)
+    days_i, days_j, open_ticks_missing = _simulate_days(pair, config)
+    rate_i, rate_j = (estimate_rate(
+        np.concatenate([s.tick_times for s in days]),
+        config.n_days * config.length) for days in (days_i, days_j))
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
-                          config.dt_grid, config.max_lag, spec,
+                          config.dt_grid, config.max_lag,
+                          FilterSpec(config.filter_mode, config.snr),
                           config.grid_dt)
     return write_artifacts(result, out_dir, ("i", "j"),
-                           {"config": asdict(config), "seed": config.seed})
+                           {"config": asdict(config), "seed": config.seed,
+                            "open_ticks_missing": open_ticks_missing})

@@ -66,7 +66,6 @@ class SteppedSeries:
     """Previous-tick piecewise-constant levels on a uniform grid."""
 
     grid_dt: float
-    start: float
     levels: np.ndarray
     tick_times: np.ndarray
 
@@ -339,6 +338,5 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     if idx[0] < 0:
         raise DataError("no tick at or before the grid start; "
                         "supply warmup or truncate the grid")
-    return SteppedSeries(grid_dt=float(grid_dt), start=float(start),
-                         levels=np.asarray(values)[idx],
-                         tick_times=ticks)
+    return SteppedSeries(grid_dt=float(grid_dt),
+                         levels=np.asarray(values)[idx], tick_times=ticks)

@@ -262,6 +262,33 @@ def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
         np.testing.assert_allclose(series[("j", day)].times, [50.0, 2000.0])
 
 
+@pytest.mark.parametrize("command", ["sample", "run"])
+def test_replayed_tick_times_must_be_finite(command, model_file, tmp_path,
+                                            capsys):
+    # NaN compares false, so a NaN row once passed the increasing check and
+    # the times around it went backwards
+    replay = tmp_path / "times.csv"
+    replay.write_text("tick_time\n1\nnan\n0.5\n")
+    out = tmp_path / "out"
+    if command == "sample":
+        paths_dir = tmp_path / "paths"
+        assert main(["simulate", "--model", model_file, "--horizon", "2000",
+                     "--out", str(paths_dir)]) == 0
+        args = ["sample", "--paths", str(paths_dir), "--replay-i",
+                str(replay), "--replay-j", str(replay), "--out", str(out)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model_file": model_file, "n_days": 1, "length": 2000.0,
+            "max_lag": 30.0, "replay_ticks_i": str(replay),
+            "replay_ticks_j": str(replay)}))
+        args = ["run", "--config", str(cfg), "--out", str(out)]
+    assert main(args) == 2
+    assert (f"data error: {replay}: tick times must be finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     rng = np.random.default_rng(1)
     gamma = np.zeros(64)

@@ -19,7 +19,7 @@ from epps.estimation import (estimate_rate, epps_curve, correlogram,
 
 def make_series(levels, grid_dt=1.0):
     levels = np.asarray(levels, dtype=float)
-    return SteppedSeries(grid_dt=grid_dt, start=0.0, levels=levels,
+    return SteppedSeries(grid_dt=grid_dt, levels=levels,
                          tick_times=np.arange(levels.size, dtype=float))
 
 
@@ -138,7 +138,7 @@ from epps.sampling import SteppedSeries
 for seed in (0, 1, 3):
     z = np.random.default_rng(seed).standard_normal((2, 20000))
     levels = np.cumsum(np.hstack([np.zeros((2, 1)), z]), axis=1)
-    days = [[SteppedSeries(grid_dt=1.0, start=0.0, levels=lv,
+    days = [[SteppedSeries(grid_dt=1.0, levels=lv,
                            tick_times=np.arange(lv.size, dtype=float))]
             for lv in (levels[0], levels[0] + 0.3 * levels[1])]
     curve = epps_curve(days[0], days[1], [1.0, 2.0, 5.0])

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from epps import fitting, pipeline
+from epps import estimation, fitting, pipeline
+from epps.cli import _FIGURE_MODEL
 from epps.errors import DataError, FitConvergenceError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
-from epps.sampling import simulate_ensemble, draw_poisson_times, previous_tick
 from epps.kernels import CorrelationModel, ModelPair
 
 
@@ -563,7 +563,6 @@ def test_grid_and_normalize_starts_at_the_window_start():
         ts = TickSeries("a", "d", times=times, log_prices=logs,
                         open_tick=open_tick)
         s = grid_and_normalize(ts, grid_dt=1.0, session=session)
-        assert s.start == 0.0
         assert s.levels.size == 101
         np.testing.assert_array_equal(s.tick_times, times)
         np.testing.assert_allclose(
@@ -601,6 +600,11 @@ def test_run_config_validation(model_file):
         RunConfig(model_file=model_file, dt_grid=(1.0, -2.0))
     with pytest.raises(DataError):
         RunConfig(model_file=model_file, filter_mode="bogus")
+    # an snr applies only to the wiener filter, as for FilterSpec
+    RunConfig(model_file=model_file, filter_mode="wiener", snr=5.0)
+    for snr in (5.0, -1.0):
+        with pytest.raises(DataError, match="snr"):
+            RunConfig(model_file=model_file, snr=snr)
     for key in ("lambda_j", "length", "grid_dt", "max_lag"):
         with pytest.raises(DataError, match="finite"):
             RunConfig(model_file=model_file, **{key: math.inf})
@@ -622,22 +626,20 @@ def test_run_config_from_file(tmp_path, model_file):
     cfg.write_text("{not json")
     with pytest.raises(DataError):
         RunConfig.from_file(str(cfg))
+    # the filter settings are checked when the file is loaded
+    cfg.write_text(json.dumps({"model_file": model_file, "snr": 5.0}))
+    with pytest.raises(DataError, match="wiener"):
+        RunConfig.from_file(str(cfg))
 
 
 def small_days(n_days=6, length=3000.0, li=1.0, lj=0.3, seed=1):
+    """Days as `epps run` simulates and grids them."""
     pair = ModelPair(cross=CorrelationModel(width=8.0, exp_weight=0.4),
                      auto_i=CorrelationModel(delta_weight=1.0),
                      auto_j=CorrelationModel(delta_weight=1.0))
-    warmup = 10.0 / min(li, lj)
-    paths = simulate_ensemble(pair, 1.0, length, n_days, seed=seed,
-                              warmup=warmup)
-    days_i, days_j = [], []
-    for d, p in enumerate(paths):
-        ti = draw_poisson_times(li, length, warmup, seed=seed, stream=2 * d)
-        tj = draw_poisson_times(lj, length, warmup, seed=seed,
-                                stream=2 * d + 1)
-        days_i.append(previous_tick(p, ti, asset=0, start=0.0, end=length))
-        days_j.append(previous_tick(p, tj, asset=1, start=0.0, end=length))
+    config = RunConfig(model_file="unused", lambda_i=li, lambda_j=lj,
+                       n_days=n_days, length=length, seed=seed)
+    days_i, days_j, _ = pipeline._simulate_days(pair, config)
     return days_i, days_j
 
 
@@ -807,6 +809,47 @@ def test_run_pipeline_bit_identical_reruns(tmp_path, model_file):
     assert m3["files"] != m1["files"]
 
 
+def figure_config(tmp_path, **overrides):
+    model = tmp_path / "figure_model.txt"
+    model.write_text(_FIGURE_MODEL)
+    return RunConfig(**{"model_file": str(model), "lambda_i": 1.0,
+                        "lambda_j": 1.0, "n_days": 5, "length": 800.0,
+                        "max_lag": 40.0, "seed": 5692, **overrides})
+
+
+def test_run_pipeline_backfills_a_day_without_a_warmup_tick(tmp_path):
+    # at this seed an asset-day has no tick in its warm-up; it is
+    # back-filled to the window start, as `epps estimate` does
+    manifest = run_pipeline(figure_config(tmp_path), str(tmp_path / "out"))
+    assert manifest["n_days_spectra"] == 5
+    assert manifest["open_ticks_missing"] >= 1
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["open_ticks_missing"] == manifest["open_ticks_missing"]
+
+
+def test_run_pipeline_normalizes_each_asset_day_once(tmp_path, monkeypatch):
+    grids = []
+    renormalized = []
+
+    def grid(ts, *args):
+        grids.append((ts.asset_id, ts.day_id))
+        return grid_and_normalize(ts, *args)
+
+    def increments(series, normalize):
+        if normalize:
+            renormalized.append(series)
+        return normalized_increments(series, normalize)
+
+    normalized_increments = estimation._normalized_increments
+    monkeypatch.setattr(pipeline, "grid_and_normalize", grid)
+    monkeypatch.setattr(estimation, "_normalized_increments", increments)
+    run_pipeline(figure_config(tmp_path, n_days=3, seed=1),
+                 str(tmp_path / "out"))
+    assert sorted(grids) == sorted((a, f"d{d:03d}") for a in "ij"
+                                   for d in range(3))
+    assert renormalized == []
+
+
 def test_run_pipeline_replay_mode(tmp_path, model_file):
     times = np.round(np.cumsum(np.full(3200, 0.7)) - 9.8, 4)
     tick_f = tmp_path / "times.csv"
@@ -821,6 +864,18 @@ def test_run_pipeline_replay_mode(tmp_path, model_file):
     n_in = np.sum((times >= 0) & (times <= 2000.0))
     assert manifest["rate_i"] == pytest.approx(n_in / 2000.0)
     assert manifest["rate_i"] == manifest["rate_j"]
+
+
+def test_run_pipeline_names_an_asset_day_it_cannot_grid(tmp_path,
+                                                       model_file):
+    # every replayed time falls in the warm-up: no tick in the window
+    tick_f = tmp_path / "times.csv"
+    tick_f.write_text("tick_time\n-5\n-1\n")
+    config = RunConfig(model_file=model_file, n_days=2, length=2000.0,
+                       dt_grid=(1.0,), max_lag=30.0,
+                       replay_ticks_i=str(tick_f), replay_ticks_j=str(tick_f))
+    with pytest.raises(DataError, match="day d000, asset i: no ticks"):
+        run_pipeline(config, str(tmp_path / "out"))
 
 
 def test_run_pipeline_replay_requires_both_files(tmp_path, model_file):
