@@ -325,40 +325,53 @@ def correlogram(series_i, series_j, max_lag, normalize=True, autos=False):
     return tuple(cgs) if autos else cgs[0]
 
 
+def _n_increments(day):
+    """Length of a spectrum day: an array of increments or a stepped
+    series."""
+    return day.levels.size - 1 if hasattr(day, "levels") else np.size(day)
+
+
+def _spectrum_rows(days):
+    """A block of spectrum days as the rows of one array; a stepped
+    series' increments are taken here."""
+    return _stacked([d.increments if hasattr(d, "levels")
+                     else np.asarray(d, dtype=float) for d in days])
+
+
 def estimate_spectrum(increments_i, increments_j, autos=False):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
-    Every day must supply exactly T increments.  Each side takes one real
-    FFT per day, one 2-D call per block of days, and the periodograms are
-    accumulated day by day, so memory does not grow with the number of
-    days; when every day of `increments_i` is the same object as the
-    matching day of `increments_j` (an auto spectrum), one transform serves
-    both sides.  With `autos`, returns (cross, auto_i, auto_j), each equal
-    to its own call, from the same transforms.  Only bins n = 0..T//2 are
-    computed and returned.
+    Every day must supply exactly T increments, as an array or as a stepped
+    series of T + 1 levels.  Each side takes one real FFT per day, one 2-D
+    call per block of days, and the periodograms are accumulated day by
+    day, so memory does not grow with the number of days: a stepped
+    series' increments are taken only for its block.  When every day of
+    `increments_i` is the same object as the matching day of
+    `increments_j` (an auto spectrum), one transform serves both sides.
+    With `autos`, returns (cross, auto_i, auto_j), each equal to its own
+    call, from the same transforms.  Only bins n = 0..T//2 are computed and
+    returned.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
     if len(increments_i) != len(increments_j) or not increments_i:
         raise DataError("need the same nonzero number of days per asset")
     is_auto = all(di is dj for di, dj in zip(increments_i, increments_j))
-    days_i = [np.asarray(d, dtype=float) for d in increments_i]
-    days_j = days_i if is_auto else [np.asarray(d, dtype=float)
-                                     for d in increments_j]
-    T = days_i[0].size
+    T = _n_increments(increments_i[0])
     if T < 1:
         raise DataError("need at least one increment per day")
-    for d in (*days_i, *days_j):
-        if d.size != T:
-            raise DataError(f"day length {d.size} != T = {T}")
+    for size in map(_n_increments, (*increments_i, *increments_j)):
+        if size != T:
+            raise DataError(f"day length {size} != T = {T}")
     sums = [np.zeros(T // 2 + 1, dtype=complex)
             for _ in range(3 if autos else 1)]
     smooth = scipy.fft.next_fast_len(T, real=True) == T
     per_block = _FFT_BLOCK_DAYS if smooth else 1
-    for block in _day_blocks([T] * len(days_i), per_block):
-        fi = scipy.fft.rfft(_stacked(days_i[block]), axis=-1)
-        fj = fi if is_auto else scipy.fft.rfft(_stacked(days_j[block]),
-                                               axis=-1)
+    n_days = len(increments_i)
+    for block in _day_blocks([T] * n_days, per_block):
+        fi = scipy.fft.rfft(_spectrum_rows(increments_i[block]), axis=-1)
+        fj = fi if is_auto else scipy.fft.rfft(
+            _spectrum_rows(increments_j[block]), axis=-1)
         for a, b in zip(fi, fj):
             if is_auto:
                 sums[0] += a.real ** 2 + a.imag ** 2
@@ -369,9 +382,8 @@ def estimate_spectrum(increments_i, increments_j, autos=False):
                 sums[2] += b.real ** 2 + b.imag ** 2
     spectra = []
     for half in sums:
-        half /= len(days_i) * T
-        spectra.append(SpectrumEstimate(T=int(T), n_days=len(days_i),
-                                        s_n=half))
+        half /= n_days * T
+        spectra.append(SpectrumEstimate(T=int(T), n_days=n_days, s_n=half))
     return tuple(spectra) if autos else spectra[0]
 
 

@@ -112,7 +112,14 @@ def load_ticks(path, session=None, fail_fast=False):
     size, one per CPU the process may use but no more than one per
     `_RANGE_BYTES` started, and the ranges are parsed at the same time in
     forked processes.  The series, messages and message order are the same
-    as from one range.
+    as from one range.  A child joins each asset-day's chunks and sends its
+    range back through a pipe as a small pickle followed by one message
+    per column array (pickle protocol 5, out of band); each array is built
+    on the bytes its message arrived in, so a child's columns are received
+    once and never copied.  The range parsed in this process keeps the
+    arrays of each chunk, and `_merge` joins each asset-day's arrays once
+    and drops them as its series is made, so ingest holds each parsed
+    column once, plus the chunk or the asset-day at hand.
 
     Each range is read as raw bytes, in chunks of `_CHUNK_BYTES` or more
     that end at a line break, with `\\r\\n` and a lone `\\r` turned into
@@ -175,8 +182,9 @@ def _line_end(fh, pos):
 def _parse_ranges(path, ranges, session):
     """`_parse_range` of every range, in order: the first in this process,
     the others at the same time in forked children, which send their
-    result back through a pipe.  Raises what a child raised, and
-    ChildProcessError when one exits without a result."""
+    result back through a pipe (`_range_child`).  Raises what a child
+    raised, and ChildProcessError when one exits before its whole result
+    is sent."""
     if len(ranges) < 2:
         return [_parse_range(path, start, end, session)
                 for start, end in ranges]
@@ -194,9 +202,10 @@ def _parse_ranges(path, ranges, session):
             children.append((child, recv))
         parts = [_parse_range(path, *ranges[0], session)]
         for child, recv in children:
-            try:
-                ok, part = pickle.loads(recv.recv_bytes())
-            except EOFError:
+            try:  # each array wraps the bytes of its own message
+                ok, part = pickle.loads(recv.recv_bytes(),
+                                        buffers=iter(recv.recv_bytes, None))
+            except (EOFError, OSError):  # OSError: cut off mid-message
                 child.join()
                 raise ChildProcessError(f"tick parser exited with code "
                                         f"{child.exitcode}") from None
@@ -215,12 +224,24 @@ def _parse_ranges(path, ranges, session):
 
 def _range_child(send, path, start, end, session):
     """Body of a forked parser: sends (True, the parsed range) or (False,
-    the exception raised) through the pipe end `send`."""
+    the exception raised) through the pipe end `send`, pickled with its
+    arrays out of band: the pickle is one message and each array's bytes
+    one more, so that the parent receives every column once.  Each
+    asset-day's chunks are joined first, which keeps the messages few when
+    many asset-days share each chunk."""
+    buffers = []
     try:
-        out = (True, _parse_range(path, start, end, session))
+        rows, bad, n_lines = _parse_range(path, start, end, session)
+        rows = {key: tuple([np.concatenate(col)] for col in cols)
+                for key, cols in rows.items()}
+        head = pickle.dumps((True, (rows, bad, n_lines)), protocol=5,
+                            buffer_callback=buffers.append)
     except Exception as exc:
-        out = (False, exc)
-    send.send_bytes(pickle.dumps(out, protocol=5))
+        buffers = []
+        head = pickle.dumps((False, exc), protocol=5)
+    send.send_bytes(head)
+    for buf in buffers:
+        send.send_bytes(buf)
     send.close()
 
 
@@ -228,11 +249,11 @@ def _parse_range(path, start, end, session):
     """Parse bytes [start, end) of a tick file, which begin at a line start
     and end after a line break or at the end of the file.
 
-    Returns (rows, bad, n_lines): `rows` maps (asset, day) to the times, log
-    prices and line numbers of its valid records up to the window end, in
-    file order and not yet checked for monotone times; `bad` lists the
-    other rejected records as (line number, message); `n_lines` counts the
-    lines read.
+    Returns (rows, bad, n_lines): `rows` maps (asset, day) to lists of the
+    per-chunk arrays of times, log prices and line numbers of its valid
+    records up to the window end, in file order and not yet checked for
+    monotone times; `bad` lists the other rejected records as (line number,
+    message); `n_lines` counts the lines read.
     Line numbers count from 0 at `start`.
     """
     rows = {}
@@ -256,8 +277,6 @@ def _parse_range(path, start, end, session):
                                                    rows)
                 bad += bad_chunk
                 n_lines += n_chunk
-    rows = {key: tuple(np.concatenate(col) for col in cols)
-            for key, cols in rows.items()}
     return rows, bad, n_lines
 
 
@@ -267,19 +286,27 @@ def _merge(parts, session):
     Offsets each range's line numbers past the header and the earlier
     ranges.  Per asset-day, keeps the latest row before the window as its
     open tick, then rejects, over its in-window rows in file order, a time
-    not above the running maximum of the times before it.
+    not above the running maximum of the times before it.  Takes the parts
+    out of the list `parts` and concatenates each asset-day's chunks once,
+    dropping them as soon as they are joined.
     """
     keyed = {}
     bad = []
     offset = 2
-    for rows, bad_k, n_lines in parts:
+    while parts:
+        rows, bad_k, n_lines = parts.pop(0)
         bad += [(offset + n, msg) for n, msg in bad_k]
-        for key, (times, logs, lines) in rows.items():
-            keyed.setdefault(key, []).append((times, logs, lines + offset))
+        for key in rows:
+            keyed.setdefault(key, []).append((offset, *rows[key]))
+        rows.clear()  # the chunks are held by `keyed` alone
         offset += n_lines
     series = {}
-    for (asset, day), cols in sorted(keyed.items()):
-        times, logs, lines = (np.concatenate(c) for c in zip(*cols))
+    for asset, day in sorted(keyed):
+        got = keyed.pop((asset, day))  # (offset, times, logs, lines) per range
+        times = np.concatenate([t for _, ts, _, _ in got for t in ts])
+        logs = np.concatenate([g for _, _, gs, _ in got for g in gs])
+        lines = np.concatenate([off + n for off, _, _, ns in got for n in ns])
+        del got
         inside = times >= session.window_start
         if not inside.any():
             continue
@@ -511,9 +538,7 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     out["cg_cross"] = cg
 
     out["n_days_spectra"] = len(days_i)
-    s_cross, s_ii, s_jj = estimate_spectrum(
-        [s.increments for s in days_i], [s.increments for s in days_j],
-        autos=True)
+    s_cross, s_ii, s_jj = estimate_spectrum(days_i, days_j, autos=True)
     out["s_cross"] = s_cross
 
     spec = filter_spec or FilterSpec()

@@ -175,11 +175,12 @@ def test_criterion_5_deconvolution_resolution_scaling():
                                      seed=1000 + rep)
         di = [np.asarray(s.increments, float) for s in days_i]
         dj = [np.asarray(s.increments, float) for s in days_j]
-        s12 = inverse_filter(estimate_spectrum(di, dj), lam, lam)
+        s12, s11, s22 = estimate_spectrum(di, dj, autos=True)
         d_i = correlogram(days_i, days_i, 10.0, normalize=False).delta_mass
         d_j = correlogram(days_j, days_j, 10.0, normalize=False).delta_mass
-        s11 = auto_filter(estimate_spectrum(di, di), lam, d_i)
-        s22 = auto_filter(estimate_spectrum(dj, dj), lam, d_j)
+        s12 = inverse_filter(s12, lam, lam)
+        s11 = auto_filter(s11, lam, d_i)
+        s22 = auto_filter(s22, lam, d_j)
         return filtered_epps_curve(s12, s11, s22, dt_grid).rho - c
 
     rms = {}

@@ -452,6 +452,18 @@ def test_spectrum_autos_equal_the_three_separate_calls(n_days, T):
         half += fi * scipy.fft.rfft(dj).conj()
     half /= n_days * T
     assert got[0].s_n.tobytes() == half.tobytes()
+    # stepped series of T + 1 levels give the bits of their increments,
+    # and the same series on both sides is an auto spectrum
+    stepped_i, stepped_j = ([make_series(np.cumsum(rng.standard_normal(T + 1)))
+                             for _ in range(n_days)] for _ in "ij")
+    got = estimate_spectrum(stepped_i, stepped_j, autos=True)
+    want = estimate_spectrum([s.increments for s in stepped_i],
+                             [s.increments for s in stepped_j], autos=True)
+    assert got[0].T == T
+    for spec, same in zip(got, want):
+        assert spec.s_n.tobytes() == same.s_n.tobytes()
+    auto = estimate_spectrum(stepped_j, stepped_j)
+    assert auto.s_n.tobytes() == got[2].s_n.tobytes()
 
 
 def test_spectrum_autos_reject_days_of_unequal_length():
