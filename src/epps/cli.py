@@ -209,10 +209,12 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
     for msg in errors:
         click.echo(f"skipped record: {msg}", err=True)
-    kept, grids, skipped = [], {}, {}
-    for day in sorted({day for (_, day) in series}):
-        for asset in (asset_i, asset_j):
-            ts = series.get((asset, day))
+    days = sorted({day for (_, day) in series})
+    series = {k: s for k, s in series.items() if k[0] in (asset_i, asset_j)}
+    kept, grids, skipped, open_ticks_missing = [], {}, {}, 0
+    for day in days:  # a day's ticks leave `series` as the day is gridded
+        both = [series.pop((a, day), None) for a in (asset_i, asset_j)]
+        for asset, ts in zip((asset_i, asset_j), both):
             grids[asset] = ts and grid_and_normalize(ts, grid_dt, session)
             if grids[asset] is None:
                 reason = "flat prices" if ts else "no ticks in the window"
@@ -222,15 +224,14 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
                 break
         else:
             kept.append((day, grids[asset_i], grids[asset_j]))
+            open_ticks_missing += sum(ts.open_tick is None for ts in both)
     if not kept:
         raise DataError("no usable asset-days for the requested pair")
+    del both, ts  # the last day's ticks: the grids keep only their count
     days, days_i, days_j = (list(col) for col in zip(*kept))
-    rate_i, rate_j = (estimate_rate(
-        np.concatenate([s.tick_times for s in stepped]),
-        len(days) * session.length) for stepped in (days_i, days_j))
-    open_ticks_missing = sum(series[(asset, d)].open_tick is None
-                             for d in days for asset in (asset_i, asset_j))
-    del series  # the spectra hold every day's increments: free the ticks
+    rate_i, rate_j = (estimate_rate(sum(s.n_ticks for s in stepped),
+                                    len(days) * session.length)
+                      for stepped in (days_i, days_j))
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           dt_list, max_lag, spec, grid_dt)
     config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,

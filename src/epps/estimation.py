@@ -83,18 +83,17 @@ class SpectrumEstimate:
                             f"{self.T // 2 + 1} bins, not {self.s_n.shape}")
 
 
-def estimate_rate(ticks, session_length):
-    """Poisson rate estimate: tick count over session length.
+def estimate_rate(n_ticks, session_length):
+    """Poisson rate estimate from a tick count over a session length.
 
     The attached standard error is sqrt(count)/length.
     """
-    if session_length <= 0:
+    if not session_length > 0:
         raise DataError("session_length must be > 0")
-    n = len(np.asarray(ticks, dtype=float))
-    if n == 0:
-        raise DataError("cannot estimate a rate from zero ticks")
-    return RateEstimate(value=n / session_length,
-                        stderr=math.sqrt(n) / session_length)
+    if n_ticks < 1:
+        raise DataError(f"cannot estimate a rate from {n_ticks} ticks")
+    return RateEstimate(value=n_ticks / session_length,
+                        stderr=math.sqrt(n_ticks) / session_length)
 
 
 def _common_grid(series_i, series_j):

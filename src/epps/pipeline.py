@@ -87,7 +87,7 @@ class TickSeries:
             raise DataError("tick times must be strictly increasing")
 
 
-_CHUNK_BYTES = 1 << 20  # text parsed per step, so memory stays bounded
+_CHUNK_BYTES = 1 << 18  # text parsed per step, so memory stays bounded
 _RANGE_BYTES = 8 << 20  # least bytes per parsing process: small files use one
 
 
@@ -431,9 +431,9 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
 
     The level at the window start is the open tick's; without one, the
     first tick's level is back-filled to the window start, which loses the
-    return before that tick.  The result's `tick_times` are the in-window
-    ticks.  Returns None (a skipped day) when the series has no tick, the
-    grid has fewer than two cells or the gridded increments have zero
+    return before that tick.  The result counts the in-window ticks and
+    keeps none.  Returns None (a skipped day) when the series has no tick,
+    the grid has fewer than two cells or the gridded increments have zero
     variance.
     """
     session = session or SessionSpec()
@@ -452,7 +452,7 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
         return None
     levels = np.zeros(stepped.levels.size)
     levels[1:] = np.cumsum((incr - np.mean(incr)) / sd)
-    return SteppedSeries(grid_dt=grid_dt, levels=levels, tick_times=ts.times)
+    return SteppedSeries(grid_dt=grid_dt, levels=levels, n_ticks=ts.times.size)
 
 
 @dataclass(frozen=True)
@@ -703,9 +703,9 @@ def run_pipeline(config, out_dir):
     """
     pair = load_model_file(config.model_file)
     days_i, days_j, open_ticks_missing = _simulate_days(pair, config)
-    rate_i, rate_j = (estimate_rate(
-        np.concatenate([s.tick_times for s in days]),
-        config.n_days * config.length) for days in (days_i, days_j))
+    rate_i, rate_j = (estimate_rate(sum(s.n_ticks for s in days),
+                                    config.n_days * config.length)
+                      for days in (days_i, days_j))
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           config.dt_grid, config.max_lag,
                           FilterSpec(config.filter_mode, config.snr),

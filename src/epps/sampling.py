@@ -63,11 +63,11 @@ class SimulatedPath:
 
 @dataclass(frozen=True)
 class SteppedSeries:
-    """Previous-tick piecewise-constant levels on a uniform grid."""
+    """Previous-tick levels on a uniform grid and the count of their ticks."""
 
     grid_dt: float
     levels: np.ndarray
-    tick_times: np.ndarray
+    n_ticks: int
 
     @property
     def increments(self):
@@ -294,7 +294,7 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
 
     Each grid time takes the value of the latest tick at or before it.  The
     lookup is a linear-time count, equal to a binary search of every grid
-    time among the ticks.
+    time among the ticks.  The result counts the ticks, keeping none.
 
     Parameters
     ----------
@@ -339,4 +339,4 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
         raise DataError("no tick at or before the grid start; "
                         "supply warmup or truncate the grid")
     return SteppedSeries(grid_dt=float(grid_dt),
-                         levels=np.asarray(values)[idx], tick_times=ticks)
+                         levels=np.asarray(values)[idx], n_ticks=ticks.size)

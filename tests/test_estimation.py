@@ -19,8 +19,7 @@ from epps.estimation import (estimate_rate, epps_curve, correlogram,
 
 def make_series(levels, grid_dt=1.0):
     levels = np.asarray(levels, dtype=float)
-    return SteppedSeries(grid_dt=grid_dt, levels=levels,
-                         tick_times=np.arange(levels.size, dtype=float))
+    return SteppedSeries(grid_dt=grid_dt, levels=levels, n_ticks=levels.size)
 
 
 def gaussian_days(n_days, T, rho=0.6, seed=0):
@@ -36,22 +35,23 @@ def gaussian_days(n_days, T, rho=0.6, seed=0):
 
 
 def test_estimate_rate_count_over_length():
-    est = estimate_rate(np.arange(50, dtype=float), 1000.0)
+    est = estimate_rate(50, 1000.0)
     assert est.value == pytest.approx(0.05)
     assert est.stderr == pytest.approx(math.sqrt(50) / 1000.0)
 
 
 def test_estimate_rate_rejects_degenerate_input():
-    with pytest.raises(DataError):
-        estimate_rate([], 100.0)
-    with pytest.raises(DataError):
-        estimate_rate([1.0], 0.0)
+    with pytest.raises(DataError, match="0 ticks"):
+        estimate_rate(0, 100.0)
+    for length in (0.0, -1.0):
+        with pytest.raises(DataError, match="session_length"):
+            estimate_rate(1, length)
 
 
 def test_estimate_rate_consistent_on_poisson_draws():
     rng = rng_stream(1, 51)
     ticks = np.cumsum(rng.exponential(2.0, size=4000))
-    est = estimate_rate(ticks, ticks[-1])
+    est = estimate_rate(ticks.size, ticks[-1])
     assert abs(est.value - 0.5) < 4.0 * est.stderr
 
 
@@ -138,8 +138,7 @@ from epps.sampling import SteppedSeries
 for seed in (0, 1, 3):
     z = np.random.default_rng(seed).standard_normal((2, 20000))
     levels = np.cumsum(np.hstack([np.zeros((2, 1)), z]), axis=1)
-    days = [[SteppedSeries(grid_dt=1.0, levels=lv,
-                           tick_times=np.arange(lv.size, dtype=float))]
+    days = [[SteppedSeries(grid_dt=1.0, levels=lv, n_ticks=lv.size)]
             for lv in (levels[0], levels[0] + 0.3 * levels[1])]
     curve = epps_curve(days[0], days[1], [1.0, 2.0, 5.0])
     sys.stdout.write(curve.rho.tobytes().hex())

@@ -7,6 +7,7 @@ import signal
 import struct
 import tempfile
 import tracemalloc
+import weakref
 from multiprocessing.connection import Connection
 from unittest import mock
 
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from epps import estimation, fitting, pipeline
-from epps.cli import _FIGURE_MODEL
+from epps import cli, estimation, fitting, pipeline
+from epps.cli import _FIGURE_MODEL, main
 from epps.errors import DataError, FitConvergenceError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
@@ -607,6 +608,29 @@ def test_load_ticks_holds_each_parsed_column_once(tmp_path):
     assert peak < 1.6 * 24 * len(rows)
 
 
+def test_load_ticks_does_not_depend_on_the_chunk_size(tmp_path):
+    # 100 000 rows, a bad one among every 1 000, cut into 64 KiB, 256 KiB
+    # and 1 MiB chunks in 1 to 3 ranges: the chunk and range cuts fall on
+    # different lines, and every series and message stays the same
+    t0 = SessionSpec().window_start
+    rows = [f"{'ABC'[k % 3]},d{k // 50000},{t0 - 10 + k % 50000 * 0.4:.6f},"
+            f"{100 + (k * 7919 % 1000) * 1e-3:.12g}" for k in range(100000)]
+    for k in range(500, len(rows), 1000):
+        rows[k] = ("B,d0,oops,100", "A,d1,37000", "C,d1,40000,-2")[k % 3]
+    path = tick_file(tmp_path, rows)
+    seen = set()
+    for chunk in (1 << 16, 1 << 18, 1 << 20):
+        for cpus in (1, 2, 3):
+            with _forced_ranges(1, cpus), _deadline(60), \
+                    mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+                series, errors = load_ticks(path)
+            assert len(series) == 6 and len(errors) == 100
+            seen.add((tuple(errors), tuple(
+                (key, ts.times.tobytes(), ts.log_prices.tobytes(),
+                 ts.open_tick) for key, ts in series.items())))
+    assert len(seen) == 1
+
+
 def test_analyze_pair_takes_spectrum_increments_block_by_block(monkeypatch):
     # 20 days of 3 000 steps make blocks of 4 days.  Measured peaks of the
     # spectrum step: 0.59 times the bytes of all increments of both assets
@@ -646,10 +670,47 @@ def test_grid_and_normalize_starts_at_the_window_start():
                         open_tick=open_tick)
         s = grid_and_normalize(ts, grid_dt=1.0, session=session)
         assert s.levels.size == 101
-        np.testing.assert_array_equal(s.tick_times, times)
+        assert s.n_ticks == times.size
         np.testing.assert_allclose(
             s.increments, _normalized(np.concatenate([[first] * 3, after])),
             rtol=1e-12, atol=1e-12)
+
+
+def test_estimate_drops_every_tick_before_the_analysis(tmp_path,
+                                                     monkeypatch):
+    # a grid keeps only its tick count; the ticks of an asset not asked
+    # for are dropped before gridding, and each asset-day's once it is
+    # gridded: when the analysis starts, no tick array is alive
+    t0 = SessionSpec().window_start
+    rng = np.random.default_rng(4)
+    rows = []
+    for day, asset in ((d, a) for d in range(2) for a in "ABC"):
+        times = t0 - 5.0 + np.cumsum(rng.exponential(2.0, 11000))
+        prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(
+            times.size)))
+        rows += [f"{asset},{day},{t:.6f},{p:.10g}"
+                 for t, p in zip(times, prices)]
+    refs = []
+    load = cli.load_ticks
+
+    def loaded(*args, **kwargs):
+        series, errors = load(*args, **kwargs)
+        refs.extend(weakref.ref(column) for ts in series.values()
+                    for column in (ts.times, ts.log_prices))
+        return series, errors
+
+    class Entered(Exception):
+        pass
+
+    def analyze(*args, **kwargs):
+        raise Entered(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(cli, "load_ticks", loaded)
+    monkeypatch.setattr(cli, "analyze_pair", analyze)
+    with pytest.raises(Entered) as alive:
+        main(["estimate", "--ticks", tick_file(tmp_path, rows), "--asset-i",
+              "A", "--asset-j", "B", "--out", str(tmp_path / "est")])
+    assert len(refs) == 12 and alive.value.args == (0,)
 
 
 def test_grid_and_normalize_skips_degenerate_days():

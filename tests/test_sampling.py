@@ -1,4 +1,5 @@
 import math
+import weakref
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -349,6 +350,20 @@ def test_previous_tick_dense_ticks_recover_the_path():
     ticks = np.arange(0.0, 40.5, 1.0)  # one tick per grid point
     s = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=40.0)
     np.testing.assert_array_equal(s.levels, p.levels[0])
+
+
+def test_previous_tick_keeps_no_reference_to_its_ticks():
+    # a stepped series counts its ticks: one that held them kept every
+    # simulated day's tick array alive for as long as its grid
+    p, = simulate_ensemble(brownian_pair(), 1.0, 40.0, 1, seed=13)
+    ticks = np.arange(0.0, 40.0, 0.5)
+    values = np.cumsum(np.ones(ticks.size))
+    refs = [weakref.ref(a) for a in (ticks, values)]
+    stepped = [previous_tick(p, ticks, start=0.0, end=40.0),
+               previous_tick((ticks, values), grid_dt=1.0, end=40.0)]
+    del ticks, values
+    assert all(ref() is None for ref in refs)
+    assert [s.n_ticks for s in stepped] == [80, 80]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
