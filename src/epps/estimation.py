@@ -103,7 +103,7 @@ def _common_grid(series_i, series_j):
     for si, sj in zip(series_i, series_j):
         if si.grid_dt != gdt or sj.grid_dt != gdt:
             raise DataError("all days must share one grid step")
-        if si.levels.size != sj.levels.size:
+        if si.increments.size != sj.increments.size:
             raise DataError("paired days must have equal grid lengths")
     return gdt
 
@@ -137,9 +137,12 @@ def epps_curve(series_i, series_j, dt_grid):
     # per (horizon, day): return count, means, centred cross-products
     n, mx, my, sxx, syy, sxy = np.zeros((6, dt_grid.size, len(series_i)))
     for d, (si, sj) in enumerate(zip(series_i, series_j)):
+        # the day's levels from 0; its dt-returns are their differences
+        levels = np.zeros((2, si.increments.size + 1))
+        for k, s in enumerate((si, sj)):
+            np.cumsum(s.increments, out=levels[k, 1:])
         for a, m in enumerate(ms):
-            ri = np.diff(si.levels[::m])
-            rj = np.diff(sj.levels[::m])
+            ri, rj = np.diff(levels[:, ::m])
             if ri.size == 0:
                 continue
             n[a, d] = ri.size
@@ -261,7 +264,7 @@ def _lagged_product_rows(series_i, series_j, n_lags, normalize, autos):
     and one block of days at a time is held."""
     is_auto = all(si is sj for si, sj in zip(series_i, series_j))
     rows = [[] for _ in range(3 if autos else 1)]
-    lengths = [s.levels.size - 1 for s in series_i]
+    lengths = [s.increments.size for s in series_i]
     # the direct sums take one day at a time, while it is in cache
     use_fft = n_lags > _DIRECT_MAX_LAGS
     for block in _day_blocks(lengths, _FFT_BLOCK_DAYS if use_fft else 1):
@@ -324,28 +327,14 @@ def correlogram(series_i, series_j, max_lag, normalize=True, autos=False):
     return tuple(cgs) if autos else cgs[0]
 
 
-def _n_increments(day):
-    """Length of a spectrum day: an array of increments or a stepped
-    series."""
-    return day.levels.size - 1 if hasattr(day, "levels") else np.size(day)
-
-
-def _spectrum_rows(days):
-    """A block of spectrum days as the rows of one array; a stepped
-    series' increments are taken here."""
-    return _stacked([d.increments if hasattr(d, "levels")
-                     else np.asarray(d, dtype=float) for d in days])
-
-
 def estimate_spectrum(increments_i, increments_j, autos=False):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
-    Every day must supply exactly T increments, as an array or as a stepped
-    series of T + 1 levels.  Each side takes one real FFT per day, one 2-D
-    call per block of days, and the periodograms are accumulated day by
-    day, so memory does not grow with the number of days: a stepped
-    series' increments are taken only for its block.  When every day of
-    `increments_i` is the same object as the matching day of
+    Every day must supply exactly T increments (array_like; a float array
+    is used as it is, not copied).  Each side takes one real FFT per day,
+    one 2-D call per block of days, and the periodograms are accumulated
+    day by day, so memory does not grow with the number of days.  When
+    every day of `increments_i` is the same object as the matching day of
     `increments_j` (an auto spectrum), one transform serves both sides.
     With `autos`, returns (cross, auto_i, auto_j), each equal to its own
     call, from the same transforms.  Only bins n = 0..T//2 are computed and
@@ -356,21 +345,23 @@ def estimate_spectrum(increments_i, increments_j, autos=False):
     if len(increments_i) != len(increments_j) or not increments_i:
         raise DataError("need the same nonzero number of days per asset")
     is_auto = all(di is dj for di, dj in zip(increments_i, increments_j))
-    T = _n_increments(increments_i[0])
+    days_i, days_j = ([np.asarray(d, dtype=float) for d in days]
+                      for days in (increments_i, increments_j))
+    T = days_i[0].size
     if T < 1:
         raise DataError("need at least one increment per day")
-    for size in map(_n_increments, (*increments_i, *increments_j)):
-        if size != T:
-            raise DataError(f"day length {size} != T = {T}")
+    for d in days_i + days_j:
+        if d.size != T:
+            raise DataError(f"day length {d.size} != T = {T}")
     sums = [np.zeros(T // 2 + 1, dtype=complex)
             for _ in range(3 if autos else 1)]
     smooth = scipy.fft.next_fast_len(T, real=True) == T
     per_block = _FFT_BLOCK_DAYS if smooth else 1
-    n_days = len(increments_i)
+    n_days = len(days_i)
     for block in _day_blocks([T] * n_days, per_block):
-        fi = scipy.fft.rfft(_spectrum_rows(increments_i[block]), axis=-1)
-        fj = fi if is_auto else scipy.fft.rfft(
-            _spectrum_rows(increments_j[block]), axis=-1)
+        fi = scipy.fft.rfft(_stacked(days_i[block]), axis=-1)
+        fj = fi if is_auto else scipy.fft.rfft(_stacked(days_j[block]),
+                                               axis=-1)
         for a, b in zip(fi, fj):
             if is_auto:
                 sums[0] += a.real ** 2 + a.imag ** 2

@@ -51,10 +51,10 @@ class SessionSpec:
     open_time: float = 34200.0
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise DataError("session length must be > 0")
-        if self.open_skip < 0:
-            raise DataError("session open skip must be >= 0")
+        if not (0 < self.length < math.inf and 0 <= self.open_skip < math.inf
+                and math.isfinite(self.open_time)):
+            raise DataError("session length must be finite and > 0, open "
+                            "skip finite and >= 0, open time finite")
 
     @property
     def window_start(self):
@@ -71,7 +71,8 @@ class TickSeries:
 
     `open_tick` is (time, log price) of the last valid record before the
     window, which sets the level at the window start; None when the file
-    has no record before the window.  It is not one of `times`.
+    has no record before the window.  It is not one of `times`.  All of
+    them must be finite.
     """
 
     asset_id: str
@@ -83,6 +84,11 @@ class TickSeries:
     def __post_init__(self):
         if self.times.shape != self.log_prices.shape:
             raise DataError("tick times and prices differ in length")
+        if not (np.isfinite(self.times).all()
+                and np.isfinite(self.log_prices).all()
+                and all(map(math.isfinite, self.open_tick or ()))):
+            raise DataError(f"asset {self.asset_id}, day {self.day_id}: tick "
+                            "times, log prices and open tick must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise DataError("tick times must be strictly increasing")
 
@@ -426,8 +432,8 @@ def _ingest_chunk(chunk, first_lineno, session, rows):
 
 
 def grid_and_normalize(ts, grid_dt=1.0, session=None):
-    """Previous-tick grid of one asset-day on [0, session length],
-    increments normalized.
+    """Previous-tick grid of one asset-day on [0, session length], kept as
+    its increments normalized to zero mean and unit variance.
 
     The level at the window start is the open tick's; without one, the
     first tick's level is back-filled to the window start, which loses the
@@ -450,9 +456,9 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
     sd = np.std(incr)
     if sd == 0:
         return None
-    levels = np.zeros(stepped.levels.size)
-    levels[1:] = np.cumsum((incr - np.mean(incr)) / sd)
-    return SteppedSeries(grid_dt=grid_dt, levels=levels, n_ticks=ts.times.size)
+    return SteppedSeries(grid_dt=grid_dt,
+                         increments=(incr - np.mean(incr)) / sd,
+                         n_ticks=ts.times.size)
 
 
 @dataclass(frozen=True)
@@ -522,8 +528,8 @@ def _read_tick_times(path):
 def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
                  filter_spec=None, grid_dt=1.0):
     """All pair-level estimates from per-day grids as `grid_and_normalize`
-    makes them, whose increments are already normalized: neither the
-    correlograms nor the spectra normalize them again.
+    makes them, whose stored increments are already normalized: the
+    correlograms and the spectra use them as they are.
 
     Returns a dict with the rates, raw and filtered Epps curves, cross and
     auto correlograms (raw and filtered cross), spectra, the six fits and
@@ -538,7 +544,9 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     out["cg_cross"] = cg
 
     out["n_days_spectra"] = len(days_i)
-    s_cross, s_ii, s_jj = estimate_spectrum(days_i, days_j, autos=True)
+    s_cross, s_ii, s_jj = estimate_spectrum([s.increments for s in days_i],
+                                            [s.increments for s in days_j],
+                                            autos=True)
     out["s_cross"] = s_cross
 
     spec = filter_spec or FilterSpec()

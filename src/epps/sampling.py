@@ -13,7 +13,8 @@ changes the draws only at round-off.  The factors depend only on the model
 pair, the grid step and the length, so they are cached on those.  Tick
 times are drawn independently of the path and a previous-tick stepped
 series assigns to each grid time the path value at the latest tick at or
-before it.
+before it; such a series is kept as its increments, the one-step returns
+that every estimator reads.
 """
 
 from dataclasses import dataclass
@@ -63,15 +64,11 @@ class SimulatedPath:
 
 @dataclass(frozen=True)
 class SteppedSeries:
-    """Previous-tick levels on a uniform grid and the count of their ticks."""
+    """Previous-tick increments on a uniform grid and the count of ticks."""
 
     grid_dt: float
-    levels: np.ndarray
+    increments: np.ndarray
     n_ticks: int
-
-    @property
-    def increments(self):
-        return np.diff(self.levels)
 
 
 def _max_lag_steps(pair, grid_dt):
@@ -294,7 +291,8 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
 
     Each grid time takes the value of the latest tick at or before it.  The
     lookup is a linear-time count, equal to a binary search of every grid
-    time among the ticks.  The result counts the ticks, keeping none.
+    time among the ticks.  The result holds the increments of those levels,
+    ``np.diff`` of them, and counts the ticks, keeping none.
 
     Parameters
     ----------
@@ -339,4 +337,5 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
         raise DataError("no tick at or before the grid start; "
                         "supply warmup or truncate the grid")
     return SteppedSeries(grid_dt=float(grid_dt),
-                         levels=np.asarray(values)[idx], n_ticks=ticks.size)
+                         increments=np.diff(np.asarray(values)[idx]),
+                         n_ticks=ticks.size)

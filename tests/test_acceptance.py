@@ -118,7 +118,9 @@ def test_criterion_3_flat_spectrum_variance_invariance():
                 ti = draw_poisson_times(lam, T, warmup, seed=21,
                                         stream=2 * d)
                 s = previous_tick(p, ti, asset=0, start=0.0, end=T)
-                r = np.diff(s.levels[::m_steps])
+                # dt-returns: differences of the levels rebuilt from 0
+                levels = np.concatenate(([0.0], np.cumsum(s.increments)))
+                r = np.diff(levels[::m_steps])
                 per_day.append(np.mean(r * r) / m_steps)
             pull = abs(np.mean(per_day) - 1.0) / (
                 np.std(per_day, ddof=1) / math.sqrt(M))

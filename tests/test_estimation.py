@@ -19,7 +19,13 @@ from epps.estimation import (estimate_rate, epps_curve, correlogram,
 
 def make_series(levels, grid_dt=1.0):
     levels = np.asarray(levels, dtype=float)
-    return SteppedSeries(grid_dt=grid_dt, levels=levels, n_ticks=levels.size)
+    return SteppedSeries(grid_dt=grid_dt, increments=np.diff(levels),
+                         n_ticks=levels.size)
+
+
+def levels_from_zero(series):
+    """A stepped series' levels rebuilt from 0, as `epps_curve` does."""
+    return np.concatenate(([0.0], np.cumsum(series.increments)))
 
 
 def gaussian_days(n_days, T, rho=0.6, seed=0):
@@ -91,8 +97,7 @@ def epps_curve_reference(series_i, series_j, dt_grid):
         m = int(round(dt / series_i[0].grid_dt))
         pooled_i, pooled_j, per_day = [], [], []
         for si, sj in zip(series_i, series_j):
-            ri = np.diff(si.levels[::m])
-            rj = np.diff(sj.levels[::m])
+            ri, rj = (np.diff(levels_from_zero(s)[::m]) for s in (si, sj))
             pooled_i.append(ri)
             pooled_j.append(rj)
             if ri.size >= 2 and np.std(ri) > 0 and np.std(rj) > 0:
@@ -138,7 +143,8 @@ from epps.sampling import SteppedSeries
 for seed in (0, 1, 3):
     z = np.random.default_rng(seed).standard_normal((2, 20000))
     levels = np.cumsum(np.hstack([np.zeros((2, 1)), z]), axis=1)
-    days = [[SteppedSeries(grid_dt=1.0, levels=lv, n_ticks=lv.size)]
+    days = [[SteppedSeries(grid_dt=1.0, increments=np.diff(lv),
+                           n_ticks=lv.size)]
             for lv in (levels[0], levels[0] + 0.3 * levels[1])]
     curve = epps_curve(days[0], days[1], [1.0, 2.0, 5.0])
     sys.stdout.write(curve.rho.tobytes().hex())
@@ -451,18 +457,18 @@ def test_spectrum_autos_equal_the_three_separate_calls(n_days, T):
         half += fi * scipy.fft.rfft(dj).conj()
     half /= n_days * T
     assert got[0].s_n.tobytes() == half.tobytes()
-    # stepped series of T + 1 levels give the bits of their increments,
-    # and the same series on both sides is an auto spectrum
-    stepped_i, stepped_j = ([make_series(np.cumsum(rng.standard_normal(T + 1)))
-                             for _ in range(n_days)] for _ in "ij")
-    got = estimate_spectrum(stepped_i, stepped_j, autos=True)
-    want = estimate_spectrum([s.increments for s in stepped_i],
-                             [s.increments for s in stepped_j], autos=True)
-    assert got[0].T == T
+
+
+def test_spectrum_of_a_one_day_list_equals_that_of_its_array():
+    # array_like days are converted to float arrays: a day given as a plain
+    # list of floats, alone in its block, gives the array's bits
+    day_i, day_j = rng_stream(4, 61).standard_normal((2, 64))
+    got = estimate_spectrum([day_i.tolist()], [day_j.tolist()], autos=True)
+    want = estimate_spectrum([day_i], [day_j], autos=True)
     for spec, same in zip(got, want):
         assert spec.s_n.tobytes() == same.s_n.tobytes()
-    auto = estimate_spectrum(stepped_j, stepped_j)
-    assert auto.s_n.tobytes() == got[2].s_n.tobytes()
+    cross = estimate_spectrum([day_i.tolist()], [day_j.tolist()])
+    assert cross.s_n.tobytes() == want[0].s_n.tobytes()
 
 
 def test_spectrum_autos_reject_days_of_unequal_length():

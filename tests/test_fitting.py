@@ -316,7 +316,8 @@ def brownian_auto_cg(seed, n_days, T, max_lag):
     days = []
     for _ in range(n_days):
         levels = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T))])
-        days.append(SteppedSeries(grid_dt=1.0, levels=levels, n_ticks=T + 1))
+        days.append(SteppedSeries(grid_dt=1.0, increments=np.diff(levels),
+                                  n_ticks=T + 1))
     return correlogram(days, days, max_lag)
 
 

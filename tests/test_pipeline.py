@@ -22,6 +22,7 @@ from epps.errors import DataError, FitConvergenceError
 from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
                            grid_and_normalize, analyze_pair, run_pipeline)
 from epps.kernels import CorrelationModel, ModelPair
+from epps.sampling import previous_tick
 
 
 MODEL_TEXT = """\
@@ -54,11 +55,39 @@ def test_session_spec_window():
         SessionSpec(open_skip=-1.0)
 
 
+@pytest.mark.parametrize("setting", [
+    dict(length=math.nan), dict(length=math.inf), dict(open_skip=math.nan),
+    dict(open_skip=math.inf), dict(open_time=math.nan),
+    dict(open_time=math.inf), dict(open_time=-math.inf)])
+def test_session_spec_rejects_settings_that_are_not_finite(setting):
+    # these were accepted; with a NaN open skip `load_ticks` dropped every
+    # row, since no time compares with a NaN window
+    with pytest.raises(DataError, match="finite"):
+        SessionSpec(**setting)
+
+
 def test_tick_series_validation():
     with pytest.raises(DataError):
         TickSeries("a", "d", np.array([1.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(DataError):
         TickSeries("a", "d", np.array([1.0, 2.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["time", "log_price", "open_time",
+                                   "open_price"])
+def test_tick_series_rejects_values_that_are_not_finite(bad, where):
+    # a NaN time passed the strictly-increasing test, and an infinite log
+    # price gridded to all-NaN increments that reached every output
+    times, logs = np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.1, 0.2])
+    open_tick = [-1.0, 0.0]
+    target = {"time": times, "log_price": logs}.get(where)
+    if target is None:
+        open_tick[where == "open_price"] = bad
+    else:
+        target[-1] = bad
+    with pytest.raises(DataError, match="asset XYZ, day d07: .* finite"):
+        TickSeries("XYZ", "d07", times, logs, tuple(open_tick))
 
 
 def tick_file(tmp_path, rows):
@@ -633,9 +662,9 @@ def test_load_ticks_does_not_depend_on_the_chunk_size(tmp_path):
 
 def test_analyze_pair_takes_spectrum_increments_block_by_block(monkeypatch):
     # 20 days of 3 000 steps make blocks of 4 days.  Measured peaks of the
-    # spectrum step: 0.59 times the bytes of all increments of both assets
-    # with each block's increments taken in turn, 1.59 when they were all
-    # taken first.
+    # spectrum step: 0.59 times the bytes of all increments of both assets,
+    # one block's rows and transforms at a time, 1.59 when every day's
+    # increments were taken first.
     days_i, days_j = small_days(n_days=20)
     spectrum = pipeline.estimate_spectrum
     peaks = []
@@ -648,7 +677,7 @@ def test_analyze_pair_takes_spectrum_increments_block_by_block(monkeypatch):
 
     monkeypatch.setattr(pipeline, "estimate_spectrum", traced)
     _traced_peak(analyze_pair, days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
-    increments = 8 * sum(s.levels.size - 1 for s in days_i + days_j)
+    increments = 8 * sum(s.increments.size for s in days_i + days_j)
     assert len(peaks) == 1 and peaks[0] < increments
 
 
@@ -669,11 +698,26 @@ def test_grid_and_normalize_starts_at_the_window_start():
         ts = TickSeries("a", "d", times=times, log_prices=logs,
                         open_tick=open_tick)
         s = grid_and_normalize(ts, grid_dt=1.0, session=session)
-        assert s.levels.size == 101
+        assert s.increments.size == 100
         assert s.n_ticks == times.size
         np.testing.assert_allclose(
             s.increments, _normalized(np.concatenate([[first] * 3, after])),
             rtol=1e-12, atol=1e-12)
+
+
+def test_grid_and_normalize_stores_the_normalized_previous_tick_increments():
+    # the stored increments are those of `previous_tick`, normalized once:
+    # no cumulative sum and difference in between to round them
+    session = SessionSpec(length=500.0)
+    rng = np.random.default_rng(7)
+    times = np.sort(rng.uniform(0.0, 500.0, 300))
+    logs = np.cumsum(1e-3 * rng.standard_normal(times.size))
+    ts = TickSeries("a", "d", times=times, log_prices=logs,
+                    open_tick=(-2.0, 0.0))
+    d = previous_tick((np.insert(times, 0, -2.0), np.insert(logs, 0, 0.0)),
+                      grid_dt=1.0, start=0.0, end=500.0).increments
+    s = grid_and_normalize(ts, grid_dt=1.0, session=session)
+    assert s.increments.tobytes() == ((d - d.mean()) / d.std()).tobytes()
 
 
 def test_estimate_drops_every_tick_before_the_analysis(tmp_path,

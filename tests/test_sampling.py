@@ -314,7 +314,7 @@ def test_previous_tick_from_tick_data():
     series = previous_tick((np.array([0.0, 1.2, 3.5]),
                             np.array([10.0, 11.0, 12.0])),
                            grid_dt=1.0, start=0.0, end=4.0)
-    np.testing.assert_array_equal(series.levels, [10, 10, 11, 11, 12])
+    # levels 10, 10, 11, 11, 12
     assert series.increments.size == 4
     np.testing.assert_array_equal(series.increments, [0, 1, 0, 1])
 
@@ -332,7 +332,7 @@ def test_previous_tick_from_path_matches_manual_lookup():
     # each grid value is the path value at the last tick <= grid time
     grid = np.arange(51.0)
     last = ticks[np.searchsorted(ticks, grid, side="right") - 1]
-    np.testing.assert_array_equal(s.levels, p.value_at(1, last))
+    np.testing.assert_array_equal(s.increments, np.diff(p.value_at(1, last)))
 
 
 def test_previous_tick_regrids_stepped_series_to_coarser_grid():
@@ -340,16 +340,26 @@ def test_previous_tick_regrids_stepped_series_to_coarser_grid():
     ticks = draw_poisson_times(0.5, 60.0, 10.0, seed=2)
     s1 = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=60.0)
     grid_ticks = np.arange(0.0, 61.0)
-    s2 = previous_tick((grid_ticks, s1.levels), grid_dt=2.0, start=0.0,
+    levels = p.value_at(0, ticks[np.searchsorted(ticks, grid_ticks,
+                                                 side="right") - 1])
+    np.testing.assert_array_equal(s1.increments, np.diff(levels))
+    s2 = previous_tick((grid_ticks, levels), grid_dt=2.0, start=0.0,
                        end=60.0)
-    np.testing.assert_array_equal(s2.levels, s1.levels[::2])
+    np.testing.assert_array_equal(s2.increments, np.diff(levels[::2]))
 
 
 def test_previous_tick_dense_ticks_recover_the_path():
     p, = simulate_ensemble(brownian_pair(), 1.0, 40.0, 1, seed=13)
     ticks = np.arange(0.0, 40.5, 1.0)  # one tick per grid point
     s = previous_tick(p, ticks, grid_dt=1.0, start=0.0, end=40.0)
-    np.testing.assert_array_equal(s.levels, p.levels[0])
+    np.testing.assert_array_equal(s.increments, np.diff(p.levels[0]))
+
+
+def test_previous_tick_stores_its_increments():
+    # the increments are one stored array, not recomputed on each read
+    s = previous_tick((np.array([0.0, 1.2, 3.5]), np.array([1.0, 2.0, 4.0])),
+                      grid_dt=1.0, start=0.0, end=4.0)
+    assert s.increments is s.increments
 
 
 def test_previous_tick_keeps_no_reference_to_its_ticks():
@@ -428,7 +438,7 @@ def test_previous_tick_takes_the_last_tick_at_or_before_each_grid_time(
         # values equal to the tick index, so the levels are the indices
         series = previous_tick((ticks, np.arange(ticks.size, dtype=float)),
                                grid_dt=grid_dt, start=start, end=end)
-        np.testing.assert_array_equal(series.levels, last)
+        np.testing.assert_array_equal(series.increments, np.diff(last))
         return
     # a source grid 8 times finer than the output grid, one value per point
     fine = grid_dt / 8.0
@@ -439,4 +449,5 @@ def test_previous_tick_takes_the_last_tick_at_or_before_each_grid_time(
     tick_values = source.value_at(1, ticks)
     series = previous_tick(source, ticks, grid_dt=grid_dt, asset=1,
                            start=start, end=end)
-    np.testing.assert_array_equal(series.levels, tick_values[last])
+    np.testing.assert_array_equal(series.increments,
+                                  np.diff(tick_values[last]))
