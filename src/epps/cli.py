@@ -22,18 +22,16 @@ from .errors import DataError, NumericalError
 from .kernels import load_model_file
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
-from .sampling import (SimulatedPath, draw_poisson_times, rng_stream,
-                       simulate_ensemble)
+from .sampling import SimulatedPath, rng_stream, simulate_ensemble
 from .estimation import (estimate_rate, read_correlogram_csv,
                          read_spectrum_csv, write_spectrum_csv,
-                         _horizon_steps, _read_table, _write_table,
-                         _write_text)
+                         _read_table, _write_table, _write_text)
 from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
 from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize,
                        analyze_pair, run_pipeline, write_artifacts,
-                       _read_tick_times)
+                       _check_settings, _read_tick_times, _sampled_day)
 
 
 def _float_list(text):
@@ -57,19 +55,15 @@ def cli():
               type=click.Path(exists=True))
 @click.option("--grid-dt", default=1.0, show_default=True)
 @click.option("--horizon", default=20000.0, show_default=True)
-@click.option("--days", default=1, show_default=True)
+@click.option("--days", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--warmup", default=None, type=float,
-              help="Pre-session stretch in seconds (default 10 mean gaps "
-                   "at rate 1).")
+@click.option("--warmup", default=10.0, show_default=True,
+              help="Pre-session stretch in seconds (10 mean gaps at rate 1).")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
     """Simulate synchronous correlated paths onto CSV files."""
-    if days < 1:
-        raise click.UsageError("--days must be at least 1")
     pair = load_model_file(model_file)
-    if warmup is None:
-        warmup = 10.0
     paths = simulate_ensemble(pair, grid_dt, horizon, days, seed=seed,
                               warmup=warmup)
     os.makedirs(out_dir, exist_ok=True)
@@ -77,11 +71,13 @@ def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
         _write_table(os.path.join(out_dir, f"path_d{d:03d}.csv"),
                      "t,level_i,level_j", (p.times(), *p.levels),
                      "%.10g,%.17g,%.17g",
-                     {"grid_dt": f"{p.grid_dt:.10g}", "t0": f"{p.t0:.10g}"})
+                     {"grid_dt": f"{p.grid_dt:.17g}", "t0": f"{p.t0:.17g}",
+                      "horizon": f"{horizon:.17g}"})
     click.echo(f"wrote {len(paths)} path files to {out_dir}")
 
 
 def _read_path_csv(path):
+    """A path file's SimulatedPath and `# horizon=` (else its end time)."""
     meta, rows = _read_table(path, "t,level_i,level_j")
     if "grid_dt" not in meta or not rows.size:
         raise DataError(f"{path} is not a simulated path file")
@@ -93,8 +89,9 @@ def _read_path_csv(path):
         t, a, b = rows[np.flatnonzero(bad)[0]]
         raise DataError(f"{path}: the levels {a:g}, {b:g} at t = {t:g} "
                         "give no finite positive price exp(level)")
-    return SimulatedPath(grid_dt=meta["grid_dt"], t0=meta.get("t0", 0.0),
-                         levels=levels)
+    p = SimulatedPath(grid_dt=meta["grid_dt"], t0=meta.get("t0", 0.0),
+                      levels=levels)
+    return p, meta.get("horizon", p.t_end)
 
 
 @cli.command()
@@ -108,7 +105,8 @@ def _read_path_csv(path):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
 def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
-    """Sample simulated paths at tick times into a standard tick CSV."""
+    """Sample simulated paths at tick times into a standard tick CSV,
+    warm-up ticks included, as `epps run` samples them."""
     session = SessionSpec()
     names = sorted(f for f in os.listdir(paths_dir)
                    if f.startswith("path_") and f.endswith(".csv"))
@@ -116,9 +114,7 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
         raise DataError(f"no path files in {paths_dir}")
     if (replay_i is None) != (replay_j is None):
         raise click.UsageError("replay needs tick-time files for both assets")
-    replay = None
-    if replay_i is not None:
-        replay = (_read_tick_times(replay_i), _read_tick_times(replay_j))
+    replay = [(f, _read_tick_times(f)) for f in (replay_i, replay_j) if f]
     # written beside --out and renamed on success, so that a failure leaves
     # no partial tick file
     tmp = f"{out_file}.{os.getpid()}.tmp"
@@ -126,23 +122,14 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("asset,day,time_sec,price\n")
             for d, name in enumerate(names):
-                p = _read_path_csv(os.path.join(paths_dir, name))
-                horizon = p.t_end
-                if replay is not None:
-                    times = replay
-                else:
-                    times = (
-                        draw_poisson_times(lambda_i, horizon, -p.t0, seed,
-                                           stream=2 * d),
-                        draw_poisson_times(lambda_j, horizon, -p.t0, seed,
-                                           stream=2 * d + 1))
-                for asset, tt in zip("ij", times):
-                    tt = tt[(tt >= 0) & (tt <= horizon)]
-                    levels = p.value_at(0 if asset == "i" else 1, tt)
-                    for t, lev in zip(tt, levels):
-                        fh.write(f"{asset},d{d:03d},"
-                                 f"{session.window_start + t:.6f},"
-                                 f"{math.exp(lev):.17g}\n")
+                p, horizon = _read_path_csv(os.path.join(paths_dir, name))
+                ticks = _sampled_day(p, horizon, d, (lambda_i, lambda_j),
+                                     seed, replay)
+                for asset, (times, levels) in zip("ij", ticks):
+                    fh.writelines(f"{asset},d{d:03d},"
+                                  f"{session.window_start + t:.6f},"
+                                  f"{math.exp(lev):.17g}\n"
+                                  for t, lev in zip(times, levels))
         os.replace(tmp, out_file)
     finally:
         if os.path.exists(tmp):
@@ -200,12 +187,9 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     if asset_i == asset_j:
         raise click.UsageError("--asset-i and --asset-j must differ")
     dt_list = _float_list(dt_grid)
-    spec = FilterSpec(filter_mode, snr)
     session = SessionSpec()
-    if not (0 < grid_dt <= session.length / 2 and math.isfinite(max_lag)):
-        raise DataError("grid_dt must be > 0 and at most half the session, "
-                        "and max_lag finite")
-    _horizon_steps(dt_list, grid_dt)
+    spec = _check_settings(session.length, grid_dt, dt_list, max_lag,
+                           filter_mode, snr)
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
     for msg in errors:
         click.echo(f"skipped record: {msg}", err=True)
@@ -294,18 +278,14 @@ def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
 def fit(cg_file, family, lambda_i, lambda_j, out_file):
     """Fit one model family to a correlogram CSV."""
     cg = read_correlogram_csv(cg_file)
-    if family == "cross_raw":
-        res = fit_cross_raw(cg)
-    elif family == "cross_async":
-        if lambda_i is None or lambda_j is None:
-            raise click.UsageError("cross_async needs --lambda-i/--lambda-j")
-        res = fit_cross_async(cg, lambda_i, lambda_j)
-    elif family == "auto_raw":
-        res = fit_auto_raw(cg)
-    else:
-        if lambda_i is None:
-            raise click.UsageError("auto_async needs --lambda-i")
-        res = fit_auto_async(cg, lambda_i)
+    fitter, rates = {"cross_raw": (fit_cross_raw, ()),
+                     "cross_async": (fit_cross_async, (lambda_i, lambda_j)),
+                     "auto_raw": (fit_auto_raw, ()),
+                     "auto_async": (fit_auto_async, (lambda_i,))}[family]
+    if None in rates:
+        raise click.UsageError(f"{family} needs --lambda-i"
+                               + "/--lambda-j" * (len(rates) - 1))
+    res = fitter(cg, *rates)
     labels = ("i", "i") if family.startswith("auto") else ("i", "j")
     _write_text(f"{FIT_CSV_HEADER}\n{fit_csv_row(res, *labels)}\n",
                 out_file)
@@ -354,8 +334,7 @@ def figures(seed, days, out_dir):
     rng_stream(seed)  # a bad seed fails before out_dir is made
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.txt")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        fh.write(_FIGURE_MODEL)
+    _write_text(_FIGURE_MODEL, model_path)
     pair = load_model_file(model_path)
     dt_grid = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
     for name, rates in _FIGURE_RUNS.items():

@@ -26,7 +26,7 @@ from . import __version__
 from .errors import DataError, EppsError, FitConvergenceError, read_text
 from .kernels import load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
-                       previous_tick, default_warmup, _tick_times)
+                       previous_tick, default_warmup, rng_stream, _tick_times)
 from .estimation import (estimate_rate, epps_curve, correlogram,
                          estimate_spectrum, write_epps_csv,
                          write_correlogram_csv, write_spectrum_csv,
@@ -461,6 +461,22 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
                          n_ticks=ts.times.size)
 
 
+def _check_settings(length, grid_dt, dt_grid, max_lag, filter_mode, snr):
+    """The FilterSpec of the settings of `epps run` and `epps estimate`,
+    checked before any work as the analysis needs them: a grid step in
+    (0, length/2], horizons of 1 to T - 1 steps of a day of T steps, and a
+    `max_lag` of 1 to T//2 - 1 + T%2 steps."""
+    if not 0 < grid_dt <= length / 2:
+        raise DataError(f"grid_dt must be finite and in (0, {length / 2:g}]")
+    T = int(math.floor(length / grid_dt + 1e-9))  # as `previous_tick` counts
+    if np.any(_horizon_steps(dt_grid, grid_dt) >= T):
+        raise DataError(f"each dt must be below the session length {length:g}")
+    lags, top = max_lag / grid_dt, T // 2 - 1 + T % 2
+    if not (math.isfinite(lags) and 1 <= round(lags) <= top):
+        raise DataError(f"max_lag must be finite, 1 to {top} grid steps")
+    return FilterSpec(filter_mode, snr)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of a synthetic end-to-end run.
@@ -487,18 +503,13 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.n_days, int) or self.n_days < 1:
             raise DataError("n_days must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got "
-                            f"{self.seed!r}")
+        rng_stream(self.seed)  # checks the seed
         if not all(0 < x < math.inf for x in (self.lambda_i, self.lambda_j,
-                                              self.length, self.grid_dt,
-                                              *self.dt_grid)):
-            raise DataError("sampling rates, length, grid_dt and the dt "
-                            "grid must be finite and > 0")
-        _horizon_steps(self.dt_grid, self.grid_dt)
-        if not self.grid_dt < self.max_lag < math.inf:
-            raise DataError("max_lag must be finite and exceed the grid step")
-        FilterSpec(self.filter_mode, self.snr)  # checks the mode and snr
+                                              self.length, *self.dt_grid)):
+            raise DataError("sampling rates, length and the dt grid must be "
+                            "finite and > 0")
+        _check_settings(self.length, self.grid_dt, self.dt_grid,
+                        self.max_lag, self.filter_mode, self.snr)
 
     @classmethod
     def from_file(cls, path):
@@ -598,11 +609,8 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_artifacts(result, out_dir, labels, meta):
@@ -656,38 +664,50 @@ def write_artifacts(result, out_dir, labels, meta):
             for name, fit in result["fits"].items()},
         "files": files,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
+def _sampled_day(path, horizon, day, rates, seed, replay=None):
+    """Each asset's (tick times, path levels at them) on simulated day `day`
+    over [path.t0, horizon]: replayed from `replay`, one (file, times) per
+    asset, or else Poisson times at `rates` on stream 2 day + asset of
+    `seed`.  A replayed time before the path start is a DataError naming
+    its file."""
+    for a, lam in enumerate(rates):
+        if replay:
+            name, t = replay[a]
+            if t[0] < path.t0:
+                raise DataError(f"{name}: replayed time {t[0]:g} is before "
+                                f"the path start {path.t0:g}")
+            t = t[t <= horizon]
+        else:
+            t = draw_poisson_times(lam, horizon, -path.t0, seed,
+                                   stream=2 * day + a)
+        yield t, path.value_at(a, t)
+
+
 def _simulate_days(pair, config):
-    """Simulated asset-days gridded by `grid_and_normalize` as tick files
-    are, the last warm-up tick being the open tick.  Returns (days_i,
-    days_j, open_ticks_missing), the last counting days without one."""
-    warmup = max(default_warmup(config.lambda_i),
-                 default_warmup(config.lambda_j))
-    paths = simulate_ensemble(pair, config.grid_dt, config.length,
-                              config.n_days, seed=config.seed, warmup=warmup)
+    """Asset-days sampled by `_sampled_day` and gridded by
+    `grid_and_normalize` as tick files are, the last warm-up tick being the
+    open tick.  Returns (days_i, days_j, open_ticks_missing), the last
+    counting days without one."""
     files = [f for f in (config.replay_ticks_i, config.replay_ticks_j) if f]
     if len(files) == 1:
         raise DataError("replay mode needs tick-time files for both assets")
-    replay = [_read_tick_times(f) for f in files]
-    if replay and min(t[0] for t in replay) < -warmup:
-        raise DataError("replayed times start before the warmup")
+    replay = [(f, _read_tick_times(f)) for f in files]
+    rates = (config.lambda_i, config.lambda_j)
+    warmup = max(map(default_warmup, rates))
+    paths = simulate_ensemble(pair, config.grid_dt, config.length,
+                              config.n_days, seed=config.seed, warmup=warmup)
     session = SessionSpec(length=config.length)
     days = ([], [])
     missing = 0
     for d, path in enumerate(paths):
-        for a, lam in enumerate((config.lambda_i, config.lambda_j)):
-            if replay:
-                t = replay[a][replay[a] <= config.length]
-            else:
-                t = draw_poisson_times(lam, config.length, warmup,
-                                       seed=config.seed, stream=2 * d + a)
-            levels = path.value_at(a, t)
+        ticks = _sampled_day(path, config.length, d, rates, config.seed,
+                             replay)
+        for a, (t, levels) in enumerate(ticks):
             k = np.searchsorted(t, 0.0)  # the first tick in the window
             open_tick = (float(t[k - 1]), float(levels[k - 1])) if k else None
             ts = TickSeries("ij"[a], f"d{d:03d}", t[k:], levels[k:], open_tick)

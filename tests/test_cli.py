@@ -23,6 +23,7 @@ from epps.estimation import (Correlogram, write_correlogram_csv,
 from epps.fitting import _auto_raw_fj, _cross_raw_fj
 from epps.kernels import parse_model_text, sync_covariance, sync_rho
 from epps.pipeline import load_ticks
+from epps.sampling import draw_poisson_times, simulate_ensemble
 
 
 MODEL_TEXT = """\
@@ -167,10 +168,13 @@ def test_simulate_sample_estimate_chain(model_file, tmp_path, capsys):
         for name in artifacts}
     assert manifest["config"]["asset_i"] == "i"
     assert manifest["records_skipped"] == 0
-    # `epps sample` writes no ticks before the window: every day is
-    # back-filled, and every day enters the spectra
+    # `epps sample` writes the warm-up ticks: only an asset-day whose
+    # 10 s warm-up drew no tick is back-filled, and every day enters the
+    # spectra
     assert manifest["n_days_spectra"] == 2
-    assert manifest["open_ticks_missing"] == 4
+    assert manifest["open_ticks_missing"] == sum(
+        draw_poisson_times(lam, 20000.0, 10.0, 4, stream=2 * d + a)[0] >= 0
+        for d in range(2) for a, lam in enumerate((1.0, 0.3)))
     assert manifest["fit_failures"] == {}
     fits = (out_dir / "fits.csv").read_text().splitlines()
     assert len(fits) == 7
@@ -214,12 +218,107 @@ def test_simulate_sample_load_round_trip(seed, days):
         session = pipeline.SessionSpec()
         in_window = sum(session.window_start <= t <= session.window_end
                         for t in times)
-        assert in_window == len(times) > 0
+        # the other rows are the ticks of the 10 s warm-up
+        assert 0 < in_window <= len(times)
+        assert min(times) >= session.window_start - 10.0
         with mock.patch.multiple(pipeline, _RANGE_BYTES=1000,
                                  _cpus=lambda: 3):
             series, errors = load_ticks(ticks)
     assert sum(s.times.size for s in series.values()) + len(errors) \
         == in_window
+
+
+def assert_same_artifacts(got, want):
+    """Every number of every CSV of `want` agrees with `got`: within 1e-12
+    absolute, and in `fits.csv` within 1e-6 relative."""
+    names = sorted(f for f in os.listdir(want) if f.endswith(".csv"))
+    assert sorted(f for f in os.listdir(got) if f.endswith(".csv")) == names
+    for name in names:
+        lines = {d: (d / name).read_text().splitlines() for d in (got, want)}
+        assert len(lines[got]) == len(lines[want]), name
+        for a, b in zip(lines[got], lines[want]):
+            split = [ln.lstrip("# ").replace("=", ",").split(",")
+                     for ln in (a, b)]
+            numeric = [[_number(x) for x in fields] for fields in split]
+            # labels, header names and meta keys are equal as text
+            assert [x for x, v in zip(split[0], numeric[0]) if v is None] \
+                == [x for x, v in zip(split[1], numeric[1]) if v is None], \
+                (name, a, b)
+            x, y = (np.array([v for v in vs if v is not None])
+                    for vs in numeric)
+            if name == "fits.csv":
+                np.testing.assert_allclose(x, y, rtol=1e-6, atol=0,
+                                           err_msg=f"{name}: {a} vs {b}")
+            else:
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12,
+                                           err_msg=f"{name}: {a} vs {b}")
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def test_simulate_sample_estimate_reproduces_run(model_file, tmp_path):
+    # rates 0.3 and 0.12 make a warm-up of 83.33 s, not a whole number of
+    # grid steps: the path's last grid time is 0.33 s before the window end
+    rates, seed, days = (0.3, 0.12), 5, 2
+    warmup = max(10.0 / lam for lam in rates)
+    dt_grid, max_lag = "1,5,20,100", "40"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model_file": model_file, "lambda_i": rates[0], "lambda_j": rates[1],
+        "n_days": days, "length": 20000.0,
+        "dt_grid": [float(x) for x in dt_grid.split(",")],
+        "max_lag": float(max_lag), "seed": seed}))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+
+    paths_dir = tmp_path / "paths"
+    ticks = tmp_path / "ticks.csv"
+    assert main(["simulate", "--model", model_file, "--horizon", "20000",
+                 "--days", str(days), "--seed", str(seed),
+                 "--warmup", repr(warmup), "--out", str(paths_dir)]) == 0
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--lambda-i", str(rates[0]), "--lambda-j", str(rates[1]),
+                 "--seed", str(seed), "--out", str(ticks)]) == 0
+    # the file keeps times to 1 us: a tick that close to a grid time could
+    # change cells, which would make the two runs differ by a tick
+    with open(ticks, encoding="utf-8") as fh:
+        times = np.array([float(row.split(",")[2])
+                          for row in fh.readlines()[1:]])
+    offset = times - pipeline.SessionSpec().window_start
+    gap = np.abs(offset - np.round(offset))
+    assert gap.min() > 1e-6, (
+        f"a sampled time lies {gap.min():.1e} s from a grid time, closer "
+        "than the tick file's resolution: this check cannot tell")
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "i",
+                 "--asset-j", "j", "--dt-grid", dt_grid, "--max-lag", max_lag,
+                 "--out", str(tmp_path / "est")]) == 0
+
+    assert_same_artifacts(tmp_path / "est", tmp_path / "run")
+    est, run = (json.loads((tmp_path / d / "manifest.json").read_text())
+                for d in ("est", "run"))
+    for key in ("rate_i", "rate_j", "open_ticks_missing", "n_days_spectra",
+                "fit_failures"):
+        assert est[key] == run[key], key
+
+
+def test_a_path_file_gives_back_the_path_it_was_written_from(model_file,
+                                                            tmp_path):
+    # a 10 / 0.3 s warm-up and a 0.1 s step have no short decimal form
+    warmup, grid_dt = 10 / 0.3, 0.1
+    assert main(["simulate", "--model", model_file, "--horizon", "1000",
+                 "--grid-dt", repr(grid_dt), "--warmup", repr(warmup),
+                 "--seed", "3", "--out", str(tmp_path / "paths")]) == 0
+    [want] = simulate_ensemble(cli_mod.load_model_file(model_file), grid_dt,
+                               1000.0, 1, seed=3, warmup=warmup)
+    got, horizon = cli_mod._read_path_csv(
+        str(tmp_path / "paths" / "path_d000.csv"))
+    assert (got.t0, got.grid_dt, horizon) == (want.t0, want.grid_dt, 1000.0)
+    np.testing.assert_array_equal(got.levels, want.levels)
 
 
 def test_sample_keeps_ticks_microseconds_apart(model_file, tmp_path):
@@ -247,8 +346,9 @@ def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
     assert main(["simulate", "--model", model_file, "--horizon", "2000",
                  "--days", "2", "--seed", "2",
                  "--out", str(paths_dir)]) == 0
+    # -5 lies in the 10 s warm-up: it is written, and it is the open tick
     replay_i = tmp_path / "times_i.csv"
-    replay_i.write_text("tick_time\n100\n1999.5\n2500\n")
+    replay_i.write_text("tick_time\n-5\n100\n1999.5\n2500\n")
     replay_j = tmp_path / "times_j.csv"
     replay_j.write_text("tick_time\n50\n2000\n2000.5\n")
     ticks = tmp_path / "ticks.csv"
@@ -260,6 +360,38 @@ def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
     for day in ("d000", "d001"):
         np.testing.assert_allclose(series[("i", day)].times, [100.0, 1999.5])
         np.testing.assert_allclose(series[("j", day)].times, [50.0, 2000.0])
+        assert series[("i", day)].open_tick[0] == pytest.approx(-5.0)
+        assert series[("j", day)].open_tick is None
+
+
+@pytest.mark.parametrize("command", ["sample", "run"])
+def test_a_replayed_time_before_the_path_start_is_a_data_error(
+        command, model_file, tmp_path, capsys):
+    # both paths start 10 s before the window; `epps sample` once dropped
+    # such a time without a word
+    early = tmp_path / "early.csv"
+    early.write_text("tick_time\n-20\n5\n")
+    fine = tmp_path / "fine.csv"
+    fine.write_text("tick_time\n-5\n5\n")
+    out = tmp_path / "out"
+    if command == "sample":
+        paths_dir = tmp_path / "paths"
+        assert main(["simulate", "--model", model_file, "--horizon", "2000",
+                     "--out", str(paths_dir)]) == 0
+        args = ["sample", "--paths", str(paths_dir), "--replay-i", str(fine),
+                "--replay-j", str(early), "--out", str(out)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model_file": model_file, "n_days": 1, "length": 2000.0,
+            "max_lag": 30.0, "replay_ticks_i": str(fine),
+            "replay_ticks_j": str(early)}))
+        args = ["run", "--config", str(cfg), "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {early}: replayed time -20 is before the path start "
+        "-10\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sample", "run"])
@@ -787,7 +919,8 @@ def test_simulate_writes_path_files_in_the_per_row_format(model_file,
                            return_value=[path]):
         assert main(["simulate", "--model", model_file,
                      "--out", str(tmp_path / "paths")]) == 0
-    want = "# grid_dt=0.1\n# t0=-0.3333333333\nt,level_i,level_j\n" + "".join(
+    want = ("# grid_dt=0.10000000000000001\n# t0=-0.33333333333333331\n"
+            "# horizon=20000\nt,level_i,level_j\n") + "".join(
         f"{t:.10g},{a:.17g},{b:.17g}\n"
         for t, a, b in zip(path.times(), *levels))
     assert (tmp_path / "paths" / "path_d000.csv").read_bytes() == want.encode()
@@ -917,6 +1050,47 @@ def test_run_checks_its_horizons_before_simulating(model_file, tmp_path,
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert "positive multiple of the grid step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("estimate", ["--max-lag", "-5"], "max_lag must be finite, 1 to 9999 "
+                                      "grid steps"),
+    ("estimate", ["--max-lag", "0.4"], "max_lag must be finite, 1 to"),
+    ("estimate", ["--max-lag", "30000"], "max_lag must be finite, 1 to"),
+    ("estimate", ["--dt-grid", "1,25000"], "each dt must be below the "
+                                           "session length 20000"),
+    ("estimate", ["--grid-dt", "10001"],
+     "grid_dt must be finite and in (0, 10000]"),
+    ("run", {"dt_grid": [1, 2500]}, "each dt must be below the session "
+                                    "length 2000"),
+    ("run", {"max_lag": 1000}, "max_lag must be finite, 1 to 999 grid "
+                               "steps"),
+    ("run", {"grid_dt": 1001, "dt_grid": [1001]},
+     "grid_dt must be finite and in (0, 1000]"),
+])
+def test_settings_beyond_a_day_are_checked_before_any_work(
+        command, setting, message, model_file, tmp_path, capsys):
+    # each of these exited 2 only once the tick file was read or the days
+    # simulated
+    out = tmp_path / "o"
+    if command == "estimate":
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("asset,day,time_sec,price\n")
+        args = ["--ticks", str(ticks), "--asset-i", "A", "--asset-j", "B",
+                *setting]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_file": model_file,
+                                   "length": 2000.0, **setting}))
+        args = ["--config", str(cfg)]
+    with mock.patch.object(cli_mod, "load_ticks",
+                           side_effect=AssertionError("ticks read")), \
+            mock.patch.object(pipeline, "simulate_ensemble",
+                              side_effect=AssertionError("simulated")):
+        assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert not out.exists()
 
 
 def test_sample_leaves_no_partial_tick_file(tmp_path, capsys):
