@@ -178,16 +178,20 @@ def theory(model_file, quantity, lambda_i, lambda_j, grid, out_file):
               default="inverse", show_default=True)
 @click.option("--snr", default=None, type=float,
               help="Wiener SNR; estimated from the spectrum when omitted.")
+@click.option("--session-length", default=SessionSpec.length,
+              show_default=True,
+              help="Seconds of the analysis window, which opens 45 minutes "
+                   "after 09:30.")
 @click.option("--fail-fast", is_flag=True,
               help="Stop at the first malformed tick record.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
-             filter_mode, snr, fail_fast, out_dir):
+             filter_mode, snr, session_length, fail_fast, out_dir):
     """Estimate Epps curves, correlograms, spectra and fits from ticks."""
     if asset_i == asset_j:
         raise click.UsageError("--asset-i and --asset-j must differ")
     dt_list = _float_list(dt_grid)
-    session = SessionSpec()
+    session = SessionSpec(length=session_length)
     spec = _check_settings(session.length, grid_dt, dt_list, max_lag,
                            filter_mode, snr)
     series, errors = load_ticks(ticks_file, session, fail_fast=fail_fast)
@@ -221,6 +225,8 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
     config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,
               "dt_grid": dt_list, "max_lag": max_lag, "grid_dt": grid_dt,
               "filter_mode": filter_mode, "snr": snr}
+    if session_length != SessionSpec.length:  # default runs keep their hash
+        config["session_length"] = session_length
     write_artifacts(result, out_dir, (asset_i, asset_j),
                     {"config": config, "records_skipped": len(errors),
                      "days_skipped": skipped,

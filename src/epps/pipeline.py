@@ -125,7 +125,16 @@ def load_ticks(path, session=None, fail_fast=False):
     once and never copied.  The range parsed in this process keeps the
     arrays of each chunk, and `_merge` joins each asset-day's arrays once
     and drops them as its series is made, so ingest holds each parsed
-    column once, plus the chunk or the asset-day at hand.
+    column once, plus the chunk or the asset-day at hand.  A kept row
+    costs 16 bytes of columns, its time and log price, plus the gap from
+    its asset-day's row before in the narrowest unsigned dtype that holds
+    the largest such gap of its chunk (of its range, once a forked parser
+    packs them again): one byte when an asset-day's rows are on
+    consecutive lines.
+    Line numbers are unpacked only for an asset-day with a rejected row.
+    When all of an asset-day's in-window rows are kept, the window start
+    is subtracted in place, so its series holds the arrays the merge made
+    rather than copies of them.
 
     Each range is read as raw bytes, in chunks of `_CHUNK_BYTES` or more
     that end at a line break, with `\\r\\n` and a lone `\\r` turned into
@@ -233,13 +242,15 @@ def _range_child(send, path, start, end, session):
     the exception raised) through the pipe end `send`, pickled with its
     arrays out of band: the pickle is one message and each array's bytes
     one more, so that the parent receives every column once.  Each
-    asset-day's chunks are joined first, which keeps the messages few when
-    many asset-days share each chunk."""
+    asset-day's chunks are joined first, its line numbers unpacked and
+    packed again as one pair, which keeps the messages few when many
+    asset-days share each chunk."""
     buffers = []
     try:
         rows, bad, n_lines = _parse_range(path, start, end, session)
-        rows = {key: tuple([np.concatenate(col)] for col in cols)
-                for key, cols in rows.items()}
+        rows = {key: ([np.concatenate(times)], [np.concatenate(logs)],
+                      [_pack_lines(_unpack_lines(lines))])
+                for key, (times, logs, lines) in rows.items()}
         head = pickle.dumps((True, (rows, bad, n_lines)), protocol=5,
                             buffer_callback=buffers.append)
     except Exception as exc:
@@ -256,11 +267,11 @@ def _parse_range(path, start, end, session):
     and end after a line break or at the end of the file.
 
     Returns (rows, bad, n_lines): `rows` maps (asset, day) to lists of the
-    per-chunk arrays of times, log prices and line numbers of its valid
-    records up to the window end, in file order and not yet checked for
-    monotone times; `bad` lists the other rejected records as (line number,
-    message); `n_lines` counts the lines read.
-    Line numbers count from 0 at `start`.
+    per-chunk arrays of times and log prices of its valid records up to the
+    window end, in file order and not yet checked for monotone times, and
+    of their line numbers packed by `_pack_lines`; `bad` lists the other
+    rejected records as (line number, message); `n_lines` counts the lines
+    read.  Line numbers count from 0 at `start`.
     """
     rows = {}
     bad = []
@@ -294,7 +305,9 @@ def _merge(parts, session):
     open tick, then rejects, over its in-window rows in file order, a time
     not above the running maximum of the times before it.  Takes the parts
     out of the list `parts` and concatenates each asset-day's chunks once,
-    dropping them as soon as they are joined.
+    dropping them as soon as they are joined.  A series keeps the arrays
+    made here, the window start subtracted in place, and line numbers are
+    unpacked only for an asset-day with a rejected row.
     """
     keyed = {}
     bad = []
@@ -311,7 +324,8 @@ def _merge(parts, session):
         got = keyed.pop((asset, day))  # (offset, times, logs, lines) per range
         times = np.concatenate([t for _, ts, _, _ in got for t in ts])
         logs = np.concatenate([g for _, _, gs, _ in got for g in gs])
-        lines = np.concatenate([off + n for off, _, _, ns in got for n in ns])
+        lines = [(off + first, gaps) for off, _, _, packed in got
+                 for first, gaps in packed]
         del got
         inside = times >= session.window_start
         if not inside.any():
@@ -321,19 +335,38 @@ def _merge(parts, session):
             k = np.argmax(np.where(inside, -np.inf, times))
             open_tick = (float(times[k] - session.window_start),
                          float(logs[k]))
-            times, logs, lines = times[inside], logs[inside], lines[inside]
+            times, logs = times[inside], logs[inside]
         before = np.maximum.accumulate(np.concatenate(([-np.inf],
                                                        times[:-1])))
         accepted = times > before
-        series[(asset, day)] = TickSeries(
-            asset_id=asset, day_id=day,
-            times=times[accepted] - session.window_start,
-            log_prices=logs[accepted], open_tick=open_tick)
-        bad += [(n, f"non-monotone time {time} for {asset} {day}")
-                for n, time in zip(lines[~accepted].tolist(),
-                                   times[~accepted].tolist())]
+        if not accepted.all():
+            rejected = np.flatnonzero(~accepted)
+            at = np.flatnonzero(inside)[rejected]
+            bad += [(n, f"non-monotone time {time} for {asset} {day}")
+                    for n, time in zip(_unpack_lines(lines)[at].tolist(),
+                                       times[rejected].tolist())]
+            times, logs = times[accepted], logs[accepted]
+        times -= session.window_start
+        series[(asset, day)] = TickSeries(asset_id=asset, day_id=day,
+                                          times=times, log_prices=logs,
+                                          open_tick=open_tick)
     bad.sort()
     return series, bad
+
+
+def _pack_lines(lines):
+    """Increasing line numbers as (the first, the gaps to each next one in
+    the narrowest unsigned dtype that holds them): one byte per row when
+    the rows are on consecutive lines."""
+    gaps = np.diff(lines)
+    return int(lines[0]), gaps.astype(np.min_scalar_type(gaps.max(initial=0)))
+
+
+def _unpack_lines(packed):
+    """The line numbers of packed pairs in line order, as int64."""
+    return np.concatenate([first + np.cumsum(np.insert(gaps, 0, 0),
+                                             dtype=np.int64)
+                           for first, gaps in packed])
 
 
 def _floats(texts):
@@ -356,10 +389,11 @@ def _floats(texts):
 def _ingest_chunk(chunk, first_lineno, session, rows):
     """Parse consecutive lines, bytes that each end in `\\n`, into `rows`.
 
-    Appends the times, log prices and line numbers of each asset-day's valid
-    records up to the window end to its lists in `rows`; the open tick and
-    the monotone-time rule are left to `_merge`.  Returns the other
-    rejected records as (line number, message), and the number of lines.
+    Appends the times, log prices and packed line numbers (`_pack_lines`)
+    of each asset-day's valid records up to the window end to its lists in
+    `rows`; the open tick and the monotone-time rule are left to `_merge`.
+    Returns the other rejected records as (line number, message), and the
+    number of lines.
     """
     data = np.frombuffer(chunk, dtype=np.uint8)
     line_ends = np.flatnonzero(data == ord("\n"))
@@ -427,7 +461,7 @@ def _ingest_chunk(chunk, first_lineno, session, rows):
         times, logs, lines = rows.setdefault(key, ([], [], []))
         times.append(t[rows_g])
         logs.append(np.log(p[rows_g]))
-        lines.append(first_lineno + good[rows_g])
+        lines.append(_pack_lines(first_lineno + good[rows_g]))
     return bad, line_ends.size
 
 
@@ -674,7 +708,14 @@ def _sampled_day(path, horizon, day, rates, seed, replay=None):
     over [path.t0, horizon]: replayed from `replay`, one (file, times) per
     asset, or else Poisson times at `rates` on stream 2 day + asset of
     `seed`.  A replayed time before the path start is a DataError naming
-    its file."""
+    its file.
+
+    The levels are taken at the times drawn or replayed; the times are then
+    put on the microsecond clock of the tick file `epps sample` writes, whose
+    window starts at the default session's, and of equal times the first is
+    kept, as `load_ticks` keeps it.  So the ticks read back from that file
+    are these."""
+    ws = SessionSpec().window_start
     for a, lam in enumerate(rates):
         if replay:
             name, t = replay[a]
@@ -685,7 +726,10 @@ def _sampled_day(path, horizon, day, rates, seed, replay=None):
         else:
             t = draw_poisson_times(lam, horizon, -path.t0, seed,
                                    stream=2 * day + a)
-        yield t, path.value_at(a, t)
+        levels = path.value_at(a, t)
+        t = np.round((ws + t) * 1e6) / 1e6 - ws
+        first = np.diff(t, prepend=-np.inf) > 0
+        yield t[first], levels[first]
 
 
 def _simulate_days(pair, config):

@@ -261,41 +261,39 @@ def _number(text):
         return None
 
 
-def test_simulate_sample_estimate_reproduces_run(model_file, tmp_path):
-    # rates 0.3 and 0.12 make a warm-up of 83.33 s, not a whole number of
-    # grid steps: the path's last grid time is 0.33 s before the window end
-    rates, seed, days = (0.3, 0.12), 5, 2
+def _assert_round_trip_reproduces_run(tmp_path, model_file, rates, seed,
+                                      days, replay=None):
+    """`epps simulate | sample | estimate` of `days` days of a 2 000 s
+    session writes what `epps run` writes at the same seed, rates and
+    run warm-up: `assert_same_artifacts`, and equal rates and counts in the
+    manifests.  `replay` names the tick-time files of both assets, which
+    both runs then replay."""
     warmup = max(10.0 / lam for lam in rates)
-    dt_grid, max_lag = "1,5,20,100", "40"
+    dt_grid, max_lag, length = "1,5,20,100", "40", "2000"
+    config = {"model_file": model_file, "lambda_i": rates[0],
+              "lambda_j": rates[1], "n_days": days, "length": float(length),
+              "dt_grid": [float(x) for x in dt_grid.split(",")],
+              "max_lag": float(max_lag), "seed": seed}
+    replay_args = []
+    if replay:
+        config.update(replay_ticks_i=replay[0], replay_ticks_j=replay[1])
+        replay_args = ["--replay-i", replay[0], "--replay-j", replay[1]]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "model_file": model_file, "lambda_i": rates[0], "lambda_j": rates[1],
-        "n_days": days, "length": 20000.0,
-        "dt_grid": [float(x) for x in dt_grid.split(",")],
-        "max_lag": float(max_lag), "seed": seed}))
+    cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 0
 
     paths_dir = tmp_path / "paths"
     ticks = tmp_path / "ticks.csv"
-    assert main(["simulate", "--model", model_file, "--horizon", "20000",
+    assert main(["simulate", "--model", model_file, "--horizon", length,
                  "--days", str(days), "--seed", str(seed),
                  "--warmup", repr(warmup), "--out", str(paths_dir)]) == 0
     assert main(["sample", "--paths", str(paths_dir),
                  "--lambda-i", str(rates[0]), "--lambda-j", str(rates[1]),
-                 "--seed", str(seed), "--out", str(ticks)]) == 0
-    # the file keeps times to 1 us: a tick that close to a grid time could
-    # change cells, which would make the two runs differ by a tick
-    with open(ticks, encoding="utf-8") as fh:
-        times = np.array([float(row.split(",")[2])
-                          for row in fh.readlines()[1:]])
-    offset = times - pipeline.SessionSpec().window_start
-    gap = np.abs(offset - np.round(offset))
-    assert gap.min() > 1e-6, (
-        f"a sampled time lies {gap.min():.1e} s from a grid time, closer "
-        "than the tick file's resolution: this check cannot tell")
+                 "--seed", str(seed), *replay_args, "--out", str(ticks)]) == 0
     assert main(["estimate", "--ticks", str(ticks), "--asset-i", "i",
                  "--asset-j", "j", "--dt-grid", dt_grid, "--max-lag", max_lag,
+                 "--session-length", length,
                  "--out", str(tmp_path / "est")]) == 0
 
     assert_same_artifacts(tmp_path / "est", tmp_path / "run")
@@ -304,6 +302,36 @@ def test_simulate_sample_estimate_reproduces_run(model_file, tmp_path):
     for key in ("rate_i", "rate_j", "open_ticks_missing", "n_days_spectra",
                 "fit_failures"):
         assert est[key] == run[key], key
+    assert est["records_skipped"] == 0
+    assert est["config"]["session_length"] == float(length)
+
+
+def test_simulate_sample_estimate_reproduces_run(model_file, tmp_path):
+    # rates 0.3 and 0.12 make a warm-up of 83.33 s, not a whole number of
+    # grid steps: the path's last grid time is 0.33 s before the window end
+    _assert_round_trip_reproduces_run(tmp_path, model_file, (0.3, 0.12),
+                                      seed=5, days=4)
+
+
+def test_sampled_ticks_keep_their_grid_cells_through_a_tick_file(
+        model_file, tmp_path):
+    # the tick file keeps times to 1 us: a tick 0.3 us after a grid time
+    # would read back at that grid time and set its level a step early, and
+    # two ticks in one microsecond would read back equal, the second
+    # rejected
+    rng = np.random.default_rng(7)
+    times_i, times_j = (-9.5 + np.cumsum(rng.exponential(1 / lam, n))
+                        for lam, n in ((1.0, 2000), (0.5, 1000)))
+    times_i = np.sort(np.concatenate((times_i,
+                                      [100.0000003, 300.0000011,
+                                       300.0000014])))
+    replay = []
+    for name, times in (("times_i.csv", times_i), ("times_j.csv", times_j)):
+        (tmp_path / name).write_text(
+            "tick_time\n" + "".join(f"{t!r}\n" for t in times.tolist()))
+        replay.append(str(tmp_path / name))
+    _assert_round_trip_reproduces_run(tmp_path, model_file, (1.0, 0.5),
+                                      seed=2, days=4, replay=replay)
 
 
 def test_a_path_file_gives_back_the_path_it_was_written_from(model_file,
@@ -594,6 +622,10 @@ def test_estimate_puts_every_day_in_the_spectra(tmp_path, capsys):
     ("run", {"length": math.nan}),
     ("run", {"lambda_i": math.nan}),
     ("run", {"n_days": 1.5}),
+    ("estimate", ["--session-length", "nan"]),
+    ("estimate", ["--session-length", "0"]),
+    # too short for the default 120 s lags
+    ("estimate", ["--session-length", "200"]),
 ])
 def test_invalid_settings_are_data_errors(command, setting, model_file,
                                           tmp_path, capsys):

@@ -489,6 +489,58 @@ def test_load_ticks_checks_times_across_range_boundaries(tmp_path):
         np.testing.assert_array_equal(series[("A", "d1")].times, [5.0, 6.0])
 
 
+def test_load_ticks_names_non_monotone_rows_far_from_the_row_before(
+        tmp_path):
+    # A's rows on lines 302 and 70303 lie 300 and 70 000 lines after A's
+    # row before them, with B's and C's rows between: their line numbers
+    # are packed in uint16 and uint32 gaps, within a chunk or across chunks
+    # and ranges
+    t0 = SessionSpec().window_start
+    rows = ([f"A,d1,{t0 + 10},100"]
+            + [f"B,d1,{t0 + k * 0.01:.2f},100" for k in range(299)]
+            + [f"A,d1,{t0 + 5},100", f"A,d1,{t0 + 20},100"]
+            + [f"C,d2,{t0 + k * 0.01:.2f},100" for k in range(69999)]
+            + [f"A,d1,{t0 + 15},100", f"A,d1,{t0 + 30},100"])
+    path = tick_file(tmp_path, rows)
+    pack = pipeline._pack_lines
+    dtypes = set()
+
+    def spy(lines):
+        packed = pack(lines)
+        dtypes.add(packed[1].dtype)
+        return packed
+
+    for chunk in (1 << 16, 1 << 22):
+        for cpus in (1, 2, 3):
+            with _forced_ranges(1, cpus), _deadline(60), \
+                    mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(pipeline, "_pack_lines", spy):
+                series, errors = load_ticks(path)
+            assert errors == [
+                f"line 302: non-monotone time {t0 + 5} for A d1",
+                f"line 70303: non-monotone time {t0 + 15} for A d1"]
+            np.testing.assert_array_equal(series[("A", "d1")].times,
+                                          [10.0, 20.0, 30.0])
+    assert {np.dtype(np.uint16), np.dtype(np.uint32)} <= dtypes
+
+
+@pytest.mark.parametrize("parts, dtype", [
+    ([[5], [6, 7]], np.uint8),
+    ([[5, 305], [306]], np.uint16),
+    ([[5, 6], [70006, 70007]], np.uint32),
+    ([[5], [6, 5_000_000_006]], np.uint64),
+])
+def test_packed_line_numbers_unpack_to_the_line_numbers(parts, dtype):
+    # one part per chunk; a forked parser packs each asset-day's line
+    # numbers again as one part, whose gaps take the widest dtype needed
+    lines = sum(parts, [])
+    packed = [pipeline._pack_lines(np.array(part)) for part in parts]
+    np.testing.assert_array_equal(pipeline._unpack_lines(packed), lines)
+    joined = pipeline._pack_lines(pipeline._unpack_lines(packed))
+    assert joined[1].dtype == dtype
+    np.testing.assert_array_equal(pipeline._unpack_lines([joined]), lines)
+
+
 def test_load_ticks_splits_field_count_errors_that_balance(tmp_path):
     # 2 + 4 commas balance to two lines' worth, but each line is wrong
     t0 = SessionSpec().window_start
@@ -621,11 +673,13 @@ def _traced_peak(fn, *args):
 
 def test_load_ticks_holds_each_parsed_column_once(tmp_path):
     # 120 000 rows in three forked ranges of 64 kB chunks.  Each row is
-    # parsed into a time, a log price and a line number, 24 bytes; the
-    # series returned keep 16 of them.  Measured peaks: 1.16 times the
-    # column bytes with the columns received once and joined once per
-    # asset-day, 2.17 when the parent unpickled each child's columns from
-    # one message and kept every range until all series were made.
+    # parsed into a time and a log price, 16 bytes, which the series
+    # returned keep, and the one-byte gap to its asset-day's row before.
+    # Measured peaks, over 16 bytes a row: 1.33 with the line numbers
+    # packed in gaps and the joined columns kept as the series; 1.90 with
+    # an int64 line number a row; 3.26 when the parent unpickled each
+    # child's columns from one message and kept every range until all
+    # series were made.
     t0 = SessionSpec().window_start
     rows = [f"{asset},d{day},{t0 + k * 0.5:.6f},{100 + k * 1e-3:.15f}"
             for day in range(6) for k in range(10000) for asset in "AB"]
@@ -634,7 +688,7 @@ def test_load_ticks_holds_each_parsed_column_once(tmp_path):
             mock.patch.object(pipeline, "_CHUNK_BYTES", 1 << 16):
         (series, errors), peak = _traced_peak(load_ticks, path)
     assert errors == [] and len(series) == 12
-    assert peak < 1.6 * 24 * len(rows)
+    assert peak < 1.6 * 16 * len(rows)
 
 
 def test_load_ticks_does_not_depend_on_the_chunk_size(tmp_path):
