@@ -67,13 +67,15 @@ def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
     paths = simulate_ensemble(pair, grid_dt, horizon, days, seed=seed,
                               warmup=warmup)
     os.makedirs(out_dir, exist_ok=True)
-    for d, p in enumerate(paths):
-        _write_table(os.path.join(out_dir, f"path_d{d:03d}.csv"),
+    written = 0
+    for p in paths:  # each file is written as its path is drawn
+        _write_table(os.path.join(out_dir, f"path_d{written:03d}.csv"),
                      "t,level_i,level_j", (p.times(), *p.levels),
                      "%.10g,%.17g,%.17g",
                      {"grid_dt": f"{p.grid_dt:.17g}", "t0": f"{p.t0:.17g}",
                       "horizon": f"{horizon:.17g}"})
-    click.echo(f"wrote {len(paths)} path files to {out_dir}")
+        written += 1
+    click.echo(f"wrote {written} path files to {out_dir}")
 
 
 def _read_path_csv(path):

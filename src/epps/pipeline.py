@@ -735,8 +735,9 @@ def _sampled_day(path, horizon, day, rates, seed, replay=None):
 def _simulate_days(pair, config):
     """Asset-days sampled by `_sampled_day` and gridded by
     `grid_and_normalize` as tick files are, the last warm-up tick being the
-    open tick.  Returns (days_i, days_j, open_ticks_missing), the last
-    counting days without one."""
+    open tick; each day is gridded as its path is drawn, so one block of
+    paths is alive at a time.  Returns (days_i, days_j, open_ticks_missing),
+    the last counting days without one."""
     files = [f for f in (config.replay_ticks_i, config.replay_ticks_j) if f]
     if len(files) == 1:
         raise DataError("replay mode needs tick-time files for both assets")

@@ -190,13 +190,18 @@ def _levels(increments):
 
 
 def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
-    """Independent paths for Monte Carlo; two paths per random draw.
+    """Independent paths for Monte Carlo, yielded two per random draw.
 
     Each path holds synchronous bivariate levels with the pair's correlation
-    structure on a uniform grid covering [-warmup, horizon].  The circulant
-    factors are computed once for equal (pair, grid_dt, length) and reused
-    by later calls; the draws of a seed are the same as with fresh factors,
-    byte for byte.
+    structure on a uniform grid covering [-warmup, horizon].  The arguments
+    are checked and the circulant factors built at the call, which returns
+    an iterator: block b is drawn on stream (seed, 1, b) only when its first
+    path is asked for, and yields its real path and then its imaginary one
+    (the last is dropped for an odd count).  A consumer that walks the paths
+    once so holds one block at a time; take ``list(...)`` for random access.
+    The factors are computed once for equal (pair, grid_dt, length) and
+    reused by later calls; the draws of a seed are the same as with fresh
+    factors, byte for byte.
     """
     if not (0 < grid_dt < math.inf and 0 < horizon < math.inf
             and 0 <= warmup < math.inf):
@@ -204,16 +209,22 @@ def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
                         "finite and >= 0")
     if not isinstance(pair, ModelPair):
         raise DataError("simulate_ensemble requires a validated ModelPair")
+    rng_stream(seed)  # checks the seed here, not at the first draw
     n = int(round((horizon + warmup) / grid_dt))
     factors = _circulant_factors(pair, grid_dt, n)
-    paths = []
-    for block in range((n_paths + 1) // 2):
-        re, im = _draw_increment_pairs(*factors, rng_stream(seed, 1, block), n)
-        for incr in (re, im):
-            if len(paths) < n_paths:
-                paths.append(SimulatedPath(grid_dt=grid_dt, t0=-warmup,
-                                           levels=_levels(incr)))
-    return paths
+
+    def paths():
+        for block in range((n_paths + 1) // 2):
+            re, im = _draw_increment_pairs(*factors,
+                                           rng_stream(seed, 1, block), n)
+            yield SimulatedPath(grid_dt=grid_dt, t0=-warmup,
+                                levels=_levels(re))
+            if 2 * block + 1 < n_paths:
+                yield SimulatedPath(grid_dt=grid_dt, t0=-warmup,
+                                    levels=_levels(im))
+            del re, im  # the block's buffer, freed before the next draw
+
+    return paths()
 
 
 def draw_poisson_times(lam, horizon, warmup, seed, stream=0):
@@ -225,10 +236,12 @@ def draw_poisson_times(lam, horizon, warmup, seed, stream=0):
     if not (math.isfinite(horizon) and horizon >= -warmup):
         raise DataError("horizon must be finite and >= -warmup")
     rng = rng_stream(seed, 2, stream)
-    span = horizon + warmup
     times = []
     t = -warmup
-    block = max(int(span * lam * 1.2) + 16, 16)
+    # the mean count plus six standard deviations: one block nearly always
+    # covers the span, and the loop draws more when it does not
+    mu = (horizon + warmup) * lam
+    block = math.ceil(mu + 6.0 * math.sqrt(mu)) + 16
     while t <= horizon:
         gaps = rng.exponential(1.0 / lam, size=block)
         cum = t + np.cumsum(gaps)

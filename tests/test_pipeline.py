@@ -1091,6 +1091,29 @@ def test_run_pipeline_normalizes_each_asset_day_once(tmp_path, monkeypatch):
     assert renormalized == []
 
 
+def test_run_pipeline_holds_one_block_of_paths(tmp_path, monkeypatch):
+    # each simulated day is gridded as its path is drawn: while any day is
+    # gridded, at most the two paths of one block are alive
+    refs, alive = [], []
+
+    def simulate(*args, **kwargs):
+        for path in simulate_ensemble(*args, **kwargs):
+            refs.append(weakref.ref(path.levels))
+            yield path
+
+    def grid(ts, *args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return grid_and_normalize(ts, *args)
+
+    simulate_ensemble = pipeline.simulate_ensemble
+    monkeypatch.setattr(pipeline, "simulate_ensemble", simulate)
+    monkeypatch.setattr(pipeline, "grid_and_normalize", grid)
+    run_pipeline(figure_config(tmp_path, n_days=6, seed=1),
+                 str(tmp_path / "out"))
+    assert len(refs) == 6 and len(alive) == 12
+    assert max(alive) <= 2
+
+
 def test_run_pipeline_replay_mode(tmp_path, model_file):
     times = np.round(np.cumsum(np.full(3200, 0.7)) - 9.8, 4)
     tick_f = tmp_path / "times.csv"

@@ -72,7 +72,7 @@ def test_ensemble_increment_moments_match_model():
     # of unit-step increments must match the exact binned values within 4 sigma
     pair = smooth_pair()
     dt = 1.0
-    paths = simulate_ensemble(pair, dt, 2000.0, n_paths=40, seed=11)
+    paths = list(simulate_ensemble(pair, dt, 2000.0, n_paths=40, seed=11))
     assert len(paths) == 40
     di = np.concatenate([np.diff(p.levels[0]) for p in paths])
     dj = np.concatenate([np.diff(p.levels[1]) for p in paths])
@@ -162,8 +162,8 @@ def test_draws_match_the_numpy_fft_reference():
 
 def assert_draws_equal_reference(horizon, warmup, n, **transform):
     pair, grid_dt, seed = smooth_pair(), 1.0, 4
-    paths = simulate_ensemble(pair, grid_dt, horizon, 5, seed=seed,
-                              warmup=warmup)
+    paths = list(simulate_ensemble(pair, grid_dt, horizon, 5, seed=seed,
+                                   warmup=warmup))
     assert len(paths) == 5
     for k, p in enumerate(paths):
         expected = reference_draw(pair, grid_dt, n, seed, 1, k // 2,
@@ -245,17 +245,40 @@ def test_equal_pairs_share_read_only_factors():
             cached[0] = 0.0
 
 
-def test_simulation_rejects_bad_arguments():
-    pair = brownian_pair()
-    with pytest.raises(DataError):
-        simulate_ensemble(pair, -1.0, 10.0, 1)
-    with pytest.raises(DataError):
-        simulate_ensemble(pair, 1.0, 10.0, 1, warmup=-1.0)
-    with pytest.raises(DataError, match="ModelPair"):
-        simulate_ensemble(pair.cross, 1.0, 10.0, 1)
-    with pytest.raises(DataError):
-        # horizon far shorter than the kernel memory
-        simulate_ensemble(smooth_pair(), 1.0, 20.0, 1)
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"seed": -1}, "seed must be", id="negative-seed"),
+    pytest.param({"grid_dt": math.nan}, "grid_dt", id="nan-grid-dt"),
+    pytest.param({"grid_dt": math.inf}, "grid_dt", id="inf-grid-dt"),
+    pytest.param({"grid_dt": -1.0}, "grid_dt", id="negative-grid-dt"),
+    pytest.param({"grid_dt": 0.0}, "grid_dt", id="zero-grid-dt"),
+    pytest.param({"horizon": math.nan}, "horizon", id="nan-horizon"),
+    pytest.param({"horizon": math.inf}, "horizon", id="inf-horizon"),
+    pytest.param({"horizon": 0.0}, "horizon", id="zero-horizon"),
+    pytest.param({"warmup": -1.0}, "warmup", id="negative-warmup"),
+    pytest.param({"pair": brownian_pair().cross}, "ModelPair",
+                 id="bare-model"),
+    # a horizon far shorter than the kernel memory
+    pytest.param({"pair": smooth_pair(), "horizon": 20.0},
+                 "horizon too short", id="short-horizon"),
+])
+def test_simulation_checks_its_arguments_at_the_call(change, message):
+    # the paths are drawn lazily, but a bad argument fails at the call,
+    # before any path is asked for
+    args = {"pair": brownian_pair(), "grid_dt": 1.0, "horizon": 10.0,
+            "n_paths": 1, **change}
+    with pytest.raises(DataError, match=message):
+        simulate_ensemble(**args)
+
+
+def test_a_consumer_that_drops_each_path_holds_one_block():
+    # 7 paths: the last block's imaginary path is dropped
+    refs, alive = [], []
+    for path in simulate_ensemble(smooth_pair(), 1.0, 4000.0, 7, seed=3,
+                                  warmup=10.0):
+        refs.append(weakref.ref(path.levels))
+        alive.append(sum(ref() is not None for ref in refs))
+    assert len(refs) == 7
+    assert max(alive) <= 2
 
 
 def test_poisson_gaps_are_exponential():
@@ -267,6 +290,32 @@ def test_poisson_gaps_are_exponential():
     assert stat.pvalue > 1e-3
     assert np.all(gaps > 0)
     assert times[0] >= 0.0 and times[-1] <= 40000.0
+
+
+def reference_poisson_times(lam, horizon, warmup, seed, stream=0):
+    """`draw_poisson_times` with its earlier first block of 1.2 times the
+    mean count plus 16 gaps."""
+    rng = rng_stream(seed, 2, stream)
+    times, t = [], -warmup
+    block = max(int((horizon + warmup) * lam * 1.2) + 16, 16)
+    while t <= horizon:
+        cum = t + np.cumsum(rng.exponential(1.0 / lam, size=block))
+        times.append(cum)
+        t = cum[-1]
+    times = np.concatenate(times)
+    return times[times <= horizon]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.2, 1.0, 10.0])
+@pytest.mark.parametrize("span", [10.0, 2000.0, 40010.0])
+def test_poisson_times_do_not_depend_on_the_block_size(lam, span):
+    # the exponential draws and their running sum are prefix-stable, so a
+    # first block cut nearer the mean count keeps every time, bit for bit
+    for seed in range(100):
+        got = draw_poisson_times(lam, span - 10.0, 10.0, seed, stream=seed)
+        want = reference_poisson_times(lam, span - 10.0, 10.0, seed,
+                                       stream=seed)
+        assert got.tobytes() == want.tobytes(), seed
 
 
 def test_poisson_times_cover_warmup():
