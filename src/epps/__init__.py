@@ -19,5 +19,5 @@ from .filtering import (FilterSpec, inverse_filter, apply_filter,
                         filtered_epps_curve)
 from .fitting import (FitResult, fit_cross_raw, fit_cross_async,
                       fit_auto_raw, fit_auto_async, chi2_ratio)
-from .pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
-                       grid_and_normalize, analyze_pair, run_pipeline)
+from .ticks import SessionSpec, TickSeries, load_ticks
+from .pipeline import RunConfig, grid_and_normalize, analyze_pair, run_pipeline

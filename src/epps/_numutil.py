@@ -4,6 +4,8 @@ Everything here is elementary calculus written to stay accurate near
 removable singularities (vanishing exponents, coincident decay rates).
 """
 
+import math
+
 import numpy as np
 
 
@@ -58,6 +60,24 @@ def decay_difference_da(t, a, b):
     z = -abs(a - b) * t
     rest = expm1_minus_x_over_x2(z) if a <= b else xexpx_minus_expm1_over_x2(z)
     return -t * t * np.exp(-min(a, b) * t) * rest
+
+
+def exp_moments(y):
+    """(integral_0^1 (1 - s) e^{-y s} ds, integral_0^1 s e^{-y s} ds) for
+    y >= 0: both positive, and taken without cancellation, by their Taylor
+    series below y = 1 and as (y - 1 + e^-y)/y^2 and (1 - (1 + y) e^-y)/y^2
+    above."""
+    y = np.asarray(y, dtype=float)
+    small = y < 1.0
+    ys = np.where(small, y, 0.0)
+    a = b = 0.0  # Horner sums of (-y)^n (1 or n + 1)/(n + 2)!, n <= 17
+    for n in range(17, -1, -1):
+        a = 1.0 / math.factorial(n + 2) - ys * a
+        b = (n + 1.0) / math.factorial(n + 2) - ys * b
+    yl = np.where(small, 1.0, y)
+    e = np.exp(-yl)
+    return (np.where(small, a, (yl - 1.0 + e) / (yl * yl)),
+            np.where(small, b, (1.0 - (1.0 + yl) * e) / (yl * yl)))
 
 
 # dt/xi below which triangle_exp_integral avoids cancellation.  Above it the

@@ -29,9 +29,10 @@ from .estimation import (estimate_rate, read_correlogram_csv,
 from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
-from .pipeline import (SessionSpec, RunConfig, load_ticks, grid_and_normalize,
-                       analyze_pair, run_pipeline, write_artifacts,
-                       _check_settings, _read_tick_times, _sampled_day)
+from .pipeline import (RunConfig, grid_and_normalize, analyze_pair,
+                       run_pipeline, write_artifacts, _check_settings,
+                       _sampled_day)
+from .ticks import SessionSpec, load_ticks, write_ticks, _read_tick_times
 
 
 def _float_list(text):
@@ -109,7 +110,6 @@ def _read_path_csv(path):
 def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
     """Sample simulated paths at tick times into a standard tick CSV,
     warm-up ticks included, as `epps run` samples them."""
-    session = SessionSpec()
     names = sorted(f for f in os.listdir(paths_dir)
                    if f.startswith("path_") and f.endswith(".csv"))
     if not names:
@@ -117,25 +117,15 @@ def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
     if (replay_i is None) != (replay_j is None):
         raise click.UsageError("replay needs tick-time files for both assets")
     replay = [(f, _read_tick_times(f)) for f in (replay_i, replay_j) if f]
-    # written beside --out and renamed on success, so that a failure leaves
-    # no partial tick file
-    tmp = f"{out_file}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("asset,day,time_sec,price\n")
-            for d, name in enumerate(names):
-                p, horizon = _read_path_csv(os.path.join(paths_dir, name))
-                ticks = _sampled_day(p, horizon, d, (lambda_i, lambda_j),
-                                     seed, replay)
-                for asset, (times, levels) in zip("ij", ticks):
-                    fh.writelines(f"{asset},d{d:03d},"
-                                  f"{session.window_start + t:.6f},"
-                                  f"{math.exp(lev):.17g}\n"
-                                  for t, lev in zip(times, levels))
-        os.replace(tmp, out_file)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+
+    def days():
+        for d, name in enumerate(names):
+            p, horizon = _read_path_csv(os.path.join(paths_dir, name))
+            for asset, (times, levels) in zip("ij", _sampled_day(
+                    p, horizon, d, (lambda_i, lambda_j), seed, replay)):
+                yield asset, f"d{d:03d}", times, levels
+
+    write_ticks(out_file, days())
     click.echo(f"wrote ticks for {len(names)} days to {out_file}")
 
 

@@ -78,6 +78,20 @@ def _as_models(model):
     return tuple(model)
 
 
+def _finite(values, caller, name="dt", bound=""):
+    """`values` as a 1-d float array, every one finite and, for `bound`
+    ">= 0" or "> 0", so bounded; else DataError naming `caller` and the
+    first bad value."""
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    ok = np.isfinite(x)
+    if bound:
+        ok &= x > 0 if bound == "> 0" else x >= 0
+    if not ok.all():
+        raise DataError(f"{caller} requires finite {name} {bound}".rstrip()
+                        + f", got {x[~ok][0]:g}")
+    return x
+
+
 def _triangle_covariance(model, dt, shift):
     """integral (dt - |s|) c(s + shift) ds over s in [-dt, dt], elementwise
     over broadcast `dt` >= 0 and `shift`: the covariance of two dt-horizon
@@ -98,9 +112,7 @@ def sync_covariance(model, dt):
     reduced to ``integral (dt - |s|) c(s) ds``.
     """
     scalar = np.isscalar(dt)
-    dt = np.atleast_1d(np.asarray(dt, dtype=float))
-    if np.any(dt < 0):
-        raise DataError("sync_covariance requires dt >= 0")
+    dt = _finite(dt, "sync_covariance", bound=">= 0")
     out = _triangle_covariance(model, dt, 0.0)
     return out[0] if scalar else out
 
@@ -139,9 +151,7 @@ class ModelPair:
 def sync_rho(pair, dt):
     """Pearson correlation C12(dt)/sqrt(C11(dt) C22(dt)) of dt-increments."""
     scalar = np.isscalar(dt)
-    dt = np.atleast_1d(np.asarray(dt, dtype=float))
-    if np.any(dt <= 0):
-        raise DataError("sync_rho requires dt > 0")
+    dt = _finite(dt, "sync_rho", bound="> 0")
     c12 = sync_covariance(pair.cross, dt)
     v1 = sync_covariance(pair.auto_i, dt)
     v2 = sync_covariance(pair.auto_j, dt)

@@ -89,3 +89,54 @@ def triangle_oracle():
     """A 50-digit reference of `_numutil.triangle_exp_integral`:
     f(dt, center, xi)."""
     return _triangle_exp_integral_50_digits
+
+
+def _async_covariance_80_digits(m, li, lj, dt):
+    """`async_covariance` of one CorrelationModel `m` at finite rates li, lj:
+    the triangle identity H(dt - lag) + H(-dt - lag) - 2 H(-lag) in 80-digit
+    decimal arithmetic on the exact binary inputs, with H'' the sampled
+    kernel.  H is the delta and exponential masses times the second
+    antiderivative of the sampling weight,
+        gi^2/(gi + gj) e^(li u) for u < 0,
+        u + gi - gj + gj^2/(gi + gj) e^(-lj u) for u >= 0
+    (g = 1/rate), plus the exponential mass times xi^2 r (E_j(u) +
+    E_i(-u)), r = li lj/(li + lj), where E_l(t) = e^(t/xi)/(2(1 + l xi))
+    for t <= 0 and e^(-l t)/(2(1 + l xi)) + (e^(-l t) - e^(-t/xi))/(2(1 -
+    l xi)) for t > 0 (t e^(-t/xi)/(2 xi) at l xi = 1) is the sampled
+    exponential kernel of width xi.  The second difference cancels at most
+    about 35 digits for dt/xi >= 1e-15, so more than 40 remain."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        li, lj, dt = Decimal(li), Decimal(lj), Decimal(dt)
+        lag, xi = Decimal(m.lag), Decimal(m.width)
+        mass = Decimal(m.delta_weight) + Decimal(m.exp_weight)
+        we = Decimal(m.exp_weight) if m.width > 0 else Decimal(0)
+        gi, gj = 1 / li, 1 / lj
+        r = li * lj / (li + lj)
+
+        def e_l(t, lam):
+            if t <= 0:
+                return (t / xi).exp() / (2 * (1 + lam * xi))
+            edge = (-lam * t).exp() / (2 * (1 + lam * xi))
+            if lam * xi == 1:
+                return edge + t * (-t / xi).exp() / (2 * xi)
+            return edge + ((-lam * t).exp() - (-t / xi).exp()) / (
+                2 * (1 - lam * xi))
+
+        def h(u):
+            if u < 0:
+                w = gi * gi / (gi + gj) * (li * u).exp()
+            else:
+                w = u + gi - gj + gj * gj / (gi + gj) * (-lj * u).exp()
+            if we == 0:
+                return mass * w
+            return mass * w + we * xi * xi * r * (e_l(u, lj) + e_l(-u, li))
+
+        return float(h(dt - lag) + h(-dt - lag) - 2 * h(-lag))
+
+
+@pytest.fixture
+def async_covariance_oracle():
+    """An 80-digit reference of `async_theory.async_covariance` for one
+    model component at finite rates: f(model, lambda_i, lambda_j, dt)."""
+    return _async_covariance_80_digits

@@ -316,3 +316,45 @@ def test_rate_validation():
     with pytest.raises(DataError):
         async_covariance(CorrelationModel(delta_weight=1.0),
                          AsyncKernel(1.0, 1.0), -2.0)
+
+
+_PAIR = ModelPair(cross=CorrelationModel(lag=2.0, width=10.0, exp_weight=0.4),
+                  auto_i=CorrelationModel(delta_weight=1.0),
+                  auto_j=CorrelationModel(delta_weight=1.0))
+
+
+@pytest.mark.parametrize("theory", [
+    lambda x: sync_covariance(_PAIR.cross, x),
+    lambda x: sync_rho(_PAIR, x),
+    lambda x: async_covariance(_PAIR.cross, AsyncKernel(1.0, 0.2), x),
+    lambda x: async_variance(_PAIR.auto_i, 1.0, x),
+    lambda x: async_rho(_PAIR, AsyncKernel(1.0, 0.2), x),
+    lambda x: async_rho(_PAIR, AsyncKernel(math.inf, math.inf), x),
+    lambda x: async_cross_corr(_PAIR.cross, AsyncKernel(1.0, 0.2), x),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_theory_rejects_non_finite_horizons_and_lags(theory, bad):
+    # NaN and inf passed the sign tests and came out as NaN values
+    with pytest.raises(DataError, match=f"requires finite .*got {bad:g}"):
+        theory(np.array([5.0, bad]))
+    with pytest.raises(DataError, match=f"got {bad:g}"):
+        theory(bad)
+
+
+@pytest.mark.parametrize("model", [
+    CorrelationModel(lag=0.0, width=10.0, exp_weight=0.4),
+    CorrelationModel(lag=2.0, width=10.0, exp_weight=0.4, delta_weight=0.1),
+    CorrelationModel(lag=-3.0, width=10.0, exp_weight=-0.4),
+    CorrelationModel(lag=0.004, delta_weight=0.7),
+])
+@pytest.mark.parametrize("li, lj", [(1.0, 0.2), (0.1, 0.1), (1.0, 1.0),
+                                    (1000.0, 0.3)])
+def test_async_covariance_keeps_its_digits_at_small_horizons(
+        async_covariance_oracle, model, li, lj):
+    # the second difference of H lost digits like eps (xi/dt)^2: 1.5e-7
+    # relative at dt/xi = 5e-5 for rates 1 / 0.2
+    scale = model.width or 1.0 / min(li, lj)
+    dt = scale * np.array([0.5, 0.05, 0.04, 0.0399, 5e-3, 5e-4, 5e-5, 1e-9])
+    got = async_covariance(model, AsyncKernel(li, lj), dt)
+    want = [async_covariance_oracle(model, li, lj, x) for x in dt]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import epps.cli as cli_mod
+import epps.ticks
 from epps import pipeline
 from epps.async_theory import async_variance
 from epps.cli import main
@@ -22,7 +23,7 @@ from epps.estimation import (Correlogram, write_correlogram_csv,
                              read_spectrum_csv)
 from epps.fitting import _auto_raw_fj, _cross_raw_fj
 from epps.kernels import parse_model_text, sync_covariance, sync_rho
-from epps.pipeline import load_ticks
+from epps.ticks import SessionSpec, load_ticks
 from epps.sampling import draw_poisson_times, simulate_ensemble
 
 
@@ -215,13 +216,13 @@ def test_simulate_sample_load_round_trip(seed, days):
                      "--out", ticks]) == 0
         with open(ticks, "r", encoding="utf-8") as fh:
             times = [float(row.split(",")[2]) for row in fh.readlines()[1:]]
-        session = pipeline.SessionSpec()
+        session = SessionSpec()
         in_window = sum(session.window_start <= t <= session.window_end
                         for t in times)
         # the other rows are the ticks of the 10 s warm-up
         assert 0 < in_window <= len(times)
         assert min(times) >= session.window_start - 10.0
-        with mock.patch.multiple(pipeline, _RANGE_BYTES=1000,
+        with mock.patch.multiple(epps.ticks, _RANGE_BYTES=1000,
                                  _cpus=lambda: 3):
             series, errors = load_ticks(ticks)
     assert sum(s.times.size for s in series.values()) + len(errors) \
@@ -593,7 +594,7 @@ def test_estimate_puts_every_day_in_the_spectra(tmp_path, capsys):
     # is back-filled; day 8 has flat prices for A, day 9 no ticks for B
     lines = [line for line in ticks.read_text().splitlines()
              if not (line.startswith("B,0,") and float(line.split(",")[2])
-                     < pipeline.SessionSpec().window_start)]
+                     < SessionSpec().window_start)]
     lines += ["A,8,37000,100", "A,8,38000,100", "B,8,37000,100",
               "B,8,38000,101", "A,9,37000,100", "A,9,38000,101"]
     ticks.write_text("\n".join(lines) + "\n")
@@ -1035,12 +1036,19 @@ def write_path_file(path, n_steps=100):
     ("sample", ["--seed", "-1"], "seed must be a non-negative integer"),
     ("figures", ["--seed", "-1"], "seed must be a non-negative integer"),
     ("run", ["--seed", "-2"], "seed must be a non-negative integer"),
+    # NaN and infinite horizons and lags gave NaN rows and exit 0
+    ("theory", ["--grid", "nan,inf,5"], "requires finite dt > 0, got nan"),
+    ("theory", ["--grid", "5,inf", "--quantity", "covariance",
+                "--lambda-i", "1", "--lambda-j", "0.2"],
+     "requires finite dt >= 0, got inf"),
+    ("theory", ["--grid", "-inf,0", "--quantity", "crosscorr",
+                "--lambda-i", "1"], "requires finite tau, got -inf"),
 ])
 def test_a_negative_seed_or_a_nan_setting_is_a_data_error(
         command, setting, message, model_file, tmp_path, capsys):
     # each of these ended in a traceback from numpy
     out = tmp_path / "o"
-    if command == "simulate":
+    if command in ("simulate", "theory"):
         args = ["--model", model_file]
     elif command == "sample":
         (tmp_path / "paths").mkdir()

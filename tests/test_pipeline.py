@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from epps import cli, estimation, fitting, pipeline
+from epps import cli, estimation, fitting, pipeline, ticks
 from epps.cli import _FIGURE_MODEL, main
 from epps.errors import DataError, FitConvergenceError
-from epps.pipeline import (SessionSpec, TickSeries, RunConfig, load_ticks,
-                           grid_and_normalize, analyze_pair, run_pipeline)
+from epps.pipeline import (RunConfig, grid_and_normalize, analyze_pair,
+                           run_pipeline)
+from epps.ticks import SessionSpec, TickSeries, load_ticks
 from epps.kernels import CorrelationModel, ModelPair
 from epps.sampling import previous_tick
 
@@ -282,7 +283,7 @@ def _tick_line(draw):
 def _forced_ranges(range_bytes, cpus):
     """Patch `load_ticks` into cutting files into up to `cpus` ranges, no
     more than one per `range_bytes` started."""
-    return mock.patch.multiple(pipeline, _RANGE_BYTES=range_bytes,
+    return mock.patch.multiple(ticks, _RANGE_BYTES=range_bytes,
                                _cpus=lambda: cpus)
 
 
@@ -322,7 +323,7 @@ def _assert_same_ticks(path, session):
 
 def _parse_in_process(path, ranges, session):
     """`_parse_ranges` without forking: the same ranges, parsed in order."""
-    return [pipeline._parse_range(path, start, end, session)
+    return [ticks._parse_range(path, start, end, session)
             for start, end in ranges]
 
 
@@ -332,7 +333,7 @@ def _parse_in_process(path, ranges, session):
        | st.lists(st.tuples(_tick_line(), _EOL), min_size=20, max_size=60),
        header_eol=_EOL,
        chunk=st.sampled_from([1, 40, 200, 1 << 20]),
-       range_bytes=st.sampled_from([1, 30, 100, pipeline._RANGE_BYTES]),
+       range_bytes=st.sampled_from([1, 30, 100, ticks._RANGE_BYTES]),
        cpus=st.sampled_from([2, 3]),
        trailing_newline=st.booleans())
 def test_load_ticks_matches_rowwise_reference(lines, header_eol, chunk,
@@ -347,8 +348,8 @@ def test_load_ticks_matches_rowwise_reference(lines, header_eol, chunk,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ticks.csv")
         _write_text(path, text)
-        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
-                mock.patch.object(pipeline, "_parse_ranges",
+        with mock.patch.object(ticks, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ticks, "_parse_ranges",
                                   _parse_in_process), \
                 _forced_ranges(range_bytes, cpus):
             _assert_same_ticks(path, _SESSION)
@@ -404,14 +405,14 @@ def test_load_ticks_forked_ranges_match_rowwise_reference(tmp_path):
     _write_text(path, "asset,day,time_sec,price\r\n" + "".join(
         line + eol for line, eol in _mixed_lines()))
     calls = []
-    parse = pipeline._parse_ranges
+    parse = ticks._parse_ranges
 
     def spy(path, ranges, session):
         calls.append(len(ranges))
         return parse(path, ranges, session)
 
     with _forced_ranges(1, 3), _deadline(30), \
-            mock.patch.object(pipeline, "_parse_ranges", spy):
+            mock.patch.object(ticks, "_parse_ranges", spy):
         _assert_same_ticks(path, _SESSION)
     assert calls == [3, 3]  # two children each time
 
@@ -440,7 +441,7 @@ def test_load_ticks_chunk_ending_on_the_cr_of_a_crlf(tmp_path):
         data = fh.read()
     # each block ends on the \r of a row's \r\n
     chunk = data.index(b"\r", body) + 1 - body
-    with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(ticks, "_CHUNK_BYTES", chunk):
         series, errors = load_ticks(path)
     assert errors == ["line 8: unparseable number in 'A,d1,oops,100'"]
     np.testing.assert_array_equal(series[("A", "d1")].times,
@@ -452,11 +453,11 @@ def test_load_ticks_line_longer_than_a_chunk(tmp_path):
     rows = _good_rows_then_a_bad_one(t0, 3)
     # the padded first row's \r ends the second block, so its \n starts
     # the third
-    rows[0] = f"A,d1,{t0 + 1:.6f},".ljust(2 * pipeline._CHUNK_BYTES - 4) \
+    rows[0] = f"A,d1,{t0 + 1:.6f},".ljust(2 * ticks._CHUNK_BYTES - 4) \
         + "100"
     path, body = _crlf_file(tmp_path, rows)
     with open(path, "rb") as fh:
-        assert fh.read()[body + 2 * pipeline._CHUNK_BYTES - 1:][:2] \
+        assert fh.read()[body + 2 * ticks._CHUNK_BYTES - 1:][:2] \
             == b"\r\n"
     series, errors = load_ticks(path)
     assert errors == ["line 5: unparseable number in 'A,d1,oops,100'"]
@@ -469,7 +470,7 @@ def test_load_ticks_last_line_without_a_line_break(tmp_path):
     path, _ = _crlf_file(tmp_path, rows, last_break=False)
     # every block size, so blocks end on every byte of the last lines
     for chunk in range(1, 40):
-        with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+        with mock.patch.object(ticks, "_CHUNK_BYTES", chunk):
             series, errors = load_ticks(path)
         assert errors == ["line 6: unparseable number in 'A,d1,oops,100'"]
         np.testing.assert_array_equal(series[("A", "d1")].times,
@@ -502,7 +503,7 @@ def test_load_ticks_names_non_monotone_rows_far_from_the_row_before(
             + [f"C,d2,{t0 + k * 0.01:.2f},100" for k in range(69999)]
             + [f"A,d1,{t0 + 15},100", f"A,d1,{t0 + 30},100"])
     path = tick_file(tmp_path, rows)
-    pack = pipeline._pack_lines
+    pack = ticks._pack_lines
     dtypes = set()
 
     def spy(lines):
@@ -513,8 +514,8 @@ def test_load_ticks_names_non_monotone_rows_far_from_the_row_before(
     for chunk in (1 << 16, 1 << 22):
         for cpus in (1, 2, 3):
             with _forced_ranges(1, cpus), _deadline(60), \
-                    mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
-                    mock.patch.object(pipeline, "_pack_lines", spy):
+                    mock.patch.object(ticks, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(ticks, "_pack_lines", spy):
                 series, errors = load_ticks(path)
             assert errors == [
                 f"line 302: non-monotone time {t0 + 5} for A d1",
@@ -534,11 +535,11 @@ def test_packed_line_numbers_unpack_to_the_line_numbers(parts, dtype):
     # one part per chunk; a forked parser packs each asset-day's line
     # numbers again as one part, whose gaps take the widest dtype needed
     lines = sum(parts, [])
-    packed = [pipeline._pack_lines(np.array(part)) for part in parts]
-    np.testing.assert_array_equal(pipeline._unpack_lines(packed), lines)
-    joined = pipeline._pack_lines(pipeline._unpack_lines(packed))
+    packed = [ticks._pack_lines(np.array(part)) for part in parts]
+    np.testing.assert_array_equal(ticks._unpack_lines(packed), lines)
+    joined = ticks._pack_lines(ticks._unpack_lines(packed))
     assert joined[1].dtype == dtype
-    np.testing.assert_array_equal(pipeline._unpack_lines([joined]), lines)
+    np.testing.assert_array_equal(ticks._unpack_lines([joined]), lines)
 
 
 def test_load_ticks_splits_field_count_errors_that_balance(tmp_path):
@@ -547,7 +548,7 @@ def test_load_ticks_splits_field_count_errors_that_balance(tmp_path):
     good = [f"A,d1,{t0 + k:.6f},100" for k in range(1, 9)]
     three = f"A,d1,{t0 + 20:.6f}" + " " * 12  # longer than a good row
     five = f"A,d1,{t0 + 21:.6f},100,7"
-    parse = pipeline._parse_ranges
+    parse = ticks._parse_ranges
     starts = []
 
     def spy(path, ranges, session):
@@ -564,7 +565,7 @@ def test_load_ticks_splits_field_count_errors_that_balance(tmp_path):
         for cpus in (1, 2, 3):
             starts.clear()
             with _forced_ranges(1, cpus), \
-                    mock.patch.object(pipeline, "_parse_ranges", spy):
+                    mock.patch.object(ticks, "_parse_ranges", spy):
                 series, errors = load_ticks(str(path))
             assert errors == [f"line {k + 2}: expected 4 fields, got 3",
                               f"line {k + 3}: expected 4 fields, got 5"]
@@ -595,7 +596,7 @@ def _failing_parse(where, failure):
     """`_parse_range` that fails with `failure()` after parsing, in the
     parent process or in the forked children."""
     parent = os.getpid()
-    parse = pipeline._parse_range
+    parse = ticks._parse_range
 
     def parse_range(*args):
         part = parse(*args)
@@ -650,7 +651,7 @@ def test_load_ticks_raises_when_a_range_parser_fails(tmp_path, where,
     rows = [f"A,d1,{t0 + k * 1e-3:.6f},100" for k in range(20000)]
     path = tick_file(tmp_path, rows)
     fault = (_exit_after_sending(failure) if where == "sending" else
-             mock.patch.object(pipeline, "_parse_range",
+             mock.patch.object(ticks, "_parse_range",
                                _failing_parse(where, failure)))
     with _forced_ranges(1, 2), _deadline(30), fault:
         with pytest.raises(error, match=match):
@@ -685,7 +686,7 @@ def test_load_ticks_holds_each_parsed_column_once(tmp_path):
             for day in range(6) for k in range(10000) for asset in "AB"]
     path = tick_file(tmp_path, rows)
     with _forced_ranges(1, 3), _deadline(60), \
-            mock.patch.object(pipeline, "_CHUNK_BYTES", 1 << 16):
+            mock.patch.object(ticks, "_CHUNK_BYTES", 1 << 16):
         (series, errors), peak = _traced_peak(load_ticks, path)
     assert errors == [] and len(series) == 12
     assert peak < 1.6 * 16 * len(rows)
@@ -705,7 +706,7 @@ def test_load_ticks_does_not_depend_on_the_chunk_size(tmp_path):
     for chunk in (1 << 16, 1 << 18, 1 << 20):
         for cpus in (1, 2, 3):
             with _forced_ranges(1, cpus), _deadline(60), \
-                    mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+                    mock.patch.object(ticks, "_CHUNK_BYTES", chunk):
                 series, errors = load_ticks(path)
             assert len(series) == 6 and len(errors) == 100
             seen.add((tuple(errors), tuple(

@@ -14,7 +14,7 @@ from epps.sampling import (SimulatedPath, rng_stream, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
                            _circulant_factors, _inverse_transform,
                            _max_lag_steps, _prime_factor_maps)
-from epps.pipeline import _read_tick_times
+from epps.ticks import _read_tick_times
 
 
 def brownian_pair(c=0.5):
