@@ -3,7 +3,7 @@ theory, estimation, spectral deconvolution, and model fitting."""
 
 __version__ = "0.1.0"
 
-from .errors import EppsError, DataError, NumericalError, FitConvergenceError
+from .errors import EppsError, DataError, NumericalError
 from .kernels import (CorrelationModel, ModelPair, sync_covariance, sync_rho,
                       parse_model_text, load_model_file)
 from .async_theory import (AsyncKernel, discrete_kernel, async_cross_corr,

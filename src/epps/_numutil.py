@@ -80,6 +80,21 @@ def exp_moments(y):
             np.where(small, b, (1.0 - (1.0 + yl) * e) / (yl * yl)))
 
 
+def triangle_exp(center, dt, rate):
+    """integral over v >= 0 of max(dt - |v - center|, 0) exp(-rate v) dv,
+    elementwise over broadcast `center` and `dt` >= 0, for a finite rate:
+    the triangle is cut at its peak and at v = 0 into pieces
+    exp(-rate p) l^2 times `exp_moments`, every one positive."""
+    peak = np.maximum(center, 0.0)
+    right = np.maximum(dt + np.minimum(center, 0.0), 0.0)  # beyond the peak
+    left = np.maximum(np.minimum(dt, center), 0.0)  # between 0 and the peak
+    a_l, b_l = exp_moments(rate * left)
+    return (np.exp(-rate * peak) * right * right
+            * exp_moments(rate * right)[0]
+            + np.exp(-rate * (peak - left))
+            * ((dt - left) * left * (a_l + b_l) + left * left * b_l))
+
+
 # dt/xi below which triangle_exp_integral avoids cancellation.  Above it the
 # closed form errs by at most about 5e-16 (xi/dt)^2 relative, 5e-10 here.
 # ModelPair's validation grid starts at 1e-3 x the longest time scale, so
@@ -99,10 +114,9 @@ def triangle_exp_integral(dt, center, xi):
 
     That second difference of O(xi) terms is O((dt/xi)^2 xi), so it loses
     digits like eps (xi/dt)^2 as dt/xi -> 0.  Below dt/xi = _SMALL_DT the
-    same integral is taken without cancellation: with x = dt/xi, g = c/xi
-    and z = max(x - g, 0) it is xi (2 e^{-g} sinh^2(x/2) - (sinh z - z)),
-    the second term by its series z^3/3! + z^5/5! + z^7/7!, which is exact
-    to rounding for z <= _SMALL_DT.
+    same integral is taken without cancellation, as the two sides of the
+    kernel's peak over the triangle: (triangle_exp(c, dt, 1/xi)
+    + triangle_exp(-c, dt, 1/xi)) / (2 xi).
     """
     dt = np.asarray(dt, dtype=float)
     c = np.abs(np.asarray(center, dtype=float))
@@ -111,12 +125,7 @@ def triangle_exp_integral(dt, center, xi):
         - 2.0 * np.exp(-c / xi))
     small = dt < _SMALL_DT * xi
     if small.any():
-        x = np.minimum(dt, _SMALL_DT * xi) / xi  # no overflow off `small`
-        g = c / xi
-        z = np.maximum(x - g, 0.0)
-        z2 = z * z
-        sh = np.sinh(0.5 * x)
-        out = np.where(small, xi * (
-            2.0 * np.exp(-g) * sh * sh
-            - z * z2 * (1.0 / 6.0 + z2 * (1.0 / 120.0 + z2 / 5040.0))), out)
+        out = np.where(small, (triangle_exp(c, dt, 1.0 / xi)
+                               + triangle_exp(-c, dt, 1.0 / xi)) / (2.0 * xi),
+                       out)
     return out

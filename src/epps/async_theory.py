@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .kernels import sync_covariance, _as_models, _finite
-from ._numutil import decay_difference, decay_difference_da, exp_moments
+from ._numutil import decay_difference, decay_difference_da, triangle_exp
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _onesided_exp_conv(t, lam, xi, jac=False):
     d_xi[neg] = -out[neg] * (t[neg] / (xi * xi) + lam / u)
     d_t[~neg] = np.exp(-tp / xi) / (2.0 * xi) - lam * out[~neg]
     # the rate 1/xi of decay_difference brings -1/xi^2 per unit of xi;
-    # dividing by xi^2 before 2 xi keeps xi in [e^-300, e^300] finite
+    # dividing by xi^2 before 2 xi keeps it finite for xi down to e^-300
     d_xi[~neg] = (-lam * edge / u - mid / xi
                   - decay_difference_da(tp, 1.0 / xi, lam) / (xi * xi)
                   / (2.0 * xi))
@@ -177,26 +177,11 @@ def _weight_antiderivative(u, li, lj):
 _SMALL_DT = 0.04
 
 
-def _triangle_exp(center, dt, rate):
-    """integral over v >= 0 of max(dt - |v - center|, 0) exp(-rate v) dv,
-    elementwise over `dt`, for a finite rate: the triangle is cut at its
-    peak and at v = 0 into pieces exp(-rate p) l^2 times `exp_moments`,
-    every one positive."""
-    if center < 0:
-        z = np.maximum(dt + center, 0.0)
-        return z * z * exp_moments(rate * z)[0]
-    ell = np.minimum(dt, center)
-    a_l, b_l = exp_moments(rate * ell)
-    return (math.exp(-rate * center) * dt * dt * exp_moments(rate * dt)[0]
-            + np.exp(-rate * (center - ell))
-            * ((dt - ell) * ell * (a_l + b_l) + ell * ell * b_l))
-
-
 def _triangle_decay_difference(center, dt, a, b):
     """integral over v >= 0 of max(dt - |v - center|, 0) decay_difference(v,
     a, b) dv, elementwise over `dt` with b dt < 1: by 8-point Gauss-Legendre
     on each side of the peak where a dt <= 2, else as the difference of two
-    `_triangle_exp`s over b - a, which a > 2/dt > 2b keeps well conditioned.
+    `triangle_exp`s over b - a, which a > 2/dt > 2b keeps well conditioned.
     """
     out = np.zeros_like(dt)
     quad = a * dt <= 2.0
@@ -210,8 +195,8 @@ def _triangle_decay_difference(center, dt, a, b):
         f = (d[:, None] - np.abs(v - center)) * decay_difference(v, a, b)
         out[quad] += (half * f) @ w
     d = dt[~quad]
-    out[~quad] = (_triangle_exp(center, d, a)
-                  - _triangle_exp(center, d, b)) / (b - a)
+    out[~quad] = (triangle_exp(center, d, a)
+                  - triangle_exp(center, d, b)) / (b - a)
     return out
 
 
@@ -228,12 +213,12 @@ def _small_dt_covariance(m, k, lag, dt):
                               (-lag, k.lambda_j, k.lambda_i)):
         if not math.isinf(near):
             out += r * (m.total_delta_weight + we / (2.0 * (1.0 + near * xi))
-                        ) * _triangle_exp(center, dt, near)
+                        ) * triangle_exp(center, dt, near)
             if we != 0.0:
                 out += r * we / (2.0 * xi) * _triangle_decay_difference(
                     center, dt, near, 1.0 / xi)
         if we != 0.0 and not math.isinf(far):
-            out += r * we / (2.0 * (1.0 + far * xi)) * _triangle_exp(
+            out += r * we / (2.0 * (1.0 + far * xi)) * triangle_exp(
                 center, dt, 1.0 / xi)
     return out
 

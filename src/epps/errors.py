@@ -2,6 +2,9 @@
 that turns undecodable input into one of them.
 
 The CLI maps these onto exit codes: DataError -> 2, NumericalError -> 3.
+A fit of data without signal raises neither: it searches a bounded box, so
+it always ends, and `FitResult.degenerate_reasons` names what it could not
+determine.
 """
 
 
@@ -15,20 +18,6 @@ class DataError(EppsError):
 
 class NumericalError(EppsError):
     """A numerical procedure failed or produced an invalid result."""
-
-
-class FitConvergenceError(NumericalError):
-    """Raised when the optimizer stalls; carries the best iterate found.
-
-    Attributes
-    ----------
-    result : FitResult
-        Best iterate at the time of failure.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 def read_text(path):

@@ -9,21 +9,25 @@ Four families:
 * auto_async   the sampled image of auto_raw: point mass a - b/(1 + lambda xi)
                plus a regular part vanishing at tau = 0
 
-The cross families are fitted by Levenberg-Marquardt.  The auto families
-are linear in (a, b) once xi is fixed, so they are fitted by variable
-projection (Golub & Pereyra 1973): a matches the zero-lag point exactly,
-b is the one-column weighted least-squares solution on the regular lags,
-and what is left is the chi-square as a function of log(xi) alone.  That
-profile is searched over the widths the lag grid resolves, from 0.1 x the
-lag step to 10 x the largest |lag|: a coarse grid, then bounded Brent
-around its best point.  An optimum on either edge of that range is
-reported as a degenerate fit, since the data then favour a width the grid
-cannot resolve.
+Each family is linear in its amplitudes once its width xi (and, for the
+cross families, its lag tau0) is fixed, so all four are fitted by one
+engine, variable projection (Golub & Pereyra 1973): the amplitudes are
+weighted least-squares solutions, and what is left is the chi-square as a
+function of log(xi), or of (tau0, log(xi)).  The search covers only what
+the lag grid resolves: widths from 0.1 x the lag step to 10 x the largest
+|lag|, and lags up to 10 x the largest |lag| either way.  A coarse grid
+over that box is refined around its best point: by bounded Brent for the
+auto families, by bounded L-BFGS-B and Newton steps for the cross ones
+(`_search_auto`, `_search_cross`), so a fit always returns a point of the
+box and raises no convergence error.  An optimum on an edge of the box is
+reported as a degenerate fit, since the data then favour a width or lag
+the grid cannot resolve, and so is an amplitude within 2 standard errors
+of zero, as a correlogram without signal usually gives.
 
 All Jacobians are analytic (checked against finite differences in the test
 suite) and stable across the removable lambda*xi = 1 point; the covariance
 of every fit comes from the full Jacobian at the optimum.  The width is
-fitted as log(xi) so positivity needs no constrained solver.
+fitted as log(xi), so the box is a box in log(xi).
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, FitConvergenceError, NumericalError
+from .errors import DataError, NumericalError
 from ._numutil import decay_difference, decay_difference_da
 from .async_theory import _onesided_exp_conv, _rate_prefactor
 
@@ -44,7 +48,7 @@ class FitResult:
     chi2: float
     n_points: int
     degenerate_reasons: tuple = ()  # names of the `_pack` tests that fired
-    nfev: int = 0  # model evaluations of the optimizer
+    nfev: int = 0  # model evaluations of the search, grid included
     cov: np.ndarray = None  # 3x3, in the order of `params`, xi in natural units
 
     @property
@@ -54,50 +58,48 @@ class FitResult:
 
 # -- model evaluations and derivatives ------------------------------------------
 
-def _safe_xi(p):
-    """exp clamped so that powers of (1 + lambda xi) stay finite; the
-    optimizer is free to wander out there on structureless data and the
-    model is already flat in that regime."""
-    return math.exp(min(max(p, -300.0), 300.0))
-
-
-def _cross_raw_fj(tau, theta):
+def _cross_raw_fj(tau, theta, jac=True):
+    """Model at the lags `tau` and its Jacobian (None when `jac` is false);
+    so are the other three `_*_fj`."""
     c, tau0, p = theta
-    xi = _safe_xi(p)
+    xi = math.exp(p)
     s = tau - tau0
     env = np.exp(-np.abs(s) / xi)
     f = c * env
-    jac = np.column_stack([env,
-                           c * env * np.sign(s) / xi,
-                           c * env * np.abs(s) / xi])
-    return f, jac
+    if not jac:
+        return f, None
+    return f, np.column_stack([env,
+                               c * env * np.sign(s) / xi,
+                               c * env * np.abs(s) / xi])
 
 
-def _cross_async_fj(tau, lambda_i, lambda_j, theta):
+def _cross_async_fj(tau, lambda_i, lambda_j, theta, jac=True):
     """c exp(-|s|/xi) is the exponential component of mass 2 xi c, so the
     model is 2 xi c r (g_j(s) + g_i(-s)), with r = `_rate_prefactor` and
     g = `_onesided_exp_conv`: async_theory's sampled density."""
-    c, tau0, p = theta
-    xi = _safe_xi(p)
     if math.isinf(lambda_i) and math.isinf(lambda_j):
-        return _cross_raw_fj(tau, theta)
+        return _cross_raw_fj(tau, theta, jac)
+    c, tau0, p = theta
+    xi = math.exp(p)
     scale = 2.0 * xi * _rate_prefactor(lambda_i, lambda_j)
     s = tau - tau0
+    if not jac:
+        return c * scale * (_onesided_exp_conv(s, lambda_j, xi)
+                            + _onesided_exp_conv(-s, lambda_i, xi)), None
     gj, gj_t, gj_x = _onesided_exp_conv(s, lambda_j, xi, jac=True)
     gi, gi_t, gi_x = _onesided_exp_conv(-s, lambda_i, xi, jac=True)
     shape = scale * (gj + gi)
-    f = c * shape
-    jac = np.column_stack([shape,
-                           c * scale * (gi_t - gj_t),
-                           c * (shape + xi * scale * (gj_x + gi_x))])
-    return f, jac
+    return c * shape, np.column_stack([
+        shape,
+        c * scale * (gi_t - gj_t),
+        c * (shape + xi * scale * (gj_x + gi_x))])
 
 
 def _auto_raw_fj(tau_reg, theta, jac=True):
     """Model at the zero-lag point and at the regular lags `tau_reg`, and its
-    Jacobian (None when `jac` is false); so is `_auto_async_fj`."""
+    Jacobian; so is `_auto_async_fj`."""
     a, b, p = theta
-    xi = _safe_xi(p)
+    xi = math.exp(p)
     t = np.abs(tau_reg)
     env = np.exp(-t / xi)
     f = np.concatenate([[a], -b * env / (2.0 * xi)])
@@ -115,7 +117,7 @@ def _auto_async_fj(tau_reg, lam, theta, jac=True):
     if math.isinf(lam):
         return _auto_raw_fj(tau_reg, theta, jac)
     a, b, p = theta
-    xi = _safe_xi(p)
+    xi = math.exp(p)
     u = 1.0 + lam * xi
     t = np.abs(tau_reg)
     amp = lam * lam / (2.0 * u)
@@ -135,11 +137,11 @@ def _auto_async_fj(tau_reg, lam, theta, jac=True):
     return f, jac
 
 
-# -- generic weighted solvers ---------------------------------------------------
+# -- variable projection --------------------------------------------------------
 
 _NAMES = {"cross": ("c", "tau", "xi"), "auto": ("a", "b", "xi")}
 
-_PROFILE_GRID = 40  # coarse log(xi) points of the auto profile
+_PROFILE_GRID = 40  # coarse log(xi) points of every profile
 
 
 def _weights(cg, idx):
@@ -166,56 +168,28 @@ def _xi_range(tau_span):
             10.0 * float(np.max(np.abs(tau))))
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call so that
-    importing the package loads no scipy."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+def _profile(family, model, tau, y, sw):
+    """Variable-projection fit of `family` to the data y at the lags `tau`,
+    with square-root weights sw; `model(tau, theta, jac)` is one of the
+    `_*_fj`.  The log widths searched are `_PROFILE_GRID` points over log
+    `_xi_range` and the box between its edges; `_pack` flags an optimum on
+    an edge."""
+    lo, hi = _xi_range(tau)
+    grid = np.linspace(math.log(lo), math.log(hi), _PROFILE_GRID)
+    search = _search_cross if family.startswith("cross") else _search_auto
+    theta, nfev = search(model, tau, y, sw, grid)
+    return _pack(family, model, tau, theta, y, sw, nfev)
 
 
-def _solve(family, fj, theta0, y, sw, tau_span):
-    """Levenberg-Marquardt fit of all three parameters from theta0.
-
-    MINPACK asks for the Jacobian at the point it evaluated last, so the
-    model and its Jacobian are computed once per point: the last theta
-    (its bytes, a copy) is kept with its (f, j)."""
-    if y.size < 4:
-        raise DataError("too few points to fit three parameters")
-    last = [None, None]
-
-    def model(theta):
-        key = theta.tobytes()
-        if key != last[0]:
-            last[:] = key, fj(theta)
-        return last[1]
-
-    def resid(theta):
-        f, _ = model(theta)
-        return (f - y) * sw
-
-    def jac(theta):
-        _, j = model(theta)
-        return j * sw[:, None]
-
-    sol = least_squares(resid, theta0, jac=jac, method="lm",
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=2000)
-    result = _pack(family, fj, sol.x, y, sw, tau_span, int(sol.nfev))
-    if not sol.success:
-        raise FitConvergenceError(f"{family} fit did not converge: {sol.message}",
-                                  result=result)
-    return result
-
-
-def _profile(family, fj, y, sw, tau_span):
-    """Variable-projection fit of an auto family, linear in (a, b) at fixed
-    xi: f = a e_0 + b g(xi), with e_0 the zero-lag point.  a puts the
-    zero-lag residual at 0 and b is the weighted least-squares solution on
-    the regular lags, so the chi-square is a function of p = log(xi) only.
-    It is searched on a coarse grid over log `_xi_range` and refined by
-    bounded Brent between the neighbours of the best grid point; the edges
-    of the range are grid points, so an optimum there is kept exactly on
-    the edge, where `_pack` flags it."""
-    from scipy.optimize import minimize_scalar  # as in `least_squares`
+def _search_auto(model, tau, y, sw, grid):
+    """(theta, evaluations) of an auto family, linear in (a, b) at fixed xi:
+    f = a e_0 + b g(xi), with e_0 the zero-lag point.  a puts the zero-lag
+    residual at 0 and b is the weighted least-squares solution on the
+    regular lags, so the chi-square is a function of p = log(xi) only.  It
+    is searched on the log-width grid and refined by bounded Brent between
+    the neighbours of the best grid point, which is kept when Brent does
+    not beat it; so an optimum on an edge stays exactly on the edge."""
+    from scipy.optimize import minimize_scalar  # importing epps loads no scipy
 
     w2 = sw[1:] ** 2
     yr = y[1:]
@@ -225,7 +199,7 @@ def _profile(family, fj, y, sw, tau_span):
         """(chi2, b, g_0) at log width p."""
         nonlocal nfev
         nfev += 1
-        g, _ = fj((0.0, 1.0, p), False)
+        g, _ = model(tau, (0.0, 1.0, p), False)
         gw = w2 * g[1:]
         gg = float(gw @ g[1:])
         if not gg > 0.0:
@@ -234,8 +208,6 @@ def _profile(family, fj, y, sw, tau_span):
         r = (b * g[1:] - yr) * sw[1:]
         return float(r @ r), b, float(g[0])
 
-    lo, hi = _xi_range(tau_span)
-    grid = np.linspace(math.log(lo), math.log(hi), _PROFILE_GRID)
     chi2 = [project(p)[0] for p in grid]
     k = int(np.argmin(chi2))
     sol = minimize_scalar(lambda p: project(p)[0], method="bounded",
@@ -244,21 +216,95 @@ def _profile(family, fj, y, sw, tau_span):
                           options={"xatol": 1e-8})
     p = float(sol.x) if sol.fun < chi2[k] else grid[k]
     _, b, g0 = project(p)
-    theta = np.array([y[0] - b * g0, b, p])
-    return _pack(family, fj, theta, y, sw, tau_span, nfev)
+    return np.array([y[0] - b * g0, b, p]), nfev
 
 
-def _pack(family, fj, theta, y, sw, tau_span, nfev):
+def _search_cross(model, tau, y, sw, grid):
+    """(theta, evaluations) of a cross family, c g(tau - tau0; xi): c is the
+    weighted least-squares amplitude at fixed x = (tau0, log xi), so the
+    chi-square is a function of x only.
+
+    Grid: the lag grid is uniform, so at each grid width the unit shape is
+    evaluated once on the 2n - 1 differences of the n lags, and two
+    correlations with it give sum w^2 y g and sum w^2 g^2, the projected
+    chi-square at every tau0 on the lag grid.  Refinement: bounded L-BFGS-B
+    over the box |tau0| <= 10 x the largest |lag| and log xi between the
+    grid's edges, with the gradient 2 c sum w^2 (c g - y) dg/dx from the
+    model's Jacobian at unit c.  cross_raw has a kink at every lag, which
+    a descent from a lag may not cross, so L-BFGS-B starts halfway to the
+    next lag on either side of the best grid point.  The best of its two
+    ends and the grid point is finished by Newton steps on that gradient."""
+    from scipy.optimize import minimize  # importing epps loads no scipy
+
+    w2 = sw * sw
+    wy = w2 * y
+    d = tau - tau[0]
+    diffs = np.concatenate([-d[:0:-1], d])
+    nfev = 0
+    gain, x0 = -math.inf, None
+    for p in grid:
+        nfev += 1
+        g, _ = model(diffs, (1.0, 0.0, p), False)
+        # reversed, so that entry m pairs lag k with difference k - m
+        yg = np.correlate(g, wy, "valid")[::-1]
+        gg = np.correlate(g * g, w2, "valid")[::-1]
+        gains = yg * yg / gg  # sum w^2 y^2 minus the chi-square at tau[m]
+        m = int(np.argmax(gains))
+        if gains[m] > gain:
+            gain, x0 = gains[m], np.array([tau[m], p])
+
+    def project(x):
+        """(chi2, its gradient, c) at x."""
+        nonlocal nfev
+        nfev += 1
+        g, j = model(tau, (1.0, x[0], x[1]), True)
+        gw = w2 * g
+        gg = float(gw @ g)  # 0 where the shape underflows on every lag
+        c = float(gw @ y) / gg if gg > 0.0 else 0.0
+        wr = w2 * (c * g - y)
+        return float(wr @ (c * g - y)), 2.0 * c * (wr @ j[:, 1:]), c
+
+    reach = _xi_range(tau)[1]  # as `_pack`'s tau_outside_range has it
+    chi2, x = float(wy @ y) - gain, x0
+    for side in (-0.5, 0.5):
+        sol = minimize(lambda z: project(z)[:2], x0 + (side * d[1], 0.0),
+                       jac=True, method="L-BFGS-B",
+                       bounds=((-reach, reach), (grid[0], grid[-1])),
+                       options={"ftol": 1e-15, "gtol": 1e-12})
+        # both sides may end on one optimum, at chi-squares that differ by
+        # round-off, which must not choose between them
+        if sol.fun < chi2 * (1.0 - 1e-9):
+            chi2, x = sol.fun, sol.x
+    # L-BFGS-B compares chi-square values, which resolve a flat optimum only
+    # to about sqrt(eps); Newton steps on the gradient, with its Hessian by
+    # central differences, settle it, but not across cross_raw's kinks
+    steps = np.diag([1e-5 * d[1], 1e-5])
+    for _ in range(2):
+        chi2, grad, _ = project(x)
+        hess = np.column_stack([(project(x + e)[1] - project(x - e)[1])
+                                / (2.0 * e.sum()) for e in steps])
+        hess = hess + hess.T  # twice its symmetric part
+        if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
+            break
+        nxt = x - np.linalg.solve(hess, 2.0 * grad)
+        if not (abs(nxt[0]) <= reach and grid[0] <= nxt[1] <= grid[-1]
+                and project(nxt)[0] <= chi2 * (1.0 + 1e-12)):
+            break
+        x = nxt
+    return np.array([project(x)[2], x[0], x[1]]), nfev
+
+
+def _pack(family, model, tau, theta, y, sw, nfev):
     """FitResult at theta, with its covariance from the full Jacobian.
 
     The fit is degenerate when any of five tests fires, recorded by name:
     `amplitude` (c or b within 2 stderr of 0), `non_finite` (a parameter
     is not finite), `xi_above_range` and `xi_below_range` (xi at or beyond
     an edge of `_xi_range`), and, for the cross families,
-    `tau_outside_range` (|tau| beyond 10 x the largest |lag|)."""
+    `tau_outside_range` (|tau| at or beyond 10 x the largest |lag|)."""
     kind = "cross" if family.startswith("cross") else "auto"
     names = _NAMES[kind]
-    f, j = fj(theta)
+    f, j = model(tau, theta, True)
     res = (f - y) * sw
     jw = j * sw[:, None]
     chi2 = float(res @ res)
@@ -267,21 +313,21 @@ def _pack(family, fj, theta, y, sw, tau_span, nfev):
     if np.all(sw == 1.0) and n > 3:
         cov = cov * chi2 / (n - 3)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    xi = _safe_xi(theta[2])
+    xi = math.exp(theta[2])
     scale = np.array([1.0, 1.0, xi])  # log(xi) -> xi by the delta method
     cov_nat = cov * np.outer(scale, scale)
     params = {names[0]: theta[0], names[1]: theta[1], names[2]: xi}
     stderr = {names[0]: err[0], names[1]: err[1], names[2]: xi * err[2]}
     amp = names[0] if kind == "cross" else names[1]
-    lo, hi = _xi_range(tau_span)
-    # the width tests compare log(xi) with the log of each edge, as the
-    # profile's grid has them, so that an edge optimum counts as beyond it
+    lo, hi = _xi_range(tau)
+    # the edge tests compare with the edges of the search box as the
+    # search has them, so that an optimum on an edge counts as beyond it
     tests = (
         ("amplitude", not abs(params[amp]) > 2.0 * stderr[amp]),
         ("non_finite", not all(math.isfinite(v) for v in params.values())),
         ("xi_above_range", theta[2] >= math.log(hi)),
         ("xi_below_range", theta[2] <= math.log(lo)),
-        ("tau_outside_range", kind == "cross" and abs(params["tau"]) > hi),
+        ("tau_outside_range", kind == "cross" and abs(params["tau"]) >= hi),
     )
     reasons = tuple(name for name, fired in tests if fired)
     if reasons:
@@ -293,73 +339,35 @@ def _pack(family, fj, theta, y, sw, tau_span, nfev):
                      nfev=nfev, cov=cov_nat)
 
 
-# -- initialization -------------------------------------------------------------
-
-def _half_width(lags, vals, k_peak):
-    top = abs(vals[k_peak])
-    if top == 0.0:
-        return max(abs(lags[-1]) / 4.0, lags[1] - lags[0])
-    half = np.abs(vals) >= top / 2.0
-    width = 0.5 * (lags[half][-1] - lags[half][0])
-    step = lags[1] - lags[0]
-    return max(width / math.log(2.0), step)
-
-
-def _cross_init(cg):
-    k = int(np.argmax(np.abs(cg.values)))
-    c0 = float(cg.values[k])
-    if c0 == 0.0:
-        c0 = 1e-12
-    tau0 = float(cg.lag_grid[k])
-    xi0 = _half_width(cg.lag_grid, cg.values, k)
-    return np.array([c0, tau0, math.log(xi0)])
-
-
 # -- public fits ----------------------------------------------------------------
 
-_RUN_RAW = object()  # default `raw` of fit_cross_async: run the raw fit first
+def _cross_setup(cg):
+    if cg.lag_grid.size < 10:
+        raise DataError("need at least 10 lag points for a cross fit")
+    return (cg.lag_grid, cg.values.astype(float),
+            _weights(cg, np.arange(cg.lag_grid.size)))
 
 
 def fit_cross_raw(cg):
     """Fit c * exp(-|tau - tau0|/xi) to a cross-correlogram."""
-    if cg.lag_grid.size < 10:
-        raise DataError("need at least 10 lag points for a cross fit")
-    idx = np.arange(cg.lag_grid.size)
-    sw = _weights(cg, idx)
-    tau = cg.lag_grid
-    return _solve("cross_raw", lambda th: _cross_raw_fj(tau, th),
-                  _cross_init(cg), cg.values.astype(float), sw, tau)
+    return _profile("cross_raw", _cross_raw_fj, *_cross_setup(cg))
 
 
-def fit_cross_async(cg, lambda_i, lambda_j, raw=_RUN_RAW):
+def fit_cross_async(cg, lambda_i, lambda_j):
     """Fit the sampling-corrected cross family at the given Poisson rates.
 
     The model is the raw exponential bump convolved with the asymmetric
     smoothing kernel of the rates, so the recovered lag and width refer to
-    the underlying synchronous process.  Started from `raw`, a converged
-    `fit_cross_raw(cg)`, or from the data-driven initial guess when `raw`
-    is None (a raw fit that failed); when `raw` is not given the raw fit
-    is run here first.
+    the underlying synchronous process.
     """
-    if cg.lag_grid.size < 10:
-        raise DataError("need at least 10 lag points for a cross fit")
+    tau, y, sw = _cross_setup(cg)
     for lam in (lambda_i, lambda_j):
         if math.isnan(lam) or lam <= 0:
             raise DataError("sampling rates must be > 0")
-    idx = np.arange(cg.lag_grid.size)
-    sw = _weights(cg, idx)
-    tau = cg.lag_grid
-    if raw is _RUN_RAW:
-        try:
-            raw = fit_cross_raw(cg)
-        except (DataError, FitConvergenceError):
-            raw = None
-    theta0 = (_cross_init(cg) if raw is None else
-              np.array([raw.params["c"], raw.params["tau"],
-                        math.log(raw.params["xi"])]))
-    return _solve("cross_async",
-                  lambda th: _cross_async_fj(tau, lambda_i, lambda_j, th),
-                  theta0, cg.values.astype(float), sw, tau)
+    return _profile(
+        "cross_async",
+        lambda t, th, jac: _cross_async_fj(t, lambda_i, lambda_j, th, jac),
+        tau, y, sw)
 
 
 def _auto_setup(cg):
@@ -376,9 +384,7 @@ def _auto_setup(cg):
 
 def fit_auto_raw(cg):
     """Fit a * delta - b * exp(-|tau|/xi)/(2 xi) to an autocorrelogram."""
-    tau, y, sw = _auto_setup(cg)
-    return _profile("auto_raw", lambda th, jac=True: _auto_raw_fj(tau, th, jac),
-                    y, sw, tau)
+    return _profile("auto_raw", _auto_raw_fj, *_auto_setup(cg))
 
 
 def fit_auto_async(cg, lam):
@@ -389,10 +395,9 @@ def fit_auto_async(cg, lam):
     """
     if math.isnan(lam) or lam <= 0:
         raise DataError("sampling rate must be > 0")
-    tau, y, sw = _auto_setup(cg)
     return _profile("auto_async",
-                    lambda th, jac=True: _auto_async_fj(tau, lam, th, jac),
-                    y, sw, tau)
+                    lambda t, th, jac: _auto_async_fj(t, lam, th, jac),
+                    *_auto_setup(cg))
 
 
 def chi2_ratio(raw, asyn):

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .errors import DataError, EppsError, FitConvergenceError, read_text
+from .errors import DataError, EppsError, read_text
 from .kernels import load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
                        previous_tick, default_warmup, rng_stream)
@@ -103,6 +103,16 @@ class RunConfig:
     replay_ticks_j: str = None
 
     def __post_init__(self):
+        # JSON true and false load as Python ints, which every check below
+        # would take as 1 and 0
+        numbers = {key: getattr(self, key) for key in (
+            "lambda_i", "lambda_j", "n_days", "length", "grid_dt", "max_lag",
+            "snr")}
+        numbers.update((f"dt_grid[{k}]", x)
+                       for k, x in enumerate(self.dt_grid))
+        for key, value in numbers.items():
+            if isinstance(value, bool):
+                raise DataError(f"{key} must be a number, got {value!r}")
         if not isinstance(self.n_days, int) or self.n_days < 1:
             raise DataError("n_days must be a positive integer")
         rng_stream(self.seed)  # checks the seed
@@ -171,21 +181,14 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     failures = {}
 
     def attempt(name, fn, *args):
-        """Run one fit; return its result if it converged, else None."""
+        """Run one fit; a fit that cannot run is recorded with its reason."""
         try:
             fits[name] = fn(*args)
-            return fits[name]
-        except FitConvergenceError as exc:
-            fits[name] = exc.result
-            failures[name] = str(exc)
         except EppsError as exc:
             failures[name] = str(exc)
-        return None
 
-    # the async cross fit starts from the converged raw fit instead of
-    # redoing it, or from the data-driven guess when the raw fit failed
-    raw = attempt("cross_raw", fit_cross_raw, cg)
-    attempt("cross_async", fit_cross_async, cg, rate_i, rate_j, raw)
+    attempt("cross_raw", fit_cross_raw, cg)
+    attempt("cross_async", fit_cross_async, cg, rate_i, rate_j)
     for key, lam in (("auto_i", rate_i), ("auto_j", rate_j)):
         attempt(f"{key}_raw", fit_auto_raw, out[f"cg_{key}"])
         attempt(f"{key}_async", fit_auto_async, out[f"cg_{key}"], lam)

@@ -29,7 +29,8 @@ from .kernels import ModelPair, _as_models, _triangle_covariance
 
 def rng_stream(seed, *key):
     """Counter-based, seedable generator; distinct keys give independent streams."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and seed >= 0):
         raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + key)))
 

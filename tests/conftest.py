@@ -140,3 +140,18 @@ def async_covariance_oracle():
     """An 80-digit reference of `async_theory.async_covariance` for one
     model component at finite rates: f(model, lambda_i, lambda_j, dt)."""
     return _async_covariance_80_digits
+
+
+@pytest.fixture
+def no_signal_correlogram():
+    """A pinned cross correlogram of noise alone on lags -57..57 (one day,
+    no stderr), on which Levenberg-Marquardt ran into its 2 000-evaluation
+    cap."""
+    from epps.estimation import Correlogram
+    from epps.sampling import rng_stream
+
+    rng = rng_stream(2, 7)
+    n = int(rng.integers(10, 61))
+    return Correlogram(lag_grid=np.arange(-n, n + 1, dtype=float),
+                       values=rng.standard_normal(2 * n + 1) * 0.01,
+                       stderr=np.full(2 * n + 1, np.nan), n_days=1)

@@ -58,7 +58,7 @@ def test_onesided_exp_conv_infinite_rate_and_long_lags():
     assert (lam - 1.0 / xi) * t[1] > 709.0
     for out in _onesided_exp_conv(t, lam, xi, jac=True):
         assert np.all(np.isfinite(out))
-    # the fits clamp xi to [e^-300, e^300]; the derivatives stay finite there
+    # the derivatives stay finite for widths as extreme as e^-300 and e^300
     for xi in (math.exp(-300.0), math.exp(300.0)):
         for out in _onesided_exp_conv(t, 0.5, xi, jac=True):
             assert np.all(np.isfinite(out))

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from epps import fitting
-from epps.errors import DataError, NumericalError, FitConvergenceError
+from epps.errors import DataError, NumericalError
 from epps._numutil import (decay_difference, decay_difference_da,
                            expm1_minus_x_over_x2)
 from epps.async_theory import AsyncKernel, async_cross_corr
@@ -253,42 +253,63 @@ def test_raw_fit_absorbs_asymmetric_sampling_into_spurious_lag():
     assert chi2_ratio(raw, asyn) > 100.0
 
 
-def lm_cross_fit(fj, theta0, y):
-    """Levenberg-Marquardt as `_solve` runs it at unit weights, but with the
-    model evaluated afresh for every residual and every Jacobian."""
-    return least_squares(lambda th: fj(th)[0] - y, theta0,
-                         jac=lambda th: fj(th)[1], method="lm",
-                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=2000)
-
-
-CROSS_FAMILIES = [
-    ("_cross_raw_fj", fit_cross_raw, ()),
-    ("_cross_async_fj", lambda cg: fit_cross_async(cg, 1.0, 0.05, raw=None),
-     (1.0, 0.05)),
+CROSS_FITS = [
+    ("_cross_raw_fj", fit_cross_raw, _cross_raw_fj),
+    ("_cross_async_fj", lambda cg: fit_cross_async(cg, 1.0, 0.2),
+     lambda t, th, jac: _cross_async_fj(t, 1.0, 0.2, th, jac)),
 ]
 
 
-@pytest.mark.parametrize("name,fit,rates", CROSS_FAMILIES)
-def test_cross_fit_evaluates_the_model_once_per_point(name, fit, rates,
-                                                      monkeypatch):
-    # MINPACK asks for the Jacobian at the point whose residual it computed
-    # last, so one model evaluation serves both
-    lags = np.arange(-80, 81, dtype=float)
-    truth, _ = _cross_async_fj(lags, 1.0, 0.05,
-                               np.array([0.4, 2.0, math.log(8.0)]))
-    vals = truth + rng_stream(5, 75).standard_normal(lags.size) * 0.02
-    cg = make_cross_cg(vals, lags=lags)
+@pytest.mark.parametrize("name,fit,_", CROSS_FITS)
+def test_cross_fit_of_a_no_signal_correlogram_is_cheap_and_flagged(
+        name, fit, _, no_signal_correlogram, monkeypatch):
     calls = []
     fj = getattr(fitting, name)
     monkeypatch.setattr(fitting, name,
                         lambda *args: calls.append(1) or fj(*args))
-    res = fit(cg)
-    assert len(calls) == res.nfev + 1  # every LM point, then `_pack`'s
-    sol = lm_cross_fit(lambda th: fj(lags, *rates, th),
-                       fitting._cross_init(cg), vals)
-    assert sol.nfev == res.nfev
-    assert res.params == {"c": sol.x[0], "tau": sol.x[1],
-                          "xi": math.exp(sol.x[2])}
+    res = fit(no_signal_correlogram)
+    assert len(calls) <= 150
+    assert res.nfev == len(calls) - 1  # every search point, then `_pack`'s
+    assert "amplitude" in res.degenerate_reasons
+
+
+def brute_force_chi2(model, cg, n_tau=801, n_xi=80):
+    """The smallest chi-square over a dense (tau0, log xi) grid covering
+    the lag window and `_xi_range`, at unit weights, with c projected."""
+    tau, y = cg.lag_grid, cg.values
+    lo, hi = fitting._xi_range(tau)
+    tau0 = np.linspace(tau[0], tau[-1], n_tau)
+    diffs = (tau[None, :] - tau0[:, None]).ravel()
+    best = math.inf
+    for p in np.linspace(math.log(lo), math.log(hi), n_xi):
+        g = model(diffs, (1.0, 0.0, p), False)[0].reshape(n_tau, tau.size)
+        c = (g @ y) / np.einsum("ij,ij->i", g, g)
+        best = min(best, float(np.min(np.sum((c[:, None] * g - y) ** 2,
+                                             axis=1))))
+    return best
+
+
+def noisy_bump(n_lags, rates, noise, seed):
+    """A sampled cross bump (c 0.4, tau 0, xi 8) at `rates` on lags
+    -n_lags..n_lags, with white noise at `noise` x its peak."""
+    lags = np.arange(-n_lags, n_lags + 1, dtype=float)
+    truth, _ = _cross_async_fj(lags, *rates,
+                               np.array([0.4, 0.0, math.log(8.0)]))
+    return make_cross_cg(truth + rng_stream(seed, 78).standard_normal(
+        lags.size) * noise * np.max(truth), lags=lags)
+
+
+@pytest.mark.parametrize("name,fit,model", CROSS_FITS)
+def test_cross_fit_beats_a_dense_grid(name, fit, model,
+                                      no_signal_correlogram):
+    inputs = [noisy_bump(40, (1.0, 0.2), 0.05, 6), no_signal_correlogram]
+    if name == "_cross_raw_fj":
+        # the raw fit of a skewed bump ends between lags 11 and 12, next
+        # to the best grid lag 11 (kinks of |tau - tau0|); a descent from
+        # that lag went to the local optimum between lags 10 and 11
+        inputs.append(noisy_bump(80, (1.0, 0.05), 0.02, 5))
+    for cg in inputs:
+        assert fit(cg).chi2 <= brute_force_chi2(model, cg) * (1.0 + 1e-12)
 
 
 def test_degenerate_flag_on_pure_noise():
@@ -446,14 +467,6 @@ def test_chi2_ratio_contract():
     with pytest.raises(NumericalError):
         chi2_ratio(a, FitResult(family="x", params={}, stderr={}, chi2=0.0,
                                 n_points=10))
-
-
-def test_convergence_error_carries_best_iterate():
-    err = FitConvergenceError("stalled", result=FitResult(
-        family="cross_raw", params={"c": 1.0}, stderr={}, chi2=1.0,
-        n_points=5))
-    assert err.result.params["c"] == 1.0
-    assert isinstance(err, NumericalError)
 
 
 def test_fit_csv_row_layout():

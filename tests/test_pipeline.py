@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import json
 import math
@@ -18,7 +17,7 @@ import scipy.fft
 
 from epps import cli, estimation, fitting, pipeline, ticks
 from epps.cli import _FIGURE_MODEL, main
-from epps.errors import DataError, FitConvergenceError
+from epps.errors import DataError
 from epps.pipeline import (RunConfig, grid_and_normalize, analyze_pair,
                            run_pipeline)
 from epps.ticks import SessionSpec, TickSeries, load_ticks
@@ -930,24 +929,14 @@ def assert_same_fit(fit, standalone):
     np.testing.assert_array_equal(fit.cov, standalone.cov)
 
 
-def test_analyze_pair_starts_async_fits_from_its_raw_fits(monkeypatch):
+def test_analyze_pair_fits_are_the_standalone_fits():
     days_i, days_j = small_days()
-    solves = []
-
-    def counted(*args, **kwargs):
-        solves.append(args[0])
-        return least_squares(*args, **kwargs)
-
-    least_squares = fitting.least_squares
-    monkeypatch.setattr(fitting, "least_squares", counted)
     out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
     assert out["fit_failures"] == {}
-    # the two cross fits, the raw one not redone; the auto fits are
-    # profiles with no least-squares solve
-    assert len(solves) == 2
-    # the same start point as a standalone async fit, so the same result
+    cg = out["cg_cross"]
+    assert_same_fit(out["fits"]["cross_raw"], fitting.fit_cross_raw(cg))
     assert_same_fit(out["fits"]["cross_async"],
-                    fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3))
+                    fitting.fit_cross_async(cg, 1.0, 0.3))
     for key, lam in (("auto_i", 1.0), ("auto_j", 0.3)):
         cg = out[f"cg_{key}"]
         assert_same_fit(out["fits"][f"{key}_raw"], fitting.fit_auto_raw(cg))
@@ -977,29 +966,6 @@ def test_analyze_pair_transforms_each_block_of_days_seven_times(
     per_block = ["rfft"] * 2 + ["irfft"] * 3
     assert calls == ([(f, rows) for rows in (4, 4, 1) for f in per_block]
                      + [("rfft", rows) for rows in (4, 4, 1) for _ in "ij"])
-
-
-def test_analyze_pair_runs_a_failed_raw_fit_once(monkeypatch):
-    days_i, days_j = small_days()
-    solves = collections.Counter()
-    solve = fitting._solve
-
-    def raw_fails(family, *args):
-        solves[family] += 1
-        result = solve(family, *args)
-        if family.endswith("_raw"):
-            raise FitConvergenceError(f"{family} fit did not converge",
-                                      result=result)
-        return result
-
-    monkeypatch.setattr(fitting, "_solve", raw_fails)
-    out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
-    assert solves == {"cross_raw": 1, "cross_async": 1}
-    assert set(out["fit_failures"]) == {"cross_raw"}
-    # started from the data-driven guess, as a standalone fit whose own raw
-    # fit fails is
-    cross = fitting.fit_cross_async(out["cg_cross"], 1.0, 0.3)
-    assert out["fits"]["cross_async"].params == cross.params
 
 
 def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):

@@ -6,8 +6,8 @@ import epps
 # removing from the public surface is a deliberate change of this list.
 PUBLIC_NAMES = [
     "AsyncKernel", "CorrelationModel", "Correlogram", "DataError",
-    "EppsCurve", "EppsError", "FilterSpec", "FitConvergenceError",
-    "FitResult", "ModelPair", "NumericalError", "RateEstimate", "RunConfig",
+    "EppsCurve", "EppsError", "FilterSpec", "FitResult", "ModelPair",
+    "NumericalError", "RateEstimate", "RunConfig",
     "SessionSpec", "SimulatedPath", "SpectrumEstimate", "SteppedSeries",
     "TickSeries", "analyze_pair", "apply_filter", "async_covariance",
     "async_cross_corr", "async_rho", "async_variance", "auto_filter",
