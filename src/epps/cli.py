@@ -5,7 +5,8 @@ them into tick files, evaluate exact theory curves, estimate from tick data,
 filter spectra, fit correlograms, run the full synthetic pipeline, and
 regenerate the canned synthetic figure data.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (also a file that
+cannot be read or written as asked), 3 numerical failure.
 """
 
 from dataclasses import asdict
@@ -357,6 +358,11 @@ def main(argv=None):
         return 1
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        click.echo(f"data error: {exc.filename}: {exc.strerror}", err=True)
         return 2
     except NumericalError as exc:
         click.echo(f"numerical error: {exc}", err=True)

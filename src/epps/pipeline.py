@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 import hashlib
 import json
 import math
+from numbers import Real
 import os
 
 import numpy as np
@@ -103,15 +104,25 @@ class RunConfig:
     replay_ticks_j: str = None
 
     def __post_init__(self):
+        # an integer path would be opened as a file descriptor
+        for key in ("model_file", "replay_ticks_i", "replay_ticks_j"):
+            value = getattr(self, key)
+            if not (isinstance(value, str)
+                    or value is None and key != "model_file"):
+                raise DataError(f"{key} must be a path string, got {value!r}")
+        if not isinstance(self.dt_grid, (list, tuple)):
+            raise DataError(f"dt_grid must be a list of numbers, got "
+                            f"{self.dt_grid!r}")
         # JSON true and false load as Python ints, which every check below
-        # would take as 1 and 0
+        # would take as 1 and 0; a string or null is no number either
         numbers = {key: getattr(self, key) for key in (
-            "lambda_i", "lambda_j", "n_days", "length", "grid_dt", "max_lag",
-            "snr")}
+            "lambda_i", "lambda_j", "n_days", "length", "grid_dt", "max_lag")}
+        if self.snr is not None:  # None: estimated
+            numbers["snr"] = self.snr
         numbers.update((f"dt_grid[{k}]", x)
                        for k, x in enumerate(self.dt_grid))
         for key, value in numbers.items():
-            if isinstance(value, bool):
+            if not isinstance(value, Real) or isinstance(value, bool):
                 raise DataError(f"{key} must be a number, got {value!r}")
         if not isinstance(self.n_days, int) or self.n_days < 1:
             raise DataError("n_days must be a positive integer")
@@ -129,11 +140,14 @@ class RunConfig:
             raw = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise DataError(f"bad config JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError("a run config is a JSON object, got a "
+                            f"{type(raw).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        if "dt_grid" in raw:
+        if isinstance(raw.get("dt_grid"), list):
             raw["dt_grid"] = tuple(raw["dt_grid"])
         return cls(**raw)
 

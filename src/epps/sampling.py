@@ -7,14 +7,17 @@ circulant, factorized per frequency, and colored onto complex white noise
 [-warmup, horizon], also where that length has a large prime factor
 (40 010 = 2 * 5 * 4001 for 40 000 s plus 10 s of warm-up): a longer
 circulant would be valid but would change every draw of a given seed.
-Such a length n = m * p, p prime with p * p > n, is transformed back as an
-m x p grid (Good-Thomas prime-factor split), which keeps the length and
-changes the draws only at round-off.  The factors depend only on the model
-pair, the grid step and the length, so they are cached on those.  Tick
-times are drawn independently of the path and a previous-tick stepped
-series assigns to each grid time the path value at the latest tick at or
-before it; such a series is kept as its increments, the one-step returns
-that every estimator reads.
+Such a length n = m * p, p prime with p * p > n, is transformed as an
+m x p grid (Good-Thomas prime-factor split), both the covariances into
+their spectra and the colored noise back, which keeps the length and
+changes the draws only at round-off.  No transform of the whole length is
+made at such a length: pocketfft would run it by Bluestein's algorithm on
+a plan it caches for the life of the process.  The factors depend only on
+the model pair, the grid step and the length, so they are cached on
+those.  Tick times are drawn independently of the path and a previous-tick
+stepped series assigns to each grid time the path value at the latest tick
+at or before it; such a series is kept as its increments, the one-step
+returns that every estimator reads.
 """
 
 from dataclasses import dataclass
@@ -85,10 +88,11 @@ def _circulant_factors(pair, grid_dt, n):
     """Per-frequency lower-triangular factors of the 2x2 increment spectrum.
 
     Cached on (pair, grid_dt, n), so the three transforms at length n run
-    once per model and grid; the arrays are shared and read-only.
+    once per model and grid; the arrays are shared and read-only.  They
+    take `_transform`'s prime-factor split where the draws take it, so at
+    such a length the process holds no whole-length FFT plan, which
+    pocketfft would build by Bluestein's algorithm and keep.
     """
-    import scipy.fft  # here, so that importing the package loads no scipy
-
     kmax = _max_lag_steps(pair, grid_dt)
     if 2 * kmax + 1 >= n:
         raise DataError("horizon too short for the kernel time scales")
@@ -100,9 +104,9 @@ def _circulant_factors(pair, grid_dt, n):
         return g
 
     # positive-exponent transform: M_m = sum_k gamma(k) e^{+2 pi i m k / n}
-    m11 = scipy.fft.fft(wrapped(pair.auto_i)).conj()
-    m22 = scipy.fft.fft(wrapped(pair.auto_j)).conj()
-    m12 = scipy.fft.fft(wrapped(pair.cross)).conj()
+    m11 = _transform(wrapped(pair.auto_i)).conj()
+    m22 = _transform(wrapped(pair.auto_j)).conj()
+    m12 = _transform(wrapped(pair.cross)).conj()
     p = np.maximum(m11.real, 0.0)
     r = np.maximum(m22.real, 0.0)
     l11 = np.sqrt(p)
@@ -129,10 +133,10 @@ def _prime_factor_maps(n):
 
     With p the largest prime factor of n and m = n / p, n is split when
     p * p > n and m > 1; then p > m, so m and p are coprime.  The length-n
-    inverse transform is then the 2-D one of the (m, p) grid gathered by
-    the input map (p a + m b) mod n, read back by the Chinese-remainder
-    output map k -> (k mod m, k mod p); no twiddle factors enter.  The
-    maps are shared and read-only.
+    transform, forward or inverse, is then the 2-D one of the (m, p) grid
+    gathered by the input map (p a + m b) mod n, read back by the
+    Chinese-remainder output map k -> (k mod m, k mod p); no twiddle
+    factors enter.  The maps are shared and read-only.
     """
     p = _largest_prime_factor(n)
     m = n // p
@@ -146,22 +150,25 @@ def _prime_factor_maps(n):
     return gather, crt
 
 
-def _inverse_transform(w):
-    """Inverse DFT of each row of w, which it may overwrite.
+def _transform(x, inverse=False):
+    """DFT of each row of x, or with `inverse` its inverse; x may be
+    overwritten.
 
     Lengths with a large prime factor go through the m x p split of
     `_prime_factor_maps`, equal to the whole-length transform up to
     round-off; every other length is transformed whole, bit for bit as
-    ``scipy.fft.ifft``.
+    ``scipy.fft.fft`` or ``scipy.fft.ifft``.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
-    maps = _prime_factor_maps(w.shape[-1])
+    maps = _prime_factor_maps(x.shape[-1])
     if maps is None:
-        return scipy.fft.ifft(w, axis=-1, overwrite_x=True)
+        whole = scipy.fft.ifft if inverse else scipy.fft.fft
+        return whole(x, axis=-1, overwrite_x=True)
     gather, crt = maps
-    grid = scipy.fft.ifft2(w.take(gather, axis=-1), overwrite_x=True)
-    return grid.reshape(w.shape).take(crt, axis=-1)
+    split = scipy.fft.ifft2 if inverse else scipy.fft.fft2
+    grid = split(x.take(gather, axis=-1), overwrite_x=True)
+    return grid.reshape(x.shape).take(crt, axis=-1)
 
 
 def _draw_increment_pairs(l11, l21, l22, rng, n):
@@ -179,7 +186,7 @@ def _draw_increment_pairs(l11, l21, l22, rng, n):
     w[1] += l21 * w[0]
     w[1] *= scale
     w[0] *= scale * l11
-    x = _inverse_transform(w)
+    x = _transform(w, inverse=True)
     return x.real, x.imag
 
 

@@ -643,6 +643,16 @@ def test_estimate_puts_every_day_in_the_spectra(tmp_path, capsys):
     ("estimate", ["--session-length", "0"]),
     # too short for the default 120 s lags
     ("estimate", ["--session-length", "200"]),
+    # an integer path was opened as a file descriptor; a string, a null or
+    # a bare number where a number or a list belongs ended in a TypeError,
+    # or, for the snr, was taken as a number
+    ("run", {"model_file": 987654}),
+    ("run", {"replay_ticks_i": 987654, "replay_ticks_j": 987654}),
+    ("run", {"lambda_i": "1"}),
+    ("run", {"max_lag": None}),
+    ("run", {"dt_grid": 5}),
+    ("run", {"dt_grid": ["1", 2]}),
+    ("run", {"filter_mode": "wiener", "snr": "5"}),
 ])
 def test_invalid_settings_are_data_errors(command, setting, model_file,
                                           tmp_path, capsys):
@@ -658,6 +668,39 @@ def test_invalid_settings_are_data_errors(command, setting, model_file,
         args = ["--config", str(cfg)]
     assert main([command, *args, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("args, config, named", [
+    (["theory", "--model", "DIR"], {}, "DIR"),
+    (["estimate", "--ticks", "DIR", "--asset-i", "A", "--asset-j", "B",
+      "--out", "OUT"], {}, "DIR"),
+    (["filter", "--spectrum", "DIR", "--lambda-i", "1", "--lambda-j", "1",
+      "--out", "OUT"], {}, "DIR"),
+    (["fit", "--correlogram", "DIR", "--family", "cross_raw"], {}, "DIR"),
+    (["theory", "--model", "MODEL", "--out", "DIR"], {}, "DIR"),
+    (["sample", "--paths", "MODEL", "--out", "OUT"], {}, "MODEL"),
+    (["simulate", "--model", "MODEL", "--horizon", "2000", "--out", "MODEL"],
+     {}, "MODEL"),
+    (["run", "--config", "CONFIG", "--out", "OUT"],
+     {"model_file": "MISSING"}, "MISSING"),
+    (["run", "--config", "CONFIG", "--out", "OUT"],
+     {"model_file": "MODEL", "replay_ticks_i": "MISSING",
+      "replay_ticks_j": "MISSING"}, "MISSING"),
+], ids=["theory-model-dir", "estimate-ticks-dir", "filter-spectrum-dir",
+        "fit-correlogram-dir", "theory-out-dir", "sample-paths-file",
+        "simulate-out-file", "run-missing-model", "run-missing-replay"])
+def test_unusable_paths_are_data_errors(args, config, named, model_file,
+                                        tmp_path, capsys):
+    # each of these ended in an uncaught OSError and its traceback
+    paths = {"DIR": str(tmp_path), "MODEL": model_file,
+             "OUT": str(tmp_path / "o"), "MISSING": str(tmp_path / "nope"),
+             "CONFIG": str(tmp_path / "cfg.json")}
+    with open(paths["CONFIG"], "w", encoding="utf-8") as fh:
+        json.dump({key: paths[value] for key, value in config.items()}, fh)
+    assert main([paths.get(a, a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {paths[named]}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, setting", [

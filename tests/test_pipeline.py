@@ -871,6 +871,13 @@ def test_run_config_from_file(tmp_path, model_file):
     cfg.write_text(json.dumps({"model_file": model_file, "snr": 5.0}))
     with pytest.raises(DataError, match="wiener"):
         RunConfig.from_file(str(cfg))
+    # a config that is not an object was reported as unknown keys, and an
+    # integer path was opened as a file descriptor
+    cfg.write_text("[1, 2]")
+    with pytest.raises(DataError, match="JSON object, got a list"):
+        RunConfig.from_file(str(cfg))
+    with pytest.raises(DataError, match="not a file path"):
+        RunConfig.from_file(987654)
 
 
 def small_days(n_days=6, length=3000.0, li=1.0, lj=0.3, seed=1):

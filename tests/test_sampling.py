@@ -12,7 +12,7 @@ from epps.kernels import (CorrelationModel, ModelPair, sync_covariance,
                           _triangle_covariance)
 from epps.sampling import (SimulatedPath, rng_stream, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
-                           _circulant_factors, _inverse_transform,
+                           _circulant_factors, _transform,
                            _max_lag_steps, _prime_factor_maps)
 from epps.ticks import _read_tick_times
 
@@ -108,17 +108,17 @@ def test_paths_in_one_draw_are_uncorrelated():
     assert abs(r) < 4.0 / math.sqrt(d0.size)
 
 
-def reference_factors(pair, grid_dt, n, fft):
+def reference_factors(pair, grid_dt, n, fft, forward=None):
     """The circulant factors written out, uncached: the positive-exponent
-    spectra of the wrapped covariances and their 2 x 2 lower-triangular
-    factors."""
+    spectra of the wrapped covariances (by `fft.fft` unless `forward` is
+    given) and their 2 x 2 lower-triangular factors."""
     kmax = _max_lag_steps(pair, grid_dt)
     ks = np.arange(-kmax, kmax + 1)
 
     def spectrum(model):
         g = np.zeros(n)
         g[ks % n] = _triangle_covariance(model, grid_dt, ks * grid_dt)
-        return fft.fft(g).conj()
+        return (fft.fft(g) if forward is None else forward(g)).conj()
 
     m11, m22, m12 = (spectrum(m)
                      for m in (pair.auto_i, pair.auto_j, pair.cross))
@@ -130,13 +130,14 @@ def reference_factors(pair, grid_dt, n, fft):
 
 
 def reference_draw(pair, grid_dt, n, seed, *key, fft=scipy.fft,
-                   inverse=None):
+                   forward=None, inverse=None):
     """Level pairs of one circulant draw by the coloring that makes a new
-    array at each step: complex white noise from the keyed stream, two
-    colored rows, their stack and one inverse transform (`fft.ifft` over
-    the rows unless `inverse` is given), whose real and imaginary parts are
-    two independent increment samples."""
-    l11, l21, l22 = reference_factors(pair, grid_dt, n, fft)
+    array at each step: the factors of `reference_factors`, complex white
+    noise from the keyed stream, two colored rows, their stack and one
+    inverse transform (`fft.ifft` over the rows unless `inverse` is given),
+    whose real and imaginary parts are two independent increment
+    samples."""
+    l11, l21, l22 = reference_factors(pair, grid_dt, n, fft, forward)
     rng = rng_stream(seed, *key)
     w = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     z1 = math.sqrt(n) * l11 * w[0]
@@ -174,10 +175,10 @@ def assert_draws_equal_reference(horizon, warmup, n, **transform):
 def test_draws_equal_the_copying_reference_byte_for_byte():
     # the same transforms as the simulator, so in-place coloring and cached
     # factors must leave every bit of the levels as it was; n = 4010 is
-    # split, so the reference calls the simulator's own inverse transform
+    # split, so the reference calls the simulator's own transforms
     assert _prime_factor_maps(4010) is not None
-    assert_draws_equal_reference(4000.0, 10.0, 4010,
-                                 inverse=_inverse_transform)
+    assert_draws_equal_reference(4000.0, 10.0, 4010, forward=_transform,
+                                 inverse=lambda w: _transform(w, True))
 
 
 def test_unsplit_draws_equal_plain_scipy_byte_for_byte():
@@ -217,7 +218,16 @@ def random_rows(n, seed):
 def test_split_transform_matches_scipy_to_round_off(n):
     w = random_rows(n, seed=n)
     expected = scipy.fft.ifft(w, axis=-1)
-    got = _inverse_transform(w.copy())
+    got = _transform(w.copy(), inverse=True)
+    assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [n for n in sorted(_SPLITS) if _SPLITS[n]])
+def test_split_forward_transform_matches_scipy_to_round_off(n):
+    # real input, as the circulant's covariances are
+    g = random_rows(n, seed=n).real
+    expected = scipy.fft.fft(g, axis=-1)
+    got = _transform(g.copy())
     assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
 
 
@@ -225,7 +235,24 @@ def test_split_transform_matches_scipy_to_round_off(n):
 def test_unsplit_transform_is_scipy_byte_for_byte(n):
     w = random_rows(n, seed=n)
     expected = scipy.fft.ifft(w, axis=-1)
-    assert _inverse_transform(w.copy()).tobytes() == expected.tobytes()
+    assert _transform(w.copy(), inverse=True).tobytes() == expected.tobytes()
+    g = w[0].real
+    assert _transform(g.copy()).tobytes() == scipy.fft.fft(g).tobytes()
+
+
+def test_split_factors_make_no_whole_length_transform(monkeypatch):
+    # pocketfft caches the plan of each length it transforms for the life
+    # of the process: at 4010 = 10 x 401 the factors, like the draws, take
+    # only the lengths 10 and 401
+    n = 4010
+    fft = scipy.fft.fft
+
+    def no_whole_length(x, *args, **kwargs):
+        assert np.shape(x)[-1] != n, "whole-length transform"
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fft", no_whole_length)
+    _circulant_factors.__wrapped__(smooth_pair(), 1.0, n)
 
 
 def test_equal_pairs_share_read_only_factors():
@@ -238,7 +265,7 @@ def test_equal_pairs_share_read_only_factors():
         assert a.levels.tobytes() == b.levels.tobytes()
     factors = _circulant_factors(smooth_pair(), 1.0, 4010)
     for cached, fresh in zip(factors, reference_factors(
-            smooth_pair(), 1.0, 4010, scipy.fft)):
+            smooth_pair(), 1.0, 4010, scipy.fft, forward=_transform)):
         assert cached.tobytes() == fresh.tobytes()
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
