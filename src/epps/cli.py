@@ -214,7 +214,7 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
                                     len(days) * session.length)
                       for stepped in (days_i, days_j))
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
-                          dt_list, max_lag, spec, grid_dt)
+                          dt_list, max_lag, spec)
     config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,
               "dt_grid": dt_list, "max_lag": max_lag, "grid_dt": grid_dt,
               "filter_mode": filter_mode, "snr": snr}
@@ -241,16 +241,15 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
 @click.option("--snr", default=None,
               help="Wiener SNR: a number, 'auto', or @file with one value "
                    "per frequency bin n = 0..T//2.")
-@click.option("--grid-dt", default=1.0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
-def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
-               out_file):
-    """Deconvolve the sampling kernel from a spectrum CSV."""
+def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, out_file):
+    """Deconvolve the sampling kernel from a spectrum CSV, on the grid step
+    its '# grid_dt=' line gives."""
     s_tilde = read_spectrum_csv(spectrum_file)
     if snr is None and mode == "inverse":
         snr_val = None
     elif snr is None or snr == "auto":
-        snr_val = estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt)
+        snr_val = estimate_snr(s_tilde, lambda_i, lambda_j)
     elif snr.startswith("@"):
         try:
             snr_val = np.loadtxt(snr[1:])
@@ -262,8 +261,7 @@ def filter_cmd(spectrum_file, lambda_i, lambda_j, mode, snr, grid_dt,
         except ValueError as exc:
             raise click.UsageError(f"bad snr {snr!r}") from exc
     write_spectrum_csv(apply_filter(s_tilde, lambda_i, lambda_j,
-                                    FilterSpec(mode, snr_val), grid_dt),
-                       out_file)
+                                    FilterSpec(mode, snr_val)), out_file)
 
 
 @cli.command()

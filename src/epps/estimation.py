@@ -70,17 +70,22 @@ class Correlogram:
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Day-averaged cross-periodogram over T uniform increments, held as
-    its bins n = 0..T//2; the rest follow from S_{T-n} = conj(S_n)."""
+    """Day-averaged cross-periodogram over T uniform increments of
+    `grid_dt` seconds, held as its bins n = 0..T//2; the rest follow from
+    S_{T-n} = conj(S_n)."""
 
     T: int
     n_days: int
     s_n: np.ndarray
+    grid_dt: float
 
     def __post_init__(self):
         if self.s_n.shape != (self.T // 2 + 1,):
             raise DataError(f"a spectrum of T = {self.T} holds T//2 + 1 = "
                             f"{self.T // 2 + 1} bins, not {self.s_n.shape}")
+        if not 0 < self.grid_dt < math.inf:
+            raise DataError(f"a spectrum's grid_dt must be finite and > 0, "
+                            f"got {self.grid_dt!r}")
 
 
 def estimate_rate(n_ticks, session_length):
@@ -327,18 +332,19 @@ def correlogram(series_i, series_j, max_lag, normalize=True, autos=False):
     return tuple(cgs) if autos else cgs[0]
 
 
-def estimate_spectrum(increments_i, increments_j, autos=False):
+def estimate_spectrum(increments_i, increments_j, autos=False, grid_dt=1.0):
     """Cross-periodogram fft(dx_i) conj(fft(dx_j)) / T averaged over days.
 
     Every day must supply exactly T increments (array_like; a float array
-    is used as it is, not copied).  Each side takes one real FFT per day,
-    one 2-D call per block of days, and the periodograms are accumulated
-    day by day, so memory does not grow with the number of days.  When
-    every day of `increments_i` is the same object as the matching day of
-    `increments_j` (an auto spectrum), one transform serves both sides.
-    With `autos`, returns (cross, auto_i, auto_j), each equal to its own
-    call, from the same transforms.  Only bins n = 0..T//2 are computed and
-    returned.
+    is used as it is, not copied) on a grid of `grid_dt` seconds, which the
+    spectra keep: the filters and reconstructions read it from them.  Each
+    side takes one real FFT per day, one 2-D call per block of days, and
+    the periodograms are accumulated day by day, so memory does not grow
+    with the number of days.  When every day of `increments_i` is the same
+    object as the matching day of `increments_j` (an auto spectrum), one
+    transform serves both sides.  With `autos`, returns (cross, auto_i,
+    auto_j), each equal to its own call, from the same transforms.  Only
+    bins n = 0..T//2 are computed and returned.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
@@ -373,7 +379,8 @@ def estimate_spectrum(increments_i, increments_j, autos=False):
     spectra = []
     for half in sums:
         half /= n_days * T
-        spectra.append(SpectrumEstimate(T=int(T), n_days=n_days, s_n=half))
+        spectra.append(SpectrumEstimate(T=int(T), n_days=n_days, s_n=half,
+                                        grid_dt=grid_dt))
     return tuple(spectra) if autos else spectra[0]
 
 
@@ -456,26 +463,30 @@ def read_epps_csv(path):
 
 
 def write_correlogram_csv(cg, path):
+    """Rows tau, value, stderr; the stderr is `nan` where unknown, and the
+    fits weight the lags by it."""
     meta = {"n_days": cg.n_days}
     if cg.delta_mass is not None:
         meta["delta_mass"] = f"{cg.delta_mass:.17g}"
-    _write_table(path, "tau,value", (cg.lag_grid, cg.values), "%.10g,%.17g",
-                 meta)
+    _write_table(path, "tau,value,stderr", (cg.lag_grid, cg.values,
+                                            cg.stderr),
+                 "%.10g,%.17g,%.17g", meta)
 
 
 def read_correlogram_csv(path):
-    meta, rows = _read_table(path, "tau,value")
+    meta, rows = _read_table(path, "tau,value,stderr")
     return Correlogram(lag_grid=rows[:, 0], values=rows[:, 1],
-                       stderr=np.full(rows.shape[0], np.nan),
-                       n_days=_n_days(meta, path),
+                       stderr=rows[:, 2], n_days=_n_days(meta, path),
                        delta_mass=meta.get("delta_mass"))
 
 
 def write_spectrum_csv(spec, path):
-    """Rows n = 0..T//2; the `# T=` line tells an odd T from an even one."""
+    """Rows n = 0..T//2; the `# T=` line tells an odd T from an even one,
+    and the `# grid_dt=` line gives the step of the bins' frequencies."""
     s = spec.s_n
     _write_table(path, "n,re,im", (np.arange(s.size), s.real, s.imag),
-                 "%d,%.17g,%.17g", {"n_days": spec.n_days, "T": spec.T})
+                 "%d,%.17g,%.17g", {"n_days": spec.n_days, "T": spec.T,
+                                    "grid_dt": f"{spec.grid_dt:.17g}"})
 
 
 def read_spectrum_csv(path):
@@ -484,8 +495,12 @@ def read_spectrum_csv(path):
     if not (math.isfinite(T) and T >= 1 and T == int(T)):
         raise DataError(f"{path}: no '# T=' line with an integer T >= 1; "
                         "older full-length spectrum CSVs are not read")
+    grid_dt = meta.get("grid_dt", math.nan)
+    if not 0 < grid_dt < math.inf:
+        raise DataError(f"{path}: no '# grid_dt=' line with a finite step "
+                        "> 0; older spectrum CSVs without one are not read")
     spec = SpectrumEstimate(T=int(T), n_days=_n_days(meta, path),
-                            s_n=rows[:, 1] + 1j * rows[:, 2])
+                            s_n=rows[:, 1] + 1j * rows[:, 2], grid_dt=grid_dt)
     if not np.array_equal(rows[:, 0], np.arange(spec.s_n.size)):
         raise DataError(f"{path}: the n column must read 0..{spec.T // 2} "
                         "in order")

@@ -4,7 +4,8 @@ The measured cross-spectrum of previous-tick series is the genuine spectrum
 multiplied by a low-pass kernel set by the Poisson rates.  This module
 inverts that kernel (plain inverse or Wiener-damped) bin by bin on the
 half spectrum n = 0..T//2 that `SpectrumEstimate` holds, and rebuilds
-correlograms and Epps curves from the corrected spectrum.
+correlograms and Epps curves from the corrected spectrum.  Every function
+here takes the grid step from its spectra, which carry it.
 """
 
 from dataclasses import dataclass
@@ -67,20 +68,21 @@ def _kernel_bins(lambda_i_step, lambda_j_step, T):
     return kern
 
 
-def _kernel(s_tilde, lambda_i, lambda_j, grid_dt):
+def _kernel(s_tilde, lambda_i, lambda_j):
     if lambda_i <= 0 or lambda_j <= 0:
         raise DataError("sampling rates must be > 0")
-    return _kernel_bins(lambda_i * grid_dt, lambda_j * grid_dt, s_tilde.T)
+    dt = s_tilde.grid_dt
+    return _kernel_bins(lambda_i * dt, lambda_j * dt, s_tilde.T)
 
 
-def _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt, delta_mass=None):
+def _deconvolve(s_tilde, lambda_i, lambda_j, spec, delta_mass=None):
     """The one deconvolution body of the three filters.
 
     Divides the excess of the spectrum over `delta_mass` (none for a cross
     spectrum) by the kernel K, or for a Wiener spec multiplies it by
     conj(K) / (|K|^2 + 1/snr), and adds the point mass back.
     """
-    kern = _kernel(s_tilde, lambda_i, lambda_j, grid_dt)
+    kern = _kernel(s_tilde, lambda_i, lambda_j)
     excess = s_tilde.s_n if delta_mass is None else s_tilde.s_n - delta_mass
     if spec is None or spec.mode == "inverse":
         out = excess / kern
@@ -90,30 +92,31 @@ def _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt, delta_mass=None):
         out = np.conj(kern) * excess / (np.abs(kern) ** 2 + 1.0 / snr)
     if delta_mass is not None:
         out = delta_mass + out
-    return SpectrumEstimate(T=s_tilde.T, n_days=s_tilde.n_days, s_n=out)
+    return SpectrumEstimate(T=s_tilde.T, n_days=s_tilde.n_days, s_n=out,
+                            grid_dt=s_tilde.grid_dt)
 
 
-def inverse_filter(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
+def inverse_filter(s_tilde, lambda_i, lambda_j):
     """Divide out the discrete sampling kernel bin by bin.
 
     Exact algebraic inverse; the kernel never vanishes at finite rates, but
     high-frequency bins are amplified roughly like omega^2, so noisy inputs
     come out noisy there.
     """
-    return _deconvolve(s_tilde, lambda_i, lambda_j, None, grid_dt)
+    return _deconvolve(s_tilde, lambda_i, lambda_j, None)
 
 
-def apply_filter(s_tilde, lambda_i, lambda_j, spec, grid_dt=1.0):
+def apply_filter(s_tilde, lambda_i, lambda_j, spec):
     """Deconvolve a cross-spectrum with the filter `spec` selects.
 
     The inverse mode is `inverse_filter`.  The Wiener mode is the inverse
     filter damped by |K|^2 / (|K|^2 + 1/snr), which interpolates between
     zero output (snr -> 0) and the plain inverse (snr -> inf).
     """
-    return _deconvolve(s_tilde, lambda_i, lambda_j, spec, grid_dt)
+    return _deconvolve(s_tilde, lambda_i, lambda_j, spec)
 
 
-def auto_filter(s_tilde, lam, delta_mass, spec=None, grid_dt=1.0):
+def auto_filter(s_tilde, lam, delta_mass, spec=None):
     """Deconvolve an auto-spectrum, holding its point mass fixed.
 
     Sampling maps an auto spectrum S to delta + K * (S - delta) where delta
@@ -123,10 +126,10 @@ def auto_filter(s_tilde, lam, delta_mass, spec=None, grid_dt=1.0):
     """
     if delta_mass is None:
         raise DataError("auto_filter needs the point mass of an auto spectrum")
-    return _deconvolve(s_tilde, lam, lam, spec, grid_dt, delta_mass)
+    return _deconvolve(s_tilde, lam, lam, spec, delta_mass)
 
 
-def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
+def estimate_snr(s_tilde, lambda_i, lambda_j):
     """Scalar signal-to-noise ratio from the spectrum shape.
 
     Ratio of the mean spectral magnitude below the slower sampling rate to
@@ -135,7 +138,7 @@ def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
     """
     T = s_tilde.T
     n = np.arange(1, T // 2 + 1)
-    omega = 2.0 * math.pi * n / (T * grid_dt)
+    omega = 2.0 * math.pi * n / (T * s_tilde.grid_dt)
     split = min(lambda_i, lambda_j)
     mag = np.abs(s_tilde.s_n[n])
     low = mag[omega <= split]
@@ -148,14 +151,14 @@ def estimate_snr(s_tilde, lambda_i, lambda_j, grid_dt=1.0):
     return float(np.mean(low)) / plateau
 
 
-def filtered_correlogram(s_hat, max_lag=None, grid_dt=1.0):
+def filtered_correlogram(s_hat, max_lag=None):
     """Correlogram from a corrected spectrum by one inverse real DFT.
 
     With S(omega) = integral c(tau) exp(+i omega tau) dtau the lag-k value
     is (1/T) sum_n conj(S_n) exp(2 pi i n k / T), which `irfft` takes from
     the half spectrum; it is real by construction.
     """
-    T = s_hat.T
+    T, grid_dt = s_hat.T, s_hat.grid_dt
     gamma = np.fft.irfft(s_hat.s_n.conj(), T)
     n_lags = T // 2 - 1 if max_lag is None else int(round(max_lag / grid_dt))
     if not 1 <= n_lags <= T // 2 - 1 + T % 2:
@@ -180,20 +183,25 @@ def _windowed_covariance(spec, w):
     return float(np.sum(spec.s_n.real * w) / spec.T)
 
 
-def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid, grid_dt=1.0):
+def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid):
     """Epps curve implied by corrected cross- and auto-spectra.
 
     Each horizon's covariance is the spectrum summed against the squared
     Dirichlet window of that horizon, built once for all three spectra,
-    which must therefore share one length T; the Pearson coefficient
-    follows.  On the half spectrum the interior bins 1..(T-1)//2 stand for
-    their mirror images too, so they count twice.  A horizon whose filtered
-    variance is <= 0 has no coefficient and is NaN.
+    which must therefore share one length T and one grid step; the Pearson
+    coefficient follows.  On the half spectrum the interior bins
+    1..(T-1)//2 stand for their mirror images too, so they count twice.  A
+    horizon whose filtered variance is <= 0 has no coefficient and is NaN.
     """
     T = s_hat.T
     if s_auto_i.T != T or s_auto_j.T != T:
         raise DataError(f"cross and auto spectra differ in length: "
                         f"{T}, {s_auto_i.T}, {s_auto_j.T}")
+    grid_dt = s_hat.grid_dt
+    if s_auto_i.grid_dt != grid_dt or s_auto_j.grid_dt != grid_dt:
+        raise DataError(f"cross and auto spectra differ in grid step: "
+                        f"{grid_dt:g}, {s_auto_i.grid_dt:g}, "
+                        f"{s_auto_j.grid_dt:g}")
     dt_grid = np.asarray(dt_grid, dtype=float)
     rho = np.empty(dt_grid.size)
     n = np.arange(T // 2 + 1)

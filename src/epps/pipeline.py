@@ -26,7 +26,7 @@ from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
 from .estimation import (estimate_rate, epps_curve, correlogram,
                          estimate_spectrum, write_epps_csv,
                          write_correlogram_csv, write_spectrum_csv,
-                         _horizon_steps, _write_text)
+                         _common_grid, _horizon_steps, _write_text)
 from .filtering import (FilterSpec, apply_filter, auto_filter, estimate_snr,
                         filtered_correlogram, filtered_epps_curve)
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
@@ -67,8 +67,10 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
 def _check_settings(length, grid_dt, dt_grid, max_lag, filter_mode, snr):
     """The FilterSpec of the settings of `epps run` and `epps estimate`,
     checked before any work as the analysis needs them: a grid step in
-    (0, length/2], horizons of 1 to T - 1 steps of a day of T steps, and a
-    `max_lag` of 1 to T//2 - 1 + T%2 steps."""
+    (0, length/2], one or more horizons of 1 to T - 1 steps of a day of T
+    steps, and a `max_lag` of 1 to T//2 - 1 + T%2 steps."""
+    if not len(dt_grid):
+        raise DataError("dt_grid must hold at least one horizon")
     if not 0 < grid_dt <= length / 2:
         raise DataError(f"grid_dt must be finite and in (0, {length / 2:g}]")
     T = int(math.floor(length / grid_dt + 1e-9))  # as `previous_tick` counts
@@ -153,10 +155,11 @@ class RunConfig:
 
 
 def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
-                 filter_spec=None, grid_dt=1.0):
+                 filter_spec=None):
     """All pair-level estimates from per-day grids as `grid_and_normalize`
     makes them, whose stored increments are already normalized: the
-    correlograms and the spectra use them as they are.
+    correlograms and the spectra use them as they are, on the grid step
+    the days share.
 
     Returns a dict with the rates, raw and filtered Epps curves, cross and
     auto correlograms (raw and filtered cross), spectra, the six fits and
@@ -171,25 +174,23 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
     out["cg_cross"] = cg
 
     out["n_days_spectra"] = len(days_i)
-    s_cross, s_ii, s_jj = estimate_spectrum([s.increments for s in days_i],
-                                            [s.increments for s in days_j],
-                                            autos=True)
+    s_cross, s_ii, s_jj = estimate_spectrum(
+        [s.increments for s in days_i], [s.increments for s in days_j],
+        autos=True, grid_dt=_common_grid(days_i, days_j))
     out["s_cross"] = s_cross
 
     spec = filter_spec or FilterSpec()
     if spec.mode == "wiener" and spec.snr is None:
         spec = FilterSpec(mode="wiener",
-                          snr=estimate_snr(s_cross, rate_i, rate_j, grid_dt))
+                          snr=estimate_snr(s_cross, rate_i, rate_j))
     out["snr"] = spec.snr
-    s_hat = apply_filter(s_cross, rate_i, rate_j, spec, grid_dt)
-    s_ii_hat = auto_filter(s_ii, rate_i, out["cg_auto_i"].delta_mass, spec,
-                           grid_dt)
-    s_jj_hat = auto_filter(s_jj, rate_j, out["cg_auto_j"].delta_mass, spec,
-                           grid_dt)
+    s_hat = apply_filter(s_cross, rate_i, rate_j, spec)
+    s_ii_hat = auto_filter(s_ii, rate_i, out["cg_auto_i"].delta_mass, spec)
+    s_jj_hat = auto_filter(s_jj, rate_j, out["cg_auto_j"].delta_mass, spec)
     out["s_cross_filtered"] = s_hat
-    out["cg_cross_filtered"] = filtered_correlogram(s_hat, max_lag, grid_dt)
+    out["cg_cross_filtered"] = filtered_correlogram(s_hat, max_lag)
     out["epps_filtered"] = filtered_epps_curve(s_hat, s_ii_hat, s_jj_hat,
-                                               dt_grid, grid_dt)
+                                               dt_grid)
 
     fits = {}
     failures = {}
@@ -347,8 +348,7 @@ def run_pipeline(config, out_dir):
                       for days in (days_i, days_j))
     result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
                           config.dt_grid, config.max_lag,
-                          FilterSpec(config.filter_mode, config.snr),
-                          config.grid_dt)
+                          FilterSpec(config.filter_mode, config.snr))
     return write_artifacts(result, out_dir, ("i", "j"),
                            {"config": asdict(config), "seed": config.seed,
                             "open_ticks_missing": open_ticks_missing})

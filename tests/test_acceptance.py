@@ -338,7 +338,7 @@ def test_criterion_8_exactness_identities(tmp_path):
     kern = discrete_kernel(li, lj, np.arange(T // 2 + 1), T)
     s0 = np.fft.ifft(np.exp(-np.abs(np.arange(T) - T / 2) / 9.0)).conj() * T
     s0 = s0[:T // 2 + 1]
-    forward = type(spec)(T=T, n_days=1, s_n=s0 * kern)
+    forward = type(spec)(T=T, n_days=1, s_n=s0 * kern, grid_dt=1.0)
     back = inverse_filter(forward, li, lj)
     inv_err = float(np.max(np.abs(back.s_n - s0)) / np.max(np.abs(s0)))
 

@@ -460,7 +460,7 @@ def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     gamma = np.zeros(64)
     gamma[0] = 2.0
     s_n = np.fft.ifft(gamma).conj()[:33] * 64  # flat spectrum, value 2
-    spec = SpectrumEstimate(T=64, n_days=1, s_n=s_n)
+    spec = SpectrumEstimate(T=64, n_days=1, s_n=s_n, grid_dt=1.0)
     f_in = tmp_path / "spec.csv"
     write_spectrum_csv(spec, f_in)
 
@@ -488,6 +488,66 @@ def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     assert main(["filter", "--spectrum", str(f_in), "--lambda-i", "0.5",
                  "--lambda-j", "0.5", "--snr", "3", "--out", str(f_w)]) == 2
     assert "wiener" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_second_estimates(tmp_path_factory):
+    """`epps estimate` of an 8-day tick file on a 2 s grid, with the inverse
+    and with the Wiener filter at an estimated snr: {mode: (out_dir,
+    manifest)}."""
+    root = tmp_path_factory.mktemp("two_second")
+    ticks = root / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=8)
+    estimates = {}
+    for mode in ("inverse", "wiener"):
+        out = root / mode
+        assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                     "--asset-j", "B", "--grid-dt", "2",
+                     "--dt-grid", "2,4,10,20,50,100", "--filter-mode", mode,
+                     "--out", str(out)]) == 0
+        estimates[mode] = out, json.loads((out / "manifest.json").read_text())
+    return estimates
+
+
+@pytest.mark.parametrize("mode", ["inverse", "wiener"])
+def test_filter_reproduces_the_filtered_spectrum_of_a_2s_estimate(
+        mode, two_second_estimates, tmp_path):
+    # without its own --grid-dt, the filter took a 1 s step: its output
+    # was up to 2.2 times the largest bin away from the estimate's
+    out, manifest = two_second_estimates[mode]
+    got = tmp_path / "filtered.csv"
+    snr = ["--mode", "wiener", "--snr", "auto"] if mode == "wiener" else []
+    assert main(["filter", "--spectrum", str(out / "spectrum_cross.csv"),
+                 "--lambda-i", repr(manifest["rate_i"]),
+                 "--lambda-j", repr(manifest["rate_j"]), *snr,
+                 "--out", str(got)]) == 0
+    assert "# grid_dt=2\n" in got.read_text()
+    want = out / "spectrum_cross_filtered.csv"
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_fit_reproduces_the_cross_fits_of_an_estimate(two_second_estimates,
+                                                      tmp_path, capsys):
+    # the correlogram file keeps the stderr the estimate's fits weighted
+    # the lags by; without it `epps fit` fitted unweighted and moved tau
+    out, manifest = two_second_estimates["inverse"]
+    assert manifest["config"]["grid_dt"] == 2.0
+    want = {row.split(",")[2]: row.split(",", 2)[2] for row in
+            (out / "fits.csv").read_text().splitlines()[1:]}
+    rates = ["--lambda-i", repr(manifest["rate_i"]),
+             "--lambda-j", repr(manifest["rate_j"])]
+    for family, extra in (("cross_raw", []), ("cross_async", rates)):
+        capsys.readouterr()
+        assert main(["fit", "--correlogram",
+                     str(out / "correlogram_cross.csv"),
+                     "--family", family, *extra]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split(",", 2)[2] == want[family]
+
+
+def test_filter_takes_no_grid_step(capsys):
+    assert main(["filter", "--help"]) == 0
+    assert "--grid-dt" not in capsys.readouterr().out
 
 
 def test_fit_cli_round_trip(tmp_path, capsys):
@@ -810,7 +870,8 @@ def test_sample_rejects_a_level_without_a_finite_positive_price(
 
 
 def write_small_spectrum(path, n_days="1"):
-    write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(5)), path)
+    write_spectrum_csv(SpectrumEstimate(T=8, n_days=1, s_n=np.ones(5),
+                                        grid_dt=1.0), path)
     path.write_text(path.read_text().replace("# n_days=1",
                                              f"# n_days={n_days}"))
 
@@ -864,7 +925,7 @@ def test_filter_rejects_a_spectrum_without_its_length(tmp_path, capsys):
 def test_filter_rejects_a_spectrum_whose_bins_are_out_of_order(tmp_path,
                                                              capsys):
     spec = tmp_path / "spec.csv"
-    spec.write_text("# T=8\nn,re,im\n" + "7,1,0\n" * 5)
+    spec.write_text("# T=8\n# grid_dt=1\nn,re,im\n" + "7,1,0\n" * 5)
     assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
                  "--lambda-j", "0.5", "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
@@ -1072,11 +1133,12 @@ def test_fit_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
 def test_a_bad_correlogram_row_is_a_data_error_naming_file_and_line(
         tmp_path, capsys):
     cg = tmp_path / "cg.csv"
-    cg.write_text("# n_days=1\ntau,value\n-1,0.5\n0,1\n1,0.5,\n")
+    cg.write_text("# n_days=1\ntau,value,stderr\n-1,0.5,nan\n0,1,nan\n"
+                  "1,0.5,nan,\n")
     assert main(["fit", "--correlogram", str(cg),
                  "--family", "cross_raw"]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {cg} line 5: expected 2 numbers, got '1,0.5,'\n")
+        f"data error: {cg} line 5: expected 3 numbers, got '1,0.5,nan,'\n")
 
 
 # -- settings checked before any work ----------------------------------------
@@ -1190,6 +1252,8 @@ def test_run_checks_its_horizons_before_simulating(model_file, tmp_path,
                                "steps"),
     ("run", {"grid_dt": 1001, "dt_grid": [1001]},
      "grid_dt must be finite and in (0, 1000]"),
+    # no horizon: this ran and exited 0 with header-only Epps curves
+    ("run", {"dt_grid": []}, "dt_grid must hold at least one horizon"),
 ])
 def test_settings_beyond_a_day_are_checked_before_any_work(
         command, setting, message, model_file, tmp_path, capsys):

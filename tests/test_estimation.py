@@ -545,6 +545,8 @@ def test_correlogram_csv_round_trip(tmp_path):
     back = read_correlogram_csv(f)
     np.testing.assert_allclose(back.lag_grid, cg.lag_grid)
     np.testing.assert_allclose(back.values, cg.values)
+    # the fits weight the lags by the stderr: it comes back bit for bit
+    assert back.stderr.tobytes() == cg.stderr.tobytes()
     assert back.delta_mass == pytest.approx(cg.delta_mass)
     assert back.n_days == 3
 
@@ -554,16 +556,17 @@ def test_spectrum_csv_round_trip(tmp_path):
     f = tmp_path / "spec.csv"
     for T in (64, 65):  # the same 33 rows; only the T line tells them apart
         spec = estimate_spectrum([rng.standard_normal(T)],
-                                 [rng.standard_normal(T)])
+                                 [rng.standard_normal(T)], grid_dt=0.1)
         write_spectrum_csv(spec, f)
         back = read_spectrum_csv(f)
         assert back.T == T and back.n_days == 1 and back.s_n.size == 33
+        assert back.grid_dt == 0.1
         np.testing.assert_allclose(back.s_n, spec.s_n, rtol=1e-15)
 
 
 def test_spectrum_csv_needs_its_length_and_half_the_bins(tmp_path):
     f = tmp_path / "spec.csv"
-    rows = "n,re,im\n" + "".join(f"{n},1,0\n" for n in range(5))
+    rows = "# grid_dt=1\nn,re,im\n" + "".join(f"{n},1,0\n" for n in range(5))
     # a header line the reader does not know is still read
     f.write_text("# n_days=2\n# T=9\n# rate_i=0.5\n" + rows)
     back = read_spectrum_csv(f)
@@ -577,11 +580,46 @@ def test_spectrum_csv_needs_its_length_and_half_the_bins(tmp_path):
             read_spectrum_csv(f)
 
 
+def test_spectrum_csv_needs_its_grid_step(tmp_path):
+    # the filters read the step from the spectrum: a file without it was
+    # filtered on a 1 s step whatever grid it came from
+    f = tmp_path / "spec.csv"
+    rows = "# T=8\nn,re,im\n" + "".join(f"{n},1,0\n" for n in range(5))
+    for header in ("", "# grid_dt=0\n", "# grid_dt=-2\n", "# grid_dt=nan\n",
+                   "# grid_dt=inf\n"):
+        f.write_text(header + rows)
+        with pytest.raises(DataError) as info:
+            read_spectrum_csv(f)
+        assert str(info.value).startswith(f"{f}: no '# grid_dt=' line")
+    f.write_text("# grid_dt=2\n" + rows)
+    assert read_spectrum_csv(f).grid_dt == 2.0
+
+
+@pytest.mark.parametrize("grid_dt", [0.0, -1.0, math.nan, math.inf])
+def test_a_spectrum_needs_a_finite_positive_grid_step(grid_dt):
+    with pytest.raises(DataError, match="grid_dt must be finite and > 0"):
+        SpectrumEstimate(T=8, n_days=1, s_n=np.ones(5), grid_dt=grid_dt)
+    x = np.ones(8)
+    with pytest.raises(DataError, match="grid_dt must be finite and > 0"):
+        estimate_spectrum([x], [x], grid_dt=grid_dt)
+
+
+def test_estimate_spectrum_keeps_its_grid_step():
+    rng = rng_stream(8, 59)
+    x, y = rng.standard_normal(16), rng.standard_normal(16)
+    assert estimate_spectrum([x], [y]).grid_dt == 1.0
+    spectra = estimate_spectrum([x], [y], autos=True, grid_dt=0.25)
+    assert [s.grid_dt for s in spectra] == [0.25] * 3
+    # the step changes no bin
+    plain = estimate_spectrum([x], [y])
+    assert spectra[0].s_n.tobytes() == plain.s_n.tobytes()
+
+
 def test_spectrum_csv_rows_must_be_bins_0_to_half_t_in_order(tmp_path):
     f = tmp_path / "spec.csv"
     for ns in ([7] * 5, [0, 1, 2, 4, 3], [1, 2, 3, 4, 5], [0, 1, 2, 3, "nan"],
                [0, 1, 2, 3, 4.5]):
-        f.write_text("# T=8\nn,re,im\n"
+        f.write_text("# T=8\n# grid_dt=1\nn,re,im\n"
                      + "".join(f"{n},1,0\n" for n in ns))
         with pytest.raises(DataError, match=r"n column must read 0\.\.4"):
             read_spectrum_csv(f)
@@ -594,10 +632,11 @@ def test_spectrum_csv_bytes_match_per_row_format(tmp_path):
                complex(-0.0, 0.0), complex(1e-300, -1e-300),
                complex(5e-324, 1.7976931348623157e308), complex(0.1, -0.0),
                complex(-math.nan, math.nan), complex(123456789.0, 1.0 / 3)]
-    spec = SpectrumEstimate(T=20000, n_days=2, s_n=s_n)
+    spec = SpectrumEstimate(T=20000, n_days=2, s_n=s_n, grid_dt=0.1)
     f = tmp_path / "spec.csv"
     write_spectrum_csv(spec, f)
-    want = "# n_days=2\n# T=20000\nn,re,im\n" + "".join(
+    want = ("# n_days=2\n# T=20000\n# grid_dt=0.10000000000000001\n"
+            "n,re,im\n") + "".join(
         f"{n},{s.real:.17g},{s.imag:.17g}\n" for n, s in enumerate(s_n))
     assert f.read_bytes() == want.encode()
 
@@ -638,13 +677,14 @@ def test_epps_csv_bytes_match_per_row_format(tmp_path):
 def test_correlogram_csv_bytes_match_per_row_format(delta, tmp_path):
     lags = np.arange(-4, 6) * 0.1  # 0.30000000000000004 and the like
     cg = estimation.Correlogram(lag_grid=lags, values=np.array(AWKWARD),
-                                stderr=np.zeros(lags.size), n_days=3,
+                                stderr=np.array(AWKWARD[::-1]), n_days=3,
                                 delta_mass=delta)
     f = tmp_path / "cg.csv"
     write_correlogram_csv(cg, f)
     meta = "" if delta is None else f"# delta_mass={delta:.17g}\n"
-    want = f"# n_days=3\n{meta}tau,value\n" + "".join(
-        f"{t:.10g},{v:.17g}\n" for t, v in zip(lags, AWKWARD))
+    want = f"# n_days=3\n{meta}tau,value,stderr\n" + "".join(
+        f"{t:.10g},{v:.17g},{e:.17g}\n"
+        for t, v, e in zip(lags, AWKWARD, AWKWARD[::-1]))
     assert f.read_bytes() == want.encode()
 
 
@@ -660,20 +700,26 @@ def test_a_table_on_standard_output_matches_its_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, line, message", [
-    ("# n_days=2\ntau,value\n-1,0.5\n0,abc\n1,0.5\n", 4,
-     "expected 2 numbers, got '0,abc'"),
-    ("# n_days=2\ntau,value\n-1,0.5\n\n0,0.5,7\n", 5,
-     "expected 2 numbers, got '0,0.5,7'"),
-    ("# n_days=2\ntau,value\n-1\n0,0.5\n", 3,
-     "expected 2 numbers, got '-1'"),
+    ("# n_days=2\ntau,value,stderr\n-1,0.5,0\n0,abc,0\n1,0.5,0\n", 4,
+     "expected 3 numbers, got '0,abc,0'"),
+    ("# n_days=2\ntau,value,stderr\n-1,0.5,0\n\n0,0.5,0,7\n", 5,
+     "expected 3 numbers, got '0,0.5,0,7'"),
+    ("# n_days=2\ntau,value,stderr\n-1,0.5\n0,0.5,0\n", 3,
+     "expected 3 numbers, got '-1,0.5'"),
+    # a two-column file as older versions wrote it, without the stderr the
+    # fits weight by, is rejected at its header, before any row is read
+    ("# n_days=2\ntau,value\n-1,0.5\n0,1\n1,0.5\n", 2,
+     "expected the header 'tau,value,stderr', got 'tau,value'"),
+    ("# n_days=2\ntau,value\n-1\n0,0.5\n", 2,
+     "expected the header 'tau,value,stderr', got 'tau,value'"),
     ("# n_days=2\n# a note\ntau,value\n0,1\n", 2,
      "expected '# key=number', got '# a note'"),
     ("#\ntau,value\n0,1\n", 1, "expected '# key=number', got '#'"),
     ("# n_days=two\ntau,value\n0,1\n", 1,
      "expected '# key=number', got '# n_days=two'"),
     ("# n_days=2\n\ntau,val\n0,1\n", 3,
-     "expected the header 'tau,value', got 'tau,val'"),
-    ("# n_days=2\n", 2, "expected the header 'tau,value', got ''"),
+     "expected the header 'tau,value,stderr', got 'tau,val'"),
+    ("# n_days=2\n", 2, "expected the header 'tau,value,stderr', got ''"),
 ])
 def test_a_bad_correlogram_csv_names_its_file_and_line(text, line, message,
                                                        tmp_path):
@@ -686,10 +732,12 @@ def test_a_bad_correlogram_csv_names_its_file_and_line(text, line, message,
 
 def test_a_table_reads_blank_lines_padding_and_an_empty_body(tmp_path):
     f = tmp_path / "cg.csv"
-    f.write_text("\n  # n_days = 4 \n tau,value \n\n -1 , 0.5\n 0,1 \n\n")
+    f.write_text("\n  # n_days = 4 \n tau,value,stderr \n\n -1 , 0.5,nan\n"
+                 " 0,1 ,0.25\n\n")
     cg = read_correlogram_csv(f)
     assert cg.n_days == 4 and cg.delta_mass is None
     np.testing.assert_array_equal(cg.lag_grid, [-1.0, 0.0])
     np.testing.assert_array_equal(cg.values, [0.5, 1.0])
+    np.testing.assert_array_equal(cg.stderr, [np.nan, 0.25])
     f.write_text("dt,rho,stderr\n")
     assert read_epps_csv(f).dt_grid.shape == (0,)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -14,7 +15,12 @@ from epps.filtering import (FilterSpec, inverse_filter, apply_filter,
                             filtered_epps_curve)
 
 
-def hermitian_spectrum(T, seed=0, offset=2.0):
+def one_day(T, s_n, grid_dt=1.0):
+    """A one-day spectrum of T steps of `grid_dt` with the half bins s_n."""
+    return SpectrumEstimate(T=T, n_days=1, s_n=s_n, grid_dt=grid_dt)
+
+
+def hermitian_spectrum(T, seed=0, offset=2.0, grid_dt=1.0):
     """Random real-correlogram spectrum: real, positive where offset large;
     bins 0..T//2."""
     rng = rng_stream(seed, 60)
@@ -22,8 +28,7 @@ def hermitian_spectrum(T, seed=0, offset=2.0):
     gamma = gamma + gamma[np.concatenate([[0], np.arange(T - 1, 0, -1)])]
     s = np.fft.ifft(gamma).conj() * T  # positive-exponent transform
     s = s.real + offset * T / T
-    return SpectrumEstimate(T=T, n_days=1,
-                            s_n=s[:T // 2 + 1].astype(complex) + offset)
+    return one_day(T, s[:T // 2 + 1].astype(complex) + offset, grid_dt)
 
 
 def half_bins(T):
@@ -49,14 +54,14 @@ def test_inverse_undoes_the_forward_kernel():
     T, li, lj = 128, 0.8, 0.15
     s = hermitian_spectrum(T, seed=1)
     kern = discrete_kernel(li, lj, half_bins(T), T)
-    forward = SpectrumEstimate(T=T, n_days=1, s_n=s.s_n * kern)
+    forward = one_day(T, s.s_n * kern)
     back = inverse_filter(forward, li, lj)
     np.testing.assert_allclose(back.s_n, s.s_n, rtol=1e-12, atol=1e-12)
 
 
 def test_sampling_kernel_is_cached_read_only_and_left_unchanged():
     T, li, lj, grid_dt = 256, 0.8, 0.15, 0.5
-    s = hermitian_spectrum(T, seed=7)
+    s = hermitian_spectrum(T, seed=7, grid_dt=grid_dt)
     cross = filtering._kernel_bins(li * grid_dt, lj * grid_dt, T)
     auto = filtering._kernel_bins(li * grid_dt, li * grid_dt, T)
     for kern, lj_step in ((cross, lj * grid_dt), (auto, li * grid_dt)):
@@ -67,11 +72,11 @@ def test_sampling_kernel_is_cached_read_only_and_left_unchanged():
             kern[0] = 0.0
     before = cross.tobytes(), auto.tobytes()
     wiener = FilterSpec(mode="wiener", snr=4.0)
-    out = inverse_filter(s, li, lj, grid_dt)
+    out = inverse_filter(s, li, lj)
     assert out.s_n.tobytes() == (s.s_n / cross).tobytes()
-    apply_filter(s, li, lj, wiener, grid_dt)
-    auto_filter(s, li, 0.5, grid_dt=grid_dt)
-    auto_filter(s, li, 0.5, wiener, grid_dt=grid_dt)
+    apply_filter(s, li, lj, wiener)
+    auto_filter(s, li, 0.5)
+    auto_filter(s, li, 0.5, wiener)
     assert (cross.tobytes(), auto.tobytes()) == before
     assert filtering._kernel_bins(li * grid_dt, lj * grid_dt, T) is cross
 
@@ -94,7 +99,7 @@ def test_wiener_limits():
 
 def test_wiener_damping_grows_with_frequency():
     T, li, lj = 128, 0.5, 0.1
-    s = SpectrumEstimate(T=T, n_days=1, s_n=np.ones(65, dtype=complex))
+    s = one_day(T, np.ones(65, dtype=complex))
     plain = inverse_filter(s, li, lj)
     damped = apply_filter(s, li, lj, FilterSpec(mode="wiener", snr=10.0))
     ratio = np.abs(damped.s_n[1:T // 2]) / np.abs(plain.s_n[1:T // 2])
@@ -148,21 +153,20 @@ def reference_deconvolution(s_n, kern, snr=None, delta_mass=None):
 @pytest.mark.parametrize("li, lj", [(0.4, 0.4), (0.8, 0.15)])
 def test_filters_equal_the_reference_formulas_byte_for_byte(li, lj):
     T, grid_dt, delta = 64, 0.5, 0.7
-    s = hermitian_spectrum(T, seed=8)
+    s = hermitian_spectrum(T, seed=8, grid_dt=grid_dt)
     cross = discrete_kernel(li * grid_dt, lj * grid_dt, half_bins(T), T)
     auto = discrete_kernel(li * grid_dt, li * grid_dt, half_bins(T), T)
     per_bin = 1.0 + half_bins(T) % 7
     for snr in (None, 5.0, per_bin):
         spec = FilterSpec() if snr is None else FilterSpec("wiener", snr)
         want = reference_deconvolution(s.s_n, cross, snr).tobytes()
-        assert apply_filter(s, li, lj, spec, grid_dt).s_n.tobytes() == want
+        assert apply_filter(s, li, lj, spec).s_n.tobytes() == want
         if snr is None:
-            assert inverse_filter(s, li, lj, grid_dt).s_n.tobytes() == want
+            assert inverse_filter(s, li, lj).s_n.tobytes() == want
         want = reference_deconvolution(s.s_n, auto, snr, delta).tobytes()
-        got = auto_filter(s, li, delta, None if snr is None else spec,
-                          grid_dt)
+        got = auto_filter(s, li, delta, None if snr is None else spec)
         assert got.s_n.tobytes() == want
-        assert got.T == s.T and got.n_days == s.n_days
+        assert (got.T, got.n_days, got.grid_dt) == (s.T, s.n_days, grid_dt)
 
 
 def test_auto_filter_round_trip_keeps_point_mass():
@@ -171,8 +175,7 @@ def test_auto_filter_round_trip_keeps_point_mass():
     T, lam, delta = 96, 0.4, 0.8
     s = hermitian_spectrum(T, seed=7, offset=4.0)
     kern = discrete_kernel(lam, lam, half_bins(T), T)
-    stepped = SpectrumEstimate(T=T, n_days=1,
-                               s_n=delta + kern * (s.s_n - delta))
+    stepped = one_day(T, delta + kern * (s.s_n - delta))
     back = auto_filter(stepped, lam, delta)
     np.testing.assert_allclose(back.s_n, s.s_n, rtol=1e-11, atol=1e-11)
     with pytest.raises(DataError, match="point mass"):
@@ -181,8 +184,7 @@ def test_auto_filter_round_trip_keeps_point_mass():
 
 def test_auto_filter_flat_spectrum_is_fixed_point():
     T, lam = 64, 0.7
-    s = SpectrumEstimate(T=T, n_days=1,
-                         s_n=np.full(T // 2 + 1, 1.3, dtype=complex))
+    s = one_day(T, np.full(T // 2 + 1, 1.3, dtype=complex))
     out = auto_filter(s, lam, 1.3)
     np.testing.assert_allclose(out.s_n, 1.3, rtol=1e-13)
 
@@ -192,16 +194,16 @@ def test_estimate_snr_orders_bands_correctly():
     T = 256
     omega = 2.0 * math.pi * half_bins(T) / T
     s_n = 0.05 + 20.0 / (1.0 + (omega / 0.1) ** 2)
-    s = SpectrumEstimate(T=T, n_days=1, s_n=s_n.astype(complex))
+    s = one_day(T, s_n.astype(complex))
     snr = estimate_snr(s, 0.5, 0.1)
     assert snr > 5.0
 
 
 def test_estimate_snr_errors():
-    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(17, dtype=complex))
+    s = one_day(32, np.ones(17, dtype=complex))
     with pytest.raises(DataError):
-        estimate_snr(s, 1e9, 1e9, grid_dt=1.0)  # split above every bin
-    z = SpectrumEstimate(T=32, n_days=1, s_n=np.zeros(17, dtype=complex))
+        estimate_snr(s, 1e9, 1e9)  # split above every bin
+    z = one_day(32, np.zeros(17, dtype=complex))
     with pytest.raises(DataError):
         estimate_snr(z, 0.5, 0.5)
 
@@ -221,7 +223,7 @@ def test_filtered_correlogram_inverts_the_periodogram():
 
 
 def test_filtered_correlogram_flat_spectrum_is_pure_delta():
-    s = SpectrumEstimate(T=128, n_days=1, s_n=np.full(65, 2.0, dtype=complex))
+    s = one_day(128, np.full(65, 2.0, dtype=complex))
     cg = filtered_correlogram(s, max_lag=10.0)
     k0 = cg.lag_grid.size // 2
     assert cg.lag_grid[k0] == 0.0
@@ -230,7 +232,7 @@ def test_filtered_correlogram_flat_spectrum_is_pure_delta():
 
 
 def test_filtered_correlogram_lag_range_check():
-    s = SpectrumEstimate(T=32, n_days=1, s_n=np.ones(17, dtype=complex))
+    s = one_day(32, np.ones(17, dtype=complex))
     with pytest.raises(DataError):
         filtered_correlogram(s, max_lag=16.0)
     with pytest.raises(DataError):
@@ -270,13 +272,13 @@ def test_filtered_epps_curve_unit_for_identical_spectra():
 
 
 def test_filtered_epps_curve_errors():
-    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(33, dtype=complex))
+    s = one_day(64, np.ones(33, dtype=complex))
     with pytest.raises(DataError):
         filtered_epps_curve(s, s, s, [1.5])
     # variance -1 at one step, +2 at two steps: only the first horizon is
     # degenerate, and it is marked NaN instead of aborting the curve
     c = np.cos(2.0 * np.pi * half_bins(64) / 64)
-    bad = SpectrumEstimate(T=64, n_days=1, s_n=(4.0 * c - 1.0).astype(complex))
+    bad = one_day(64, (4.0 * c - 1.0).astype(complex))
     curve = filtered_epps_curve(s, bad, s, [1.0, 2.0])
     assert math.isnan(curve.rho[0])
     assert curve.rho[1] == pytest.approx(1.0)
@@ -318,8 +320,52 @@ def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
 
 
 def test_filtered_epps_curve_rejects_spectra_of_different_lengths():
-    s = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(33, dtype=complex))
-    short = SpectrumEstimate(T=63, n_days=1, s_n=np.ones(32, dtype=complex))
+    s = one_day(64, np.ones(33, dtype=complex))
+    short = one_day(63, np.ones(32, dtype=complex))
     for args in ((s, short, s), (s, s, short), (short, s, s)):
         with pytest.raises(DataError, match="differ in length"):
             filtered_epps_curve(*args, [1.0, 2.0])
+
+
+def test_filtered_epps_curve_rejects_spectra_on_different_grid_steps():
+    s = one_day(64, np.ones(33, dtype=complex))
+    coarse = one_day(64, np.ones(33, dtype=complex), grid_dt=2.0)
+    for args in ((s, coarse, s), (s, s, coarse), (coarse, s, s)):
+        with pytest.raises(DataError, match="differ in grid step"):
+            filtered_epps_curve(*args, [2.0, 4.0])
+
+
+def test_the_grid_step_comes_from_the_spectrum():
+    # the kernel depends on rate x step: at 2 s and rates l the filters
+    # give the bits they give at 1 s and rates 2 l
+    T, li, lj, delta = 64, 0.4, 0.15, 0.7
+    fine = hermitian_spectrum(T, seed=13)
+    coarse = hermitian_spectrum(T, seed=13, grid_dt=2.0)
+    wiener = FilterSpec("wiener", 5.0)
+    for got, want in (
+            (inverse_filter(coarse, li, lj),
+             inverse_filter(fine, 2 * li, 2 * lj)),
+            (apply_filter(coarse, li, lj, wiener),
+             apply_filter(fine, 2 * li, 2 * lj, wiener)),
+            (auto_filter(coarse, li, delta),
+             auto_filter(fine, 2 * li, delta))):
+        assert got.s_n.tobytes() == want.s_n.tobytes()
+        assert got.grid_dt == 2.0
+    assert estimate_snr(coarse, li, lj) == estimate_snr(fine, 2 * li, 2 * lj)
+    # lags and horizons are read in seconds on the spectrum's grid
+    cg = filtered_correlogram(coarse, max_lag=10.0)
+    np.testing.assert_array_equal(cg.lag_grid, np.arange(-5, 6) * 2.0)
+    assert cg.values.tobytes() == filtered_correlogram(
+        fine, max_lag=5.0).values.tobytes()
+    curve = filtered_epps_curve(coarse, coarse, coarse, [2.0, 6.0])
+    np.testing.assert_array_equal(curve.dt_grid, [2.0, 6.0])
+    assert curve.rho.tobytes() == filtered_epps_curve(
+        fine, fine, fine, [1.0, 3.0]).rho.tobytes()
+    with pytest.raises(DataError, match="multiple of the grid step 2"):
+        filtered_epps_curve(coarse, coarse, coarse, [3.0])
+
+
+def test_no_filter_takes_a_grid_step():
+    for name, fn in inspect.getmembers(filtering, inspect.isfunction):
+        if fn.__module__ == filtering.__name__:
+            assert "grid_dt" not in inspect.signature(fn).parameters, name

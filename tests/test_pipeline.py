@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -880,13 +881,15 @@ def test_run_config_from_file(tmp_path, model_file):
         RunConfig.from_file(987654)
 
 
-def small_days(n_days=6, length=3000.0, li=1.0, lj=0.3, seed=1):
+def small_days(n_days=6, length=3000.0, li=1.0, lj=0.3, seed=1,
+               grid_dt=1.0):
     """Days as `epps run` simulates and grids them."""
     pair = ModelPair(cross=CorrelationModel(width=8.0, exp_weight=0.4),
                      auto_i=CorrelationModel(delta_weight=1.0),
                      auto_j=CorrelationModel(delta_weight=1.0))
     config = RunConfig(model_file="unused", lambda_i=li, lambda_j=lj,
-                       n_days=n_days, length=length, seed=seed)
+                       n_days=n_days, length=length, seed=seed,
+                       grid_dt=grid_dt, dt_grid=(grid_dt,))
     days_i, days_j, _ = pipeline._simulate_days(pair, config)
     return days_i, days_j
 
@@ -906,6 +909,17 @@ def test_analyze_pair_returns_complete_artifact_set():
     assert rho[0] < rho[-1]
     # the corrected cross fit should not be degenerate on signal like this
     assert not out["fits"]["cross_async"].degenerate
+
+
+def test_analyze_pair_takes_the_grid_step_of_its_days():
+    assert "grid_dt" not in inspect.signature(analyze_pair).parameters
+    days_i, days_j = small_days(grid_dt=2.0)
+    out = analyze_pair(days_i, days_j, 1.0, 0.3, [2.0, 10.0], 40.0)
+    for key in ("s_cross", "s_cross_filtered", "cg_cross_filtered"):
+        assert out[key].grid_dt == 2.0, key
+    np.testing.assert_array_equal(out["cg_cross_filtered"].lag_grid,
+                                  out["cg_cross"].lag_grid)
+    np.testing.assert_array_equal(out["epps_filtered"].dt_grid, [2.0, 10.0])
 
 
 FIT_NAMES = {"cross_raw", "cross_async", "auto_i_raw", "auto_i_async",
