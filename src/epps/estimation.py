@@ -463,14 +463,15 @@ def read_epps_csv(path):
 
 
 def write_correlogram_csv(cg, path):
-    """Rows tau, value, stderr; the stderr is `nan` where unknown, and the
-    fits weight the lags by it."""
+    """Rows tau, value, stderr, each `%.17g` so that it reads back bit for
+    bit (a lag such as 3 * 0.1 too); the stderr is `nan` where unknown,
+    and the fits weight the lags by it."""
     meta = {"n_days": cg.n_days}
     if cg.delta_mass is not None:
         meta["delta_mass"] = f"{cg.delta_mass:.17g}"
     _write_table(path, "tau,value,stderr", (cg.lag_grid, cg.values,
                                             cg.stderr),
-                 "%.10g,%.17g,%.17g", meta)
+                 "%.17g,%.17g,%.17g", meta)
 
 
 def read_correlogram_csv(path):

@@ -8,14 +8,15 @@ simulated times to that clock, so that `load_ticks` reads those ticks back.
 
 `load_ticks` cuts a file at line boundaries into ranges of about equal size,
 one per CPU the process may use but no more than one per `_RANGE_BYTES`
-started, and where the platform has `fork` parses all but the first in
-forked processes (`_range_child`), with the result of one range.  Each range
-is read in chunks of `_CHUNK_BYTES` or more that end at a line break,
-`\\r\\n` and a lone `\\r` read as `\\n`.  One numpy pass over a chunk finds
-its line ends and comma counts, and only lines without three commas are
-decoded one at a time (`_ingest_chunk`).  Ingest holds each parsed column
-once (`_merge`): a kept row costs its time and log price, 16 bytes, plus its
-line-number gap (`_pack_lines`).
+started.  Where the platform has `fork`, a file cut into two or more ranges
+is parsed wholly in forked processes, one per range (`_range_child`), each
+sending back the result of its range; a file of one range is parsed in the
+calling process.  Each range is read in chunks of `_CHUNK_BYTES` or more
+that end at a line break, `\\r\\n` and a lone `\\r` read as `\\n`.  One
+numpy pass over a chunk finds its line ends and comma counts, and only
+lines without three commas are decoded one at a time (`_ingest_chunk`).
+Ingest holds each parsed column once (`_merge`): a kept row costs its time
+and log price, 16 bytes, plus its line-number gap (`_pack_lines`).
 """
 
 from dataclasses import dataclass
@@ -157,26 +158,26 @@ def _line_end(fh, pos):
 
 
 def _parse_ranges(path, ranges, session):
-    """`_parse_range` of every range, in order: the first in this process,
-    the others at the same time in forked children, which send their
-    result back through a pipe (`_range_child`).  Raises what a child
-    raised, and ChildProcessError when one exits before its whole result
-    is sent."""
+    """`_parse_range` of every range, in order.  One range is parsed in
+    this process; two or more are parsed at the same time in forked
+    children, one per range, which send their result back through a pipe
+    (`_range_child`), so that this process keeps no parsing temporaries
+    between the columns it returns.  Raises what a child raised, and
+    ChildProcessError when one exits before its whole result is sent."""
     if len(ranges) < 2:
         return [_parse_range(path, start, end, session)
                 for start, end in ranges]
     import multiprocessing
     fork = multiprocessing.get_context("fork")
-    children, done = [], False
+    children, parts, done = [], [], False
     try:
-        for start, end in ranges[1:]:
+        for start, end in ranges:
             recv, send = fork.Pipe(duplex=False)
             child = fork.Process(target=_range_child, daemon=True,
                                  args=(send, path, start, end, session))
             child.start()
             send.close()
             children.append((child, recv))
-        parts = [_parse_range(path, *ranges[0], session)]
         for child, recv in children:
             try:  # each array wraps the bytes of its own message
                 ok, part = pickle.loads(recv.recv_bytes(),
@@ -191,9 +192,9 @@ def _parse_ranges(path, ranges, session):
         done = True
     finally:
         for child, recv in children:
-            recv.close()
-            if not done:
+            if not done:  # before the pipe closes under a blocked send
                 child.terminate()
+            recv.close()
             child.join()
     return parts
 

@@ -532,6 +532,28 @@ def test_fit_reproduces_the_cross_fits_of_an_estimate(two_second_estimates,
     # the lags by; without it `epps fit` fitted unweighted and moved tau
     out, manifest = two_second_estimates["inverse"]
     assert manifest["config"]["grid_dt"] == 2.0
+    _assert_fit_gives_the_cross_fits(out, manifest, capsys)
+
+
+def test_fit_reproduces_the_cross_fits_of_a_tenth_second_estimate(
+        tmp_path, capsys):
+    # lags such as 3 * 0.1 = 0.30000000000000004 read back bit for bit;
+    # written at %.10g they read back as 0.3, and the fit of the degenerate
+    # cross_async row moved
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=8)
+    out = tmp_path / "est"
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--grid-dt", "0.1",
+                 "--dt-grid", "0.1,1,10", "--max-lag", "12",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    _assert_fit_gives_the_cross_fits(out, manifest, capsys)
+
+
+def _assert_fit_gives_the_cross_fits(out, manifest, capsys):
+    """`epps fit` of the estimate's `correlogram_cross.csv` prints the
+    estimate's `cross_raw` and `cross_async` rows of `fits.csv`."""
     want = {row.split(",")[2]: row.split(",", 2)[2] for row in
             (out / "fits.csv").read_text().splitlines()[1:]}
     rates = ["--lambda-i", repr(manifest["rate_i"]),

@@ -14,7 +14,7 @@ from epps.estimation import (estimate_rate, epps_curve, correlogram,
                              estimate_spectrum, write_epps_csv, read_epps_csv,
                              write_correlogram_csv, read_correlogram_csv,
                              write_spectrum_csv, read_spectrum_csv,
-                             SpectrumEstimate)
+                             SpectrumEstimate, Correlogram)
 
 
 def make_series(levels, grid_dt=1.0):
@@ -551,6 +551,19 @@ def test_correlogram_csv_round_trip(tmp_path):
     assert back.n_days == 3
 
 
+def test_correlogram_csv_writes_whole_number_lags_as_before(tmp_path):
+    # lags are %.17g, where they were %.10g: on a whole-number step, such
+    # as the default 1 s, the files keep their bytes
+    f = tmp_path / "cg.csv"
+    for step in (1.0, 2.0):
+        lags = np.arange(-12, 13) * step
+        cg = Correlogram(lag_grid=lags, values=np.exp(-np.abs(lags)),
+                         stderr=np.full(lags.size, 0.01), n_days=2)
+        write_correlogram_csv(cg, f)
+        taus = [row.split(",")[0] for row in f.read_text().splitlines()[2:]]
+        assert taus == ["%.10g" % tau for tau in lags]
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     rng = rng_stream(8, 57)
     f = tmp_path / "spec.csv"
@@ -683,9 +696,11 @@ def test_correlogram_csv_bytes_match_per_row_format(delta, tmp_path):
     write_correlogram_csv(cg, f)
     meta = "" if delta is None else f"# delta_mass={delta:.17g}\n"
     want = f"# n_days=3\n{meta}tau,value,stderr\n" + "".join(
-        f"{t:.10g},{v:.17g},{e:.17g}\n"
+        f"{t:.17g},{v:.17g},{e:.17g}\n"
         for t, v, e in zip(lags, AWKWARD, AWKWARD[::-1]))
     assert f.read_bytes() == want.encode()
+    # %.10g wrote 0.3, and `epps fit` of the file moved
+    assert read_correlogram_csv(f).lag_grid.tobytes() == lags.tobytes()
 
 
 def test_a_table_on_standard_output_matches_its_file(tmp_path, capsys):

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import weakref
 from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -414,7 +415,99 @@ def test_load_ticks_forked_ranges_match_rowwise_reference(tmp_path):
     with _forced_ranges(1, 3), _deadline(30), \
             mock.patch.object(ticks, "_parse_ranges", spy):
         _assert_same_ticks(path, _SESSION)
-    assert calls == [3, 3]  # two children each time
+    assert calls == [3, 3]  # three children each time
+
+
+def test_load_ticks_parses_a_split_file_wholly_in_children(tmp_path):
+    # the calling process parses no range, so no parse temporaries are left
+    # in its heap between the columns it returns
+    t0 = SessionSpec().window_start
+    path = tick_file(tmp_path, [f"A,d1,{t0 + k:.6f},100" for k in range(30)])
+    log = tmp_path / "parsed.txt"
+    parse, parse_ranges = ticks._parse_range, ticks._parse_ranges
+    ranges = []
+
+    def spy(path, start, end, session):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {start}\n")
+        return parse(path, start, end, session)
+
+    def spy_ranges(path, cut, session):
+        ranges.extend(cut)
+        return parse_ranges(path, cut, session)
+
+    with _forced_ranges(1, 3), _deadline(30), \
+            mock.patch.object(ticks, "_parse_range", spy), \
+            mock.patch.object(ticks, "_parse_ranges", spy_ranges):
+        series, errors = load_ticks(path)
+    assert errors == [] and series[("A", "d1")].times.size == 30
+    calls = [line.split() for line in log.read_text().splitlines()]
+    pids = {int(pid) for pid, _ in calls}
+    assert len(ranges) == 3 and len(pids) == 3 and os.getpid() not in pids
+    assert sorted(int(start) for _, start in calls) == [a for a, _ in ranges]
+
+
+@pytest.mark.parametrize("range_bytes, cpus", [
+    (ticks._RANGE_BYTES, 3),  # a file under one range's bytes
+    (1, 1),                   # one CPU
+])
+def test_load_ticks_parses_one_range_in_the_calling_process(tmp_path,
+                                                             range_bytes,
+                                                             cpus):
+    t0 = SessionSpec().window_start
+    path = tick_file(tmp_path, [f"A,d1,{t0 + k:.6f},100" for k in range(30)])
+    parse = ticks._parse_range
+    pids = []
+
+    def spy(*args):
+        pids.append(os.getpid())
+        return parse(*args)
+
+    with _forced_ranges(range_bytes, cpus), \
+            mock.patch.object(ticks, "_parse_range", spy), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("fork")):
+        series, errors = load_ticks(path)
+    assert errors == [] and series[("A", "d1")].times.size == 30
+    assert pids == [os.getpid()]
+
+
+def test_load_ticks_gives_the_same_bytes_at_one_to_three_cpus(tmp_path):
+    # 600 rows of one width, A and B on alternate lines, so that 2 and 3
+    # ranges start on rows 300, and 200 and 400: each is a time below its
+    # asset's row two lines above, in the range before, which the merge
+    # rejects; bad records of that width lie among them
+    t0 = SessionSpec().window_start
+    rows = []
+    for r in range(600):
+        t = t0 + r // 2 - (1.5 if r in (200, 300, 400) else 0)
+        price = {25: "-10.000", 75: "x00.000"}.get(r % 100,
+                                                   f"{100 + r % 97 / 1e3:.3f}")
+        rows.append(f"{'AB'[r % 2]},d1,{t:.6f},{price}")
+    assert len({len(row) for row in rows}) == 1
+    path = tick_file(tmp_path, rows)
+    body = len(ticks.HEADER) + 1
+    parse_ranges = ticks._parse_ranges
+    starts = []
+
+    def spy(path, ranges, session):
+        starts.extend(start for start, _ in ranges[1:])
+        return parse_ranges(path, ranges, session)
+
+    seen = set()
+    for cpus in (1, 2, 3):
+        with _forced_ranges(1, cpus), _deadline(30), \
+                mock.patch.object(ticks, "_parse_ranges", spy):
+            series, errors = load_ticks(path)
+        assert [e for e in errors if "non-monotone" in e] == [
+            f"line {r + 2}: non-monotone time {t0 + r // 2 - 1.5} for "
+            f"{'AB'[r % 2]} d1" for r in (200, 300, 400)]
+        assert len(errors) == 15
+        seen.add((tuple(errors), tuple(
+            (key, ts.times.tobytes(), ts.log_prices.tobytes(), ts.open_tick)
+            for key, ts in series.items())))
+    assert len(seen) == 1
+    row_bytes = len(rows[0]) + 1
+    assert starts == [body + r * row_bytes for r in (300, 200, 400)]
 
 
 def _crlf_file(tmp_path, rows, last_break=True):
@@ -593,14 +686,17 @@ def _deadline(seconds):
 
 
 def _failing_parse(where, failure):
-    """`_parse_range` that fails with `failure()` after parsing, in the
-    parent process or in the forked children."""
+    """`_parse_range` that fails with `failure()` after parsing, in every
+    forked child, or with `where` "first" only in the child of the first
+    range, the one that starts after the header."""
     parent = os.getpid()
     parse = ticks._parse_range
 
-    def parse_range(*args):
-        part = parse(*args)
-        if (os.getpid() == parent) == (where == "parent"):
+    def parse_range(path, start, end, session):
+        part = parse(path, start, end, session)
+        with open(path, "rb") as fh:
+            first = start == len(fh.readline())
+        if os.getpid() != parent and (where == "child" or first):
             failure()
         return part
 
@@ -637,8 +733,9 @@ def _boom():
 @pytest.mark.parametrize("where, failure, error, match", [
     ("child", _boom, ValueError, "boom"),
     ("child", lambda: os._exit(3), ChildProcessError, "code 3"),
-    # the child is blocked sending more than a pipe holds
-    ("parent", _boom, ValueError, "boom"),
+    # the first range's child raises while the second is blocked sending
+    # more than a pipe holds
+    ("first", _boom, ValueError, "boom"),
     # the child exits after its pickle, before the arrays it refers to,
     # halfway through an array, and between two arrays
     ("sending", 1, ChildProcessError, "code 3"),
@@ -653,9 +750,20 @@ def test_load_ticks_raises_when_a_range_parser_fails(tmp_path, where,
     fault = (_exit_after_sending(failure) if where == "sending" else
              mock.patch.object(ticks, "_parse_range",
                                _failing_parse(where, failure)))
-    with _forced_ranges(1, 2), _deadline(30), fault:
+    started = []
+    start = BaseProcess.start
+
+    def spy(process):
+        started.append(process)
+        start(process)
+
+    with _forced_ranges(1, 2), _deadline(30), fault, \
+            mock.patch.object(BaseProcess, "start", spy):
         with pytest.raises(error, match=match):
             load_ticks(path)
+    assert len(started) == 2 and not any(p.is_alive() for p in started)
+    if where == "first":  # killed while it waited on the pipe
+        assert started[1].exitcode == -signal.SIGTERM
     with _forced_ranges(1, 2):  # and the next call works
         series, errors = load_ticks(path)
     assert errors == [] and series[("A", "d1")].times.size == 20000
@@ -676,11 +784,12 @@ def test_load_ticks_holds_each_parsed_column_once(tmp_path):
     # 120 000 rows in three forked ranges of 64 kB chunks.  Each row is
     # parsed into a time and a log price, 16 bytes, which the series
     # returned keep, and the one-byte gap to its asset-day's row before.
-    # Measured peaks, over 16 bytes a row: 1.33 with the line numbers
-    # packed in gaps and the joined columns kept as the series; 1.90 with
-    # an int64 line number a row; 3.26 when the parent unpickled each
-    # child's columns from one message and kept every range until all
-    # series were made.
+    # Measured peaks, over 16 bytes a row: 1.37 with the line numbers
+    # packed in gaps, the joined columns kept as the series and every
+    # range parsed in a child (1.38 when the calling process parsed the
+    # first); 1.90 with an int64 line number a row; 3.26 when the parent
+    # unpickled each child's columns from one message and kept every range
+    # until all series were made.
     t0 = SessionSpec().window_start
     rows = [f"{asset},d{day},{t0 + k * 0.5:.6f},{100 + k * 1e-3:.15f}"
             for day in range(6) for k in range(10000) for asset in "AB"]
