@@ -18,25 +18,6 @@ def expm1_over_x(x):
     return np.where(small, 1.0 + x / 2.0 + x * x / 6.0, out)
 
 
-def xexpx_minus_expm1_over_x2(x):
-    """(x e^x - (e^x - 1))/x^2, stable at x = 0.  Equals d/dx[expm1(x)] / ... used
-    for derivatives of expm1_over_x: d/dx[(e^x-1)/x] = this function."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe)
-    return np.where(small, 0.5 + x / 3.0 + x * x / 8.0, out)
-
-
-def expm1_minus_x_over_x2(x):
-    """(e^x - 1 - x)/x^2, stable at x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    safe = np.where(small, 1.0, x)
-    out = (np.expm1(safe) - safe) / (safe * safe)
-    return np.where(small, 0.5 + x / 6.0 + x * x / 24.0 + x ** 3 / 120.0, out)
-
-
 def decay_difference(t, a, b):
     """(e^{-a t} - e^{-b t}) / (b - a) for t >= 0 and finite rates a, b >= 0.
 
@@ -51,33 +32,33 @@ def decay_difference(t, a, b):
 def decay_difference_da(t, a, b):
     """Derivative of decay_difference(t, a, b) in its first rate a.
 
-    Equals -t^2 e^{-b t} E'((b - a) t) with E = expm1_over_x; as in
-    decay_difference the slower decay is factored out, which leaves
-    xexpx_minus_expm1_over_x2 (a > b) or expm1_minus_x_over_x2 (a <= b) of
-    a nonpositive argument.
+    Equals -t^2 integral_0^1 (1 - s) e^{-((1 - s) a + s b) t} ds; as in
+    decay_difference the slower decay is factored out, which leaves the
+    first (a <= b) or the second (a > b) of the `exp_moments` of |a - b| t.
     """
     t = np.asarray(t, dtype=float)
-    z = -abs(a - b) * t
-    rest = expm1_minus_x_over_x2(z) if a <= b else xexpx_minus_expm1_over_x2(z)
+    rest = exp_moments(abs(a - b) * t)[0 if a <= b else 1]
     return -t * t * np.exp(-min(a, b) * t) * rest
 
 
 def exp_moments(y):
     """(integral_0^1 (1 - s) e^{-y s} ds, integral_0^1 s e^{-y s} ds) for
     y >= 0: both positive, and taken without cancellation, by their Taylor
-    series below y = 1 and as (y - 1 + e^-y)/y^2 and (1 - (1 + y) e^-y)/y^2
-    above."""
+    series on the entries below y = 1 and as (y - 1 + e^-y)/y^2 and
+    (1 - (1 + y) e^-y)/y^2 on the rest."""
     y = np.asarray(y, dtype=float)
     small = y < 1.0
-    ys = np.where(small, y, 0.0)
-    a = b = 0.0  # Horner sums of (-y)^n (1 or n + 1)/(n + 2)!, n <= 17
-    for n in range(17, -1, -1):
-        a = 1.0 / math.factorial(n + 2) - ys * a
-        b = (n + 1.0) / math.factorial(n + 2) - ys * b
     yl = np.where(small, 1.0, y)
     e = np.exp(-yl)
-    return (np.where(small, a, (yl - 1.0 + e) / (yl * yl)),
-            np.where(small, b, (1.0 - (1.0 + yl) * e) / (yl * yl)))
+    a, b = (np.asarray(v / (yl * yl))
+            for v in (yl - 1.0 + e, 1.0 - (1.0 + yl) * e))
+    ys = y[small]
+    sa = sb = 0.0  # Horner sums of (-y)^n (1 or n + 1)/(n + 2)!, n <= 17
+    for n in range(17, -1, -1):
+        sa = 1.0 / math.factorial(n + 2) - ys * sa
+        sb = (n + 1.0) / math.factorial(n + 2) - ys * sb
+    a[small], b[small] = sa, sb
+    return a, b
 
 
 def triangle_exp(center, dt, rate):

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .kernels import sync_covariance, _as_models, _finite
+from .kernels import sync_covariance, _finite
 from ._numutil import decay_difference, decay_difference_da, triangle_exp
 
 
@@ -126,18 +126,15 @@ def async_cross_corr(model, k, tau):
     scalar = np.isscalar(tau)
     tau = _finite(tau, "async_cross_corr", name="tau")
     out = np.zeros_like(tau)
-    r = _rate_prefactor(k.lambda_i, k.lambda_j)
-    for m in _as_models(model):
-        s = tau - m.lag
-        if k.synchronous:
-            if m.width > 0.0:
-                out += m.exp_weight * np.exp(-np.abs(s) / m.width) / (2.0 * m.width)
-            continue
-        wd = m.total_delta_weight
-        if wd != 0.0:
-            out += wd * _smoothing_weight(k, s)
-        if m.width > 0.0 and m.exp_weight != 0.0:
-            out += m.exp_weight * _sampled_exp_density(k, m.width, s)
+    s, xi, we = tau - model.lag, model.width, model.exp_weight
+    if k.synchronous:
+        if xi > 0.0:
+            out += we * np.exp(-np.abs(s) / xi) / (2.0 * xi)
+    else:
+        if model.total_delta_weight != 0.0:
+            out += model.total_delta_weight * _smoothing_weight(k, s)
+        if xi > 0.0 and we != 0.0:
+            out += we * _sampled_exp_density(k, xi, s)
     return out[0] if scalar else out
 
 
@@ -170,8 +167,8 @@ def _weight_antiderivative(u, li, lj):
     return out
 
 
-# dt over an exponential component's width, or over a delta component's
-# longest mean tick gap, below which async_covariance integrates the sampled
+# dt over the model's exponential width, or over the longest mean tick gap
+# when it has none, below which async_covariance integrates the sampled
 # kernel over the triangle instead of taking the second difference of H,
 # which errs by about 3e-16 (scale/dt)^2 relative: 2e-13 at this threshold.
 _SMALL_DT = 0.04
@@ -201,7 +198,7 @@ def _triangle_decay_difference(center, dt, a, b):
 
 
 def _small_dt_covariance(m, k, lag, dt):
-    """async_covariance of one model component at lag >= 0 for small dt, as
+    """async_covariance of the model `m` at lag >= 0 for small dt, as
     the triangle integral of its sampled kernel (see async_cross_corr).  On
     each side of the kernel's kink at s = lag the kernel is, in the distance
     v from the kink, a sum of exponentials and a decay_difference, each
@@ -228,37 +225,32 @@ def async_covariance(model, k, dt):
 
     One exact closed form for the delta and lag+exponential kernel families,
     vectorised over dt: the triangle integral above, with H built from the
-    sampling weight's antiderivative and, for exponential components, the
+    sampling weight's antiderivative and, for an exponential part, the
     sampled correlation density of async_cross_corr.  Every 1/(lambda xi - 1)
     pole is removable and sits inside decay_difference, so the result is
     continuous across dt = |lag| and across lambda*xi = 1; an infinite rate
     takes its exact limit.  A negative lag is mirrored (lag -> -lag, rates
     swapped) so that only H(dt - lag) carries the linear part.  Below
-    `_SMALL_DT` of a component's scale, where that second difference would
-    cancel, the component is `_small_dt_covariance` instead.
+    `_SMALL_DT` of the model's scale, where that second difference would
+    cancel, it is `_small_dt_covariance` instead.
     """
     scalar = np.isscalar(dt)
     dt = _finite(dt, "async_covariance", bound=">= 0")
     if k.synchronous:
         out = sync_covariance(model, dt)
         return out if not scalar else float(out)
-    n = dt.size
-    out = np.zeros_like(dt)
-    for m in _as_models(model):
-        kern, lag = (k, m.lag) if m.lag >= 0 else (k.swapped(), -m.lag)
-        u = np.concatenate([dt - lag, -dt - lag, [-lag]])
-        h = m.total_mass * _weight_antiderivative(
-            u, kern.lambda_i, kern.lambda_j)
-        if m.width > 0.0 and m.exp_weight != 0.0:
-            h += m.exp_weight * m.width ** 2 * _sampled_exp_density(
-                kern, m.width, u)
-        piece = h[:n] + h[n:2 * n] - 2.0 * h[-1]
-        scale = m.width if m.width > 0.0 else 1.0 / min(k.lambda_i,
-                                                        k.lambda_j)
-        small = dt < _SMALL_DT * scale
-        if small.any():
-            piece[small] = _small_dt_covariance(m, kern, lag, dt[small])
-        out += piece
+    n, m = dt.size, model
+    kern, lag = (k, m.lag) if m.lag >= 0 else (k.swapped(), -m.lag)
+    u = np.concatenate([dt - lag, -dt - lag, [-lag]])
+    h = m.total_mass * _weight_antiderivative(u, kern.lambda_i, kern.lambda_j)
+    if m.width > 0.0 and m.exp_weight != 0.0:
+        h += m.exp_weight * m.width ** 2 * _sampled_exp_density(
+            kern, m.width, u)
+    out = h[:n] + h[n:2 * n] - 2.0 * h[-1]
+    scale = m.width if m.width > 0.0 else 1.0 / min(k.lambda_i, k.lambda_j)
+    small = dt < _SMALL_DT * scale
+    if small.any():
+        out[small] = _small_dt_covariance(m, kern, lag, dt[small])
     return out[0] if scalar else out
 
 
@@ -288,14 +280,13 @@ def async_variance(model, lam, dt):
         raise DataError("sampling rate must be > 0")
     out = sync_covariance(model, dt)
     if not math.isinf(lam):
-        for m in _as_models(model):
-            if m.lag != 0.0:
-                raise DataError("async_variance requires an auto kernel (lag = 0)")
-            a = m.total_delta_weight
-            b = m.exp_weight if m.width > 0.0 else 0.0
-            cbar = _damped_kernel(a, b, m.width, lam, dt)
-            cbar0 = _damped_kernel(a, b, m.width, lam, 0.0)
-            out = out + (2.0 / lam ** 2) * (cbar - np.exp(-lam * dt) * cbar0)
+        if model.lag != 0.0:
+            raise DataError("async_variance requires an auto kernel (lag = 0)")
+        a = model.total_delta_weight
+        b = model.exp_weight if model.width > 0.0 else 0.0
+        cbar = _damped_kernel(a, b, model.width, lam, dt)
+        cbar0 = _damped_kernel(a, b, model.width, lam, 0.0)
+        out = out + (2.0 / lam ** 2) * (cbar - np.exp(-lam * dt) * cbar0)
     return out[0] if scalar else out
 
 

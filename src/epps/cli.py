@@ -320,7 +320,8 @@ _FIGURE_RUNS = {
 
 @cli.command()
 @click.option("--seed", default=0, show_default=True)
-@click.option("--days", default=20, show_default=True)
+@click.option("--days", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def figures(seed, days, out_dir):
     """Regenerate the canned synthetic figure data.

@@ -6,6 +6,12 @@ inverts that kernel (plain inverse or Wiener-damped) bin by bin on the
 half spectrum n = 0..T//2 that `SpectrumEstimate` holds, and rebuilds
 correlograms and Epps curves from the corrected spectrum.  Every function
 here takes the grid step from its spectra, which carry it.
+
+Both rebuilds read a spectrum through its lag values gamma_k, one inverse
+real DFT.  The covariance of m-step increments is the lag sum
+sum_{|k|<m} (m - |k|) gamma_k, which is (1/T) sum_n S_n |D_m(theta_n)|^2
+over the full spectrum n = 0..T-1, with D_m(theta) = sum_{t<m} e^{i theta t}
+the Dirichlet window and theta_n = 2 pi n / T.
 """
 
 from dataclasses import dataclass
@@ -69,7 +75,7 @@ def _kernel_bins(lambda_i_step, lambda_j_step, T):
 
 
 def _kernel(s_tilde, lambda_i, lambda_j):
-    if lambda_i <= 0 or lambda_j <= 0:
+    if not (lambda_i > 0 and lambda_j > 0):  # NaN fails too
         raise DataError("sampling rates must be > 0")
     dt = s_tilde.grid_dt
     return _kernel_bins(lambda_i * dt, lambda_j * dt, s_tilde.T)
@@ -136,6 +142,8 @@ def estimate_snr(s_tilde, lambda_i, lambda_j):
     the mean magnitude above it (the high-frequency plateau).  A crude but
     serviceable default; pass an explicit FilterSpec to override.
     """
+    if not (lambda_i > 0 and lambda_j > 0):  # NaN fails too
+        raise DataError("sampling rates must be > 0")
     T = s_tilde.T
     n = np.arange(1, T // 2 + 1)
     omega = 2.0 * math.pi * n / (T * s_tilde.grid_dt)
@@ -170,27 +178,13 @@ def filtered_correlogram(s_hat, max_lag=None):
                        n_days=s_hat.n_days)
 
 
-def _window_weights(T, m, n, sin_n):
-    """|sum_{t<m} e^{i theta_n t}|^2 for every frequency index n, given
-    n = arange(T // 2 + 1) and sin_n = sin(pi n / T)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (np.sin(np.pi * n * m / T) / sin_n) ** 2
-    w[0] = m * m
-    return w
-
-
-def _windowed_covariance(spec, w):
-    return float(np.sum(spec.s_n.real * w) / spec.T)
-
-
 def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid):
     """Epps curve implied by corrected cross- and auto-spectra.
 
-    Each horizon's covariance is the spectrum summed against the squared
-    Dirichlet window of that horizon, built once for all three spectra,
-    which must therefore share one length T and one grid step; the Pearson
-    coefficient follows.  On the half spectrum the interior bins
-    1..(T-1)//2 stand for their mirror images too, so they count twice.  A
+    Each horizon's covariance is the lag sum of the module docstring over
+    the spectrum's lag values, which one inverse real DFT takes as in
+    `filtered_correlogram`; the three spectra must therefore share one
+    length T and one grid step, and the Pearson coefficient follows.  A
     horizon whose filtered variance is <= 0 has no coefficient and is NaN.
     """
     T = s_hat.T
@@ -204,15 +198,13 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid):
                         f"{s_auto_j.grid_dt:g}")
     dt_grid = np.asarray(dt_grid, dtype=float)
     rho = np.empty(dt_grid.size)
-    n = np.arange(T // 2 + 1)
-    sin_n = np.sin(np.pi * n / T)
-    mult = np.where((n == 0) | (2 * n == T), 1.0, 2.0)
+    gamma = np.fft.irfft(np.conj([s_hat.s_n, s_auto_i.s_n, s_auto_j.s_n]), T)
     for a, m in enumerate(_horizon_steps(dt_grid, grid_dt)):
         if m >= T:
             raise DataError("horizon must be in [1, T) grid steps")
-        w = mult * _window_weights(T, m, n, sin_n)
-        c12, v1, v2 = (_windowed_covariance(s, w)
-                       for s in (s_hat, s_auto_i, s_auto_j))
+        k = np.arange(1 - m, m)  # negative lags index gamma from its end
+        # einsum, not a BLAS dot: the sums do not depend on the thread count
+        c12, v1, v2 = np.einsum("k,sk->s", m - np.abs(k), gamma[:, k])
         rho[a] = c12 / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else np.nan
     return EppsCurve(dt_grid=dt_grid, rho=rho,
                      stderr=np.full(dt_grid.size, np.nan))

@@ -72,12 +72,6 @@ class CorrelationModel:
         return max(self.width, abs(self.lag), 1.0)
 
 
-def _as_models(model):
-    if isinstance(model, CorrelationModel):
-        return (model,)
-    return tuple(model)
-
-
 def _finite(values, caller, name="dt", bound=""):
     """`values` as a 1-d float array, every one finite and, for `bound`
     ">= 0" or "> 0", so bounded; else DataError naming `caller` and the
@@ -96,12 +90,12 @@ def _triangle_covariance(model, dt, shift):
     """integral (dt - |s|) c(s + shift) ds over s in [-dt, dt], elementwise
     over broadcast `dt` >= 0 and `shift`: the covariance of two dt-horizon
     increments whose starts lie `shift` apart, in closed form."""
-    out = np.zeros(np.broadcast(dt, shift).shape)
-    for m in _as_models(model):
-        center = m.lag - shift
-        out += m.total_delta_weight * np.maximum(dt - abs(center), 0.0)
-        if m.width > 0.0:
-            out += m.exp_weight * triangle_exp_integral(dt, center, m.width)
+    center = model.lag - shift
+    out = np.zeros(np.broadcast(dt, shift).shape)  # a sum of +0.0, not -0.0
+    out += model.total_delta_weight * np.maximum(dt - abs(center), 0.0)
+    if model.width > 0.0:
+        out += model.exp_weight * triangle_exp_integral(dt, center,
+                                                        model.width)
     return out
 
 

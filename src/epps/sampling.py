@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .kernels import ModelPair, _as_models, _triangle_covariance
+from .kernels import ModelPair, _triangle_covariance
 
 
 def rng_stream(seed, *key):
@@ -76,10 +76,8 @@ class SteppedSeries:
 
 
 def _max_lag_steps(pair, grid_dt):
-    scale = 0.0
-    for model in (pair.cross, pair.auto_i, pair.auto_j):
-        for m in _as_models(model):
-            scale = max(scale, abs(m.lag) + 40.0 * m.width)
+    scale = max(abs(m.lag) + 40.0 * m.width
+                for m in (pair.cross, pair.auto_i, pair.auto_j))
     return int(math.ceil(scale / grid_dt)) + 1
 
 

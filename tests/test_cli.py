@@ -490,6 +490,26 @@ def test_filter_cli_inverse_and_wiener(tmp_path, capsys):
     assert "wiener" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["inverse", "wiener"])
+@pytest.mark.parametrize("rates", [("nan", "0.5"), ("0.5", "nan"),
+                                   ("-1", "0.5"), ("0.5", "0")])
+def test_filter_rejects_a_rate_that_is_not_positive(mode, rates, tmp_path,
+                                                     capsys):
+    # a NaN rate passed a `<= 0` test: the Wiener mode said "rate split
+    # leaves an empty frequency band", as it did for a negative rate, and
+    # the inverse mode named discrete_kernel
+    f_in = tmp_path / "spec.csv"
+    write_spectrum_csv(SpectrumEstimate(T=64, n_days=1, grid_dt=1.0,
+                                        s_n=np.ones(33, dtype=complex)), f_in)
+    out = tmp_path / "out.csv"
+    assert main(["filter", "--spectrum", str(f_in), "--lambda-i", rates[0],
+                 "--lambda-j", rates[1], "--mode", mode,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: sampling rates must be > 0")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def two_second_estimates(tmp_path_factory):
     """`epps estimate` of an 8-day tick file on a 2 s grid, with the inverse
@@ -804,6 +824,15 @@ def test_settings_that_leave_nothing_to_compute_are_usage_errors(
     else:
         args = ["--model", model_file]
     assert main([command, *args, *setting, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "Error: " in capsys.readouterr().err
+
+
+def test_figures_refuses_zero_days_before_making_its_output_directory(
+        tmp_path, capsys):
+    # it made the directory and wrote model.txt, then exited 2
+    out = tmp_path / "figs"
+    assert main(["figures", "--days", "0", "--out", str(out)]) == 1
     assert not out.exists()
     assert "Error: " in capsys.readouterr().err
 

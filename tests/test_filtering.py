@@ -284,39 +284,27 @@ def test_filtered_epps_curve_errors():
     assert curve.rho[1] == pytest.approx(1.0)
 
 
-def test_filtered_epps_curve_builds_one_window_per_horizon(monkeypatch):
-    rng = rng_stream(12, 64)
-    x, y = rng.standard_normal(128), rng.standard_normal(128)
-    s12 = estimate_spectrum([x], [y])
-    s11 = estimate_spectrum([x], [x])
-    s22 = estimate_spectrum([y], [y])
-    horizons = [1.0, 2.0, 8.0, 30.0]
-    # one window per spectrum, each built from scratch by the squared
-    # Dirichlet kernel with the interior bins 1..63 counted twice, gives
-    # the same coefficients, bit for bit
-    n = half_bins(128)
+@pytest.mark.parametrize("T", [64, 65])
+def test_filtered_epps_curve_is_the_squared_dirichlet_window_sum(T):
+    rng = rng_stream(12, T)
+    x, y = rng.standard_normal(T), rng.standard_normal(T)
+    spectra = [estimate_spectrum([u], [v]) for u, v in ((x, y), (x, x),
+                                                        (y, y))]
+    horizons = np.arange(1, T)
+    # each covariance as the spectrum summed against the squared Dirichlet
+    # window |sum_{t<m} e^{i theta_n t}|^2, with the interior bins
+    # 1..(T-1)//2 of the half spectrum counted twice for their mirrors
+    n = half_bins(T)
+    mult = np.where((n == 0) | (2 * n == T), 1.0, 2.0)
     expected = []
-    for m in (1, 2, 8, 30):
+    for m in horizons:
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (np.sin(np.pi * n * m / 128) / np.sin(np.pi * n / 128)) ** 2
+            w = (np.sin(np.pi * n * m / T) / np.sin(np.pi * n / T)) ** 2
         w[0] = m * m
-        w = np.where((n == 0) | (n == 64), 1.0, 2.0) * w
-        c12, v1, v2 = (filtering._windowed_covariance(s, w)
-                       for s in (s12, s11, s22))
+        c12, v1, v2 = (np.sum(s.s_n.real * mult * w) / T for s in spectra)
         expected.append(c12 / math.sqrt(v1 * v2))
-    built = []
-    window = filtering._window_weights
-
-    def counting_window(T, m, *shared):
-        built.append((m, *map(id, shared)))
-        return window(T, m, *shared)
-
-    monkeypatch.setattr(filtering, "_window_weights", counting_window)
-    curve = filtered_epps_curve(s12, s11, s22, horizons)
-    assert [b[0] for b in built] == [1, 2, 8, 30]
-    # the shared arrays (n and sin(pi n / T)) are built once per call
-    assert len({b[1:] for b in built}) == 1
-    np.testing.assert_array_equal(curve.rho, expected)
+    curve = filtered_epps_curve(*spectra, horizons.astype(float))
+    np.testing.assert_allclose(curve.rho, expected, rtol=1e-13, atol=0.0)
 
 
 def test_filtered_epps_curve_rejects_spectra_of_different_lengths():

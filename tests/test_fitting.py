@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ from scipy.optimize import least_squares
 
 from epps import fitting
 from epps.errors import DataError, NumericalError
-from epps._numutil import (decay_difference, decay_difference_da,
-                           expm1_minus_x_over_x2)
+from epps._numutil import decay_difference, decay_difference_da, exp_moments
 from epps.async_theory import AsyncKernel, async_cross_corr
 from epps.estimation import Correlogram, correlogram
 from epps.kernels import CorrelationModel
@@ -140,15 +140,36 @@ def test_auto_async_point_mass_and_zero_lag_value():
         assert f[1] == 0.0
 
 
-def test_decay_difference_da_matches_series_and_differences():
-    # (e^x - 1 - x)/x^2 is the series sum_k x^k / (k + 2)!, on both sides of
-    # the switch to the truncated series at |x| = 1e-3
-    xs = [-1.0, -0.1, -0.05, -2e-3, -1e-3, -5e-4, -1e-6, 0.0, 1e-6, 5e-4,
-          0.5]
-    series = [math.fsum(x ** k / math.factorial(k + 2) for k in range(30))
-              for x in xs]
-    np.testing.assert_allclose(expm1_minus_x_over_x2(xs), series,
-                               rtol=1e-12)
+def test_exp_moments_match_their_series_and_closed_forms():
+    # integral_0^1 (1 - s) e^{-y s} ds = sum_n (-y)^n / (n + 2)! and
+    # integral_0^1 s e^{-y s} ds = sum_n (-y)^n (n + 1) / (n + 2)!, on both
+    # sides of the switch from the Taylor series to the closed forms at y = 1
+    ys = [0.0, 1e-12, 1e-3, 0.3, 0.9, 1.0 - 2.0 ** -52, 1.0,
+          1.0 + 2.0 ** -52, 1.1, 1.5, 2.0]
+    first, second = exp_moments(ys)
+    for y, a, b in zip(ys, first, second):
+        want_a = math.fsum((-y) ** n / math.factorial(n + 2)
+                           for n in range(40))
+        want_b = math.fsum((-y) ** n * (n + 1) / math.factorial(n + 2)
+                           for n in range(40))
+        assert a == pytest.approx(want_a, rel=1e-15, abs=0.0), y
+        assert b == pytest.approx(want_b, rel=1e-15, abs=0.0), y
+    assert (first[0], second[0]) == (0.5, 0.5)
+    # at large y, where the series cancels, the closed forms in 50 digits
+    ys = [3.0, 40.0, 1e3, 1e8, 1e100]
+    first, second = exp_moments(ys)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for y, a, b in zip(ys, first, second):
+            d = Decimal(y)
+            e = (-d).exp()
+            assert a == pytest.approx(float((d - 1 + e) / (d * d)),
+                                      rel=1e-15, abs=0.0), y
+            assert b == pytest.approx(float((1 - (1 + d) * e) / (d * d)),
+                                      rel=1e-15, abs=0.0), y
+
+
+def test_decay_difference_da_matches_central_differences():
     t = np.array([0.0, 0.5, 3.0, 40.0, 400.0])
     h = 1e-6
     for a, b in ((0.5, 0.5), (0.5, 0.5 + 1e-9), (0.5 + 1e-9, 0.5),

@@ -71,15 +71,6 @@ def test_triangle_exp_integral_is_elementwise_across_the_switch():
         [float(triangle_exp_integral(d, c, xi)) for d, c in zip(dt, center)])
 
 
-def test_superposition_sums_components():
-    parts = [CorrelationModel(delta_weight=0.5),
-             CorrelationModel(width=3.0, exp_weight=0.2)]
-    dt = np.array([1.0, 7.0])
-    total = sync_covariance(parts, dt)
-    np.testing.assert_allclose(
-        total, sync_covariance(parts[0], dt) + sync_covariance(parts[1], dt))
-
-
 def test_model_pair_rejects_lagged_auto():
     with pytest.raises(DataError):
         ModelPair(cross=CorrelationModel(delta_weight=0.1),
