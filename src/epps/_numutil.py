@@ -45,12 +45,16 @@ def exp_moments(y):
     """(integral_0^1 (1 - s) e^{-y s} ds, integral_0^1 s e^{-y s} ds) for
     y >= 0: both positive, and taken without cancellation, by their Taylor
     series on the entries below y = 1 and as (y - 1 + e^-y)/y^2 and
-    (1 - (1 + y) e^-y)/y^2 on the rest."""
+    (1 - (1 + y) e^-y)/y^2 on the rest, divided by y twice where y^2
+    overflows (y above about 1.3e154)."""
     y = np.asarray(y, dtype=float)
     small = y < 1.0
     yl = np.where(small, 1.0, y)
     e = np.exp(-yl)
-    a, b = (np.asarray(v / (yl * yl))
+    with np.errstate(over="ignore"):
+        over = np.isinf(yl * yl)
+    y2 = yl * np.where(over, 1.0, yl)
+    a, b = (np.asarray(np.where(over, v / yl, v) / y2)
             for v in (yl - 1.0 + e, 1.0 - (1.0 + yl) * e))
     ys = y[small]
     sa = sb = 0.0  # Horner sums of (-y)^n (1 or n + 1)/(n + 2)!, n <= 17

@@ -27,6 +27,13 @@ from .kernels import sync_covariance, _finite
 from ._numutil import decay_difference, decay_difference_da, triangle_exp
 
 
+def _check_rates(*rates):
+    """The one check, and message, of every function that takes sampling
+    rates: each must be > 0, numpy.inf passes and NaN does not."""
+    if not all(lam > 0 for lam in rates):
+        raise DataError("sampling rates must be > 0")
+
+
 @dataclass(frozen=True)
 class AsyncKernel:
     """Pair of Poisson sampling rates (1/seconds); numpy.inf = synchronous."""
@@ -35,10 +42,7 @@ class AsyncKernel:
     lambda_j: float
 
     def __post_init__(self):
-        for name in ("lambda_i", "lambda_j"):
-            lam = getattr(self, name)
-            if math.isnan(lam) or lam <= 0:
-                raise DataError(f"AsyncKernel.{name} must be > 0")
+        _check_rates(self.lambda_i, self.lambda_j)
 
     @property
     def synchronous(self):
@@ -131,9 +135,8 @@ def async_cross_corr(model, k, tau):
         if xi > 0.0:
             out += we * np.exp(-np.abs(s) / xi) / (2.0 * xi)
     else:
-        if model.total_delta_weight != 0.0:
-            out += model.total_delta_weight * _smoothing_weight(k, s)
-        if xi > 0.0 and we != 0.0:
+        out += model.delta_weight * _smoothing_weight(k, s)
+        if xi > 0.0:
             out += we * _sampled_exp_density(k, xi, s)
     return out[0] if scalar else out
 
@@ -204,17 +207,17 @@ def _small_dt_covariance(m, k, lag, dt):
     v from the kink, a sum of exponentials and a decay_difference, each
     integrated over the triangle without cancellation."""
     r = _rate_prefactor(k.lambda_i, k.lambda_j)
-    we, xi = (m.exp_weight, m.width) if m.width > 0.0 else (0.0, 0.0)
+    we, xi = m.exp_weight, m.width
     out = np.zeros_like(dt)
     for center, near, far in ((lag, k.lambda_i, k.lambda_j),
                               (-lag, k.lambda_j, k.lambda_i)):
         if not math.isinf(near):
-            out += r * (m.total_delta_weight + we / (2.0 * (1.0 + near * xi))
+            out += r * (m.delta_weight + we / (2.0 * (1.0 + near * xi))
                         ) * triangle_exp(center, dt, near)
-            if we != 0.0:
+            if xi > 0.0:
                 out += r * we / (2.0 * xi) * _triangle_decay_difference(
                     center, dt, near, 1.0 / xi)
-        if we != 0.0 and not math.isinf(far):
+        if xi > 0.0 and not math.isinf(far):
             out += r * we / (2.0 * (1.0 + far * xi)) * triangle_exp(
                 center, dt, 1.0 / xi)
     return out
@@ -242,8 +245,9 @@ def async_covariance(model, k, dt):
     n, m = dt.size, model
     kern, lag = (k, m.lag) if m.lag >= 0 else (k.swapped(), -m.lag)
     u = np.concatenate([dt - lag, -dt - lag, [-lag]])
-    h = m.total_mass * _weight_antiderivative(u, kern.lambda_i, kern.lambda_j)
-    if m.width > 0.0 and m.exp_weight != 0.0:
+    h = (m.delta_weight + m.exp_weight) * _weight_antiderivative(
+        u, kern.lambda_i, kern.lambda_j)
+    if m.width > 0.0:
         h += m.exp_weight * m.width ** 2 * _sampled_exp_density(
             kern, m.width, u)
     out = h[:n] + h[n:2 * n] - 2.0 * h[-1]
@@ -256,12 +260,14 @@ def async_covariance(model, k, dt):
 
 # -- variance of the sampled process -------------------------------------------
 
-def _damped_kernel(model_a, model_b_weight, xi, lam, t):
-    """Fourier antitransform at |t| of S(omega) / (1 + omega^2/lambda^2)."""
+def _damped_kernel(m, lam, t):
+    """Fourier antitransform at |t| of S(omega) / (1 + omega^2/lambda^2)
+    for the spectrum S of the model `m`."""
     t = np.abs(np.asarray(t, dtype=float))
-    out = model_a * (lam / 2.0) * np.exp(-lam * t)
-    if xi > 0.0 and model_b_weight != 0.0:
-        out = out + (model_b_weight * lam / (2.0 * xi * (1.0 + lam * xi))) * (
+    out = m.delta_weight * (lam / 2.0) * np.exp(-lam * t)
+    xi = m.width
+    if xi > 0.0:
+        out = out + (m.exp_weight * lam / (2.0 * xi * (1.0 + lam * xi))) * (
             decay_difference(t, lam, 1.0 / xi) + xi * np.exp(-t / xi))
     return out
 
@@ -276,16 +282,13 @@ def async_variance(model, lam, dt):
     """
     scalar = np.isscalar(dt)
     dt = _finite(dt, "async_variance", bound=">= 0")
-    if math.isnan(lam) or lam <= 0:
-        raise DataError("sampling rate must be > 0")
+    _check_rates(lam)
     out = sync_covariance(model, dt)
     if not math.isinf(lam):
         if model.lag != 0.0:
             raise DataError("async_variance requires an auto kernel (lag = 0)")
-        a = model.total_delta_weight
-        b = model.exp_weight if model.width > 0.0 else 0.0
-        cbar = _damped_kernel(a, b, model.width, lam, dt)
-        cbar0 = _damped_kernel(a, b, model.width, lam, 0.0)
+        cbar = _damped_kernel(model, lam, dt)
+        cbar0 = _damped_kernel(model, lam, 0.0)
         out = out + (2.0 / lam ** 2) * (cbar - np.exp(-lam * dt) * cbar0)
     return out[0] if scalar else out
 
@@ -318,11 +321,10 @@ def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
     n_arr = np.atleast_1d(np.asarray(n))
     if np.any((n_arr < 0) | (n_arr >= T)):
         raise DataError("frequency index out of range [0, T)")
+    _check_rates(lambda_i_step, lambda_j_step)
     theta = 2.0 * math.pi * n_arr / T
     f = {}
     for lam in (lambda_i_step, lambda_j_step):
-        if math.isnan(lam) or lam <= 0:
-            raise DataError("discrete_kernel rates must be > 0")
         f[lam] = np.ones_like(theta, dtype=complex) if math.isinf(lam) \
             else -math.expm1(-lam) / (1.0 - np.exp(-lam - 1j * theta))
     fi = f[lambda_i_step]

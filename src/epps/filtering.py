@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataError
 from .estimation import (Correlogram, EppsCurve, SpectrumEstimate,
                          _horizon_steps)
-from .async_theory import discrete_kernel
+from .async_theory import _check_rates, discrete_kernel
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def _kernel_bins(lambda_i_step, lambda_j_step, T):
 
 
 def _kernel(s_tilde, lambda_i, lambda_j):
-    if not (lambda_i > 0 and lambda_j > 0):  # NaN fails too
-        raise DataError("sampling rates must be > 0")
+    # discrete_kernel checks the per-step rates, > 0 exactly when these are
     dt = s_tilde.grid_dt
     return _kernel_bins(lambda_i * dt, lambda_j * dt, s_tilde.T)
 
@@ -142,8 +141,7 @@ def estimate_snr(s_tilde, lambda_i, lambda_j):
     the mean magnitude above it (the high-frequency plateau).  A crude but
     serviceable default; pass an explicit FilterSpec to override.
     """
-    if not (lambda_i > 0 and lambda_j > 0):  # NaN fails too
-        raise DataError("sampling rates must be > 0")
+    _check_rates(lambda_i, lambda_j)
     T = s_tilde.T
     n = np.arange(1, T // 2 + 1)
     omega = 2.0 * math.pi * n / (T * s_tilde.grid_dt)

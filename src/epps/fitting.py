@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from ._numutil import decay_difference, decay_difference_da
-from .async_theory import _onesided_exp_conv, _rate_prefactor
+from .async_theory import _check_rates, _onesided_exp_conv, _rate_prefactor
 
 
 @dataclass(frozen=True)
@@ -361,9 +361,7 @@ def fit_cross_async(cg, lambda_i, lambda_j):
     the underlying synchronous process.
     """
     tau, y, sw = _cross_setup(cg)
-    for lam in (lambda_i, lambda_j):
-        if math.isnan(lam) or lam <= 0:
-            raise DataError("sampling rates must be > 0")
+    _check_rates(lambda_i, lambda_j)
     return _profile(
         "cross_async",
         lambda t, th, jac: _cross_async_fj(t, lambda_i, lambda_j, th, jac),
@@ -393,8 +391,7 @@ def fit_auto_async(cg, lam):
     The point mass becomes a - b/(1 + lambda xi) and the regular part is
     the exact sampled shape, which vanishes at zero lag.
     """
-    if math.isnan(lam) or lam <= 0:
-        raise DataError("sampling rate must be > 0")
+    _check_rates(lam)
     return _profile("auto_async",
                     lambda t, th, jac: _auto_async_fj(t, lam, th, jac),
                     *_auto_setup(cg))

@@ -37,10 +37,15 @@ class CorrelationModel:
     lag : float
         Center of the kernel, in seconds.
     width : float
-        Exponential decay constant, in seconds.  ``width == 0`` collapses the
-        exponential component onto the delta.
+        Exponential decay constant, in seconds.
     exp_weight : float
         Coefficient (integrated mass) of the exponential component; sign free.
+
+    A model is kept in one normal form: an exponential of zero width or zero
+    weight is folded into the delta when the model is made, so its weight
+    adds to `delta_weight` and `width` and `exp_weight` become 0.  After
+    that, ``width > 0`` means the kernel has an exponential part, and a
+    model compares equal to its folded form.
     """
 
     delta_weight: float = 0.0
@@ -54,18 +59,11 @@ class CorrelationModel:
                 raise DataError(f"CorrelationModel.{name} must be finite")
         if self.width < 0:
             raise DataError("CorrelationModel.width must be >= 0")
-
-    @property
-    def total_delta_weight(self):
-        """Delta mass including a zero-width exponential component."""
-        if self.width == 0.0:
-            return self.delta_weight + self.exp_weight
-        return self.delta_weight
-
-    @property
-    def total_mass(self):
-        """Integral of the kernel over all lags."""
-        return self.delta_weight + self.exp_weight
+        if self.width == 0.0 or self.exp_weight == 0.0:
+            delta = self.delta_weight + self.exp_weight
+            for name, value in (("delta_weight", delta), ("width", 0.0),
+                                ("exp_weight", 0.0)):
+                object.__setattr__(self, name, value)
 
     def time_scale(self):
         """Characteristic scale used for validation grids."""
@@ -92,7 +90,7 @@ def _triangle_covariance(model, dt, shift):
     increments whose starts lie `shift` apart, in closed form."""
     center = model.lag - shift
     out = np.zeros(np.broadcast(dt, shift).shape)  # a sum of +0.0, not -0.0
-    out += model.total_delta_weight * np.maximum(dt - abs(center), 0.0)
+    out += model.delta_weight * np.maximum(dt - abs(center), 0.0)
     if model.width > 0.0:
         out += model.exp_weight * triangle_exp_integral(dt, center,
                                                         model.width)
@@ -129,10 +127,7 @@ class ModelPair:
             if m.lag != 0.0:
                 raise DataError(f"{name} must have lag = 0")
             # min over omega of delta + exp/(1 + (omega width)^2)
-            low = m.total_delta_weight + min(0.0, m.exp_weight)
-            if m.width > 0.0:
-                low = min(low, m.total_delta_weight)
-            if low < -1e-12:
+            if m.delta_weight + min(0.0, m.exp_weight) < -1e-12:
                 raise DataError(f"{name} spectrum is not nonnegative")
         scale = max(self.cross.time_scale(), self.auto_i.time_scale(),
                     self.auto_j.time_scale())
@@ -171,12 +166,9 @@ def _model_from_keys(keys, prefix):
     vals = {k.split(".", 1)[1]: v for k, v in keys.items()
             if k.startswith(prefix + ".")}
     if prefix == "cross":
-        c = vals.get("c", 0.0)
-        xi = vals.get("xi", 0.0)
-        tau = vals.get("tau", 0.0)
-        if xi > 0:
-            return CorrelationModel(lag=tau, width=xi, exp_weight=c)
-        return CorrelationModel(delta_weight=c, lag=tau)
+        return CorrelationModel(lag=vals.get("tau", 0.0),
+                                width=vals.get("xi", 0.0),
+                                exp_weight=vals.get("c", 0.0))
     return CorrelationModel(delta_weight=vals.get("a", 0.0),
                             width=vals.get("xi", 0.0),
                             exp_weight=vals.get("b", 0.0))

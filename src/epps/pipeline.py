@@ -67,8 +67,9 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
 def _check_settings(length, grid_dt, dt_grid, max_lag, filter_mode, snr):
     """The FilterSpec of the settings of `epps run` and `epps estimate`,
     checked before any work as the analysis needs them: a grid step in
-    (0, length/2], one or more horizons of 1 to T - 1 steps of a day of T
-    steps, and a `max_lag` of 1 to T//2 - 1 + T%2 steps."""
+    (0, length/2], one or more strictly increasing horizons of 1 to T - 1
+    steps of a day of T steps, and a `max_lag` of 1 to T//2 - 1 + T%2
+    steps."""
     if not len(dt_grid):
         raise DataError("dt_grid must hold at least one horizon")
     if not 0 < grid_dt <= length / 2:
@@ -76,6 +77,8 @@ def _check_settings(length, grid_dt, dt_grid, max_lag, filter_mode, snr):
     T = int(math.floor(length / grid_dt + 1e-9))  # as `previous_tick` counts
     if np.any(_horizon_steps(dt_grid, grid_dt) >= T):
         raise DataError(f"each dt must be below the session length {length:g}")
+    if np.any(np.diff(np.asarray(dt_grid, dtype=float)) <= 0):
+        raise DataError("dt_grid must be strictly increasing")
     lags, top = max_lag / grid_dt, T // 2 - 1 + T % 2
     if not (math.isfinite(lags) and 1 <= round(lags) <= top):
         raise DataError(f"max_lag must be finite, 1 to {top} grid steps")

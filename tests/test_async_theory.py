@@ -5,10 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from epps.errors import DataError
-from epps.kernels import CorrelationModel, ModelPair, sync_covariance, sync_rho
+from epps.estimation import Correlogram, SpectrumEstimate
+from epps.filtering import (FilterSpec, apply_filter, auto_filter,
+                            estimate_snr, inverse_filter)
+from epps.fitting import fit_auto_async, fit_cross_async
+from epps.kernels import (CorrelationModel, ModelPair, parse_model_text,
+                          sync_covariance, sync_rho)
 from epps.async_theory import (AsyncKernel, discrete_kernel,
                                async_cross_corr, async_covariance,
                                async_variance, async_rho, _onesided_exp_conv)
+from epps.sampling import _circulant_factors
 
 
 def lorentz_kernel(li, lj, omega):
@@ -316,6 +322,65 @@ def test_rate_validation():
     with pytest.raises(DataError):
         async_covariance(CorrelationModel(delta_weight=1.0),
                          AsyncKernel(1.0, 1.0), -2.0)
+
+
+_SPECTRUM = SpectrumEstimate(T=64, n_days=1, s_n=np.ones(33, dtype=complex),
+                             grid_dt=1.0)
+_CORRELOGRAM = Correlogram(lag_grid=np.arange(-10.0, 11.0),
+                           values=np.exp(-np.abs(np.arange(-10.0, 11.0))),
+                           stderr=np.full(21, np.nan), n_days=1,
+                           delta_mass=1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda lam: AsyncKernel(lam, 1.0), id="AsyncKernel_i"),
+    pytest.param(lambda lam: AsyncKernel(1.0, lam), id="AsyncKernel_j"),
+    pytest.param(lambda lam: async_variance(
+        CorrelationModel(delta_weight=1.0), lam, 1.0), id="async_variance"),
+    pytest.param(lambda lam: discrete_kernel(1.0, lam, 0, 16),
+                 id="discrete_kernel"),
+    pytest.param(lambda lam: inverse_filter(_SPECTRUM, lam, 1.0),
+                 id="inverse_filter"),
+    pytest.param(lambda lam: apply_filter(_SPECTRUM, 1.0, lam,
+                                          FilterSpec("wiener", 2.0)),
+                 id="apply_filter"),
+    pytest.param(lambda lam: auto_filter(_SPECTRUM, lam, 1.0),
+                 id="auto_filter"),
+    pytest.param(lambda lam: estimate_snr(_SPECTRUM, 1.0, lam),
+                 id="estimate_snr"),
+    pytest.param(lambda lam: fit_cross_async(_CORRELOGRAM, lam, 1.0),
+                 id="fit_cross_async"),
+    pytest.param(lambda lam: fit_auto_async(_CORRELOGRAM, lam),
+                 id="fit_auto_async"),
+])
+@pytest.mark.parametrize("lam", [math.nan, 0.0, -1.0])
+def test_every_entry_point_refuses_a_rate_that_is_not_positive(entry, lam):
+    # these said "sampling rate must be > 0", "discrete_kernel rates must
+    # be > 0" or "AsyncKernel.lambda_i must be > 0"
+    with pytest.raises(DataError, match=r"^sampling rates must be > 0$"):
+        entry(lam)
+
+
+def test_documented_folded_auto_kernel_is_its_delta():
+    # a zero-width exponential of weight -0.6 on a unit delta is a delta of
+    # weight 0.4; the pair was refused as "auto_i spectrum is not
+    # nonnegative", since the negative weight was counted twice
+    cross = "cross.c=0.3\ncross.tau=1\ncross.xi=5\nauto_j.a=1\n"
+    folded = parse_model_text(cross + "auto_i.a=1\nauto_i.b=-0.6\n"
+                              "auto_i.xi=0\n")
+    plain = parse_model_text(cross + "auto_i.a=0.4\n")
+    assert folded == plain
+    dt = np.array([1e-3, 0.5, 1.0, 3.0, 40.0])
+    k = AsyncKernel(1.0, 0.2)
+    got, want = ([sync_covariance(p.auto_i, dt),
+                  async_covariance(p.auto_i, k, dt),
+                  async_variance(p.auto_i, 1.0, dt),
+                  async_cross_corr(p.auto_i, k, dt - 1.0),
+                  async_rho(p, k, dt),
+                  *_circulant_factors.__wrapped__(p, 1.0, 512)]
+                 for p in (folded, plain))
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
 
 
 _PAIR = ModelPair(cross=CorrelationModel(lag=2.0, width=10.0, exp_weight=0.4),

@@ -1305,6 +1305,11 @@ def test_run_checks_its_horizons_before_simulating(model_file, tmp_path,
      "grid_dt must be finite and in (0, 1000]"),
     # no horizon: this ran and exited 0 with header-only Epps curves
     ("run", {"dt_grid": []}, "dt_grid must hold at least one horizon"),
+    # horizons out of order were refused only by the Epps curve
+    ("estimate", ["--dt-grid", "5,1"], "dt_grid must be strictly increasing"),
+    ("estimate", ["--dt-grid", "1,1,2"], "dt_grid must be strictly "
+                                         "increasing"),
+    ("run", {"dt_grid": [5, 1]}, "dt_grid must be strictly increasing"),
 ])
 def test_settings_beyond_a_day_are_checked_before_any_work(
         command, setting, message, model_file, tmp_path, capsys):

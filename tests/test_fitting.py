@@ -169,6 +169,23 @@ def test_exp_moments_match_their_series_and_closed_forms():
                                       rel=1e-15, abs=0.0), y
 
 
+def test_exp_moments_do_not_overflow_at_huge_y():
+    # y^2 overflows from about 1.3e154, which made both moments 0 with an
+    # overflow warning; they are about 1/y and 1/y^2, the second 0 or
+    # subnormal where that underflows
+    top = math.sqrt(np.finfo(float).max)
+    ys = [np.nextafter(top, 0.0), np.nextafter(top, np.inf), 1e155, 1e200,
+          1e300]
+    first, second = exp_moments(ys)
+    for y, a, b in zip(ys, first, second):
+        d = Decimal(y)
+        assert a == pytest.approx(float(1 / d - 1 / (d * d)), rel=1e-15,
+                                  abs=0.0), y
+        assert b == pytest.approx(float(1 / (d * d)), rel=1e-15,
+                                  abs=1e-323), y
+    assert second[-1] == 0.0 < second[2]
+
+
 def test_decay_difference_da_matches_central_differences():
     t = np.array([0.0, 0.5, 3.0, 40.0, 400.0])
     h = 1e-6

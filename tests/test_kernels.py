@@ -11,12 +11,27 @@ from epps.kernels import (CorrelationModel, ModelPair, sync_covariance,
                           sync_rho, parse_model_text)
 
 
-def test_total_delta_weight_folds_zero_width_exponential():
-    m = CorrelationModel(delta_weight=0.3, exp_weight=0.2, width=0.0)
-    assert m.total_delta_weight == pytest.approx(0.5)
-    assert m.total_mass == pytest.approx(0.5)
-    m2 = CorrelationModel(delta_weight=0.3, exp_weight=0.2, width=4.0)
-    assert m2.total_delta_weight == pytest.approx(0.3)
+def fields(m):
+    return m.delta_weight, m.lag, m.width, m.exp_weight
+
+
+def test_zero_width_exponential_folds_into_the_delta():
+    m = CorrelationModel(delta_weight=0.3, lag=2.0, exp_weight=0.2, width=0.0)
+    assert fields(m) == (0.3 + 0.2, 2.0, 0.0, 0.0)
+    assert m == CorrelationModel(delta_weight=0.3 + 0.2, lag=2.0)
+    # a negative one too, which ModelPair counted twice
+    m = CorrelationModel(delta_weight=1.0, exp_weight=-0.6)
+    assert fields(m) == (1.0 - 0.6, 0.0, 0.0, 0.0)
+    # with a width it stays an exponential
+    m = CorrelationModel(delta_weight=0.3, exp_weight=0.2, width=4.0)
+    assert fields(m) == (0.3, 0.0, 4.0, 0.2)
+
+
+def test_weightless_exponential_is_the_pure_delta():
+    m = CorrelationModel(delta_weight=0.3, lag=-1.5, width=4.0)
+    assert fields(m) == (0.3, -1.5, 0.0, 0.0)
+    assert m == CorrelationModel(delta_weight=0.3, lag=-1.5)
+    assert CorrelationModel(width=7.0) == CorrelationModel()
 
 
 def test_negative_width_rejected():

@@ -93,7 +93,7 @@ def residue_covariance(dt, tau, xi, li, lj):
 
 
 def scalar_sync_covariance(m, dt):
-    out = m.total_delta_weight * max(dt - abs(m.lag), 0.0)
+    out = m.delta_weight * max(dt - abs(m.lag), 0.0)
     if m.width > 0.0:
         out += m.exp_weight * triangle_exp_integral(dt, m.lag, m.width)
     return out
@@ -101,7 +101,7 @@ def scalar_sync_covariance(m, dt):
 
 def scalar_async_covariance(m, li, lj, dt):
     r = li * lj / (li + lj)
-    out = m.total_delta_weight * triangle_onesided_exp_integral(
+    out = m.delta_weight * triangle_onesided_exp_integral(
         dt, m.lag, li, lj, r)
     if m.width > 0.0:
         out += m.exp_weight * residue_covariance(dt, m.lag, m.width, li, lj)
@@ -110,7 +110,7 @@ def scalar_async_covariance(m, li, lj, dt):
 
 def scalar_binned_cov(m, grid_dt, k):
     center = m.lag - k * grid_dt
-    out = m.total_delta_weight * max(grid_dt - abs(center), 0.0)
+    out = m.delta_weight * max(grid_dt - abs(center), 0.0)
     if m.width > 0.0:
         out += m.exp_weight * triangle_exp_integral(grid_dt, center, m.width)
     return out
