@@ -113,8 +113,10 @@ def sync_covariance(model, dt):
 class ModelPair:
     """Cross kernel plus the two auto kernels of a bivariate model.
 
-    Construction validates positive semidefiniteness of the auto spectra and
-    checks |rho(dt)| <= 1 numerically on a log-spaced dt grid.
+    Construction validates positive semidefiniteness of the auto spectra,
+    checks |rho(dt)| <= 1 numerically on a log-spaced dt grid, and checks
+    its limit as dt -> infinity, the cross mass over the geometric mean of
+    the auto masses (a kernel's mass is ``delta_weight + exp_weight``).
     """
 
     cross: CorrelationModel
@@ -135,6 +137,12 @@ class ModelPair:
         rho = sync_rho(self, grid)
         if np.any(np.abs(rho) > 1.0 + 1e-9):
             raise DataError("ModelPair violates |rho| <= 1 on the test grid")
+        # as dt -> infinity rho tends to the ratio of the kernels' masses,
+        # which the grid above may stop short of
+        m12, m11, m22 = (m.delta_weight + m.exp_weight
+                         for m in (self.cross, self.auto_i, self.auto_j))
+        if abs(m12) > (1.0 + 1e-9) * math.sqrt(max(m11 * m22, 0.0)):
+            raise DataError("ModelPair violates |rho| <= 1 as dt -> infinity")
 
 
 def sync_rho(pair, dt):

@@ -89,7 +89,8 @@ def _circulant_factors(pair, grid_dt, n):
     once per model and grid; the arrays are shared and read-only.  They
     take `_transform`'s prime-factor split where the draws take it, so at
     such a length the process holds no whole-length FFT plan, which
-    pocketfft would build by Bluestein's algorithm and keep.
+    pocketfft would build by Bluestein's algorithm and keep.  A bin whose
+    2x2 matrix is indefinite beyond round-off is a DataError naming it.
     """
     kmax = _max_lag_steps(pair, grid_dt)
     if 2 * kmax + 1 >= n:
@@ -111,6 +112,16 @@ def _circulant_factors(pair, grid_dt, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         l21 = np.where(l11 > 0, np.conj(m12) / np.where(l11 > 0, l11, 1.0), 0.0)
     l22 = np.sqrt(np.maximum(r - np.abs(l21) ** 2, 0.0))
+    # the clips above take up round-off; a bin's 2x2 matrix negative beyond
+    # it means the pair has no such spectrum, and drawing would change it
+    tol = 1e-9 * max(p.max(), r.max())
+    bad = np.flatnonzero((m11.real < -tol) | (m22.real < -tol)
+                         | (np.abs(m12) ** 2 > (p + tol) * (r + tol)))
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(
+            f"model spectrum is not positive semidefinite at bin {k} of {n} "
+            f"(frequency {min(k, n - k) / (n * grid_dt):.6g} per second)")
     for factor in (l11, l21, l22):
         factor.flags.writeable = False
     return l11, l21, l22
@@ -134,15 +145,17 @@ def _prime_factor_maps(n):
     transform, forward or inverse, is then the 2-D one of the (m, p) grid
     gathered by the input map (p a + m b) mod n, read back by the
     Chinese-remainder output map k -> (k mod m, k mod p); no twiddle
-    factors enter.  The maps are shared and read-only.
+    factors enter.  The maps are shared and read-only, stored as int32
+    (valid for n < 2**31): half the cache of the default index type.
     """
     p = _largest_prime_factor(n)
     m = n // p
     if p * p <= n or m == 1:
         return None
-    gather = (p * np.arange(m)[:, None] + m * np.arange(p)) % n
+    gather = ((p * np.arange(m)[:, None] + m * np.arange(p)) % n
+              ).astype(np.int32)
     k = np.arange(n)
-    crt = (k % m) * p + k % p
+    crt = ((k % m) * p + k % p).astype(np.int32)
     for index in (gather, crt):
         index.flags.writeable = False
     return gather, crt
@@ -155,7 +168,8 @@ def _transform(x, inverse=False):
     Lengths with a large prime factor go through the m x p split of
     `_prime_factor_maps`, equal to the whole-length transform up to
     round-off; every other length is transformed whole, bit for bit as
-    ``scipy.fft.fft`` or ``scipy.fft.ifft``.
+    ``scipy.fft.fft`` or ``scipy.fft.ifft``.  A split complex x receives
+    the result in its own buffer; a real x gets a new complex array.
     """
     import scipy.fft  # here, so that importing the package loads no scipy
 
@@ -166,7 +180,10 @@ def _transform(x, inverse=False):
     gather, crt = maps
     split = scipy.fft.ifft2 if inverse else scipy.fft.fft2
     grid = split(x.take(gather, axis=-1), overwrite_x=True)
-    return grid.reshape(x.shape).take(crt, axis=-1)
+    # mode "clip": in the default "raise" numpy buffers `out` in a second
+    # array; the maps are a permutation, so no index is out of range
+    return np.take(grid.reshape(x.shape), crt, axis=-1,
+                   out=x if np.iscomplexobj(x) else None, mode="clip")
 
 
 def _draw_increment_pairs(l11, l21, l22, rng, n):
@@ -203,11 +220,13 @@ def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
     are checked and the circulant factors built at the call, which returns
     an iterator: block b is drawn on stream (seed, 1, b) only when its first
     path is asked for, and yields its real path and then its imaginary one
-    (the last is dropped for an odd count).  A consumer that walks the paths
-    once so holds one block at a time; take ``list(...)`` for random access.
-    The factors are computed once for equal (pair, grid_dt, length) and
-    reused by later calls; the draws of a seed are the same as with fresh
-    factors, byte for byte.
+    (the last is dropped for an odd count).  Both paths' levels are made
+    and the block's complex draw freed before the first is yielded, and the
+    iterator keeps no path it has yielded, so a consumer that walks the
+    paths once holds one block's two level arrays at a time; take
+    ``list(...)`` for random access.  The factors are computed once for
+    equal (pair, grid_dt, length) and reused by later calls; the draws of a
+    seed are the same as with fresh factors, byte for byte.
     """
     if not (0 < grid_dt < math.inf and 0 < horizon < math.inf
             and 0 <= warmup < math.inf):
@@ -221,20 +240,23 @@ def simulate_ensemble(pair, grid_dt, horizon, n_paths, seed=0, warmup=0.0):
 
     def paths():
         for block in range((n_paths + 1) // 2):
-            re, im = _draw_increment_pairs(*factors,
-                                           rng_stream(seed, 1, block), n)
-            yield SimulatedPath(grid_dt=grid_dt, t0=-warmup,
-                                levels=_levels(re))
-            if 2 * block + 1 < n_paths:
+            parts = _draw_increment_pairs(*factors,
+                                          rng_stream(seed, 1, block), n)
+            levels = [_levels(x) for x in parts[:n_paths - 2 * block]]
+            del parts  # the complex draw, freed before the first path
+            while levels:
                 yield SimulatedPath(grid_dt=grid_dt, t0=-warmup,
-                                    levels=_levels(im))
-            del re, im  # the block's buffer, freed before the next draw
+                                    levels=levels.pop(0))
 
     return paths()
 
 
 def draw_poisson_times(lam, horizon, warmup, seed, stream=0):
-    """Strictly increasing Poisson tick times on [-warmup, horizon]."""
+    """Strictly increasing Poisson tick times on [-warmup, horizon].
+
+    The gaps are summed in place, block by block; the result is the prefix
+    of the block, a view, that ends at the horizon.
+    """
     if math.isnan(lam) or math.isinf(lam) or lam <= 0:
         raise DataError("Poisson rate must be finite and > 0")
     if not (math.isfinite(warmup) and warmup >= 0):
@@ -242,19 +264,20 @@ def draw_poisson_times(lam, horizon, warmup, seed, stream=0):
     if not (math.isfinite(horizon) and horizon >= -warmup):
         raise DataError("horizon must be finite and >= -warmup")
     rng = rng_stream(seed, 2, stream)
-    times = []
+    blocks = []
     t = -warmup
     # the mean count plus six standard deviations: one block nearly always
     # covers the span, and the loop draws more when it does not
     mu = (horizon + warmup) * lam
     block = math.ceil(mu + 6.0 * math.sqrt(mu)) + 16
     while t <= horizon:
-        gaps = rng.exponential(1.0 / lam, size=block)
-        cum = t + np.cumsum(gaps)
-        times.append(cum)
-        t = cum[-1]
-    times = np.concatenate(times)
-    return times[times <= horizon]
+        times = rng.exponential(1.0 / lam, size=block)
+        np.cumsum(times, out=times)
+        times += t
+        blocks.append(times)
+        t = times[-1]
+    times = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return times[:np.searchsorted(times, horizon, side="right")]
 
 
 def default_warmup(lam):

@@ -102,10 +102,26 @@ def test_model_pair_rejects_negative_auto_spectrum():
 
 
 def test_model_pair_rejects_excess_cross_mass():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="on the test grid"):
         ModelPair(cross=CorrelationModel(delta_weight=1.5),
                   auto_i=CorrelationModel(delta_weight=1.0),
                   auto_j=CorrelationModel(delta_weight=1.0))
+
+
+def test_model_pair_rejects_rho_beyond_one_past_the_test_grid():
+    # auto masses 1 - 0.9 = 0.1 and a cross mass of 0.1005: rho is 0.995 at
+    # the end of the test grid (1e3 x the 10 s width) and tends to 1.005
+    with pytest.raises(DataError, match="as dt -> infinity"):
+        parse_model_text("""
+            cross.c=0.1005
+            cross.xi=10
+            auto_i.a=1
+            auto_i.b=-0.9
+            auto_i.xi=10
+            auto_j.a=1
+            auto_j.b=-0.9
+            auto_j.xi=10
+        """)
 
 
 @settings(max_examples=60, deadline=None)

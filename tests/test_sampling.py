@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 
@@ -10,6 +11,7 @@ from scipy.stats import kstest
 from epps.errors import DataError
 from epps.kernels import (CorrelationModel, ModelPair, sync_covariance,
                           _triangle_covariance)
+from epps import sampling
 from epps.sampling import (SimulatedPath, rng_stream, simulate_ensemble,
                            draw_poisson_times, default_warmup, previous_tick,
                            _circulant_factors, _transform,
@@ -188,6 +190,28 @@ def test_unsplit_draws_equal_plain_scipy_byte_for_byte():
     assert_draws_equal_reference(3990.0, 10.0, 4000)
 
 
+def sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# the levels of three paths at seed 3 with 10 s of warm-up: 40 010 points is
+# split, 20 010 is not; the pair's covariances are pure deltas, which take
+# no vectorized exp whose last bit could differ between CPUs
+@pytest.mark.parametrize("horizon, digest", [
+    (40000.0,
+     "2bb48f3c4328e5c1b2a92caffb78d860d2d43e8d9e7c185261299d5a3e7b421a"),
+    (20000.0,
+     "d933449d7028e9926a9dd0d16ae59ea619f4eb6a320316accb782cdf41114ad5"),
+])
+def test_draws_are_pinned(horizon, digest):
+    paths = simulate_ensemble(brownian_pair(), 1.0, horizon, 3, seed=3,
+                              warmup=10.0)
+    assert sha256(p.levels for p in paths) == digest
+
+
 # length -> (m, p) of its prime-factor split, or None where it is not split:
 # 40 010 (mc_deconv, criterion 5), 4010 (the tests' 4000 s paths), 20 050
 # (perfbench's tick days at rate 0.2); 20 010 (the default `epps simulate`
@@ -216,18 +240,26 @@ def random_rows(n, seed):
 
 @pytest.mark.parametrize("n", [n for n in sorted(_SPLITS) if _SPLITS[n]])
 def test_split_transform_matches_scipy_to_round_off(n):
+    # complex input, as the draws' noise is: the result is written back
+    # into it
     w = random_rows(n, seed=n)
     expected = scipy.fft.ifft(w, axis=-1)
-    got = _transform(w.copy(), inverse=True)
+    x = w.copy()
+    got = _transform(x, inverse=True)
+    assert got is x
     assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n", [n for n in sorted(_SPLITS) if _SPLITS[n]])
 def test_split_forward_transform_matches_scipy_to_round_off(n):
-    # real input, as the circulant's covariances are
+    # real input, as the circulant's covariances are: the result is a new
+    # complex array
     g = random_rows(n, seed=n).real
     expected = scipy.fft.fft(g, axis=-1)
-    got = _transform(g.copy())
+    x = g.copy()
+    got = _transform(x)
+    assert got.dtype == complex and not np.shares_memory(got, x)
+    assert x.tobytes() == g.tobytes()
     assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
 
 
@@ -308,6 +340,65 @@ def test_a_consumer_that_drops_each_path_holds_one_block():
     assert max(alive) <= 2
 
 
+def test_a_block_frees_its_draw_before_its_first_path(monkeypatch):
+    # the complex draw is gone once a block's first path is out, and the
+    # iterator keeps no path it has yielded
+    draws = []
+
+    def draw(*args):
+        parts = draw_increment_pairs(*args)
+        draws.append(weakref.ref(parts[0].base))
+        return parts
+
+    draw_increment_pairs = sampling._draw_increment_pairs
+    monkeypatch.setattr(sampling, "_draw_increment_pairs", draw)
+    paths = simulate_ensemble(smooth_pair(), 1.0, 4000.0, 5, seed=3,
+                              warmup=10.0)
+    for k in range(5):
+        path = next(paths)
+        assert len(draws) == k // 2 + 1
+        assert draws[-1]() is None
+        levels = weakref.ref(path.levels)
+        del path
+        assert levels() is None
+    assert next(paths, None) is None
+
+
+def unchecked_pair(cross, auto_i, auto_j):
+    """A ModelPair made without its validation."""
+    pair = object.__new__(ModelPair)
+    for name, m in (("cross", cross), ("auto_i", auto_i), ("auto_j", auto_j)):
+        object.__setattr__(pair, name, m)
+    return pair
+
+
+def test_a_pair_without_a_spectrum_is_refused_at_the_call():
+    # auto masses 0.1 and a cross mass of 0.1005, which ModelPair refuses:
+    # the 2x2 matrix of bin 0 is indefinite, which the factors used to clip
+    # without a word
+    auto = CorrelationModel(delta_weight=1.0, width=10.0, exp_weight=-0.9)
+    pair = unchecked_pair(CorrelationModel(width=10.0, exp_weight=0.1005),
+                          auto, auto)
+    with pytest.raises(DataError, match=r"not positive semidefinite at "
+                       r"bin 0 of 20010 \(frequency 0 per second\)"):
+        simulate_ensemble(pair, 1.0, 20000.0, 1, seed=1, warmup=10.0)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+@pytest.mark.parametrize("xi", [0.0, 8.0])
+def test_perfectly_correlated_pairs_still_sample(c, xi):
+    # |c| = 1 leaves each bin's matrix singular up to round-off, which the
+    # factors clip: the second asset's increments are the first's times c,
+    # up to the square root of round-off that l22 takes
+    auto = CorrelationModel(delta_weight=0.5, width=xi, exp_weight=0.5)
+    pair = ModelPair(cross=CorrelationModel(delta_weight=0.5 * c, width=xi,
+                                            exp_weight=0.5 * c),
+                     auto_i=auto, auto_j=auto)
+    for path in simulate_ensemble(pair, 1.0, 4000.0, 2, seed=1, warmup=10.0):
+        di, dj = np.diff(path.levels, axis=1)
+        assert np.max(np.abs(dj - c * di)) <= 1e-6 * np.max(np.abs(di))
+
+
 def test_poisson_gaps_are_exponential():
     lam = 0.7
     times = draw_poisson_times(lam, 40000.0, 0.0, seed=2)
@@ -343,6 +434,19 @@ def test_poisson_times_do_not_depend_on_the_block_size(lam, span):
         want = reference_poisson_times(lam, span - 10.0, 10.0, seed,
                                        stream=seed)
         assert got.tobytes() == want.tobytes(), seed
+
+
+# four streams at seed 5 over [-10 / lam, 40 000]
+@pytest.mark.parametrize("lam, digest", [
+    (1.0, "2a92cc1b08329260f82c44ef55b044df94f95ccd0fc8d611135d5763424ee9cb"),
+    (0.2, "a15f286ec6bd467ab13b13a1f9a87d2a96e03546f44078d27c49e513cd8e93f0"),
+    (0.05,
+     "b5d4f7a6b0cc231ff60271b519513287aaac9a4322cc03171e02e72cd1144e20"),
+])
+def test_poisson_times_are_pinned(lam, digest):
+    assert sha256(draw_poisson_times(lam, 40000.0, 10.0 / lam, seed=5,
+                                     stream=stream)
+                  for stream in range(4)) == digest
 
 
 def test_poisson_times_cover_warmup():
