@@ -11,9 +11,8 @@ from .async_theory import (AsyncKernel, discrete_kernel, async_cross_corr,
 from .sampling import (SimulatedPath, SteppedSeries, rng_stream,
                        simulate_ensemble, draw_poisson_times, default_warmup,
                        previous_tick)
-from .estimation import (RateEstimate, EppsCurve, Correlogram,
-                         SpectrumEstimate, estimate_rate, epps_curve,
-                         correlogram, estimate_spectrum)
+from .estimation import (EppsCurve, Correlogram, SpectrumEstimate,
+                         epps_curve, correlogram, estimate_spectrum)
 from .filtering import (FilterSpec, inverse_filter, apply_filter,
                         auto_filter, estimate_snr, filtered_correlogram,
                         filtered_epps_curve)

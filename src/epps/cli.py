@@ -24,9 +24,9 @@ from .kernels import load_model_file
 from .async_theory import (AsyncKernel, async_covariance, async_variance,
                            async_rho, async_cross_corr)
 from .sampling import SimulatedPath, rng_stream, simulate_ensemble
-from .estimation import (estimate_rate, read_correlogram_csv,
-                         read_spectrum_csv, write_spectrum_csv,
-                         _read_table, _write_table, _write_text)
+from .estimation import (read_correlogram_csv, read_spectrum_csv,
+                         write_spectrum_csv, _read_table, _write_table,
+                         _write_text)
 from .filtering import FilterSpec, apply_filter, estimate_snr
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
                       fit_auto_async, fit_csv_row, FIT_CSV_HEADER)
@@ -210,11 +210,7 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
         raise DataError("no usable asset-days for the requested pair")
     del both, ts  # the last day's ticks: the grids keep only their count
     days, days_i, days_j = (list(col) for col in zip(*kept))
-    rate_i, rate_j = (estimate_rate(sum(s.n_ticks for s in stepped),
-                                    len(days) * session.length)
-                      for stepped in (days_i, days_j))
-    result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
-                          dt_list, max_lag, spec)
+    result = analyze_pair(days_i, days_j, dt_list, max_lag, spec)
     config = {"ticks": ticks_file, "asset_i": asset_i, "asset_j": asset_j,
               "dt_grid": dt_list, "max_lag": max_lag, "grid_dt": grid_dt,
               "filter_mode": filter_mode, "snr": snr}
@@ -224,7 +220,7 @@ def estimate(ticks_file, asset_i, asset_j, dt_grid, max_lag, grid_dt,
                     {"config": config, "records_skipped": len(errors),
                      "days_skipped": skipped,
                      "open_ticks_missing": open_ticks_missing})
-    summary = f"rates {rate_i.value:.5g}, {rate_j.value:.5g}"
+    summary = f"rates {result['rate_i']:.5g}, {result['rate_j']:.5g}"
     if filter_mode == "wiener":
         source = "estimated" if snr is None else "given"
         summary += f"; wiener snr {result['snr']:.5g} ({source})"

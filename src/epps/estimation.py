@@ -1,8 +1,8 @@
 """Empirical estimators on stepped series.
 
-Covers the measurement side of the package: Poisson rate estimates, the
-equal-time correlation as a function of the return horizon (the Epps curve),
-lagged correlograms of one-step returns, and day-averaged cross-periodograms.
+Covers the measurement side of the package: the equal-time correlation as
+a function of the return horizon (the Epps curve), lagged correlograms of
+one-step returns, and day-averaged cross-periodograms.
 
 Spectrum convention matches the analytic modules: the periodogram
 fft(dx_i) * conj(fft(dx_j)) / T estimates S(theta_n) with
@@ -19,12 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, read_text
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    value: float
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -86,19 +80,6 @@ class SpectrumEstimate:
         if not 0 < self.grid_dt < math.inf:
             raise DataError(f"a spectrum's grid_dt must be finite and > 0, "
                             f"got {self.grid_dt!r}")
-
-
-def estimate_rate(n_ticks, session_length):
-    """Poisson rate estimate from a tick count over a session length.
-
-    The attached standard error is sqrt(count)/length.
-    """
-    if not session_length > 0:
-        raise DataError("session_length must be > 0")
-    if n_ticks < 1:
-        raise DataError(f"cannot estimate a rate from {n_ticks} ticks")
-    return RateEstimate(value=n_ticks / session_length,
-                        stderr=math.sqrt(n_ticks) / session_length)
 
 
 def _common_grid(series_i, series_j):

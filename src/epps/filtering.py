@@ -150,7 +150,14 @@ def estimate_snr(s_tilde, lambda_i, lambda_j):
     low = mag[omega <= split]
     high = mag[omega > split]
     if low.size == 0 or high.size == 0:
-        raise DataError("rate split leaves an empty frequency band")
+        band, side = (("low", "below") if low.size == 0
+                      else ("high", "at or above"))
+        lo, hi = 2.0 * math.pi * np.array([1, T // 2]) / (T * s_tilde.grid_dt)
+        raise DataError(
+            f"rate split leaves an empty {band}-frequency band: the slower "
+            f"rate {split:.5g} lies {side} the spectrum's frequencies "
+            f"{lo:.5g} to {hi:.5g} rad/s; an explicit --snr avoids "
+            "estimating the snr")
     plateau = float(np.mean(high))
     if plateau <= 0:
         raise DataError("flat-zero high-frequency band; snr undefined")
@@ -164,8 +171,10 @@ def filtered_correlogram(s_hat, max_lag=None):
     is (1/T) sum_n conj(S_n) exp(2 pi i n k / T), which `irfft` takes from
     the half spectrum; it is real by construction.
     """
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     T, grid_dt = s_hat.T, s_hat.grid_dt
-    gamma = np.fft.irfft(s_hat.s_n.conj(), T)
+    gamma = scipy.fft.irfft(s_hat.s_n.conj(), T)
     n_lags = T // 2 - 1 if max_lag is None else int(round(max_lag / grid_dt))
     if not 1 <= n_lags <= T // 2 - 1 + T % 2:
         raise DataError("max_lag out of range for this spectrum length")
@@ -185,6 +194,8 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid):
     length T and one grid step, and the Pearson coefficient follows.  A
     horizon whose filtered variance is <= 0 has no coefficient and is NaN.
     """
+    import scipy.fft  # here, so that importing the package loads no scipy
+
     T = s_hat.T
     if s_auto_i.T != T or s_auto_j.T != T:
         raise DataError(f"cross and auto spectra differ in length: "
@@ -196,7 +207,8 @@ def filtered_epps_curve(s_hat, s_auto_i, s_auto_j, dt_grid):
                         f"{s_auto_j.grid_dt:g}")
     dt_grid = np.asarray(dt_grid, dtype=float)
     rho = np.empty(dt_grid.size)
-    gamma = np.fft.irfft(np.conj([s_hat.s_n, s_auto_i.s_n, s_auto_j.s_n]), T)
+    gamma = scipy.fft.irfft(np.conj([s_hat.s_n, s_auto_i.s_n, s_auto_j.s_n]),
+                            T)
     for a, m in enumerate(_horizon_steps(dt_grid, grid_dt)):
         if m >= T:
             raise DataError("horizon must be in [1, T) grid steps")

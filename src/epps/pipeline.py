@@ -23,10 +23,10 @@ from .errors import DataError, EppsError, read_text
 from .kernels import load_model_file
 from .sampling import (SteppedSeries, simulate_ensemble, draw_poisson_times,
                        previous_tick, default_warmup, rng_stream)
-from .estimation import (estimate_rate, epps_curve, correlogram,
-                         estimate_spectrum, write_epps_csv,
-                         write_correlogram_csv, write_spectrum_csv,
-                         _common_grid, _horizon_steps, _write_text)
+from .estimation import (epps_curve, correlogram, estimate_spectrum,
+                         write_epps_csv, write_correlogram_csv,
+                         write_spectrum_csv, _common_grid, _horizon_steps,
+                         _write_text)
 from .filtering import (FilterSpec, apply_filter, auto_filter, estimate_snr,
                         filtered_correlogram, filtered_epps_curve)
 from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
@@ -40,10 +40,10 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
 
     The level at the window start is the open tick's; without one, the
     first tick's level is back-filled to the window start, which loses the
-    return before that tick.  The result counts the in-window ticks and
-    keeps none.  Returns None (a skipped day) when the series has no tick,
-    the grid has fewer than two cells or the gridded increments have zero
-    variance.
+    return before that tick.  The result keeps `previous_tick`'s count of
+    the ticks in the gridded span, and no tick.  Returns None (a skipped
+    day) when the series has no tick, the grid has fewer than two cells or
+    the gridded increments have zero variance.
     """
     session = session or SessionSpec()
     if not ts.times.size or session.length < 2 * grid_dt:
@@ -61,7 +61,7 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
         return None
     return SteppedSeries(grid_dt=grid_dt,
                          increments=(incr - np.mean(incr)) / sd,
-                         n_ticks=ts.times.size)
+                         n_ticks=stepped.n_ticks)
 
 
 def _check_settings(length, grid_dt, dt_grid, max_lag, filter_mode, snr):
@@ -157,19 +157,20 @@ class RunConfig:
         return cls(**raw)
 
 
-def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
-                 filter_spec=None):
+def analyze_pair(days_i, days_j, dt_grid, max_lag, filter_spec=None):
     """All pair-level estimates from per-day grids as `grid_and_normalize`
     makes them, whose stored increments are already normalized: the
     correlograms and the spectra use them as they are, on the grid step
-    the days share.
+    the days share.  Each asset's sampling rate, which the filters and the
+    async fits take, is its days' ticks over their gridded seconds:
+    sum n_ticks / (days * T * grid_dt).
 
     Returns a dict with the rates, raw and filtered Epps curves, cross and
     auto correlograms (raw and filtered cross), spectra, the six fits and
     their failures, the chi-square comparison, and the SNR actually used.
     Every day enters the spectra, so all days need grids of one length.
     """
-    out = {"rate_i": rate_i, "rate_j": rate_j}
+    out = {}
     dt_grid = np.asarray(dt_grid, dtype=float)
     out["epps_raw"] = epps_curve(days_i, days_j, dt_grid)
     cg, out["cg_auto_i"], out["cg_auto_j"] = correlogram(
@@ -182,6 +183,11 @@ def analyze_pair(days_i, days_j, rate_i, rate_j, dt_grid, max_lag,
         autos=True, grid_dt=_common_grid(days_i, days_j))
     out["s_cross"] = s_cross
 
+    # the gridded seconds of all days
+    seconds = s_cross.n_days * (s_cross.T * s_cross.grid_dt)
+    rate_i, rate_j = (sum(s.n_ticks for s in days) / seconds
+                      for days in (days_i, days_j))
+    out["rate_i"], out["rate_j"] = rate_i, rate_j
     spec = filter_spec or FilterSpec()
     if spec.mode == "wiener" and spec.snr is None:
         spec = FilterSpec(mode="wiener",
@@ -346,11 +352,7 @@ def run_pipeline(config, out_dir):
     """
     pair = load_model_file(config.model_file)
     days_i, days_j, open_ticks_missing = _simulate_days(pair, config)
-    rate_i, rate_j = (estimate_rate(sum(s.n_ticks for s in days),
-                                    config.n_days * config.length)
-                      for days in (days_i, days_j))
-    result = analyze_pair(days_i, days_j, rate_i.value, rate_j.value,
-                          config.dt_grid, config.max_lag,
+    result = analyze_pair(days_i, days_j, config.dt_grid, config.max_lag,
                           FilterSpec(config.filter_mode, config.snr))
     return write_artifacts(result, out_dir, ("i", "j"),
                            {"config": asdict(config), "seed": config.seed,

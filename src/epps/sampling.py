@@ -68,7 +68,8 @@ class SimulatedPath:
 
 @dataclass(frozen=True)
 class SteppedSeries:
-    """Previous-tick increments on a uniform grid and the count of ticks."""
+    """Previous-tick increments on a uniform grid and the count of ticks in
+    its span."""
 
     grid_dt: float
     increments: np.ndarray
@@ -334,7 +335,8 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     Each grid time takes the value of the latest tick at or before it.  The
     lookup is a linear-time count, equal to a binary search of every grid
     time among the ticks.  The result holds the increments of those levels,
-    ``np.diff`` of them, and counts the ticks, keeping none.
+    ``np.diff`` of them, and counts the ticks in the grid span
+    [start, start + T grid_dt], keeping none.
 
     Parameters
     ----------
@@ -378,6 +380,8 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     if idx[0] < 0:
         raise DataError("no tick at or before the grid start; "
                         "supply warmup or truncate the grid")
+    # the ticks at or before the grid end, less those before its start
+    n_ticks = int(idx[-1] + 1 - np.searchsorted(ticks, start))
     return SteppedSeries(grid_dt=float(grid_dt),
                          increments=np.diff(np.asarray(values)[idx]),
-                         n_ticks=ticks.size)
+                         n_ticks=n_ticks)

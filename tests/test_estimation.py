@@ -10,8 +10,8 @@ import scipy.fft
 from epps import estimation
 from epps.errors import DataError
 from epps.sampling import SteppedSeries, rng_stream
-from epps.estimation import (estimate_rate, epps_curve, correlogram,
-                             estimate_spectrum, write_epps_csv, read_epps_csv,
+from epps.estimation import (epps_curve, correlogram, estimate_spectrum,
+                             write_epps_csv, read_epps_csv,
                              write_correlogram_csv, read_correlogram_csv,
                              write_spectrum_csv, read_spectrum_csv,
                              SpectrumEstimate, Correlogram)
@@ -38,27 +38,6 @@ def gaussian_days(n_days, T, rho=0.6, seed=0):
         days_i.append(make_series(np.concatenate([[0.0], np.cumsum(di)])))
         days_j.append(make_series(np.concatenate([[0.0], np.cumsum(dj)])))
     return days_i, days_j
-
-
-def test_estimate_rate_count_over_length():
-    est = estimate_rate(50, 1000.0)
-    assert est.value == pytest.approx(0.05)
-    assert est.stderr == pytest.approx(math.sqrt(50) / 1000.0)
-
-
-def test_estimate_rate_rejects_degenerate_input():
-    with pytest.raises(DataError, match="0 ticks"):
-        estimate_rate(0, 100.0)
-    for length in (0.0, -1.0):
-        with pytest.raises(DataError, match="session_length"):
-            estimate_rate(1, length)
-
-
-def test_estimate_rate_consistent_on_poisson_draws():
-    rng = rng_stream(1, 51)
-    ticks = np.cumsum(rng.exponential(2.0, size=4000))
-    est = estimate_rate(ticks.size, ticks[-1])
-    assert abs(est.value - 0.5) < 4.0 * est.stderr
 
 
 def test_epps_curve_self_correlation_is_one():

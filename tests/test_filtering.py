@@ -208,6 +208,21 @@ def test_estimate_snr_errors():
         estimate_snr(z, 0.5, 0.5)
 
 
+def test_estimate_snr_names_the_empty_band():
+    # a 20 s grid reaches pi / 20 = 0.157 rad/s, below the slower rate
+    # 0.197 of a tick file at rates 1 and 0.2: the error named no band,
+    # rate or frequency, nor the way around it
+    s = one_day(1000, np.ones(501, dtype=complex), grid_dt=20.0)
+    with pytest.raises(DataError, match=re.escape(
+            "empty high-frequency band: the slower rate 0.197 lies at or "
+            "above the spectrum's frequencies 0.00031416 to 0.15708 rad/s; "
+            "an explicit --snr avoids")):
+        estimate_snr(s, 1.0, 0.197)
+    with pytest.raises(DataError, match="empty low-frequency band: the "
+                       "slower rate 0.0001 lies below the spectrum's"):
+        estimate_snr(s, 1e-4, 1.0)
+
+
 def test_filtered_correlogram_inverts_the_periodogram():
     rng = rng_stream(9, 61)
     for T in (64, 65):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import json
 import math
@@ -840,7 +841,7 @@ def test_analyze_pair_takes_spectrum_increments_block_by_block(monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "estimate_spectrum", traced)
-    _traced_peak(analyze_pair, days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    _traced_peak(analyze_pair, days_i, days_j, [1.0, 5.0], 40.0)
     increments = 8 * sum(s.increments.size for s in days_i + days_j)
     assert len(peaks) == 1 and peaks[0] < increments
 
@@ -1005,7 +1006,7 @@ def small_days(n_days=6, length=3000.0, li=1.0, lj=0.3, seed=1,
 
 def test_analyze_pair_returns_complete_artifact_set():
     days_i, days_j = small_days()
-    out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0, 20.0], 40.0)
+    out = analyze_pair(days_i, days_j, [1.0, 5.0, 20.0], 40.0)
     for key in ("epps_raw", "epps_filtered", "cg_cross", "cg_auto_i",
                 "cg_auto_j", "cg_cross_filtered", "s_cross",
                 "s_cross_filtered", "fits", "chi2_ratio"):
@@ -1023,12 +1024,34 @@ def test_analyze_pair_returns_complete_artifact_set():
 def test_analyze_pair_takes_the_grid_step_of_its_days():
     assert "grid_dt" not in inspect.signature(analyze_pair).parameters
     days_i, days_j = small_days(grid_dt=2.0)
-    out = analyze_pair(days_i, days_j, 1.0, 0.3, [2.0, 10.0], 40.0)
+    out = analyze_pair(days_i, days_j, [2.0, 10.0], 40.0)
     for key in ("s_cross", "s_cross_filtered", "cg_cross_filtered"):
         assert out[key].grid_dt == 2.0, key
     np.testing.assert_array_equal(out["cg_cross_filtered"].lag_grid,
                                   out["cg_cross"].lag_grid)
     np.testing.assert_array_equal(out["epps_filtered"].dt_grid, [2.0, 10.0])
+
+
+def test_analyze_pair_takes_each_rate_over_the_gridded_seconds():
+    # 2 000.5 s on a 0.7 s grid is 2 857 steps, 1 999.9 s: a day counts
+    # the ticks of that span, not those after it, and a rate is the count
+    # over those seconds, not over the session's
+    ts = TickSeries("a", "d", times=np.array([0.0, 1.0, 1.9, 2.3]),
+                    log_prices=np.array([0.0, 1.0, -1.0, 2.0]),
+                    open_tick=(-1.0, 0.5))
+    assert grid_and_normalize(ts, 0.7, SessionSpec(length=2.5)).n_ticks == 3
+    days_i, days_j = small_days(length=2000.5, grid_dt=0.7)
+    T = days_i[0].increments.size
+    assert T == 2857
+    out = analyze_pair(days_i, days_j, [0.7, 7.0], 28.0)
+    for days, key, lam in ((days_i, "rate_i", 1.0), (days_j, "rate_j", 0.3)):
+        n, seconds = sum(s.n_ticks for s in days), len(days) * T * 0.7
+        assert out[key] == pytest.approx(n / seconds, rel=1e-15)
+        # a Poisson count: within four standard errors of the rate drawn
+        assert abs(out[key] - lam) < 4.0 * math.sqrt(n) / seconds
+    silent = [dataclasses.replace(s, n_ticks=0) for s in days_j]
+    with pytest.raises(DataError, match="sampling rates must be > 0"):
+        analyze_pair(days_i, silent, [0.7, 7.0], 28.0)
 
 
 FIT_NAMES = {"cross_raw", "cross_async", "auto_i_raw", "auto_i_async",
@@ -1042,8 +1065,7 @@ FIT_NAMES = {"cross_raw", "cross_async", "auto_i_raw", "auto_i_async",
 def test_analyze_pair_flags_fits_instead_of_raising(n_days, rate_i, rate_j,
                                                      length, max_lag, seed):
     days_i, days_j = small_days(n_days, length, rate_i, rate_j, seed)
-    out = analyze_pair(days_i, days_j, rate_i, rate_j, [1.0, 5.0, 20.0],
-                       float(max_lag))
+    out = analyze_pair(days_i, days_j, [1.0, 5.0, 20.0], float(max_lag))
     assert set(out["fits"]) | set(out["fit_failures"]) == FIT_NAMES
     for fit in out["fits"].values():
         assert fit.degenerate or all(math.isfinite(v)
@@ -1061,13 +1083,14 @@ def assert_same_fit(fit, standalone):
 
 def test_analyze_pair_fits_are_the_standalone_fits():
     days_i, days_j = small_days()
-    out = analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    out = analyze_pair(days_i, days_j, [1.0, 5.0], 40.0)
     assert out["fit_failures"] == {}
     cg = out["cg_cross"]
     assert_same_fit(out["fits"]["cross_raw"], fitting.fit_cross_raw(cg))
+    rates = out["rate_i"], out["rate_j"]
     assert_same_fit(out["fits"]["cross_async"],
-                    fitting.fit_cross_async(cg, 1.0, 0.3))
-    for key, lam in (("auto_i", 1.0), ("auto_j", 0.3)):
+                    fitting.fit_cross_async(cg, *rates))
+    for key, lam in zip(("auto_i", "auto_j"), rates):
         cg = out[f"cg_{key}"]
         assert_same_fit(out["fits"][f"{key}_raw"], fitting.fit_auto_raw(cg))
         assert_same_fit(out["fits"][f"{key}_async"],
@@ -1090,12 +1113,15 @@ def test_analyze_pair_transforms_each_block_of_days_seven_times(
     for name in ("rfft", "irfft", "fft", "ifft"):
         monkeypatch.setattr(scipy.fft, name,
                             counting(name, getattr(scipy.fft, name)))
-    analyze_pair(days_i, days_j, 1.0, 0.3, [1.0, 5.0], 40.0)
+    analyze_pair(days_i, days_j, [1.0, 5.0], 40.0)
     # per block: the correlograms' two padded rFFTs and three irFFTs
-    # (cross and both autos), then the spectra's two rFFTs
+    # (cross and both autos), then the spectra's two rFFTs; last, one
+    # irFFT of the filtered cross spectrum's 1 501 bins for its correlogram
+    # and one of the three filtered spectra for the Epps curve
     per_block = ["rfft"] * 2 + ["irfft"] * 3
     assert calls == ([(f, rows) for rows in (4, 4, 1) for f in per_block]
-                     + [("rfft", rows) for rows in (4, 4, 1) for _ in "ij"])
+                     + [("rfft", rows) for rows in (4, 4, 1) for _ in "ij"]
+                     + [("irfft", 1501), ("irfft", 3)])
 
 
 def test_run_pipeline_outputs_and_manifest(tmp_path, model_file):

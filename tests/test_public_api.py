@@ -7,12 +7,12 @@ import epps
 PUBLIC_NAMES = [
     "AsyncKernel", "CorrelationModel", "Correlogram", "DataError",
     "EppsCurve", "EppsError", "FilterSpec", "FitResult", "ModelPair",
-    "NumericalError", "RateEstimate", "RunConfig",
+    "NumericalError", "RunConfig",
     "SessionSpec", "SimulatedPath", "SpectrumEstimate", "SteppedSeries",
     "TickSeries", "analyze_pair", "apply_filter", "async_covariance",
     "async_cross_corr", "async_rho", "async_variance", "auto_filter",
     "chi2_ratio", "correlogram", "default_warmup", "discrete_kernel",
-    "draw_poisson_times", "epps_curve", "estimate_rate", "estimate_snr",
+    "draw_poisson_times", "epps_curve", "estimate_snr",
     "estimate_spectrum", "filtered_correlogram", "filtered_epps_curve",
     "fit_auto_async", "fit_auto_raw", "fit_cross_async", "fit_cross_raw",
     "grid_and_normalize", "inverse_filter", "load_model_file", "load_ticks",

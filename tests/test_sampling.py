@@ -556,6 +556,17 @@ def test_previous_tick_keeps_no_reference_to_its_ticks():
     assert [s.n_ticks for s in stepped] == [80, 80]
 
 
+def test_previous_tick_counts_the_ticks_in_its_grid_span():
+    # warm-up ticks and ticks past the last grid time were counted too, so
+    # a rate taken from the count over the gridded seconds came out high
+    p, = simulate_ensemble(brownian_pair(), 1.0, 40.0, 1, seed=13,
+                           warmup=10.0)
+    ticks = np.arange(-9.5, 40.0, 0.5)
+    stepped = previous_tick(p, ticks, start=0.0, end=30.5)
+    assert stepped.increments.size == 30
+    assert stepped.n_ticks == np.count_nonzero((ticks >= 0) & (ticks <= 30))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_previous_tick_rejects_non_finite_tick_times(bad):
     # a NaN passes a strictly-increasing test, since comparisons with it
