@@ -66,6 +66,13 @@ def cli():
 def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
     """Simulate synchronous correlated paths onto CSV files."""
     pair = load_model_file(model_file)
+    if os.path.isdir(out_dir):
+        ours = {f"path_d{d:03d}.csv" for d in range(days)}
+        stale = [f for f in _path_files(out_dir) if f not in ours]
+        if stale:
+            raise DataError(f"{os.path.join(out_dir, stale[0])}: a path file "
+                            "this run would not write, which `epps sample` "
+                            "would read with its paths")
     paths = simulate_ensemble(pair, grid_dt, horizon, days, seed=seed,
                               warmup=warmup)
     os.makedirs(out_dir, exist_ok=True)
@@ -78,6 +85,12 @@ def simulate(model_file, grid_dt, horizon, days, seed, warmup, out_dir):
                       "horizon": f"{horizon:.17g}"})
         written += 1
     click.echo(f"wrote {written} path files to {out_dir}")
+
+
+def _path_files(paths_dir):
+    """The path files of a directory, as `sample` reads them."""
+    return sorted(f for f in os.listdir(paths_dir)
+                  if f.startswith("path_") and f.endswith(".csv"))
 
 
 def _read_path_csv(path):
@@ -111,8 +124,7 @@ def _read_path_csv(path):
 def sample(paths_dir, lambda_i, lambda_j, replay_i, replay_j, seed, out_file):
     """Sample simulated paths at tick times into a standard tick CSV,
     warm-up ticks included, as `epps run` samples them."""
-    names = sorted(f for f in os.listdir(paths_dir)
-                   if f.startswith("path_") and f.endswith(".csv"))
+    names = _path_files(paths_dir)
     if not names:
         raise DataError(f"no path files in {paths_dir}")
     if (replay_i is None) != (replay_j is None):

@@ -16,13 +16,13 @@ weighted least-squares solutions, and what is left is the chi-square as a
 function of log(xi), or of (tau0, log(xi)).  The search covers only what
 the lag grid resolves: widths from 0.1 x the lag step to 10 x the largest
 |lag|, and lags up to 10 x the largest |lag| either way.  A coarse grid
-over that box is refined around its best point: by bounded Brent for the
-auto families, by bounded L-BFGS-B and Newton steps for the cross ones
-(`_search_auto`, `_search_cross`), so a fit always returns a point of the
-box and raises no convergence error.  An optimum on an edge of the box is
-reported as a degenerate fit, since the data then favour a width or lag
-the grid cannot resolve, and so is an amplitude within 2 standard errors
-of zero, as a correlogram without signal usually gives.
+over that box is refined from its best point by one search for every
+family, bounded L-BFGS-B and Newton steps (`_profile`), so a fit always
+returns a point of the box and raises no convergence error.  An optimum on
+an edge of the box is reported as a degenerate fit, since the data then
+favour a width or lag the grid cannot resolve, and so is an amplitude
+within 2 standard errors of zero, as a correlogram without signal usually
+gives.
 
 All Jacobians are analytic (checked against finite differences in the test
 suite) and stable across the removable lambda*xi = 1 point; the covariance
@@ -171,127 +171,111 @@ def _xi_range(tau_span):
 def _profile(family, model, tau, y, sw):
     """Variable-projection fit of `family` to the data y at the lags `tau`,
     with square-root weights sw; `model(tau, theta, jac)` is one of the
-    `_*_fj`.  The log widths searched are `_PROFILE_GRID` points over log
-    `_xi_range` and the box between its edges; `_pack` flags an optimum on
-    an edge."""
-    lo, hi = _xi_range(tau)
-    grid = np.linspace(math.log(lo), math.log(hi), _PROFILE_GRID)
-    search = _search_cross if family.startswith("cross") else _search_auto
-    theta, nfev = search(model, tau, y, sw, grid)
-    return _pack(family, model, tau, theta, y, sw, nfev)
+    `_*_fj`.  At fixed x, (tau0, log xi) for a cross family and (log xi)
+    for an auto one, the amplitude is a weighted least-squares solution:
+    c fits every lag of c g, and b the regular lags of a e_0 + b g, with
+    a = y_0 - b g_0 (e_0 the zero-lag point).  So the chi-square is a
+    function of x, with the gradient 2 amp sum w^2 (amp g - y) dg/dx.
 
-
-def _search_auto(model, tau, y, sw, grid):
-    """(theta, evaluations) of an auto family, linear in (a, b) at fixed xi:
-    f = a e_0 + b g(xi), with e_0 the zero-lag point.  a puts the zero-lag
-    residual at 0 and b is the weighted least-squares solution on the
-    regular lags, so the chi-square is a function of p = log(xi) only.  It
-    is searched on the log-width grid and refined by bounded Brent between
-    the neighbours of the best grid point, which is kept when Brent does
-    not beat it; so an optimum on an edge stays exactly on the edge."""
-    from scipy.optimize import minimize_scalar  # importing epps loads no scipy
-
-    w2 = sw[1:] ** 2
-    yr = y[1:]
-    nfev = 0
-
-    def project(p):
-        """(chi2, b, g_0) at log width p."""
-        nonlocal nfev
-        nfev += 1
-        g, _ = model(tau, (0.0, 1.0, p), False)
-        gw = w2 * g[1:]
-        gg = float(gw @ g[1:])
-        if not gg > 0.0:
-            return math.inf, math.nan, math.nan
-        b = float(gw @ yr) / gg
-        r = (b * g[1:] - yr) * sw[1:]
-        return float(r @ r), b, float(g[0])
-
-    chi2 = [project(p)[0] for p in grid]
-    k = int(np.argmin(chi2))
-    sol = minimize_scalar(lambda p: project(p)[0], method="bounded",
-                          bounds=(grid[max(k - 1, 0)],
-                                  grid[min(k + 1, grid.size - 1)]),
-                          options={"xatol": 1e-8})
-    p = float(sol.x) if sol.fun < chi2[k] else grid[k]
-    _, b, g0 = project(p)
-    return np.array([y[0] - b * g0, b, p]), nfev
-
-
-def _search_cross(model, tau, y, sw, grid):
-    """(theta, evaluations) of a cross family, c g(tau - tau0; xi): c is the
-    weighted least-squares amplitude at fixed x = (tau0, log xi), so the
-    chi-square is a function of x only.
-
-    Grid: the lag grid is uniform, so at each grid width the unit shape is
-    evaluated once on the 2n - 1 differences of the n lags, and two
-    correlations with it give sum w^2 y g and sum w^2 g^2, the projected
-    chi-square at every tau0 on the lag grid.  Refinement: bounded L-BFGS-B
-    over the box |tau0| <= 10 x the largest |lag| and log xi between the
-    grid's edges, with the gradient 2 c sum w^2 (c g - y) dg/dx from the
-    model's Jacobian at unit c.  cross_raw has a kink at every lag, which
-    a descent from a lag may not cross, so L-BFGS-B starts halfway to the
-    next lag on either side of the best grid point.  The best of its two
-    ends and the grid point is finished by Newton steps on that gradient."""
+    Only the grid differs by kind.  An auto family scores `_PROFILE_GRID`
+    log widths over log `_xi_range`.  At each of them a cross family
+    evaluates its unit shape once on the 2n - 1 differences of the n
+    (uniform) lags, and two correlations with it give sum w^2 y g and
+    sum w^2 g^2, the projected chi-square at every tau0 on the lag grid;
+    cross_raw has a kink at every lag, which a descent from a lag may not
+    cross, so it starts halfway to the next lag on either side.  Bounded
+    L-BFGS-B over the box (|tau0| <= 10 x the largest |lag|, log xi
+    between the grid's edges) then refines every family, and Newton steps
+    finish it.  `_pack` flags an optimum on an edge of the box."""
     from scipy.optimize import minimize  # importing epps loads no scipy
 
-    w2 = sw * sw
-    wy = w2 * y
-    d = tau - tau[0]
-    diffs = np.concatenate([-d[:0:-1], d])
+    lo, hi = _xi_range(tau)
+    grid = np.linspace(math.log(lo), math.log(hi), _PROFILE_GRID)
+    cross = family.startswith("cross")
+    rows = slice(None) if cross else slice(1, None)
+    w2, yr = sw[rows] ** 2, y[rows]
     nfev = 0
-    gain, x0 = -math.inf, None
-    for p in grid:
-        nfev += 1
-        g, _ = model(diffs, (1.0, 0.0, p), False)
-        # reversed, so that entry m pairs lag k with difference k - m
-        yg = np.correlate(g, wy, "valid")[::-1]
-        gg = np.correlate(g * g, w2, "valid")[::-1]
-        gains = yg * yg / gg  # sum w^2 y^2 minus the chi-square at tau[m]
-        m = int(np.argmax(gains))
-        if gains[m] > gain:
-            gain, x0 = gains[m], np.array([tau[m], p])
 
-    def project(x):
-        """(chi2, its gradient, c) at x."""
+    def project(x, jac=True):
+        """(chi2, its gradient or None, the amplitudes) at x."""
         nonlocal nfev
         nfev += 1
-        g, j = model(tau, (1.0, x[0], x[1]), True)
-        gw = w2 * g
-        gg = float(gw @ g)  # 0 where the shape underflows on every lag
-        c = float(gw @ y) / gg if gg > 0.0 else 0.0
-        wr = w2 * (c * g - y)
-        return float(wr @ (c * g - y)), 2.0 * c * (wr @ j[:, 1:]), c
+        g, j = model(tau, (1.0, *x) if cross else (0.0, 1.0, *x), jac)
+        gr = g[rows]
+        gw = w2 * gr
+        gg = float(gw @ gr)  # 0 where the shape underflows on every lag
+        amp = float(gw @ yr) / gg if gg > 0.0 else 0.0
+        wr = w2 * (amp * gr - yr)
+        return (float(wr @ (amp * gr - yr)),
+                2.0 * amp * (wr @ j[rows, -len(x):]) if jac else None,
+                (amp,) if cross else (y[0] - amp * g[0], amp))
 
-    reach = _xi_range(tau)[1]  # as `_pack`'s tau_outside_range has it
-    chi2, x = float(wy @ y) - gain, x0
-    for side in (-0.5, 0.5):
-        sol = minimize(lambda z: project(z)[:2], x0 + (side * d[1], 0.0),
-                       jac=True, method="L-BFGS-B",
-                       bounds=((-reach, reach), (grid[0], grid[-1])),
+    if cross:
+        wy = w2 * y
+        d = tau - tau[0]
+        diffs = np.concatenate([-d[:0:-1], d])
+        gain, x0 = -math.inf, None
+        for p in grid:
+            nfev += 1
+            g, _ = model(diffs, (1.0, 0.0, p), False)
+            # reversed, so that entry m pairs lag k with difference k - m
+            yg = np.correlate(g, wy, "valid")[::-1]
+            gg = np.correlate(g * g, w2, "valid")[::-1]
+            gains = yg * yg / gg  # sum w^2 y^2 minus the chi-square at tau[m]
+            m = int(np.argmax(gains))
+            if gains[m] > gain:
+                gain, x0 = gains[m], np.array([tau[m], p])
+        chi2 = float(wy @ y) - gain
+        starts = [x0 + (side * d[1], 0.0) for side in (-0.5, 0.5)]
+        # |tau0| as `_pack`'s tau_outside_range has it
+        bounds = ((-hi, hi), (grid[0], grid[-1]))
+        steps = np.diag([1e-5 * d[1], 1e-5])
+    else:
+        scores = [project((p,), False)[0] for p in grid]
+        k = int(np.argmin(scores))
+        chi2, x0 = scores[k], np.array([grid[k]])
+        starts, bounds, steps = [x0], ((grid[0], grid[-1]),), np.diag([1e-5])
+    lower, upper = np.array(bounds).T
+
+    x = x0
+    for start in starts:
+        sol = minimize(lambda z: project(z)[:2], start, jac=True,
+                       method="L-BFGS-B", bounds=bounds,
                        options={"ftol": 1e-15, "gtol": 1e-12})
-        # both sides may end on one optimum, at chi-squares that differ by
+        # two starts may end on one optimum, at chi-squares that differ by
         # round-off, which must not choose between them
         if sol.fun < chi2 * (1.0 - 1e-9):
             chi2, x = sol.fun, sol.x
+
+    def newton(x, free):
+        """(`project` at x, x) after Newton steps in the coordinates `free`
+        of x, with the Hessian by central differences of the gradient."""
+        for _ in range(2):
+            chi2, grad, _ = project(x)
+            hess = np.column_stack([
+                (project(x + e)[1] - project(x - e)[1])[free] / (2.0 * e.sum())
+                for e in steps[free]])
+            hess = hess + hess.T  # twice its symmetric part
+            if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
+                break
+            nxt = x.copy()
+            nxt[free] -= np.linalg.solve(hess, 2.0 * grad[free])
+            if not (np.all((lower <= nxt) & (nxt <= upper))
+                    and project(nxt)[0] <= chi2 * (1.0 + 1e-12)):
+                break
+            x = nxt
+        return project(x), x
+
     # L-BFGS-B compares chi-square values, which resolve a flat optimum only
-    # to about sqrt(eps); Newton steps on the gradient, with its Hessian by
-    # central differences, settle it, but not across cross_raw's kinks
-    steps = np.diag([1e-5 * d[1], 1e-5])
-    for _ in range(2):
-        chi2, grad, _ = project(x)
-        hess = np.column_stack([(project(x + e)[1] - project(x - e)[1])
-                                / (2.0 * e.sum()) for e in steps])
-        hess = hess + hess.T  # twice its symmetric part
-        if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
-            break
-        nxt = x - np.linalg.solve(hess, 2.0 * grad)
-        if not (abs(nxt[0]) <= reach and grid[0] <= nxt[1] <= grid[-1]
-                and project(nxt)[0] <= chi2 * (1.0 + 1e-12)):
-            break
-        x = nxt
-    return np.array([project(x)[2], x[0], x[1]]), nfev
+    # to about sqrt(eps), and Newton steps settle it; their differences
+    # straddle a kink of cross_raw at a lag, so a cross fit also settles the
+    # lag nearest its end, with the lag held, and keeps the lower point
+    end = newton(x, np.arange(x.size))
+    if cross:
+        held = np.array([tau[np.argmin(np.abs(tau - x[0]))], x[1]])
+        end = min(end, newton(held, np.array([1])), key=lambda e: e[0][0])
+    (_, _, amps), x = end
+    return _pack(family, model, tau, np.array([*amps, *x]), y, sw, nfev)
 
 
 def _pack(family, model, tau, theta, y, sw, nfev):

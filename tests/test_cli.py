@@ -398,6 +398,30 @@ def test_sample_drops_replayed_times_after_the_horizon(model_file, tmp_path):
         assert series[("j", day)].open_tick is None
 
 
+def test_simulate_refuses_a_directory_with_path_files_it_would_not_write(
+        model_file, tmp_path, capsys):
+    # two days simulated into the directory of a four-day run left days 2
+    # and 3 behind, and `epps sample` wrote ticks for 4 days of two runs
+    paths_dir = tmp_path / "paths"
+    args = ["simulate", "--model", model_file, "--horizon", "1000",
+            "--out", str(paths_dir)]
+    assert main(args + ["--days", "4"]) == 0
+    before = {f.name: f.read_bytes() for f in paths_dir.iterdir()}
+    with mock.patch.object(cli_mod, "simulate_ensemble",
+                           side_effect=AssertionError("drew paths")):
+        assert main(args + ["--days", "2", "--seed", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {paths_dir / 'path_d002.csv'}: a path file this run "
+        "would not write, which `epps sample` would read with its paths\n")
+    assert {f.name: f.read_bytes() for f in paths_dir.iterdir()} == before
+    # a rerun of as many days or more overwrites
+    assert main(args + ["--days", "5", "--seed", "2"]) == 0
+    assert sorted(f.name for f in paths_dir.iterdir()) == [
+        f"path_d{d:03d}.csv" for d in range(5)]
+    assert (paths_dir / "path_d000.csv").read_bytes() != before[
+        "path_d000.csv"]
+
+
 @pytest.mark.parametrize("command", ["sample", "run"])
 def test_a_replayed_time_before_the_path_start_is_a_data_error(
         command, model_file, tmp_path, capsys):
