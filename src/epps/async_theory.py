@@ -9,7 +9,8 @@ equivalently as a two-sided exponential smoothing of the lagged correlation in
 real space.  Covariances of the sampled process are triangle integrals of
 that smoothed kernel, in one closed form through its second antiderivative;
 variances acquire an additive correction instead.  Rates may be numpy.inf,
-which reduces every formula to its synchronous counterpart.
+which reduces every formula to its synchronous counterpart.  Each function
+returns an array over its grid, a scalar being a one-point grid.
 
 Sign convention (see kernels module): c(tau) = <dX_i(t) dX_j(t + tau)>.  With
 this choice the slow decay side of the smoothing kernel sits at positive tau
@@ -53,9 +54,8 @@ class AsyncKernel:
 
 
 def _rate_prefactor(li, lj):
-    # lambda_i lambda_j / (lambda_i + lambda_j), with infinite-rate limits
-    if math.isinf(li) and math.isinf(lj):
-        return math.inf
+    # lambda_i lambda_j / (lambda_i + lambda_j), with one infinite rate's
+    # limit; callers take two infinite rates as synchronous before this
     if math.isinf(li):
         return lj
     if math.isinf(lj):
@@ -127,7 +127,6 @@ def async_cross_corr(model, k, tau):
     regular (one/two-sided exponential bumps); with both rates infinite the
     synchronous regular part is returned and any delta component stays a delta.
     """
-    scalar = np.isscalar(tau)
     tau = _finite(tau, "async_cross_corr", name="tau")
     out = np.zeros_like(tau)
     s, xi, we = tau - model.lag, model.width, model.exp_weight
@@ -138,7 +137,7 @@ def async_cross_corr(model, k, tau):
         out += model.delta_weight * _smoothing_weight(k, s)
         if xi > 0.0:
             out += we * _sampled_exp_density(k, xi, s)
-    return out[0] if scalar else out
+    return out
 
 
 # -- covariance of the sampled pair --------------------------------------------
@@ -237,11 +236,9 @@ def async_covariance(model, k, dt):
     `_SMALL_DT` of the model's scale, where that second difference would
     cancel, it is `_small_dt_covariance` instead.
     """
-    scalar = np.isscalar(dt)
     dt = _finite(dt, "async_covariance", bound=">= 0")
     if k.synchronous:
-        out = sync_covariance(model, dt)
-        return out if not scalar else float(out)
+        return sync_covariance(model, dt)
     n, m = dt.size, model
     kern, lag = (k, m.lag) if m.lag >= 0 else (k.swapped(), -m.lag)
     u = np.concatenate([dt - lag, -dt - lag, [-lag]])
@@ -255,7 +252,7 @@ def async_covariance(model, k, dt):
     small = dt < _SMALL_DT * scale
     if small.any():
         out[small] = _small_dt_covariance(m, kern, lag, dt[small])
-    return out[0] if scalar else out
+    return out
 
 
 # -- variance of the sampled process -------------------------------------------
@@ -280,7 +277,6 @@ def async_variance(model, lam, dt):
     antitransform of the damped spectrum; the correction vanishes identically
     for a flat spectrum (linear variance is preserved by the sampling).
     """
-    scalar = np.isscalar(dt)
     dt = _finite(dt, "async_variance", bound=">= 0")
     _check_rates(lam)
     out = sync_covariance(model, dt)
@@ -290,24 +286,22 @@ def async_variance(model, lam, dt):
         cbar = _damped_kernel(model, lam, dt)
         cbar0 = _damped_kernel(model, lam, 0.0)
         out = out + (2.0 / lam ** 2) * (cbar - np.exp(-lam * dt) * cbar0)
-    return out[0] if scalar else out
+    return out
 
 
 def async_rho(pair, k, dt):
     """Pearson correlation of dt-increments of the sampled pair."""
-    scalar = np.isscalar(dt)
     dt = _finite(dt, "async_rho", bound="> 0")
     c12 = async_covariance(pair.cross, k, dt)
     v1 = async_variance(pair.auto_i, k.lambda_i, dt)
     v2 = async_variance(pair.auto_j, k.lambda_j, dt)
     if np.any(v1 <= 0) or np.any(v2 <= 0):
         raise NumericalError("degenerate variance in async_rho")
-    rho = c12 / np.sqrt(v1 * v2)
-    return rho[0] if scalar else rho
+    return c12 / np.sqrt(v1 * v2)
 
 
 def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
-    """Finite-length, discrete-time suppression factor at frequency index n.
+    """Finite-length, discrete-time suppression factor at frequency indices n.
 
     Rates are per grid step; each step contains a tick with probability
     1 - exp(-rate).  The factor is f(lambda_i) conj f(lambda_j) with the
@@ -334,4 +328,4 @@ def discrete_kernel(lambda_i_step, lambda_j_step, n, T):
         # the order numpy's temporary elision takes from 256 KiB up, so that
         # a bin's bits do not depend on the array length
         out = f[lambda_j_step].conj() * fi
-    return out if not np.isscalar(n) else complex(out[0])
+    return out

@@ -428,8 +428,9 @@ def _read_table(path, header):
 
 def _n_days(meta, path):
     n_days = meta.get("n_days", 1.0)
-    if not math.isfinite(n_days):
-        raise DataError(f"{path}: n_days must be finite")
+    if not (math.isfinite(n_days) and n_days >= 1 and n_days == int(n_days)):
+        raise DataError(f"{path}: '# n_days=' must be a whole number >= 1, "
+                        f"got {n_days:g}")
     return int(n_days)
 
 

@@ -30,11 +30,12 @@ from .async_theory import _check_rates, discrete_kernel
 class FilterSpec:
     """Filter mode plus, for the Wiener mode, the signal-to-noise ratio.
 
-    `snr` may be a positive scalar or one positive value per bin 0..T//2,
-    and only the Wiener mode takes one.  A Wiener spec with `snr=None` means
-    "estimate it": `analyze_pair` (and so `epps run` and `epps estimate`)
-    fill it in with `estimate_snr` on the measured cross-spectrum; the
-    filters themselves need a value.
+    `FilterSpec()` is the inverse filter, the infinite-snr limit of the
+    Wiener filter.  `snr` may be a finite positive scalar or one finite
+    positive value per bin 0..T//2, and only the Wiener mode takes one.  A
+    Wiener spec with `snr=None` means "estimate it": `analyze_pair` (and so
+    `epps run` and `epps estimate`) fill it in with `estimate_snr` on the
+    measured cross-spectrum; the filters themselves need a value.
     """
 
     mode: str = "inverse"
@@ -49,8 +50,8 @@ class FilterSpec:
         if self.mode == "inverse":
             raise DataError("an snr applies only to the wiener filter")
         snr = np.asarray(self.snr, dtype=float)
-        if np.any(snr <= 0) or np.any(np.isnan(snr)):
-            raise DataError("wiener mode requires snr > 0")
+        if not np.all((snr > 0) & np.isfinite(snr)):
+            raise DataError("wiener mode requires a finite snr > 0")
 
 
 def _wiener_snr(spec, T):
@@ -89,7 +90,7 @@ def _deconvolve(s_tilde, lambda_i, lambda_j, spec, delta_mass=None):
     """
     kern = _kernel(s_tilde, lambda_i, lambda_j)
     excess = s_tilde.s_n if delta_mass is None else s_tilde.s_n - delta_mass
-    if spec is None or spec.mode == "inverse":
+    if spec.mode == "inverse":
         out = excess / kern
     else:
         snr = _wiener_snr(spec, s_tilde.T)
@@ -108,7 +109,7 @@ def inverse_filter(s_tilde, lambda_i, lambda_j):
     high-frequency bins are amplified roughly like omega^2, so noisy inputs
     come out noisy there.
     """
-    return _deconvolve(s_tilde, lambda_i, lambda_j, None)
+    return _deconvolve(s_tilde, lambda_i, lambda_j, FilterSpec())
 
 
 def apply_filter(s_tilde, lambda_i, lambda_j, spec):
@@ -121,7 +122,7 @@ def apply_filter(s_tilde, lambda_i, lambda_j, spec):
     return _deconvolve(s_tilde, lambda_i, lambda_j, spec)
 
 
-def auto_filter(s_tilde, lam, delta_mass, spec=None):
+def auto_filter(s_tilde, lam, delta_mass, spec=FilterSpec()):
     """Deconvolve an auto-spectrum, holding its point mass fixed.
 
     Sampling maps an auto spectrum S to delta + K * (S - delta) where delta
@@ -164,8 +165,9 @@ def estimate_snr(s_tilde, lambda_i, lambda_j):
     return float(np.mean(low)) / plateau
 
 
-def filtered_correlogram(s_hat, max_lag=None):
-    """Correlogram from a corrected spectrum by one inverse real DFT.
+def filtered_correlogram(s_hat, max_lag):
+    """Correlogram from a corrected spectrum by one inverse real DFT, at
+    the lags within `max_lag` seconds.
 
     With S(omega) = integral c(tau) exp(+i omega tau) dtau the lag-k value
     is (1/T) sum_n conj(S_n) exp(2 pi i n k / T), which `irfft` takes from
@@ -175,7 +177,7 @@ def filtered_correlogram(s_hat, max_lag=None):
 
     T, grid_dt = s_hat.T, s_hat.grid_dt
     gamma = scipy.fft.irfft(s_hat.s_n.conj(), T)
-    n_lags = T // 2 - 1 if max_lag is None else int(round(max_lag / grid_dt))
+    n_lags = int(round(max_lag / grid_dt))
     if not 1 <= n_lags <= T // 2 - 1 + T % 2:
         raise DataError("max_lag out of range for this spectrum length")
     values = np.concatenate([gamma[-n_lags:], gamma[:n_lags + 1]])

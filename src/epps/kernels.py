@@ -7,7 +7,8 @@ continuous-time increment processes,
            + exp_weight * exp(-|tau - lag| / width) / (2 * width),
 
 together with the induced finite-horizon covariance and Pearson
-correlation.
+correlation, each an array over its grid of horizons (a scalar horizon is a
+one-point grid).
 
 Conventions used throughout the package:
 
@@ -103,10 +104,8 @@ def sync_covariance(model, dt):
     Exact closed form: the double integral of the kernel over [0, dt]^2,
     reduced to ``integral (dt - |s|) c(s) ds``.
     """
-    scalar = np.isscalar(dt)
     dt = _finite(dt, "sync_covariance", bound=">= 0")
-    out = _triangle_covariance(model, dt, 0.0)
-    return out[0] if scalar else out
+    return _triangle_covariance(model, dt, 0.0)
 
 
 @dataclass(frozen=True)
@@ -147,15 +146,13 @@ class ModelPair:
 
 def sync_rho(pair, dt):
     """Pearson correlation C12(dt)/sqrt(C11(dt) C22(dt)) of dt-increments."""
-    scalar = np.isscalar(dt)
     dt = _finite(dt, "sync_rho", bound="> 0")
     c12 = sync_covariance(pair.cross, dt)
     v1 = sync_covariance(pair.auto_i, dt)
     v2 = sync_covariance(pair.auto_j, dt)
     if np.any(v1 <= 0) or np.any(v2 <= 0):
         raise NumericalError("degenerate variance in sync_rho")
-    rho = c12 / np.sqrt(v1 * v2)
-    return rho[0] if scalar else rho
+    return c12 / np.sqrt(v1 * v2)
 
 
 # -- model specification files -------------------------------------------------

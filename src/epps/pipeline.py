@@ -34,7 +34,7 @@ from .fitting import (fit_cross_raw, fit_cross_async, fit_auto_raw,
 from .ticks import SessionSpec, TickSeries, _read_tick_times, on_clock
 
 
-def grid_and_normalize(ts, grid_dt=1.0, session=None):
+def grid_and_normalize(ts, grid_dt=1.0, session=SessionSpec()):
     """Previous-tick grid of one asset-day on [0, session length], kept as
     its increments normalized to zero mean and unit variance.
 
@@ -45,7 +45,6 @@ def grid_and_normalize(ts, grid_dt=1.0, session=None):
     day) when the series has no tick, the grid has fewer than two cells or
     the gridded increments have zero variance.
     """
-    session = session or SessionSpec()
     if not ts.times.size or session.length < 2 * grid_dt:
         return None
     # without an open tick, a stand-in before the window carries the first
@@ -157,7 +156,7 @@ class RunConfig:
         return cls(**raw)
 
 
-def analyze_pair(days_i, days_j, dt_grid, max_lag, filter_spec=None):
+def analyze_pair(days_i, days_j, dt_grid, max_lag, filter_spec=FilterSpec()):
     """All pair-level estimates from per-day grids as `grid_and_normalize`
     makes them, whose stored increments are already normalized: the
     correlograms and the spectra use them as they are, on the grid step
@@ -188,7 +187,7 @@ def analyze_pair(days_i, days_j, dt_grid, max_lag, filter_spec=None):
     rate_i, rate_j = (sum(s.n_ticks for s in days) / seconds
                       for days in (days_i, days_j))
     out["rate_i"], out["rate_j"] = rate_i, rate_j
-    spec = filter_spec or FilterSpec()
+    spec = filter_spec
     if spec.mode == "wiener" and spec.snr is None:
         spec = FilterSpec(mode="wiener",
                           snr=estimate_snr(s_cross, rate_i, rate_j))
@@ -222,8 +221,8 @@ def analyze_pair(days_i, days_j, dt_grid, max_lag, filter_spec=None):
         try:
             out["chi2_ratio"] = chi2_ratio(fits["cross_raw"],
                                            fits["cross_async"])
-        except EppsError:
-            out["chi2_ratio"] = float("nan")
+        except EppsError:  # null in the manifest, which holds no NaN
+            out["chi2_ratio"] = None
     return out
 
 

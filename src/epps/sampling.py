@@ -328,9 +328,8 @@ def _last_tick_index(ticks, grid, grid_dt):
     return counts
 
 
-def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
-                  start=0.0, end=None):
-    """Previous-tick stepped series on a uniform grid.
+def previous_tick(source, ticks=None, *, grid_dt=None, asset=0, start, end):
+    """Previous-tick stepped series on a uniform grid from `start` to `end`.
 
     Each grid time takes the value of the latest tick at or before it.  The
     lookup is a linear-time count, equal to a binary search of every grid
@@ -343,11 +342,11 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
     source : SimulatedPath or (times, values) pair
         Where tick values come from.  For a path, the value at each tick is
         the path level at that time; for raw tick data, the recorded value.
-    ticks : array_like, optional
-        Tick times; defaults to the source's own times for tick data.  They
-        must be finite and strictly increasing, else DataError.
+    ticks : array_like
+        Tick times of a path, which must be finite and strictly increasing,
+        else DataError; tick data bring their own times and take none.
     grid_dt : float
-        Output grid step; defaults to the source grid step when available.
+        Output grid step; defaults to the path's grid step.
     asset : int
         Asset index for SimulatedPath sources.
     start, end : float
@@ -359,16 +358,17 @@ def previous_tick(source, ticks=None, *, grid_dt=None, asset=0,
         ticks = _tick_times(ticks)
         values = source.value_at(asset, ticks)
         grid_dt = source.grid_dt if grid_dt is None else grid_dt
-        end = source.t_end if end is None else end
     else:
+        if ticks is not None:
+            raise DataError("previous_tick on tick data takes no tick times: "
+                            "the (times, values) pair holds them")
         times, values = source
-        ticks = _tick_times(times if ticks is None else ticks)
+        ticks = _tick_times(times)
         values = np.asarray(values, dtype=float)
         if ticks.size != values.size:
             raise DataError("tick times and values differ in length")
         if grid_dt is None:
             raise DataError("grid_dt is required for tick-data sources")
-        end = float(ticks[-1]) if end is None else end
     if not (0 < grid_dt < math.inf and math.isfinite(start)
             and math.isfinite(end)):
         raise DataError("previous_tick needs finite start, end and grid_dt > 0")

@@ -91,7 +91,7 @@ _CHUNK_BYTES = 1 << 18  # text parsed per step, so memory stays bounded
 _RANGE_BYTES = 8 << 20  # least bytes per parsing process: small files use one
 
 
-def load_ticks(path, session=None, fail_fast=False):
+def load_ticks(path, session=SessionSpec(), fail_fast=False):
     """Read a tick CSV into per-asset-day series.
 
     Returns (series, errors) where `series` maps (asset, day) to a
@@ -107,7 +107,6 @@ def load_ticks(path, session=None, fail_fast=False):
     series.  With fail_fast the first bad record raises instead, once the
     whole file has been read.  A header that is not UTF-8 is a wrong header.
     """
-    session = session or SessionSpec()
     with open(path, "rb") as fh:
         body = _line_end(fh, 0)
         fh.seek(0)
@@ -203,17 +202,11 @@ def _range_child(send, path, start, end, session):
     """Body of a forked parser: sends (True, the parsed range) or (False,
     the exception raised) through the pipe end `send`, pickled with its
     arrays out of band: the pickle is one message and each array's bytes
-    one more, so that the parent receives every column once.  Each
-    asset-day's chunks are joined first and its line numbers packed again
-    as one pair, which keeps the messages few."""
+    one more, so that the parent receives every column once."""
     buffers = []
     try:
-        rows, bad, n_lines = _parse_range(path, start, end, session)
-        rows = {key: ([np.concatenate(times)], [np.concatenate(logs)],
-                      [_pack_lines(_unpack_lines(lines))])
-                for key, (times, logs, lines) in rows.items()}
-        head = pickle.dumps((True, (rows, bad, n_lines)), protocol=5,
-                            buffer_callback=buffers.append)
+        head = pickle.dumps((True, _parse_range(path, start, end, session)),
+                            protocol=5, buffer_callback=buffers.append)
     except Exception as exc:
         buffers = []
         head = pickle.dumps((False, exc), protocol=5)
@@ -227,10 +220,11 @@ def _parse_range(path, start, end, session):
     """Parse bytes [start, end) of a tick file, which begin at a line start
     and end after a line break or at the end of the file.
 
-    Returns (rows, bad, n_lines): `rows` maps (asset, day) to lists of the
-    per-chunk arrays of times and log prices of its valid records up to the
+    Returns (rows, bad, n_lines): `rows` maps (asset, day) to one array of
+    the times and one of the log prices of its valid records up to the
     window end, in file order and not yet checked for monotone times, and
-    of their line numbers packed by `_pack_lines`; `bad` lists the other
+    their line numbers as one pair packed by `_pack_lines` (joined over the
+    chunks, so a forked parser sends few messages); `bad` lists the other
     rejected records as (line number, message); `n_lines` counts the lines
     read.  Line numbers count from 0 at `start`.
     """
@@ -252,6 +246,9 @@ def _parse_range(path, start, end, session):
                                                    rows)
                 bad += bad_chunk
                 n_lines += n_chunk
+    for key, (times, logs, lines) in rows.items():
+        rows[key] = (np.concatenate(times), np.concatenate(logs),
+                     _pack_lines(_unpack_lines(lines)))
     return rows, bad, n_lines
 
 
@@ -262,7 +259,7 @@ def _merge(parts, session):
     ranges.  Per asset-day, keeps the latest row before the window as its
     open tick, then rejects, over its in-window rows in file order, a time
     not above the running maximum of the times before it.  Takes the parts
-    out of the list `parts` and concatenates each asset-day's chunks once,
+    out of the list `parts` and concatenates each asset-day's ranges once,
     dropping them as soon as they are joined.  A series keeps the arrays
     made here, the window start subtracted in place, and line numbers are
     unpacked only for an asset-day with a rejected row.
@@ -278,10 +275,9 @@ def _merge(parts, session):
     series = {}
     for asset, day in sorted(keyed):
         got = keyed.pop((asset, day))  # (offset, times, logs, lines) per range
-        times = np.concatenate([t for _, ts, _, _ in got for t in ts])
-        logs = np.concatenate([g for _, _, gs, _ in got for g in gs])
-        lines = [(off + first, gaps) for off, _, _, packed in got
-                 for first, gaps in packed]
+        times = np.concatenate([t for _, t, _, _ in got])
+        logs = np.concatenate([g for _, _, g, _ in got])
+        lines = [(off + first, gaps) for off, _, _, (first, gaps) in got]
         del got
         inside = times >= session.window_start
         if not inside.any():

@@ -73,7 +73,7 @@ def test_criterion_1_closed_form_matches_quadrature(oscillatory_oracle):
             for tau in taus:
                 mt = CorrelationModel(width=xi, exp_weight=0.6, lag=tau)
                 for dt in dts:
-                    closed = async_covariance(mt, k, dt)
+                    closed, = async_covariance(mt, k, dt)
                     oracle = oscillatory_oracle(0.6, xi, tau, li, lj, dt)
                     rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
                     worst = max(worst, rel)

@@ -73,7 +73,7 @@ def test_onesided_exp_conv_infinite_rate_and_long_lags():
 def test_smoothed_cross_corr_has_unit_mass():
     k = AsyncKernel(0.7, 0.15)
     m = CorrelationModel(delta_weight=1.0, lag=2.0)
-    mass = quad(lambda t: async_cross_corr(m, k, t), -80, 200, limit=800,
+    mass = quad(lambda t: async_cross_corr(m, k, t)[0], -80, 200, limit=800,
                 points=[2.0])[0]
     assert mass == pytest.approx(1.0, rel=1e-8)
 
@@ -83,8 +83,8 @@ def test_cross_corr_asymmetry_direction():
     # positive lags when lambda_i > lambda_j
     k = AsyncKernel(1.0, 0.05)
     m = CorrelationModel(delta_weight=0.5)
-    pos = quad(lambda t: async_cross_corr(m, k, t), 0, 300, limit=400)[0]
-    neg = quad(lambda t: async_cross_corr(m, k, t), -300, 0, limit=400)[0]
+    pos = quad(lambda t: async_cross_corr(m, k, t)[0], 0, 300, limit=400)[0]
+    neg = quad(lambda t: async_cross_corr(m, k, t)[0], -300, 0, limit=400)[0]
     assert pos > 10 * neg > 0
 
 
@@ -125,7 +125,7 @@ def test_async_covariance_delta_kernel_against_time_domain_integral():
     k = AsyncKernel(1.0, 0.2)
     for dt in (0.5, 3.0, 12.0):
         pts = [p for p in (0.0, m.lag, -m.lag) if -dt < p < dt]
-        oracle = quad(lambda s: (dt - abs(s)) * async_cross_corr(m, k, s),
+        oracle = quad(lambda s: (dt - abs(s)) * async_cross_corr(m, k, s)[0],
                       -dt, dt, points=pts or None, limit=400)[0]
         assert async_covariance(m, k, dt) == pytest.approx(oracle, rel=1e-8)
 

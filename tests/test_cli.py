@@ -918,6 +918,51 @@ def test_snr_without_the_wiener_filter_is_rejected(tmp_path, model_file,
     assert "wiener" in capsys.readouterr().err
 
 
+def test_an_snr_that_is_not_finite_is_a_data_error(tmp_path, model_file,
+                                                   capsys):
+    # it went into manifest.json as `Infinity`, exit 0; the inverse filter
+    # is the infinite-snr limit
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=1)
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "B", "--filter-mode", "wiener", "--snr", "inf",
+                 "--out", str(tmp_path / "est")]) == 2
+    assert "finite snr > 0" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"model_file": {json.dumps(model_file)}, '
+                   '"filter_mode": "wiener", "snr": 1e999}')
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "finite snr > 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_estimate_of_an_asset_not_in_the_file_skips_every_day(tmp_path,
+                                                              capsys):
+    ticks = tmp_path / "ticks.csv"
+    write_tick_csv(ticks, (1.0, 0.3), n_days=2)
+    assert main(["estimate", "--ticks", str(ticks), "--asset-i", "A",
+                 "--asset-j", "C", "--out", str(tmp_path / "est")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "skipped day 0: no ticks in the window for C",
+        "skipped day 1: no ticks in the window for C",
+        "data error: no usable asset-days for the requested pair"]
+    assert not (tmp_path / "est").exists()
+
+
+def test_sample_of_a_directory_without_path_files_is_a_data_error(tmp_path,
+                                                                   capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "notes.csv").write_text("t\n")
+    assert main(["sample", "--paths", str(paths_dir),
+                 "--out", str(tmp_path / "ticks.csv")]) == 2
+    assert capsys.readouterr().err == (f"data error: no path files in "
+                                       f"{paths_dir}\n")
+    assert not (tmp_path / "ticks.csv").exists()
+
+
 @pytest.mark.parametrize("bad_line", ["# a note", "1,0.5,oops"])
 def test_sample_rejects_a_malformed_path_file(bad_line, tmp_path, capsys):
     paths_dir = tmp_path / "paths"
@@ -1012,7 +1057,9 @@ def test_bad_n_days_in_a_csv_header_is_a_data_error(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     cg = tmp_path / "cg.csv"
     lags = np.arange(-20, 21, dtype=float)
-    for value in ("many", "nan"):
+    # a count read as int(): -2.5 was read as -2, and 0 was copied into
+    # the filter's output
+    for value in ("many", "nan", "-2.5", "0", "2.5"):
         write_small_spectrum(spec, value)
         assert main(["filter", "--spectrum", str(spec), "--lambda-i", "0.5",
                      "--lambda-j", "0.5",

@@ -46,6 +46,11 @@ def test_filter_spec_validation():
         FilterSpec(mode="wiener", snr=-1.0)
     with pytest.raises(DataError):
         FilterSpec(mode="wiener", snr=[1.0, float("nan")])
+    # the inverse filter is the infinite-snr limit; an infinite snr went
+    # into manifest.json as `Infinity`, which strict JSON parsers reject
+    for snr in (math.inf, [1.0, math.inf]):
+        with pytest.raises(DataError, match="finite snr > 0"):
+            FilterSpec(mode="wiener", snr=snr)
     with pytest.raises(DataError):
         FilterSpec(mode="inverse", snr=3.0)  # an snr only damps the wiener
 
@@ -164,7 +169,7 @@ def test_filters_equal_the_reference_formulas_byte_for_byte(li, lj):
         if snr is None:
             assert inverse_filter(s, li, lj).s_n.tobytes() == want
         want = reference_deconvolution(s.s_n, auto, snr, delta).tobytes()
-        got = auto_filter(s, li, delta, None if snr is None else spec)
+        got = auto_filter(s, li, delta, spec)
         assert got.s_n.tobytes() == want
         assert (got.T, got.n_days, got.grid_dt) == (s.T, s.n_days, grid_dt)
 

@@ -20,9 +20,9 @@ import scipy.fft
 
 from epps import cli, estimation, fitting, pipeline, ticks
 from epps.cli import _FIGURE_MODEL, main
-from epps.errors import DataError
+from epps.errors import DataError, NumericalError
 from epps.pipeline import (RunConfig, grid_and_normalize, analyze_pair,
-                           run_pipeline)
+                           run_pipeline, write_artifacts)
 from epps.ticks import SessionSpec, TickSeries, load_ticks
 from epps.kernels import CorrelationModel, ModelPair
 from epps.sampling import previous_tick
@@ -1071,6 +1071,29 @@ def test_analyze_pair_flags_fits_instead_of_raising(n_days, rate_i, rate_j,
         assert fit.degenerate or all(math.isfinite(v)
                                      for v in fit.params.values())
     assert np.all(np.isfinite(out["epps_raw"].rho[:1]))
+
+
+def strict_json(text):
+    """JSON as a strict parser reads it: NaN and Infinity refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_chi2_ratio_that_cannot_be_formed_is_null_in_the_manifest(
+        tmp_path, monkeypatch):
+    # it was NaN, which the manifest held as a bare `NaN`
+    def no_ratio(raw, asyn):
+        raise NumericalError("corrected fit has zero chi-square")
+
+    monkeypatch.setattr(pipeline, "chi2_ratio", no_ratio)
+    days_i, days_j = small_days()
+    result = analyze_pair(days_i, days_j, [1.0, 5.0], 40.0)
+    assert result["chi2_ratio"] is None
+    write_artifacts(result, str(tmp_path), ("i", "j"), {"config": {}})
+    manifest = strict_json((tmp_path / "manifest.json").read_text())
+    assert manifest["chi2_ratio"] is None
 
 
 def assert_same_fit(fit, standalone):

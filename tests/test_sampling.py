@@ -499,6 +499,13 @@ def test_previous_tick_from_tick_data():
     np.testing.assert_array_equal(series.increments, [0, 1, 0, 1])
 
 
+def test_previous_tick_takes_no_tick_times_next_to_tick_data():
+    # they silently replaced the pair's own times
+    with pytest.raises(DataError, match="takes no tick times"):
+        previous_tick((np.array([0.0, 1.5]), np.array([1.0, 2.0])),
+                      np.array([0.0, 1.0]), grid_dt=1.0, start=0.0, end=2.0)
+
+
 def test_previous_tick_requires_tick_before_start():
     with pytest.raises(DataError):
         previous_tick((np.array([1.5, 2.0]), np.array([1.0, 2.0])),
@@ -550,7 +557,8 @@ def test_previous_tick_keeps_no_reference_to_its_ticks():
     values = np.cumsum(np.ones(ticks.size))
     refs = [weakref.ref(a) for a in (ticks, values)]
     stepped = [previous_tick(p, ticks, start=0.0, end=40.0),
-               previous_tick((ticks, values), grid_dt=1.0, end=40.0)]
+               previous_tick((ticks, values), grid_dt=1.0, start=0.0,
+                             end=40.0)]
     del ticks, values
     assert all(ref() is None for ref in refs)
     assert [s.n_ticks for s in stepped] == [80, 80]
